@@ -1045,36 +1045,6 @@ let ablation_merged () =
   Printf.printf
     " paper leaves this combining 'beyond the scope' in footnote 1)\n%!"
 
-let ablation_streaming () =
-  section_header "Ablation (execution)"
-    "materialized engine vs streaming cursor under LIMIT (block reads)";
-  let catalog = catalog () in
-  let queries =
-    [
-      "select title from movie limit 10";
-      "select title from movie where year >= 2000 limit 10";
-      "select m.title from movie m, genre g where m.mid = g.mid and g.genre = 'drama' limit 10";
-      "select title from movie";
-    ]
-  in
-  Printf.printf "%-72s %10s %10s\n" "query" "engine" "cursor";
-  List.iter
-    (fun sql ->
-      let q = Cqp_sql.Parser.parse sql in
-      let engine_blocks =
-        (Cqp_exec.Engine.execute catalog q).Cqp_exec.Engine.block_reads
-      in
-      let cur = Cqp_exec.Cursor.open_query catalog q in
-      ignore (Cqp_exec.Cursor.to_list cur);
-      Printf.printf "%-72s %10d %10d\n%!" sql engine_blocks
-        (Cqp_exec.Cursor.block_reads cur))
-    queries;
-  Printf.printf
-    "(the paper's cost model assumes full scans — the engine implements\n";
-  Printf.printf
-    " it; the cursor shows what a pipelined executor saves when the\n";
-  Printf.printf " context caps the answer size, e.g. the palmtop scenario)\n%!"
-
 let pareto_front () =
   section_header "Extension (Section 8)"
     "multi-objective CQP: the doi/cost Pareto front, K = 12";
@@ -1316,22 +1286,19 @@ let largek_pref_space =
       { C.Pref_space.estimate; items; d; c; s }
     end
 
-(* One sweep with the given keying; per-search latencies in µs plus
-   the summed states_visited read off the space instrumentation
-   (spaces here are hand-built, so publish the counters that
-   [Algorithm.run] would have). *)
-let largek_sweep keys =
+(* The K = 100 sweep: per-search latencies in µs (spaces here are
+   hand-built, so publish the counters that [Algorithm.run] would
+   have). *)
+let trend_solver_largek () =
   let ps = Lazy.force largek_pref_space in
-  let lats = ref [] and visited = ref 0 in
+  let lats = ref [] in
   let run ?(publish = true) order solve =
-    let space = C.Space.create ~order ~keys ps in
+    let space = C.Space.create ~order ps in
     let t0 = Unix.gettimeofday () in
     solve space;
     lats := ((Unix.gettimeofday () -. t0) *. 1e6) :: !lats;
-    let stats = C.Space.stats space in
     (* the BnB publishes its own counters; hand-run algorithms do not *)
-    if publish then C.Instrument.publish stats;
-    visited := !visited + stats.C.Instrument.states_visited
+    if publish then C.Instrument.publish (C.Space.stats space)
   in
   let cmax = largek_cmax in
   for _ = 1 to 3 do
@@ -1343,36 +1310,7 @@ let largek_sweep keys =
     run ~publish:false C.Space.By_doi (fun sp ->
         ignore (C.Solver.max_doi_bnb sp (C.Params.with_cmax cmax)))
   done;
-  (!lats, !visited)
-
-let trend_solver_largek () =
-  let lats, _ = largek_sweep `Auto in
-  (lats, 0.)
-
-(* Informational A/B printed alongside the trend table: the same K=100
-   sweep on `Legacy (position-list keys, value-every-neighbor — the
-   pre-bitset fallback) vs `Auto (bitset keys, pre-valuation pruning),
-   reported as GC words allocated per visited state. *)
-let largek_gc_ab () =
-  let words (g : Cqp_profile.Gcprof.delta) =
-    g.Cqp_profile.Gcprof.minor_words +. g.Cqp_profile.Gcprof.major_words
-  in
-  Gc.full_major ();
-  let (_, vis_legacy), gc_legacy =
-    Cqp_profile.Gcprof.measure (fun () -> largek_sweep `Legacy)
-  in
-  Gc.full_major ();
-  let (_, vis_bits), gc_bits =
-    Cqp_profile.Gcprof.measure (fun () -> largek_sweep `Auto)
-  in
-  let per w v = if v = 0 then 0. else w /. float_of_int v in
-  let wl = per (words gc_legacy) vis_legacy in
-  let wb = per (words gc_bits) vis_bits in
-  Printf.printf
-    "largek A/B (K=%d, %d states): legacy %.1f words/state, bits %.1f \
-     words/state — %.2fx fewer\n%!"
-    largek_k vis_bits wl wb
-    (if wb > 0. then wl /. wb else 0.)
+  (!lats, 0.)
 
 (* Workloads 3 and 4: serve replay — a cold pass warms the caches,
    then the measured warm pass replays the same entries; the parallel
@@ -1495,7 +1433,6 @@ let run_trend ~label ~out =
       [ solver; largek; warm; par; pareto ]
     end
   in
-  largek_gc_ab ();
   let t = { BF.label; workloads } in
   let file =
     match out with Some f -> f | None -> "BENCH_" ^ label ^ ".json"
@@ -1675,7 +1612,6 @@ let sections =
     ("fig12_problem1", fig12_problem1);
     ("ablation_metaheuristics", ablation_metaheuristics);
     ("ablation_merged", ablation_merged);
-    ("ablation_streaming", ablation_streaming);
     ("pareto_front", pareto_front);
     ("doi_distributions", doi_distributions);
     ("scaling", scaling);

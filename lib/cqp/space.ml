@@ -1,8 +1,8 @@
 module Bitset = Cqp_util.Bitset
 
 type order = By_cost | By_doi | By_size
-type keying = [ `Auto | `Bits | `Legacy ]
-type keymode = Kmask | Kbits | Klegacy
+type keying = [ `Auto | `Bits ]
+type keymode = Kmask | Kbits
 
 type t = {
   order : order;
@@ -36,7 +36,6 @@ let create ?(order = By_cost) ?(keys = `Auto) ps =
     | `Auto ->
         if Array.length positions <= State.max_mask_bits then Kmask else Kbits
     | `Bits -> Kbits
-    | `Legacy -> Klegacy
   in
   {
     order;
@@ -119,9 +118,6 @@ let estimate t = t.ps.Pref_space.estimate
 type key =
   | Mask of int  (** int bitmask, [k <= State.max_mask_bits] *)
   | Bits of Bitset.t  (** [Bytes]-backed bitset, any [k] *)
-  | Positions of State.t
-      (** legacy list-keyed fallback ([`Legacy] spaces: the
-          differential-test and measurement baseline) *)
 
 type valued = { state : State.t; key : key; params : Params.t }
 
@@ -134,14 +130,12 @@ let key_mem key pos =
   match key with
   | Mask m -> m land (1 lsl pos) <> 0
   | Bits b -> Bitset.mem b pos
-  | Positions s -> State.mem pos s
 
 let key_subset a b =
   match a, b with
   | Mask ma, Mask mb -> ma land mb = ma
   | Bits ba, Bits bb -> Bitset.subset ba bb
-  | Positions sa, Positions sb -> State.subset sa sb
-  | (Mask _ | Bits _ | Positions _), _ ->
+  | (Mask _ | Bits _), _ ->
       invalid_arg "Space.key_subset: keys from different spaces"
 
 let mem_pos _t v pos = key_mem v.key pos
@@ -150,42 +144,35 @@ let key_of_state t s =
   match t.keymode with
   | Kmask -> Mask (State.mask s)
   | Kbits -> Bits (Bitset.of_list ~width:(Array.length t.positions) s)
-  | Klegacy -> Positions s
 
-(* Key updates.  [state'] is the post-transition position list, needed
-   only by the legacy representation (which shares it, allocating
-   nothing beyond the constructor). *)
-let key_add key state' pos =
+let singleton_key t pos =
+  match t.keymode with
+  | Kmask -> Mask (1 lsl pos)
+  | Kbits -> Bits (Bitset.singleton ~width:(Array.length t.positions) pos)
+
+let key_add key pos =
   match key with
   | Mask m -> Mask (m lor (1 lsl pos))
   | Bits b -> Bits (Bitset.add b pos)
-  | Positions _ -> Positions state'
 
-let key_remove key state' pos =
+let key_remove key pos =
   match key with
   | Mask m -> Mask (m land lnot (1 lsl pos))
   | Bits b -> Bits (Bitset.remove b pos)
-  | Positions _ -> Positions state'
 
-let key_replace key state' p q =
+let key_replace key p q =
   match key with
   | Mask m -> Mask ((m land lnot (1 lsl p)) lor (1 lsl q))
   | Bits b -> Bits (Bitset.replace b ~rem:p ~add:q)
-  | Positions _ -> Positions state'
 
 let value t s = { state = s; key = key_of_state t s; params = params t s }
 
 let value_singleton t pos =
   Instrument.incr_update t.stats;
   let id = t.positions.(pos) in
-  let state = State.singleton pos in
   {
-    state;
-    key =
-      (match t.keymode with
-      | Kmask -> Mask (1 lsl pos)
-      | Kbits -> Bits (Bitset.singleton ~width:(Array.length t.positions) pos)
-      | Klegacy -> Positions state);
+    state = State.singleton pos;
+    key = singleton_key t pos;
     params =
       {
         Params.doi =
@@ -205,7 +192,7 @@ let with_pos t v pos =
   let state = State.add pos v.state in
   {
     state;
-    key = key_add v.key state pos;
+    key = key_add v.key pos;
     params =
       {
         Params.doi =
@@ -252,36 +239,16 @@ let remove_pos t v pos =
   | removed ->
       {
         state = removed;
-        key = key_remove v.key removed pos;
+        key = key_remove v.key pos;
         params = remove_params t v pos ~removed;
       }
 
 (* Vertical step: replace [p] with [q = p + 1] — one removal plus one
    insertion; a singleton short-circuits to the exact re-derivation.
    Substituting in place keeps the list strictly increasing (q is
-   absent), so the fused path builds the new state in ONE pass and
-   keeps the removal parameters in unboxed float locals, where the
-   legacy path (kept verbatim for [`Legacy] spaces) materializes both
-   the filtered list and a mid-Params record.  The arithmetic — and so
-   every float — is identical. *)
-let replace_pos_legacy t v p q =
-  let removed = List.filter (fun x -> x <> p) v.state in
-  let mid = remove_params t v p ~removed in
-  let idq = t.positions.(q) in
-  let state = State.add q removed in
-  {
-    state;
-    key = Positions state;
-    params =
-      {
-        Params.doi =
-          Estimate.combine_doi_incr t.ps.Pref_space.estimate
-            mid.Params.doi t.item_doi.(idq);
-        cost = mid.Params.cost +. t.item_cost.(idq);
-        size = mid.Params.size *. t.item_frac.(idq);
-      };
-  }
-
+   absent), so the new state is built in ONE pass and the removal
+   parameters stay in unboxed float locals; the arithmetic — and so
+   every float — is that of [remove_pos] followed by [with_pos]. *)
 let replace_pos_keyed t v p q nkey =
   Instrument.incr_update t.stats;
   let idp = t.positions.(p) and idq = t.positions.(q) in
@@ -327,10 +294,7 @@ let replace_pos_keyed t v p q nkey =
 
 let replace_pos t v p q =
   if State.group_size v.state = 1 then value_singleton t q
-  else
-    match t.keymode with
-    | Klegacy -> replace_pos_legacy t v p q
-    | Kmask | Kbits -> replace_pos_keyed t v p q (key_replace v.key [] p q)
+  else replace_pos_keyed t v p q (key_replace v.key p q)
 
 let horizontal_v t v =
   let k = Array.length t.positions in
@@ -353,47 +317,23 @@ let vertical_v t v =
    [q], and the neighbor's key, derived in O(words) from the parent's —
    and only survivors are valued (state list + parameters) and passed
    to [f].  Visited-saturated searches skip the valuation of most
-   neighbors entirely.  On [`Legacy] spaces every neighbor is valued
-   first, preserving the replaced code path's behavior (and allocation
-   profile) exactly.  Neighbor order matches {!vertical_v}; [~rev]
+   neighbors entirely.  Neighbor order matches {!vertical_v}; [~rev]
    iterates it backwards (the head-first push loops). *)
 let iter_vertical ?(rev = false) t v ~keep ~f =
   let k = Array.length t.positions in
-  match t.keymode with
-  | Klegacy ->
-      let rec go = function
-        | [] -> []
-        | p :: rest ->
-            if p + 1 < k && not (State.mem (p + 1) v.state) then
-              (p, replace_pos t v p (p + 1)) :: go rest
-            else go rest
-      in
-      let vs = go v.state in
-      let vs = if rev then List.rev vs else vs in
-      List.iter
-        (fun (p, v') -> if keep ~p ~q:(p + 1) v'.key then f v')
-        vs
-  | Kmask | Kbits ->
-      let consider p =
-        let q = p + 1 in
-        if q < k && not (key_mem v.key q) then begin
-          let nkey =
-            if State.group_size v.state = 1 then
-              match t.keymode with
-              | Kmask -> Mask (1 lsl q)
-              | Kbits ->
-                  Bits (Bitset.singleton ~width:(Array.length t.positions) q)
-              | Klegacy -> assert false
-            else key_replace v.key [] p q
-          in
-          if keep ~p ~q nkey then
-            f
-              (if State.group_size v.state = 1 then value_singleton t q
-               else replace_pos_keyed t v p q nkey)
-        end
-      in
-      if rev then List.iter consider (List.rev v.state)
-      else List.iter consider v.state
+  let single = State.group_size v.state = 1 in
+  let consider p =
+    let q = p + 1 in
+    if q < k && not (key_mem v.key q) then begin
+      let nkey = if single then singleton_key t q else key_replace v.key p q in
+      if keep ~p ~q nkey then
+        f
+          (if single then value_singleton t q
+           else replace_pos_keyed t v p q nkey)
+    end
+  in
+  if rev then List.iter consider (List.rev v.state)
+  else List.iter consider v.state
 
 let horizontal2_v t v =
   let k = Array.length t.positions in
@@ -438,15 +378,13 @@ let params_without_id t ~n (p : Params.t) id =
     | _ -> None
 
 (* Visited sets keyed to match the space: one int hash per lookup while
-   k fits the mask, content-hashed fixed-width bitsets beyond that, and
-   polymorphic hashing of position lists on [`Legacy] spaces only. *)
+   k fits the mask, content-hashed fixed-width bitsets beyond that. *)
 module Bits_tbl = Hashtbl.Make (Bitset)
 
 module Visited = struct
   type table =
     | Tmask of (int, unit) Hashtbl.t
     | Tbits of unit Bits_tbl.t
-    | Tkeys of (State.t, unit) Hashtbl.t
 
   type t = table
 
@@ -460,22 +398,19 @@ module Visited = struct
     match space.keymode with
     | Kmask -> Tmask (Hashtbl.create n)
     | Kbits -> Tbits (Bits_tbl.create n)
-    | Klegacy -> Tkeys (Hashtbl.create n)
 
   let mem_key t key =
     match t, key with
     | Tmask h, Mask m -> Hashtbl.mem h m
     | Tbits h, Bits b -> Bits_tbl.mem h b
-    | Tkeys h, Positions s -> Hashtbl.mem h s
-    | (Tmask _ | Tbits _ | Tkeys _), _ ->
+    | (Tmask _ | Tbits _), _ ->
         invalid_arg "Space.Visited: key from a different space"
 
   let add_key t key =
     match t, key with
     | Tmask h, Mask m -> Hashtbl.replace h m ()
     | Tbits h, Bits b -> Bits_tbl.replace h b ()
-    | Tkeys h, Positions s -> Hashtbl.replace h s ()
-    | (Tmask _ | Tbits _ | Tkeys _), _ ->
+    | (Tmask _ | Tbits _), _ ->
         invalid_arg "Space.Visited: key from a different space"
 
   let mem t v = mem_key t v.key

@@ -9,13 +9,11 @@
 
 type order = By_cost | By_doi | By_size
 
-type keying = [ `Auto | `Bits | `Legacy ]
+type keying = [ `Auto | `Bits ]
 (** How valued states are keyed (visited sets, subset tests):
     [`Auto] picks the int mask while [k <= State.max_mask_bits] and the
     {!Cqp_util.Bitset} encoding beyond; [`Bits] forces the bitset at
-    any [k]; [`Legacy] forces the position-list fallback the bitset
-    replaced — kept only as the differential-test and measurement
-    baseline. *)
+    any [k]. *)
 
 type t
 
@@ -82,8 +80,6 @@ val estimate : t -> Estimate.t
 type key =
   | Mask of int  (** int bitmask, [k <= State.max_mask_bits] *)
   | Bits of Cqp_util.Bitset.t  (** [Bytes]-backed bitset, any [k] *)
-  | Positions of State.t
-      (** legacy list-keyed fallback ([`Legacy] spaces only) *)
 
 type valued = { state : State.t; key : key; params : Params.t }
 
@@ -108,7 +104,7 @@ val entry_words : valued -> int
     unchanged. *)
 
 val mem_pos : t -> valued -> int -> bool
-(** Position membership: an O(1) bit test except on [`Legacy] spaces. *)
+(** Position membership: an O(1) bit test. *)
 
 val with_pos : t -> valued -> int -> valued
 (** Insert an absent position (Horizontal2 step).
@@ -138,9 +134,7 @@ val iter_vertical :
     {!vertical_v} order ([~rev] reverses it).  Search loops whose prune
     tests need only membership ({!Visited.mem_key}, {!key_mem},
     {!key_subset}, {!State.dominates_subst}) skip the O(group) state
-    and parameter allocation of every pruned neighbor.  On [`Legacy]
-    spaces all neighbors are valued first, preserving the replaced
-    fallback's allocation profile. *)
+    and parameter allocation of every pruned neighbor. *)
 
 val horizontal2_v : t -> valued -> valued list
 (** Valued {!State.horizontal2}, same neighbor order. *)
@@ -157,7 +151,7 @@ val params_without_id : t -> n:int -> Params.t -> int -> Params.t option
 
 (** Visited sets keyed to match the space: one int hash per lookup
     while the mask fits, content-hashed fixed-width bitsets beyond
-    that, polymorphic hashing of position lists on [`Legacy] spaces. *)
+    that. *)
 module Visited : sig
   type space := t
   type t

@@ -1,11 +1,9 @@
 open Cqp_sql.Ast
 module Value = Cqp_relal.Value
 module Tuple = Cqp_relal.Tuple
-module Schema = Cqp_relal.Schema
 module Relation = Cqp_relal.Relation
-module Catalog = Cqp_relal.Catalog
 
-exception Runtime_error of string
+exception Runtime_error = Explain.Runtime_error
 
 type result = {
   schema : (string * Value.ty) list;
@@ -20,64 +18,23 @@ module Tuple_tbl = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-let fail fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
-
-(* --- source loading ------------------------------------------------- *)
-
-let scan_table io catalog name alias : Rowset.t =
-  match Catalog.find catalog name with
-  | None -> fail "unknown relation %s" name
-  | Some rel ->
-      Cqp_obs.Trace.with_span ~name:"engine.scan"
-        ~attrs:(fun () ->
-          [
-            Cqp_obs.Attr.str "table" name;
-            Cqp_obs.Attr.int "blocks" (Relation.blocks rel);
-            Cqp_obs.Attr.int "rows" (Relation.cardinality rel);
-          ])
-      @@ fun () ->
-      Io.charge_scan io rel;
-      let schema = Relation.schema rel in
-      let qualifier = Option.value alias ~default:name in
-      let cols =
-        List.map
-          (fun a -> Rowset.col ~qualifier a.Schema.attr_name)
-          schema.Schema.attrs
-      in
-      Rowset.make cols (Relation.to_array rel)
-
-let requalify alias (rs : Rowset.t) : Rowset.t =
-  let cols =
-    List.map (fun c -> Rowset.col ~qualifier:alias c.Rowset.name) rs.Rowset.cols
-  in
-  Rowset.make cols rs.Rowset.rows
-
-(* --- predicate classification --------------------------------------- *)
-
-let rec expr_cols = function
-  | Col (q, n) -> [ (q, n) ]
-  | Lit _ -> []
-  | Count_star -> []
-  | Count e | Min e | Max e | Sum e | Avg e -> expr_cols e
-
-let rec pred_cols = function
-  | True -> []
-  | Cmp (_, l, r) -> expr_cols l @ expr_cols r
-  | And (a, b) | Or (a, b) -> pred_cols a @ pred_cols b
-  | Not p -> pred_cols p
-  | In_list (e, _) | Like (e, _) | Is_null e | Is_not_null e -> expr_cols e
-
-let resolves_in rs cols =
-  List.for_all
-    (fun (q, n) ->
-      match Rowset.find_col rs q n with
-      | (_ : int) -> true
-      | exception Rowset.Column_error _ -> false)
-    cols
-
-let pred_resolves_in rs p = resolves_in rs (pred_cols p)
+let fail msg = raise (Runtime_error msg)
 
 (* --- physical operators --------------------------------------------- *)
+
+(* Full scan of a base relation: every block is charged, matching the
+   paper's cost model. *)
+let scan io name rel header =
+  Cqp_obs.Trace.with_span ~name:"engine.scan"
+    ~attrs:(fun () ->
+      [
+        Cqp_obs.Attr.str "table" name;
+        Cqp_obs.Attr.int "blocks" (Relation.blocks rel);
+        Cqp_obs.Attr.int "rows" (Relation.cardinality rel);
+      ])
+  @@ fun () ->
+  Io.charge_scan io rel;
+  Rowset.make header (Relation.to_array rel)
 
 let filter rs p = Rowset.filter rs (fun row -> Eval.predicate rs row p)
 
@@ -134,31 +91,9 @@ let hash_join a b keys =
     a.Rowset.rows;
   Rowset.make cols (Rowset.Builder.contents out)
 
-(* Split an equality conjunct into join keys between [a] and [b], if it
-   is one. *)
-let join_key_of a b = function
-  | Cmp (Eq, Col (ql, nl), Col (qr, nr)) -> (
-      let in_a q n =
-        match Rowset.find_col a q n with
-        | i -> Some i
-        | exception Rowset.Column_error _ -> None
-      in
-      let in_b q n =
-        match Rowset.find_col b q n with
-        | i -> Some i
-        | exception Rowset.Column_error _ -> None
-      in
-      match in_a ql nl, in_b qr nr with
-      | Some i, Some j -> Some (i, j)
-      | _ -> (
-          match in_a qr nr, in_b ql nl with
-          | Some i, Some j -> Some (i, j)
-          | _ -> None))
-  | _ -> None
-
 (* --- aggregation ----------------------------------------------------- *)
 
-let numeric_fold name f init rows eval_arg =
+let numeric_fold f init rows eval_arg =
   let acc = ref init and seen = ref false in
   List.iter
     (fun row ->
@@ -168,11 +103,7 @@ let numeric_fold name f init rows eval_arg =
           seen := true
       | None -> ())
     rows;
-  if !seen then Some !acc
-  else begin
-    ignore name;
-    None
-  end
+  if !seen then Some !acc else None
 
 (* Evaluate an expression in group context: [rows] are the group
    members, [rep] a representative row for aggregate-free parts. *)
@@ -190,7 +121,7 @@ let rec eval_group rs rows rep e =
       Value.Int n
   | Sum arg -> (
       match
-        numeric_fold "sum" ( +. ) 0. rows (fun row ->
+        numeric_fold ( +. ) 0. rows (fun row ->
             eval_group rs rows row arg)
       with
       | Some s -> Value.Float s
@@ -258,92 +189,65 @@ let eval_group_pred rs rows rep p =
   in
   go p = Some true
 
-(* --- the block pipeline ---------------------------------------------- *)
+(* --- plan interpretation --------------------------------------------- *)
 
-let rec exec_query io catalog q : Rowset.t =
-  match q with
-  | Select b -> exec_block io catalog b
-  | Union_all [] -> fail "empty UNION"
-  | Union_all (first :: rest) ->
+let rec exec_plan io : Explain.t -> Rowset.t = function
+  | Plan_select b -> exec_block io b
+  | Plan_union [] -> fail "empty UNION"
+  | Plan_union (first :: rest) ->
       List.fold_left
-        (fun acc sub -> Rowset.append acc (exec_query io catalog sub))
-        (exec_query io catalog first)
-        rest
+        (fun acc sub -> Rowset.append acc (exec_plan io sub))
+        (exec_plan io first) rest
 
-and exec_block io catalog b : Rowset.t =
-  (* 1. Load sources. *)
-  let sources =
-    List.map
-      (function
-        | Table (name, alias) -> scan_table io catalog name alias
-        | Subquery (q, alias) -> requalify alias (exec_query io catalog q))
-      b.from
+(* A source's rows under its plan header, with its pushed-down
+   conjuncts applied. *)
+and load io (s : Explain.source_plan) =
+  let rows =
+    match s.input with
+    | Base (name, rel) -> scan io name rel s.header
+    | Derived sub -> Rowset.make s.header (exec_plan io sub).Rowset.rows
   in
-  let conjuncts =
-    match b.where with None -> [] | Some p -> predicate_conjuncts p
-  in
-  (* 2. Selection pushdown: apply single-source conjuncts first. *)
-  let remaining = ref conjuncts in
-  let sources =
-    List.map
-      (fun rs ->
-        let mine, rest =
-          List.partition (fun p -> pred_resolves_in rs p) !remaining
-        in
-        remaining := rest;
-        List.fold_left filter rs mine)
-      sources
-  in
-  (* 3. Left-deep join: prefer hash joins on available equi-conjuncts. *)
+  List.fold_left filter rows s.pushed_down
+
+and exec_block io (b : Explain.block_plan) : Rowset.t =
+  (* 1. Sources, each filtered by its pushed-down conjuncts. *)
+  let sources = List.map (load io) b.sources in
+  (* 2. Left-deep joins, each followed by its post-join filters. *)
   let joined =
     match sources with
     | [] -> fail "empty FROM"
     | first :: rest ->
-        List.fold_left
-          (fun acc rs ->
-            let keys, others =
-              List.partition_map
-                (fun p ->
-                  match join_key_of acc rs p with
-                  | Some key -> Either.Left (key, p)
-                  | None -> Either.Right p)
-                !remaining
-            in
-            remaining := others;
+        List.fold_left2
+          (fun acc rs (j : Explain.join_step) ->
             let joined =
-              if keys = [] then
-                Cqp_obs.Trace.with_span ~name:"engine.cartesian"
-                  ~attrs:(fun () ->
-                    [
-                      Cqp_obs.Attr.int "left_rows" (Rowset.cardinality acc);
-                      Cqp_obs.Attr.int "right_rows" (Rowset.cardinality rs);
-                    ])
-                  (fun () -> cartesian acc rs)
-              else
-                Cqp_obs.Trace.with_span ~name:"engine.hash_join"
-                  ~attrs:(fun () ->
-                    [
-                      Cqp_obs.Attr.int "keys" (List.length keys);
-                      Cqp_obs.Attr.int "left_rows" (Rowset.cardinality acc);
-                      Cqp_obs.Attr.int "right_rows" (Rowset.cardinality rs);
-                    ])
-                  (fun () -> hash_join acc rs (List.map fst keys))
+              match j.method_ with
+              | `Cartesian ->
+                  Cqp_obs.Trace.with_span ~name:"engine.cartesian"
+                    ~attrs:(fun () ->
+                      [
+                        Cqp_obs.Attr.int "left_rows" (Rowset.cardinality acc);
+                        Cqp_obs.Attr.int "right_rows" (Rowset.cardinality rs);
+                      ])
+                    (fun () -> cartesian acc rs)
+              | `Hash keys ->
+                  Cqp_obs.Trace.with_span ~name:"engine.hash_join"
+                    ~attrs:(fun () ->
+                      [
+                        Cqp_obs.Attr.int "keys" (List.length keys);
+                        Cqp_obs.Attr.int "left_rows" (Rowset.cardinality acc);
+                        Cqp_obs.Attr.int "right_rows" (Rowset.cardinality rs);
+                      ])
+                    (fun () -> hash_join acc rs (List.map snd keys))
             in
-            (* Conjuncts newly resolvable on the joined result. *)
-            let mine, rest =
-              List.partition (fun p -> pred_resolves_in joined p) !remaining
-            in
-            remaining := rest;
-            List.fold_left filter joined mine)
-          first rest
+            List.fold_left filter joined j.post_filters)
+          first rest b.joins
   in
-  (* 4. Residual filters (anything left must resolve now). *)
-  let filtered = List.fold_left filter joined !remaining in
-  (* 5. Projection / aggregation.  Each output row is paired with its
+  (* 3. Residual filters. *)
+  let filtered = List.fold_left filter joined b.residual in
+  (* 4. Projection / aggregation.  Each output row is paired with its
      ORDER BY key values, evaluated while the pre-projection context is
      still available (SQL permits ordering by non-output columns). *)
-  let out_exprs, out_cols = output_exprs filtered b.items in
-  let out_rs_empty = Rowset.make out_cols [||] in
+  let out_rs_empty = Rowset.make b.cols [||] in
   let order_keys_of out_row eval_in_context =
     List.map
       (fun (e, _) ->
@@ -355,84 +259,76 @@ and exec_block io catalog b : Rowset.t =
             | exception Eval.Eval_error _ -> Value.Null))
       b.order_by
   in
-  let needs_group =
-    b.group_by <> [] || List.exists Cqp_sql.Analyzer.has_aggregate out_exprs
-  in
   let projected =
-    if needs_group then
-      Cqp_obs.Trace.with_span ~name:"engine.aggregate"
-        ~attrs:(fun () ->
-          [
-            Cqp_obs.Attr.int "input_rows" (Rowset.cardinality filtered);
-            Cqp_obs.Attr.int "group_by" (List.length b.group_by);
-          ])
-    @@ fun () ->
-    begin
-      let groups = Tuple_tbl.create 64 in
-      let order = ref [] in
-      Array.iter
-        (fun row ->
-          let key =
-            Array.of_list
-              (List.map (fun e -> Eval.scalar filtered row e) b.group_by)
-          in
-          match Tuple_tbl.find_opt groups key with
-          | Some rows_ref -> rows_ref := row :: !rows_ref
-          | None ->
-              Tuple_tbl.add groups key (ref [ row ]);
-              order := key :: !order)
-        filtered.Rowset.rows;
-      let keys =
-        if b.group_by = [] then
-          (* implicit single group, even over an empty input *)
-          if Tuple_tbl.length groups = 0 then [ [||] ] else [ [||] ]
-        else List.rev !order
-      in
-      let group_rows key =
-        if b.group_by = [] then Rowset.to_list filtered
-        else
-          match Tuple_tbl.find_opt groups key with
-          | Some r -> List.rev !r
-          | None -> []
-      in
-      let rows =
-        List.filter_map
-          (fun key ->
-            let rows = group_rows key in
-            let rep =
-              match rows with
-              | r :: _ -> r
-              | [] -> Array.make (Rowset.arity filtered) Value.Null
+    match b.aggregate with
+    | None ->
+        Array.map
+          (fun row ->
+            let out_row =
+              Array.of_list
+                (List.map (fun e -> Eval.scalar filtered row e) b.outputs)
             in
-            let keep =
-              match b.having with
-              | None -> true
-              | Some p -> eval_group_pred filtered rows rep p
+            (out_row, order_keys_of out_row (Eval.scalar filtered row)))
+          filtered.Rowset.rows
+    | Some (group_by, having) ->
+        Cqp_obs.Trace.with_span ~name:"engine.aggregate"
+          ~attrs:(fun () ->
+            [
+              Cqp_obs.Attr.int "input_rows" (Rowset.cardinality filtered);
+              Cqp_obs.Attr.int "group_by" (List.length group_by);
+            ])
+        @@ fun () ->
+        let groups = Tuple_tbl.create 64 in
+        let order = ref [] in
+        Array.iter
+          (fun row ->
+            let key =
+              Array.of_list
+                (List.map (fun e -> Eval.scalar filtered row e) group_by)
             in
-            if keep then begin
-              let out_row =
-                Array.of_list
-                  (List.map (fun e -> eval_group filtered rows rep e) out_exprs)
+            match Tuple_tbl.find_opt groups key with
+            | Some rows_ref -> rows_ref := row :: !rows_ref
+            | None ->
+                Tuple_tbl.add groups key (ref [ row ]);
+                order := key :: !order)
+          filtered.Rowset.rows;
+        (* no GROUP BY: one implicit group, even over an empty input *)
+        let keys = if group_by = [] then [ [||] ] else List.rev !order in
+        let group_rows key =
+          if group_by = [] then Rowset.to_list filtered
+          else
+            match Tuple_tbl.find_opt groups key with
+            | Some r -> List.rev !r
+            | None -> []
+        in
+        let rows =
+          List.filter_map
+            (fun key ->
+              let rows = group_rows key in
+              let rep =
+                match rows with
+                | r :: _ -> r
+                | [] -> Array.make (Rowset.arity filtered) Value.Null
               in
-              Some
-                (out_row, order_keys_of out_row (eval_group filtered rows rep))
-            end
-            else None)
-          keys
-      in
-      Array.of_list rows
-    end
-    else
-      Array.map
-        (fun row ->
-          let out_row =
-            Array.of_list
-              (List.map (fun e -> Eval.scalar filtered row e) out_exprs)
-          in
-          (out_row, order_keys_of out_row (Eval.scalar filtered row)))
-        filtered.Rowset.rows
+              let keep =
+                match having with
+                | None -> true
+                | Some p -> eval_group_pred filtered rows rep p
+              in
+              if keep then begin
+                let out_row =
+                  Array.of_list
+                    (List.map (fun e -> eval_group filtered rows rep e) b.outputs)
+                in
+                Some
+                  (out_row, order_keys_of out_row (eval_group filtered rows rep))
+              end
+              else None)
+            keys
+        in
+        Array.of_list rows
   in
-  (* 6. DISTINCT (on output rows only, keeping the first occurrence). *)
+  (* 5. DISTINCT (on output rows only, keeping the first occurrence). *)
   let deduped =
     if not b.distinct then projected
     else begin
@@ -459,7 +355,7 @@ and exec_block io catalog b : Rowset.t =
       out
     end
   in
-  (* 7. ORDER BY on the precomputed keys. *)
+  (* 6. ORDER BY on the precomputed keys. *)
   let ordered =
     if b.order_by = [] then deduped
     else
@@ -486,47 +382,20 @@ and exec_block io catalog b : Rowset.t =
       sorted
     end
   in
-  (* 8. LIMIT. *)
+  (* 7. LIMIT. *)
   let limited =
     match b.limit with
     | None -> ordered
     | Some k -> Array.sub ordered 0 (max 0 (min k (Array.length ordered)))
   in
-  Rowset.make out_cols (Array.map fst limited)
-
-and output_exprs rs items =
-  let exprs =
-    List.concat_map
-      (function
-        | Star ->
-            List.map
-              (fun c -> Col (c.Rowset.qualifier, c.Rowset.name))
-              rs.Rowset.cols
-        | Item (e, _) -> [ e ])
-      items
-  in
-  let names =
-    List.concat_map
-      (function
-        | Star -> List.map (fun c -> c.Rowset.name) rs.Rowset.cols
-        | Item (Col (_, name), None) -> [ name ]
-        | Item (Count_star, None) | Item (Count _, None) -> [ "count" ]
-        | Item (Min _, None) -> [ "min" ]
-        | Item (Max _, None) -> [ "max" ]
-        | Item (Sum _, None) -> [ "sum" ]
-        | Item (Avg _, None) -> [ "avg" ]
-        | Item (Lit _, None) -> [ "literal" ]
-        | Item (_, Some alias) -> [ alias ])
-      items
-  in
-  (exprs, List.map (fun n -> Rowset.col n) names)
+  Rowset.make b.cols (Array.map fst limited)
 
 (* --- public API ------------------------------------------------------ *)
 
 let execute_rowset ?io catalog q =
   let io = match io with Some io -> io | None -> Io.create () in
   Cqp_obs.Trace.with_span ~name:"engine.execute" (fun () ->
-      let rs = exec_query io catalog q in
+      let rs = exec_plan io (Explain.explain catalog q) in
       Cqp_obs.Trace.add_attr
         (Cqp_obs.Attr.int "block_reads" (Io.block_reads io));
       rs)
@@ -535,7 +404,7 @@ let execute ?io catalog q =
   let counter = Io.create () in
   let rs =
     Cqp_obs.Trace.with_span ~name:"engine.execute" (fun () ->
-        let rs = exec_query counter catalog q in
+        let rs = exec_plan counter (Explain.explain catalog q) in
         Cqp_obs.Trace.add_attr
           (Cqp_obs.Attr.int "block_reads" (Io.block_reads counter));
         Cqp_obs.Trace.add_attr

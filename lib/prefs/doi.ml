@@ -3,7 +3,8 @@ type combine = Noisy_or | Max_combine
 
 exception Invalid_doi of float
 
-let check d = if d < 0. || d > 1. then raise (Invalid_doi d) else d
+(* Written so that NaN, for which every comparison is false, fails. *)
+let check d = if not (d >= 0. && d <= 1.) then raise (Invalid_doi d) else d
 
 let compose_incr ?(f = Product) acc d =
   match f with Product -> acc *. d | Min_compose -> min acc d

@@ -21,7 +21,8 @@ type combine = Noisy_or | Max_combine
 exception Invalid_doi of float
 
 val check : float -> float
-(** Identity on [0, 1]. @raise Invalid_doi outside the range. *)
+(** Identity on [0, 1]. @raise Invalid_doi outside the range, NaN
+    included. *)
 
 val compose : ?f:compose -> float list -> float
 (** [f⊗] over the constituents of an implicit preference; [1.0] for the

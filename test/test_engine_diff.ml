@@ -4,17 +4,31 @@
    a row-at-a-time WHERE filter, then projection — is compared against
    the engine's optimized pipeline (pushdown + hash joins) on randomly
    generated select-project-join queries over a small catalog.  Any
-   divergence is a planner bug. *)
+   divergence is a planner bug.  Every executed query also checks that
+   the plan [Explain] shows scans exactly the blocks execution reads,
+   including personalized queries in the Section 4.2 wrapper shape. *)
 
 module V = Cqp_relal.Value
 module Tuple = Cqp_relal.Tuple
 module Ast = Cqp_sql.Ast
 module Engine = Cqp_exec.Engine
+module Explain = Cqp_exec.Explain
 module Rowset = Cqp_exec.Rowset
 module Eval = Cqp_exec.Eval
 module Rng = Cqp_util.Rng
 
 let catalog = Testlib.rtu_catalog ()
+
+(* Execute, failing unless the plan's scan cost is what execution
+   charged: the plan Explain shows is the one Engine interprets. *)
+let execute ?(catalog = catalog) q =
+  let r = Engine.execute catalog q in
+  let planned = Explain.scan_blocks (Explain.explain catalog q) in
+  if planned <> r.Engine.block_reads then
+    Alcotest.failf "plan scans %d blocks, execution read %d: %s" planned
+      r.Engine.block_reads
+      (Cqp_sql.Printer.to_string q);
+  r
 
 (* --- random query generation ------------------------------------------ *)
 
@@ -191,7 +205,7 @@ let prop_engine_matches_reference =
       let rng = Rng.create seed in
       let q = random_query rng in
       Cqp_sql.Analyzer.check catalog q;
-      let engine_rows = (Engine.execute catalog q).Engine.rows in
+      let engine_rows = (execute q).Engine.rows in
       let ref_rows = reference_execute q in
       canonical engine_rows = canonical ref_rows)
 
@@ -208,7 +222,7 @@ let prop_engine_matches_reference_ordered =
       let rng = Rng.create seed in
       let q = random_query ~ordered:true rng in
       Cqp_sql.Analyzer.check catalog q;
-      let engine_rows = (Engine.execute catalog q).Engine.rows in
+      let engine_rows = (execute q).Engine.rows in
       rendered engine_rows = rendered (reference_full q))
 
 (* --- directed duplicate-row cases -------------------------------------- *)
@@ -241,7 +255,7 @@ let test_duplicate_rows_ordered () =
     (fun sql ->
       let q = Cqp_sql.Parser.parse sql in
       Cqp_sql.Analyzer.check catalog q;
-      let engine_rows = (Engine.execute catalog q).Engine.rows in
+      let engine_rows = (execute q).Engine.rows in
       Alcotest.(check (list string))
         sql
         (rendered (reference_full q))
@@ -288,7 +302,7 @@ let prop_group_by_matches_reference =
            else "")
       in
       let q = Cqp_sql.Parser.parse sql in
-      let engine_rows = (Engine.execute catalog q).Engine.rows in
+      let engine_rows = (execute q).Engine.rows in
       (* Reference: filter then group. *)
       let base_rows =
         Cqp_relal.Relation.to_list (Cqp_relal.Catalog.get catalog "r")
@@ -330,7 +344,7 @@ let prop_roundtrip_same_result =
       let rng = Rng.create seed in
       let q = random_query rng in
       let q' = Cqp_sql.Parser.parse (Cqp_sql.Printer.to_string q) in
-      let rows q = canonical (Engine.execute catalog q).Engine.rows in
+      let rows q = canonical (execute q).Engine.rows in
       rows q = rows q')
 
 let prop_roundtrip_ordered_same_result =
@@ -342,8 +356,70 @@ let prop_roundtrip_ordered_same_result =
       let rng = Rng.create seed in
       let q = random_query ~ordered:true rng in
       let q' = Cqp_sql.Parser.parse (Cqp_sql.Printer.to_string q) in
-      let rows q = rendered (Engine.execute catalog q).Engine.rows in
+      let rows q = rendered (execute q).Engine.rows in
       rows q = rows q')
+
+(* --- personalized queries ------------------------------------------------ *)
+
+let imdb = lazy (Cqp_workload.Imdb.build ~seed:42 ())
+
+let imdb_profile =
+  lazy (Cqp_workload.Profile_gen.generate ~rng:(Rng.create 7) (Lazy.force imdb))
+
+(* A serve template personalized with 2–4 of its extracted preferences:
+   the UNION ALL / GROUP BY / HAVING wrapper over derived table [qp]
+   that [Rewrite.personalize] emits. *)
+let personalized_query rng =
+  let module C = Cqp_core in
+  let catalog = Lazy.force imdb in
+  let q = Cqp_workload.Query_gen.generate_serve ~rng catalog in
+  let ps =
+    C.Pref_space.build ~max_k:8 ~orders:C.Pref_space.D_only
+      (C.Estimate.create catalog q) (Lazy.force imdb_profile)
+  in
+  let items = Array.copy ps.C.Pref_space.items in
+  Rng.shuffle rng items;
+  let l = min (Array.length items) (2 + Rng.int rng 3) in
+  let paths =
+    List.map (fun it -> it.C.Pref_space.path) (Array.to_list (Array.sub items 0 l))
+  in
+  C.Rewrite.personalize ~dedup:(Rng.bool rng) catalog q paths
+
+let occurrences needle hay =
+  let n = String.length needle and m = String.length hay in
+  let rec go i acc =
+    if i + n > m then acc
+    else go (i + 1) (if String.sub hay i n = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+(* The line [Explain.pp] starts a base-table scan with. *)
+let scan_line (name, alias) =
+  match alias with
+  | Some a when a <> name -> Printf.sprintf "scan %s [%s] (" a name
+  | _ -> Printf.sprintf "scan %s (" name
+
+let prop_personalized_plan_matches_execution =
+  QCheck.Test.make
+    ~name:"personalized wrapper: plan blocks = block reads, all scans shown"
+    ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let catalog = Lazy.force imdb in
+      let q = personalized_query (Rng.create seed) in
+      ignore (execute ~catalog q);
+      let rendered = Explain.to_string catalog q in
+      let scans = Ast.tables_of q in
+      match q with
+      | Ast.Select { Ast.from = [ Ast.Subquery (Ast.Union_all branches, "qp") ]; _ }
+        ->
+          List.length branches >= 2
+          && List.for_all
+               (fun table ->
+                 occurrences (scan_line table) rendered
+                 = List.length (List.filter (( = ) table) scans))
+               scans
+      | _ -> false)
 
 let qc = Testlib.qc
 
@@ -358,6 +434,7 @@ let () =
           qc prop_group_by_matches_reference;
           qc prop_roundtrip_same_result;
           qc prop_roundtrip_ordered_same_result;
+          qc prop_personalized_plan_matches_execution;
           Alcotest.test_case "duplicate rows under ORDER BY / LIMIT / DISTINCT"
             `Quick test_duplicate_rows_ordered;
         ] );

@@ -3,12 +3,13 @@
    The old fast path crashed (or, with asserts off, silently collided
    visited keys) once a preference profile grew past the native int
    mask.  These suites prove the Bitset-keyed search is bit-identical
-   to the position-list fallback it replaced: same solution ids, same
-   parameters (exact float equality), same [states_visited] — for all
-   five Section-5 algorithms and both exact branch-and-bounds, at
-   K = 70 and K = 100.  Small-K cross-checks pin all three keyings
-   ([`Auto] mask, forced [`Bits], [`Legacy]) to each other and to the
-   exhaustive oracle. *)
+   to the position-list keying it replaced: same solution ids, same
+   parameters (exact float bits), same [states_visited] — for all five
+   Section-5 algorithms and both exact branch-and-bounds, at K = 70,
+   71 and 100, against that keying's results recorded while it was
+   still live and checked equal to [`Auto] on the same spaces.
+   Small-K cross-checks pin the int mask to forced [`Bits] and the
+   exact algorithms to the exhaustive oracle. *)
 
 module C = Cqp_core
 
@@ -17,6 +18,7 @@ let checki = Alcotest.(check int)
 type runner = {
   name : string;
   order : C.Space.order;
+  exact : bool;  (** maximizes doi under cmax exactly *)
   solve : C.Space.t -> C.Solution.t option;
 }
 
@@ -25,31 +27,37 @@ let runners ~cmax =
     {
       name = "C_boundaries";
       order = C.Space.By_cost;
+      exact = true;
       solve = (fun sp -> Some (C.C_boundaries.solve sp ~cmax));
     };
     {
       name = "C_maxbounds";
       order = C.Space.By_cost;
+      exact = false;
       solve = (fun sp -> Some (C.C_maxbounds.solve sp ~cmax));
     };
     {
       name = "D_maxdoi";
       order = C.Space.By_doi;
+      exact = true;
       solve = (fun sp -> Some (C.D_maxdoi.solve sp ~cmax));
     };
     {
       name = "D_singlemaxdoi";
       order = C.Space.By_doi;
+      exact = false;
       solve = (fun sp -> Some (C.D_singlemaxdoi.solve sp ~cmax));
     };
     {
       name = "D_heurdoi";
       order = C.Space.By_doi;
+      exact = false;
       solve = (fun sp -> Some (C.D_heurdoi.solve sp ~cmax));
     };
     {
       name = "min_cost_bnb";
       order = C.Space.By_doi;
+      exact = false;
       (* a doi floor forces a real search: the empty set is infeasible *)
       solve =
         (fun sp -> C.Solver.min_cost_bnb sp (C.Params.make ~dmin:0.9 ()));
@@ -57,6 +65,7 @@ let runners ~cmax =
     {
       name = "max_doi_bnb";
       order = C.Space.By_doi;
+      exact = true;
       solve = (fun sp -> C.Solver.max_doi_bnb sp (C.Params.with_cmax cmax));
     };
   ]
@@ -74,6 +83,8 @@ let run_with keys ps (r : runner) =
   in
   (summary, visited)
 
+let close a b = abs_float (a -. b) <= 1e-9
+
 let check_pair ~what r (sum_a, vis_a) (sum_b, vis_b) =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %s solution+params identical" r.name what)
@@ -81,7 +92,58 @@ let check_pair ~what r (sum_a, vis_a) (sum_b, vis_b) =
   checki (Printf.sprintf "%s: %s states_visited identical" r.name what) vis_a
     vis_b
 
-(* --- K = 70 / 100: `Auto (bitset) vs `Legacy (position lists) ------- *)
+(* --- K = 70 / 71 / 100: `Auto (bitset) vs the recorded legacy keying *)
+
+(* (k, runner, sorted ids, (doi, cost, size) as IEEE-754 bits,
+   states_visited) of the position-list keying, cmax = 30. *)
+let legacy_goldens =
+  [
+    ( 70, "C_boundaries", [ 7; 24; 26 ],
+      (0x3fef6116ecefe349L, 0x403d4693e776a8b0L, 0x403711e295ab57d8L), 257 );
+    ( 70, "C_maxbounds", [ 7; 24; 26 ],
+      (0x3fef6116ecefe349L, 0x403d4693e776a8b0L, 0x403711e295ab57d8L), 104 );
+    ( 70, "D_maxdoi", [ 7; 24; 26 ],
+      (0x3fef6116ecefe349L, 0x403d4693e776a8b0L, 0x403711e295ab57d8L), 1079681 );
+    ( 70, "D_singlemaxdoi", [ 7; 24; 26 ],
+      (0x3fef6116ecefe349L, 0x403d4693e776a8b0L, 0x403711e295ab57d8L), 6348 );
+    ( 70, "D_heurdoi", [ 7; 24; 26 ],
+      (0x3fef6116ecefe349L, 0x403d4693e776a8b0L, 0x403711e295ab57d8L), 44 );
+    ( 70, "min_cost_bnb", [ 7; 24 ],
+      (0x3fee34266dd32963L, 0x4028a23d7d939528L, 0x404086bc3294fcfcL), 12231 );
+    ( 70, "max_doi_bnb", [ 7; 24; 26 ],
+      (0x3fef6116ecefe349L, 0x403d4693e776a8b0L, 0x403711e295ab57d8L), 1611 );
+    ( 71, "C_boundaries", [ 14; 16; 18 ],
+      (0x3fef8ae60de0f1ecL, 0x403cfcb59629bac4L, 0x403c924ddaf13f6bL), 256 );
+    ( 71, "C_maxbounds", [ 10; 18; 41 ],
+      (0x3fef502e879b1fd2L, 0x403dd048a7b82014L, 0x403c74c2f5620751L), 96 );
+    ( 71, "D_maxdoi", [ 14; 16; 18 ],
+      (0x3fef8ae60de0f1ecL, 0x403cfcb59629bac4L, 0x403c924ddaf13f6bL), 1149592 );
+    ( 71, "D_singlemaxdoi", [ 14; 16; 18 ],
+      (0x3fef8ae60de0f1ecL, 0x403cfcb59629bac4L, 0x403c924ddaf13f6bL), 2133 );
+    ( 71, "D_heurdoi", [ 10; 18; 41 ],
+      (0x3fef502e879b1fd2L, 0x403dd048a7b82014L, 0x403c74c2f5620751L), 60 );
+    ( 71, "min_cost_bnb", [ 16; 18 ],
+      (0x3fedfbd7d3b752ffL, 0x4030a372bc3f0ca8L, 0x4043cc5539b53861L), 7453 );
+    ( 71, "max_doi_bnb", [ 14; 16; 18 ],
+      (0x3fef8ae60de0f1ecL, 0x403cfcb59629bac4L, 0x403c924ddaf13f6bL), 2925 );
+    ( 100, "C_boundaries", [ 22; 29 ],
+      (0x3fed8dd3dc7e250bL, 0x403d84f11a010064L, 0x40119cabf3c53fe8L), 421 );
+    ( 100, "C_maxbounds", [ 22; 29 ],
+      (0x3fed8dd3dc7e250bL, 0x403d84f11a010064L, 0x40119cabf3c53fe8L), 127 );
+    ( 100, "D_maxdoi", [ 22; 29 ],
+      (0x3fed8dd3dc7e250bL, 0x403d84f11a010064L, 0x40119cabf3c53fe8L), 561785 );
+    ( 100, "D_singlemaxdoi", [ 22; 29 ],
+      (0x3fed8dd3dc7e250bL, 0x403d84f11a010064L, 0x40119cabf3c53fe8L), 1021 );
+    ( 100, "D_heurdoi", [ 22; 29 ],
+      (0x3fed8dd3dc7e250bL, 0x403d84f11a010064L, 0x40119cabf3c53fe8L), 59 );
+    ( 100, "min_cost_bnb", [ 22; 29 ],
+      (0x3fed8dd3dc7e250bL, 0x403d84f11a010064L, 0x40119cabf3c53fe8L), 29471 );
+    ( 100, "max_doi_bnb", [ 22; 29 ],
+      (0x3fed8dd3dc7e250bL, 0x403d84f11a010064L, 0x40119cabf3c53fe8L), 4005 );
+  ]
+
+let float_bits (p : C.Params.t) =
+  Int64.(bits_of_float p.doi, bits_of_float p.cost, bits_of_float p.size)
 
 let test_large_k k () =
   let rng = Cqp_util.Rng.create (0xB1757 + k) in
@@ -91,31 +153,47 @@ let test_large_k k () =
   let cmax = 30. in
   List.iter
     (fun r ->
-      let auto = run_with `Auto ps r in
-      let legacy = run_with `Legacy ps r in
-      check_pair ~what:"auto(bits)=legacy" r auto legacy;
-      (* sanity: the searches did real work *)
+      let summary, visited = run_with `Auto ps r in
+      let ids, bits, legacy_visited =
+        List.find_map
+          (fun (k', name, ids, bits, v) ->
+            if k' = k && name = r.name then Some (ids, bits, v) else None)
+          legacy_goldens
+        |> Option.get
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "%s visited > 0" r.name)
+        (Printf.sprintf "%s: auto(bits)=legacy solution+params identical" r.name)
         true
-        (snd auto > 0))
+        (Option.map (fun (ids, p) -> (ids, float_bits p)) summary
+        = Some (ids, bits));
+      checki
+        (Printf.sprintf "%s: auto(bits)=legacy states_visited identical" r.name)
+        legacy_visited visited)
     (runners ~cmax)
 
-(* --- small K: all three keyings agree, and match the oracle --------- *)
+(* --- small K: mask = bits, and the exact algorithms match the oracle - *)
 
-let test_small_k_three_ways () =
+let test_small_k_mask_bits_oracle () =
   let rng = Cqp_util.Rng.create 0x5EED5 in
   for _ = 1 to 5 do
     let k = 4 + Cqp_util.Rng.int rng 8 in
     let ps = Testlib.random_space rng ~k in
     let cmax = 40. +. Cqp_util.Rng.float rng 120. in
+    let oracle =
+      C.Exhaustive.solve (C.Space.create ~order:By_cost ~keys:`Bits ps) ~cmax
+    in
     List.iter
       (fun r ->
-        let auto = run_with `Auto ps r in
-        let bits = run_with `Bits ps r in
-        let legacy = run_with `Legacy ps r in
-        check_pair ~what:"auto(mask)=bits" r auto bits;
-        check_pair ~what:"auto(mask)=legacy" r auto legacy)
+        let ((summary, _) as auto) = run_with `Auto ps r in
+        check_pair ~what:"auto(mask)=bits" r auto (run_with `Bits ps r);
+        if r.exact then
+          Alcotest.(check bool)
+            (Printf.sprintf "%s optimal doi" r.name)
+            true
+            (match summary with
+            | Some (_, p) ->
+                close p.C.Params.doi oracle.C.Solution.params.C.Params.doi
+            | None -> false))
       (runners ~cmax)
   done
 
@@ -130,7 +208,6 @@ let test_small_k_oracle () =
     let oracle =
       C.Exhaustive.solve (C.Space.create ~order:By_cost ~keys:`Bits ps) ~cmax
     in
-    let close a b = abs_float (a -. b) <= 1e-9 in
     List.iter
       (fun (name, order, solve) ->
         let space = C.Space.create ~order ~keys:`Bits ps in
@@ -179,8 +256,8 @@ let () =
         ] );
       ( "small-k",
         [
-          Alcotest.test_case "mask = bits = legacy" `Quick
-            test_small_k_three_ways;
+          Alcotest.test_case "mask = bits = oracle" `Quick
+            test_small_k_mask_bits_oracle;
           Alcotest.test_case "exhaustive oracle on `Bits" `Quick
             test_small_k_oracle;
         ] );

@@ -23,9 +23,9 @@ let gen_name = Gen.(string_size ~gen:(char_range 'a' 'z') (int_range 0 12))
 
 (* Finite and awkward floats; bit-exactness is the codec's promise, so
    include zero, negative zero territory, subnormals and infinities.
-   NaN is excluded only because structural equality on decoded frames
-   uses [compare], which is fine with it — but [Doi.check nan] rejects
-   profiles, so keep generators uniform. *)
+   NaN is left out because [compare] equates every NaN payload, so [eq]
+   below could not tell them apart.  A NaN doi is no valid profile value:
+   decoding rejects it (the "wire doi validated" case). *)
 let gen_float =
   Gen.oneof
     [
@@ -327,23 +327,26 @@ let test_trailing_payload_bytes () =
   | Result.Error (W.Malformed _) -> ()
   | _ -> Alcotest.fail "expected Malformed for trailing payload bytes"
 
-let test_doi_out_of_range_rejected () =
-  (* A hand-built Put_profile whose doi is 2.0 must be rejected by the
-     same validation local construction gets, as a typed error. *)
+(* A one-selection profile blob whose doi is patched to [doi]: the doi
+   is the selection's trailing f64, just before the empty join list's
+   u32 count. *)
+let profile_blob_with_doi doi =
   let p = Profile.of_list [ `Sel (Profile.selection "r" "a" (Value.Int 1) 0.5) ] in
   let s = Bytes.of_string (W.encode_profile p) in
-  (* The doi is the single selection's trailing f64, just before the
-     empty join list's u32 count: patch it to 2.0
-     (0x4000000000000000). *)
-  let off = Bytes.length s - 8 - 4 in
-  Bytes.set s off '\x40';
-  for i = 1 to 7 do
-    Bytes.set s (off + i) '\x00'
-  done;
-  match W.decode_profile (Bytes.unsafe_to_string s) with
-  | Result.Error (W.Malformed _) -> ()
-  | Result.Ok _ -> Alcotest.fail "expected Malformed for doi 2.0"
-  | Result.Error e -> Alcotest.fail ("unexpected error: " ^ W.error_to_string e)
+  Bytes.set_int64_be s (Bytes.length s - 8 - 4) (Int64.bits_of_float doi);
+  Bytes.unsafe_to_string s
+
+let test_doi_out_of_range_rejected () =
+  (* A hand-built Put_profile whose doi is 2.0 or NaN must be rejected by
+     the same validation local construction gets, as a typed error. *)
+  List.iter
+    (fun doi ->
+      match W.decode_profile (profile_blob_with_doi doi) with
+      | Result.Error (W.Malformed _) -> ()
+      | Result.Ok _ -> Alcotest.failf "expected Malformed for doi %g" doi
+      | Result.Error e ->
+          Alcotest.fail ("unexpected error: " ^ W.error_to_string e))
+    [ 2.0; Float.nan ]
 
 (* --- rows digest ------------------------------------------------------ *)
 

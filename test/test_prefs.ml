@@ -93,6 +93,10 @@ let test_profile_doi_range () =
   checkb "doi > 1 rejected" true
     (match Profile.selection "g" "g" (V.Int 1) 1.5 with
     | exception Doi.Invalid_doi _ -> true
+    | _ -> false);
+  checkb "NaN doi rejected" true
+    (match Profile.selection "g" "g" (V.Int 1) Float.nan with
+    | exception Doi.Invalid_doi _ -> true
     | _ -> false)
 
 let test_profile_adjacency () =

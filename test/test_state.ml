@@ -156,8 +156,7 @@ let prop_incremental_matches_scratch =
             (match v.C.Space.key with
             | C.Space.Mask m -> ok := !ok && m = C.State.mask v.C.Space.state
             | C.Space.Bits b ->
-                ok := !ok && Cqp_util.Bitset.to_list b = v.C.Space.state
-            | C.Space.Positions s -> ok := !ok && s = v.C.Space.state);
+                ok := !ok && Cqp_util.Bitset.to_list b = v.C.Space.state);
             ok :=
               !ok
               && params_agree v.C.Space.params

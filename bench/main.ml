@@ -1053,10 +1053,15 @@ let pareto_front () =
   let query = Cqp_sql.Parser.parse "select title from movie" in
   let ps = pref_space profile query ~k:12 in
   let space = C.Space.create ~order:C.Space.By_doi ps in
-  let exact = C.Pareto.exact_front space in
-  let greedy = C.Pareto.greedy_front space in
-  Printf.printf "exact front: %d points; greedy approximation: %d points\n"
-    (List.length exact) (List.length greedy);
+  (* Both fronts come from [Nsga2], projected to (doi, cost): exact
+     enumeration at this K, and NSGA-II forced at the same K. *)
+  let exact =
+    C.Pareto.skyline
+      (C.Nsga2.front ~exact_max_k:C.Pareto.exact_budget_k space)
+  in
+  let evolved = C.Pareto.skyline (C.Nsga2.evolve space) in
+  Printf.printf "exact front: %d points; NSGA-II approximation: %d points\n"
+    (List.length exact) (List.length evolved);
   Printf.printf "%8s %10s %10s %8s\n" "" "cost(ms)" "doi" "|PU|";
   let show tag points =
     List.iteri
@@ -1074,7 +1079,7 @@ let pareto_front () =
         knee.C.Pareto.params.C.Params.cost knee.C.Pareto.params.C.Params.doi
         (List.length knee.C.Pareto.pref_ids)
   | None -> ());
-  (* greedy-vs-exact coverage: worst doi shortfall at equal cost *)
+  (* NSGA-II-vs-exact coverage: worst doi shortfall at equal cost *)
   let shortfall =
     List.fold_left
       (fun worst g ->
@@ -1089,9 +1094,9 @@ let pareto_front () =
             0. exact
         in
         max worst (best_doi_at_cost -. g.C.Pareto.params.C.Params.doi))
-      0. greedy
+      0. evolved
   in
-  Printf.printf "greedy front max doi shortfall vs exact: %.2e\n%!" shortfall
+  Printf.printf "NSGA-II front max doi shortfall vs exact: %.2e\n%!" shortfall
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks                                          *)

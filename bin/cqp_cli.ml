@@ -128,6 +128,23 @@ let metrics_arg =
           "Record counters/gauges/histograms (solver.states_visited, \
            engine.block_reads, ...) and write a JSON snapshot to $(docv).")
 
+(* One failure convention for every subcommand: a single stderr line
+   and exit status 1. *)
+let report_error = function
+  | Failure msg | Invalid_argument msg | Sys_error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
+  | Cqp_sql.Parser.Parse_error (msg, pos) ->
+      Printf.eprintf "SQL parse error at %d: %s\n" pos msg;
+      1
+  | Cqp_sql.Analyzer.Semantic_error msg ->
+      Printf.eprintf "SQL semantic error: %s\n" msg;
+      1
+  | Unix.Unix_error (e, fn, arg) ->
+      Printf.eprintf "error: %s: %s %s\n" fn (Unix.error_message e) arg;
+      1
+  | e -> raise e
+
 let with_setup f verbose seed movies profile_file query problem cmax dmin
     smin smax max_k algo_name trace metrics =
   setup_logs verbose;
@@ -159,18 +176,17 @@ let with_setup f verbose seed movies profile_file query problem cmax dmin
     f catalog profile query problem algorithm max_k;
     dump_obs ();
     0
-  with
-  | Failure msg
-  | Invalid_argument msg
-  | Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-  | Cqp_sql.Parser.Parse_error (msg, pos) ->
-      Printf.eprintf "SQL parse error at %d: %s\n" pos msg;
-      1
-  | Cqp_sql.Analyzer.Semantic_error msg ->
-      Printf.eprintf "SQL semantic error: %s\n" msg;
-      1
+  with e -> report_error e
+
+(* The seven single-query subcommands share every option and differ
+   only in their action. *)
+let query_cmd name ~doc action =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (with_setup action)
+      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg
+      $ cmax_arg $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg
+      $ trace_arg $ metrics_arg)
 
 let run_action execute catalog profile query problem algorithm max_k =
   let outcome =
@@ -198,12 +214,7 @@ let run_action execute catalog profile query problem algorithm max_k =
   end
 
 let run_cmd =
-  let doc = "Personalize a query and execute it." in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const (with_setup (run_action true))
-      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg $ cmax_arg
-      $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg $ trace_arg $ metrics_arg)
+  query_cmd "run" ~doc:"Personalize a query and execute it." (run_action true)
 
 let explain_action catalog profile query problem algorithm max_k =
   let q = Cqp_sql.Parser.parse query in
@@ -216,12 +227,9 @@ let explain_action catalog profile query problem algorithm max_k =
   Format.printf "rewritten SQL:@.  %s@." (Cqp_sql.Printer.to_string personalized)
 
 let explain_cmd =
-  let doc = "Show the preference space and rewriting without executing." in
-  Cmd.v (Cmd.info "explain" ~doc)
-    Term.(
-      const (with_setup explain_action)
-      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg $ cmax_arg
-      $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg $ trace_arg $ metrics_arg)
+  query_cmd "explain"
+    ~doc:"Show the preference space and rewriting without executing."
+    explain_action
 
 let sql_action catalog _profile query _problem _algorithm _max_k =
   let q = Cqp_sql.Parser.parse query in
@@ -230,12 +238,9 @@ let sql_action catalog _profile query _problem _algorithm _max_k =
   Format.printf "%a@." Cqp_exec.Rowset.pp rs
 
 let sql_cmd =
-  let doc = "Execute a plain SQL query against the synthetic database." in
-  Cmd.v (Cmd.info "sql" ~doc)
-    Term.(
-      const (with_setup sql_action)
-      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg $ cmax_arg
-      $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg $ trace_arg $ metrics_arg)
+  query_cmd "sql"
+    ~doc:"Execute a plain SQL query against the synthetic database."
+    sql_action
 
 let rank_action catalog profile query problem algorithm max_k =
   let outcome =
@@ -262,12 +267,10 @@ let rank_action catalog profile query problem algorithm max_k =
     ranked.C.Ranker.ranked
 
 let rank_cmd =
-  let doc = "Personalize, then rank every answer by the preferences it satisfies." in
-  Cmd.v (Cmd.info "rank" ~doc)
-    Term.(
-      const (with_setup rank_action)
-      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg $ cmax_arg
-      $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg $ trace_arg $ metrics_arg)
+  query_cmd "rank"
+    ~doc:
+      "Personalize, then rank every answer by the preferences it satisfies."
+    rank_action
 
 let plan_action catalog _profile query _problem _algorithm _max_k =
   let q = Cqp_sql.Parser.parse query in
@@ -275,12 +278,8 @@ let plan_action catalog _profile query _problem _algorithm _max_k =
   print_endline (Cqp_exec.Explain.to_string catalog q)
 
 let plan_cmd =
-  let doc = "Show the physical execution plan of a SQL query." in
-  Cmd.v (Cmd.info "plan" ~doc)
-    Term.(
-      const (with_setup plan_action)
-      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg $ cmax_arg
-      $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg $ trace_arg $ metrics_arg)
+  query_cmd "plan" ~doc:"Show the physical execution plan of a SQL query."
+    plan_action
 
 let pareto_action catalog profile query _problem _algorithm max_k =
   let q = Cqp_sql.Parser.parse query in
@@ -289,16 +288,14 @@ let pareto_action catalog profile query _problem _algorithm max_k =
   let ps = C.Pref_space.build ~max_k est profile in
   let space = C.Space.create ~order:C.Space.By_doi ps in
   let k = C.Pref_space.k ps in
-  (* One shared switch-over for the CLI, the bench and the serving
-     layer: exact enumeration up to [Pareto.exact_budget_k], the
-     approximate builders beyond. *)
+  (* One front computation for the CLI, the bench and the serving layer:
+     exact enumeration up to [Pareto.exact_budget_k], NSGA-II beyond.
+     The doi/cost front is the skyline of the tri-objective one. *)
   let exact = k <= C.Pareto.exact_budget_k in
-  let front =
-    if exact then C.Pareto.exact_front space else C.Pareto.greedy_front space
-  in
-  Format.printf "front algorithm: %s (K = %d %s %d)@."
-    (if exact then "exact" else "greedy")
-    k
+  let algorithm = if exact then "exact" else "nsga2" in
+  let tri = C.Nsga2.front ~exact_max_k:C.Pareto.exact_budget_k space in
+  let front = C.Pareto.skyline tri in
+  Format.printf "front algorithm: %s (K = %d %s %d)@." algorithm k
     (if exact then "<=" else ">")
     C.Pareto.exact_budget_k;
   Format.printf "doi/cost Pareto front (%d points, K = %d):@."
@@ -307,9 +304,6 @@ let pareto_action catalog profile query _problem _algorithm max_k =
   (match C.Pareto.knee front with
   | Some knee -> Format.printf "knee: %a@." C.Params.pp knee.C.Pareto.params
   | None -> ());
-  let tri =
-    C.Nsga2.front ~exact_max_k:C.Pareto.exact_budget_k space
-  in
   let worst =
     List.fold_left
       (fun (c, s) (p : C.Nsga2.point) ->
@@ -322,28 +316,20 @@ let pareto_action catalog profile query _problem _algorithm max_k =
   Format.printf
     "tri-objective (doi, cost, size) front: %d points (%s), hypervolume \
      %.4g@."
-    (List.length tri)
-    (if k <= C.Pareto.exact_budget_k then "exact" else "nsga2")
+    (List.length tri) algorithm
     (C.Nsga2.hypervolume ~ref_point tri)
 
 let pareto_cmd =
-  let doc = "Print the doi/cost Pareto front of personalizations." in
-  Cmd.v (Cmd.info "pareto" ~doc)
-    Term.(
-      const (with_setup pareto_action)
-      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg $ cmax_arg
-      $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg $ trace_arg $ metrics_arg)
+  query_cmd "pareto"
+    ~doc:"Print the doi/cost Pareto front of personalizations."
+    pareto_action
 
 let profile_action _catalog profile _query _problem _algorithm _max_k =
   Format.printf "%a@." Cqp_prefs.Profile.pp profile
 
 let profile_cmd =
-  let doc = "Print the (generated or loaded) user profile." in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(
-      const (with_setup profile_action)
-      $ verbose $ seed $ movies $ profile_file $ query_arg $ problem_arg $ cmax_arg
-      $ dmin_arg $ smin_arg $ smax_arg $ max_k_arg $ algo_arg $ trace_arg $ metrics_arg)
+  query_cmd "profile" ~doc:"Print the (generated or loaded) user profile."
+    profile_action
 
 (* --- serve: batch multi-user workload replay --------------------- *)
 
@@ -559,16 +545,7 @@ let serve_action verbose seed movies workload_file save_file users requests
     | None -> ());
     Option.iter (fun file -> Cqp_obs.Metrics.dump_json ~file) metrics;
     0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-  | Cqp_sql.Parser.Parse_error (msg, pos) ->
-      Printf.eprintf "SQL parse error at %d: %s\n" pos msg;
-      1
-  | Cqp_sql.Analyzer.Semantic_error msg ->
-      Printf.eprintf "SQL semantic error: %s\n" msg;
-      1
+  with e -> report_error e
 
 let serve_cmd =
   let doc =
@@ -663,8 +640,8 @@ let serve_cmd =
       & info [ "shed-depth" ] ~docv:"N"
           ~doc:
             "Load shedding: a request at queue position >= $(docv) in \
-             its serving lane is shed with an explicit outcome instead \
-             of served.")
+             arrival order is shed with an explicit outcome instead of \
+             served, at every $(b,--domains) width.")
   in
   let inject_arg =
     Arg.(
@@ -868,10 +845,7 @@ let curriculum_action verbose seed generations population mutation_rate
     | None -> ());
     Option.iter (fun file -> Cqp_obs.Metrics.dump_json ~file) metrics;
     0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+  with e -> report_error e
 
 let curriculum_cmd =
   let doc =
@@ -969,9 +943,9 @@ let sockaddr_of ~unix_path ~host ~port =
       in
       Unix.ADDR_INET (inet, port)
 
-let netserve_action verbose seed movies domains lanes max_connections
-    store_dir store_resident deadline_ms retries shed_depth no_cache capacity
-    host port unix_path metrics prometheus_file =
+let netserve_action verbose seed movies domains max_connections store_dir
+    store_resident deadline_ms retries shed_depth no_cache capacity host port
+    unix_path metrics prometheus_file =
   setup_logs verbose;
   if metrics <> None || prometheus_file <> None then Cqp_obs.Metrics.enable ();
   try
@@ -997,8 +971,8 @@ let netserve_action verbose seed movies domains lanes max_connections
       | None -> Net_server.Tcp (host, port)
     in
     let srv =
-      Net_server.create ?lanes ~max_connections ?store_dir ?store_resident
-        ~pool ~addr serve
+      Net_server.create ~max_connections ?store_dir ?store_resident ~pool
+        ~addr serve
     in
     Net_server.start srv;
     (* The bound address goes to stdout as a single parseable line:
@@ -1007,14 +981,11 @@ let netserve_action verbose seed movies domains lanes max_connections
     | Unix.ADDR_INET (a, p) ->
         Printf.printf "listening on %s:%d\n%!" (Unix.string_of_inet_addr a) p
     | Unix.ADDR_UNIX p -> Printf.printf "listening on unix:%s\n%!" p);
-    let n_lanes = match lanes with Some n -> n | None -> domains in
     Format.eprintf
-      "%d domain%s, %d lane%s, %d movies (seed %d)%s; stop with a Shutdown \
-       frame (cqp loadgen --shutdown)@."
+      "%d domain%s (one lane each), %d movies (seed %d)%s; stop with a \
+       Shutdown frame (cqp loadgen --shutdown)@."
       domains
       (if domains = 1 then "" else "s")
-      n_lanes
-      (if n_lanes = 1 then "" else "s")
       movies seed
       (match store_dir with
       | Some d -> Printf.sprintf ", store %s" d
@@ -1026,13 +997,7 @@ let netserve_action verbose seed movies domains lanes max_connections
       (fun file -> Cqp_obs.Metrics.write_prometheus ~file)
       prometheus_file;
     0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-  | Unix.Unix_error (e, fn, arg) ->
-      Printf.eprintf "error: %s: %s %s\n" fn (Unix.error_message e) arg;
-      1
+  with e -> report_error e
 
 let netserve_cmd =
   let doc =
@@ -1045,16 +1010,9 @@ let netserve_cmd =
       value
       & opt int 2
       & info [ "domains" ]
-          ~doc:"Worker pool domains (and default lane count).")
-  in
-  let lanes_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "lanes" ] ~docv:"N"
           ~doc:
-            "Serving lanes (users are hashed onto lanes); defaults to \
-             the domain count.")
+            "Worker pool domains, one serving lane each (users are \
+             hashed onto lanes).")
   in
   let max_conns_arg =
     Arg.(
@@ -1119,8 +1077,8 @@ let netserve_cmd =
       & opt (some int) None
       & info [ "shed-depth" ] ~docv:"N"
           ~doc:
-            "Shed a query admitted at lane queue position >= $(docv) \
-             with an explicit Shed frame.")
+            "Shed a query that arrives while $(docv) or more queries \
+             are in flight, with an explicit Shed frame.")
   in
   let prometheus_arg =
     Arg.(
@@ -1134,7 +1092,7 @@ let netserve_cmd =
   Cmd.v (Cmd.info "netserve" ~doc)
     Term.(
       const netserve_action
-      $ verbose $ seed $ movies $ domains_arg $ lanes_arg $ max_conns_arg
+      $ verbose $ seed $ movies $ domains_arg $ max_conns_arg
       $ store_arg $ store_resident_arg $ deadline_arg $ retries_arg
       $ shed_arg $ no_cache_arg $ capacity_arg $ host_arg $ port_arg
       $ unix_sock_arg $ metrics_arg $ prometheus_arg)
@@ -1189,13 +1147,7 @@ let loadgen_action verbose seed movies users zipf rate requests connections
             (fun () -> Net_client.shutdown c)
         end;
         if report.Net_loadgen.protocol_errors > 0 then 1 else 0
-  with
-  | Failure msg | Invalid_argument msg | Sys_error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-  | Unix.Unix_error (e, fn, arg) ->
-      Printf.eprintf "error: %s: %s %s\n" fn (Unix.error_message e) arg;
-      1
+  with e -> report_error e
 
 let loadgen_cmd =
   let doc =

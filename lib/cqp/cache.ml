@@ -7,7 +7,7 @@ type t = {
   catalog : Cqp_relal.Catalog.t;
   extraction : (string, Path.t list) Lru.t;
   fronts : (string, Nsga2.serving) Lru.t;
-  memo : Estimate.Memo.t option;
+  memo : Estimate.Memo.t;
   mutable published : Lru.stats;  (** extraction stats at last publish *)
   mutable front_published : Lru.stats;  (** front stats ditto *)
   mutable memo_published : int * int;  (** memo (lookups, hits) ditto *)
@@ -22,21 +22,19 @@ let no_stats : Lru.stats =
   { lookups = 0; hits = 0; misses = 0; inserts = 0; evictions = 0;
     removals = 0 }
 
-let create ?(pref_space_capacity = 128) ?(front_capacity = 128)
-    ?(memo_estimates = true) catalog =
+let create ?(pref_space_capacity = 128) catalog =
   {
     catalog;
     extraction = Lru.create ~weight:path_weight ~capacity:pref_space_capacity ();
-    fronts =
-      Lru.create ~weight:Nsga2.points_held ~capacity:front_capacity ();
-    memo = (if memo_estimates then Some (Estimate.Memo.create ()) else None);
+    fronts = Lru.create ~weight:Nsga2.points_held ~capacity:128 ();
+    memo = Estimate.Memo.create ();
     published = no_stats;
     front_published = no_stats;
     memo_published = (0, 0);
   }
 
 let catalog t = t.catalog
-let memo t = t.memo
+let memo t = Some t.memo
 
 let extraction_key ?(constraints = Params.unconstrained) ?max_path_length
     ~fingerprint estimate =
@@ -118,10 +116,7 @@ let bytes_held t =
   (* Lru weights are in words. *)
   8 * Lru.weight_held t.extraction
 
-let memo_stats t =
-  match t.memo with
-  | None -> (0, 0)
-  | Some m -> (Estimate.Memo.lookups m, Estimate.Memo.hits m)
+let memo_stats t = (Estimate.Memo.lookups t.memo, Estimate.Memo.hits t.memo)
 
 let publish_metrics t =
   if Metrics.is_enabled () then begin
@@ -156,17 +151,14 @@ let publish_metrics t =
       Metrics.gauge "serve.pareto.points_held"
         (float_of_int (front_points_held t))
     end;
-    (match t.memo with
-    | None -> ()
-    | Some m ->
-        let lk = Estimate.Memo.lookups m and ht = Estimate.Memo.hits m in
-        let plk, pht = t.memo_published in
-        d "serve.cache.estimate.lookups" lk plk;
-        d "serve.cache.estimate.hits" ht pht;
-        d "serve.cache.estimate.misses" (lk - ht) (plk - pht);
-        t.memo_published <- (lk, ht);
-        Metrics.gauge "serve.cache.estimate.entries"
-          (float_of_int (Estimate.Memo.entries m)))
+    let lk, ht = memo_stats t in
+    let plk, pht = t.memo_published in
+    d "serve.cache.estimate.lookups" lk plk;
+    d "serve.cache.estimate.hits" ht pht;
+    d "serve.cache.estimate.misses" (lk - ht) (plk - pht);
+    t.memo_published <- (lk, ht);
+    Metrics.gauge "serve.cache.estimate.entries"
+      (float_of_int (Estimate.Memo.entries t.memo))
   end
 
 let publish_gauge_totals caches =
@@ -186,11 +178,7 @@ let publish_gauge_totals caches =
       Metrics.gauge "serve.pareto.points_held"
         (float_of_int (sum front_points_held))
     end;
-    if List.exists (fun c -> c.memo <> None) caches then
+    if caches <> [] then
       Metrics.gauge "serve.cache.estimate.entries"
-        (float_of_int
-           (sum (fun c ->
-                match c.memo with
-                | None -> 0
-                | Some m -> Estimate.Memo.entries m)))
+        (float_of_int (sum (fun c -> Estimate.Memo.entries c.memo)))
   end

@@ -13,7 +13,7 @@
     - an LRU over computed {!Nsga2} Pareto fronts in serving form,
       keyed by {!front_key} (profile fingerprint, query digest, full
       constraint record, K cap) — the pareto-serving feature's cache.
-    - an optional {!Estimate.Memo} shared by every estimator built for
+    - an {!Estimate.Memo} shared by every estimator built for
       this catalog, memoizing pure per-predicate selectivity / distinct
       / block-count lookups.
 
@@ -27,23 +27,17 @@
 
 type t
 
-val create :
-  ?pref_space_capacity:int ->
-  ?front_capacity:int ->
-  ?memo_estimates:bool ->
-  Cqp_relal.Catalog.t ->
-  t
+val create : ?pref_space_capacity:int -> Cqp_relal.Catalog.t -> t
 (** [pref_space_capacity] (default 128) bounds the extraction LRU; [0]
-    disables it (every request re-extracts).  [front_capacity]
-    (default 128) likewise bounds the Pareto-front LRU.
-    [memo_estimates] (default [true]) attaches the estimate memo.  The
+    disables it (every request re-extracts).  The Pareto-front LRU
+    holds 128 fronts, and the estimate memo is always attached.  The
     cache must only serve queries over the given catalog. *)
 
 val catalog : t -> Cqp_relal.Catalog.t
 
 val memo : t -> Estimate.Memo.t option
 (** Pass to {!Estimate.create} for every request served through this
-    cache. *)
+    cache (always [Some]). *)
 
 val pref_space :
   t ->
@@ -103,7 +97,7 @@ val bytes_held : t -> int
 (** Approximate bytes retained by cached extractions. *)
 
 val memo_stats : t -> int * int
-(** Estimate-memo [(lookups, hits)]; [(0, 0)] when disabled. *)
+(** Estimate-memo [(lookups, hits)]. *)
 
 val publish_metrics : t -> unit
 (** Emit counter deltas since the previous call plus current gauges

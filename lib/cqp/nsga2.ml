@@ -202,8 +202,13 @@ let exact_front ?constraints space =
 
 (* --- evolutionary front (K beyond exact enumeration) ------------------ *)
 
-let default_evaluations = 4096
-let default_seed = 0x4E534741 (* "NSGA" *)
+(* Search settings are constants, not arguments: [front] must be a pure
+   function of its inputs, which the front cache and the differential
+   suites rely on. *)
+let evaluations = 4096
+let population = 64
+let mutation_rate = 0.03
+let seed = 0x4E534741 (* "NSGA" *)
 
 let ids_of_bits bits =
   let ids = ref [] in
@@ -247,8 +252,7 @@ let scalar_fitness rank crowd =
   in
   -.float_of_int rank +. cterm
 
-let evolve ?(evaluations = default_evaluations) ?(population = 64)
-    ?(mutation_rate = 0.03) ?(seed = default_seed) ?constraints space =
+let evolve ?constraints space =
   let k = Space.k space in
   let eval_point ids =
     { pref_ids = ids; params = Space.params_of_ids space ids }
@@ -346,11 +350,10 @@ let evolve ?(evaluations = default_evaluations) ?(population = 64)
     non_dominated (Hashtbl.fold (fun _ p acc -> p :: acc) archive [])
   end
 
-let front ?constraints ?(exact_max_k = Exhaustive.max_k) ?evaluations
-    ?population ?mutation_rate ?seed space =
+let front ?constraints ?(exact_max_k = Exhaustive.max_k) space =
   if Space.k space <= min exact_max_k Exhaustive.max_k then
     exact_front ?constraints space
-  else evolve ?evaluations ?population ?mutation_rate ?seed ?constraints space
+  else evolve ?constraints space
 
 (* --- serving form ------------------------------------------------------ *)
 
@@ -401,6 +404,3 @@ let knee s =
         (fun i q -> if !best = None && compare_points q p = 0 then best := Some i)
         s.points;
       Option.map (fun i -> (i, s.points.(i))) !best
-
-let serving_words s =
-  Array.fold_left (fun acc p -> acc + 8 + (3 * List.length p.pref_ids)) 8 s.points

@@ -1,6 +1,7 @@
 (** Tri-objective Pareto fronts over (doi up, cost down, size down) —
-    the full generalization of {!Pareto} (which optimizes doi against
-    cost only) to every query parameter the paper models at once.
+    every query parameter the paper models at once, and the only front
+    computation: {!Pareto}'s doi/cost front is the {!Pareto.skyline} of
+    {!front}.
 
     Below {!Pareto.exact_budget_k} preferences the front is computed
     by exact subset enumeration; beyond it, by an NSGA-II-style
@@ -52,38 +53,27 @@ val hypervolume : ref_point:Params.t -> point list -> float
 
 val exact_front : ?constraints:Params.constraints -> Space.t -> point list
 (** Ground truth by exhaustive enumeration (size-interval feasibility
-    per {!Pareto.feasible}), in canonical order.
+    per {!Pareto.feasible}), in canonical order — the repository's one
+    subset enumerator for fronts.
     @raise Invalid_argument past {!Exhaustive.max_k}. *)
 
-val evolve :
-  ?evaluations:int ->
-  ?population:int ->
-  ?mutation_rate:float ->
-  ?seed:int ->
-  ?constraints:Params.constraints ->
-  Space.t ->
-  point list
+val evolve : ?constraints:Params.constraints -> Space.t -> point list
 (** The evolutionary front at any K: elitist (mu + lambda) NSGA-II
-    over boolean subset genomes, seeded with the empty set and every
-    singleton, selecting by (rank, crowding) through the shared
-    {!Metaheuristics.Ga} operators under [evaluations] (default 4096)
-    parameter evaluations.  Every feasible evaluation feeds an
-    archive; the result is the non-dominated filter over the archive
-    in canonical order — deterministic given [seed] (fixed default). *)
+    over boolean subset genomes (population 64, per-bit mutation rate
+    0.03), seeded with the empty set and every singleton, selecting by
+    (rank, crowding) through the shared {!Metaheuristics.Ga} operators
+    under a budget of 4096 parameter evaluations.  Every feasible
+    evaluation feeds an archive; the result is the non-dominated
+    filter over the archive in canonical order — deterministic, since
+    every draw comes from one fixed seed. *)
 
 val front :
-  ?constraints:Params.constraints ->
-  ?exact_max_k:int ->
-  ?evaluations:int ->
-  ?population:int ->
-  ?mutation_rate:float ->
-  ?seed:int ->
-  Space.t ->
-  point list
+  ?constraints:Params.constraints -> ?exact_max_k:int -> Space.t -> point list
 (** {!exact_front} up to [exact_max_k] (default {!Exhaustive.max_k},
-    always capped by it), {!evolve} beyond — the single entry point
-    callers should use.  The serving layer passes
-    [~exact_max_k:{!Pareto.exact_budget_k}]. *)
+    always capped by it), {!evolve} beyond — the repository's only
+    front computation.  The serving layer and [cqp pareto] pass
+    [~exact_max_k:{!Pareto.exact_budget_k}]; the 2D (doi, cost) front
+    is {!Pareto.skyline} of this front. *)
 
 (** {1 Serving form} *)
 
@@ -106,6 +96,3 @@ val knee : serving -> (int * point) option
 (** The front's {!Pareto.knee} with its index — the quality floor a
     degraded request falls back to when no point fits its remaining
     budget. *)
-
-val serving_words : serving -> int
-(** Approximate retained size in words (front-cache weighting). *)

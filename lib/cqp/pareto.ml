@@ -48,76 +48,6 @@ let feasible constraints (p : Params.t) =
          are the objectives themselves. *)
       not (Params.violates_size c p)
 
-let exact_front ?constraints space =
-  let k = Space.k space in
-  if k > Exhaustive.max_k then
-    invalid_arg
-      (Printf.sprintf "Pareto.exact_front: K = %d exceeds %d" k
-         Exhaustive.max_k);
-  let candidates = ref [] in
-  (* The DFS threads the parameters incrementally (ascending-id
-     additions reproduce the from-scratch fold exactly). *)
-  Exhaustive.iter_subsets space (fun ids _n params ->
-      if feasible constraints params then
-        candidates := { pref_ids = List.rev ids; params } :: !candidates);
-  skyline !candidates
-
-let greedy_front ?constraints space =
-  let k = Space.k space in
-  let chain = ref [] in
-  let current = ref [] in
-  let consider ids (params : Params.t) =
-    if feasible constraints params then
-      chain := { pref_ids = ids; params } :: !chain
-  in
-  let base = ref (Space.params_of_ids space []) in
-  consider [] !base;
-  let n = ref 0 in
-  let remaining = ref (List.init k Fun.id) in
-  for _ = 1 to k do
-    match !remaining with
-    | [] -> ()
-    | _ ->
-        (* Candidates are scored with one O(1) extension each instead
-           of a from-scratch fold per (round, candidate) pair. *)
-        let scored =
-          List.map
-            (fun id ->
-              let params = Space.params_with_id space ~n:!n !base id in
-              let gain = params.Params.doi -. !base.Params.doi in
-              let price = params.Params.cost -. !base.Params.cost in
-              (* A free improvement dominates any priced one; ranking
-                 zero-cost gains by an arbitrary epsilon divisor would
-                 make the winner depend on gain magnitudes alone, so
-                 score them as [infinity] and settle ties below. *)
-              let score =
-                if price > 0. then gain /. price
-                else if gain > 0. then infinity
-                else 0.
-              in
-              (id, score, gain))
-            !remaining
-        in
-        (* Deterministic, order-independent tie-breaking: best score,
-           then largest raw gain, then lowest id. *)
-        let best_id, _, _ =
-          List.fold_left
-            (fun (bi, bs, bg) (i, s, g) ->
-              if s > bs || (s = bs && (g > bg || (g = bg && i < bi))) then
-                (i, s, g)
-              else (bi, bs, bg))
-            (List.hd scored) (List.tl scored)
-        in
-        current := List.sort compare (best_id :: !current);
-        remaining := List.filter (fun id -> id <> best_id) !remaining;
-        incr n;
-        (* Re-anchor on the canonical from-scratch value once per round
-           so incremental drift never compounds across rounds. *)
-        base := Space.params_of_ids space !current;
-        consider !current !base
-  done;
-  skyline !chain
-
 let knee points =
   match skyline points with
   | [] -> None

@@ -4,15 +4,21 @@
     simultaneously").
 
     Instead of optimizing one parameter under bounds on the others,
-    compute the {e Pareto front} over (doi ↑, cost ↓): the
+    present the {e Pareto front} over (doi ↑, cost ↓): the
     personalizations not dominated by any other.  A point dominates
     another when its doi is no smaller and its cost no larger, strictly
     better in at least one.  Presented with the front, a
     context-mapping policy can pick a point without committing to a
     single Table-1 problem in advance.
 
-    Size constraints, when given, filter candidates before the
-    dominance pass. *)
+    This module is the 2D algebra (dominance, {!skyline}, {!knee}); it
+    enumerates nothing.  {!Nsga2.front} computes every front: each
+    (doi, cost) pair on the 2D front is also the projection of a point
+    on the tri-objective (doi, cost, size) front, so the 2D front is
+    [skyline (Nsga2.front space)] — exact up to {!exact_budget_k},
+    the skyline of the evolutionary front beyond.  Size constraints,
+    when given, filter candidates ({!feasible}) before the dominance
+    pass. *)
 
 type point = { pref_ids : int list; params : Params.t }
 
@@ -28,19 +34,6 @@ val feasible : Params.constraints option -> Params.t -> bool
 (** Candidate filter shared by every front builder: only the size
     interval filters (doi and cost are the objectives themselves);
     [None] accepts everything. *)
-
-val exact_front :
-  ?constraints:Params.constraints -> Space.t -> point list
-(** The exact front by exhaustive enumeration, increasing cost (and
-    therefore increasing doi).  Exponential in K: refuses K beyond
-    {!Exhaustive.max_k}. *)
-
-val greedy_front :
-  ?constraints:Params.constraints -> Space.t -> point list
-(** An approximate front in O(K²): the chain of personalizations built
-    by repeatedly adding the preference with the best marginal
-    doi-per-cost ratio.  Every returned point is feasible and mutually
-    non-dominated; at most K+1 points. *)
 
 val dominates : point -> point -> bool
 val is_front : point list -> bool

@@ -78,7 +78,7 @@ let of_responses ~caches responses =
 let evaluate catalog genome =
   let entries = Genome.decode genome catalog in
   let server = Genome.server genome catalog in
-  let responses = Replay.run server entries in
+  let responses = Cqp_serve.Workload.replay server entries in
   of_responses ~caches:(Option.to_list (Serve.cache server)) responses
 
 (* Rational squash: x / (x + s) rises from 0 toward 1 with

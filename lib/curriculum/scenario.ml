@@ -116,7 +116,7 @@ let freeze ~name spec genome =
   let catalog = build_catalog spec in
   let entries = Genome.decode genome catalog in
   let server = Genome.server genome catalog in
-  let responses = Replay.run server entries in
+  let responses = Workload.replay server entries in
   let fitness = Fitness.of_responses ~caches:(caches_of server) responses in
   {
     name;
@@ -138,7 +138,7 @@ let freeze ~name spec genome =
 let replay ?pool t =
   let catalog = build_catalog t.catalog in
   let server = Genome.server t.genome catalog in
-  Replay.run ?pool server t.entries
+  Workload.replay ?pool server t.entries
 
 let check ?pool t =
   let catalog = build_catalog t.catalog in
@@ -154,7 +154,7 @@ let check ?pool t =
          t.name (List.length decoded) (List.length frozen))
   else begin
     let server = Genome.server t.genome catalog in
-    let responses = Replay.run ?pool server t.entries in
+    let responses = Workload.replay ?pool server t.entries in
     let e = expect_of_responses responses in
     if e = t.expect then Ok ()
     else if e.digest <> t.expect.digest then

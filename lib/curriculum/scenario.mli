@@ -67,8 +67,8 @@ val freeze :
 val replay : ?pool:Cqp_par.Pool.t -> t -> Cqp_serve.Serve.response list
 (** Replay the frozen entries on a fresh server built from the
     genome.  With a pool, admission still follows arrival order
-    ({!Replay.run}), so responses must be bit-identical to the
-    sequential pass. *)
+    ({!Cqp_serve.Workload.replay}), so responses must be bit-identical
+    to the sequential pass. *)
 
 val check : ?pool:Cqp_par.Pool.t -> t -> (unit, string) result
 (** Decode-stability (genome still decodes to the frozen entries,

@@ -7,13 +7,14 @@ module Rng = Cqp_util.Rng
 
 type addr = Unix_path of string | Tcp of string * int
 
-type lane = { serve : Serve.t; mu : Mutex.t; inflight : int Atomic.t }
+type lane = { serve : Serve.t; mu : Mutex.t }
 
 type t = {
   serve : Serve.t;
   pool : Pool.t;
   addr : addr;
   lanes : lane array;
+  inflight : int Atomic.t;
   store : Store.t option;
   store_mu : Mutex.t;
   max_connections : int;
@@ -42,15 +43,13 @@ let publish_store t =
       Metrics.gauge "net.store.users" (float_of_int s.Store.users);
       Metrics.gauge "net.store.blobs" (float_of_int s.Store.blobs)
 
-let create ?lanes ?(max_connections = 32) ?store_dir ?(store_resident = 4096)
-    ~pool ~addr serve =
-  let n_lanes = match lanes with Some n -> n | None -> Pool.domains pool in
-  if n_lanes < 1 then invalid_arg "Server.create: lanes < 1";
+let create ?(max_connections = 32) ?store_dir ?(store_resident = 4096) ~pool
+    ~addr serve =
   if max_connections < 1 then invalid_arg "Server.create: max_connections < 1";
   let lanes =
     Array.map
-      (fun s -> { serve = s; mu = Mutex.create (); inflight = Atomic.make 0 })
-      (Serve.shards serve n_lanes)
+      (fun s -> { serve = s; mu = Mutex.create () })
+      (Serve.shards serve (Pool.domains pool))
   in
   let t =
     {
@@ -58,6 +57,7 @@ let create ?lanes ?(max_connections = 32) ?store_dir ?(store_resident = 4096)
       pool;
       addr;
       lanes;
+      inflight = Atomic.make 0;
       store = None;
       store_mu = Mutex.create ();
       max_connections;
@@ -149,10 +149,13 @@ let ensure_and_handle t (lane : lane) (q : Wire.query) serve_req pos enq =
                 Serve.set_profile lane.serve ~user:q.user profile;
                 run ()))
 
+(* Admission is by arrival order, as in [Workload.replay]: a query's
+   queue position is the server-wide count of queries in flight when
+   it arrives, whichever lane it hashes to, so lanes only execute. *)
 let handle_query t fd (q : Wire.query) =
   Metrics.incr "net.requests";
   let lane = lane_of t q.user in
-  let pos = Atomic.fetch_and_add lane.inflight 1 in
+  let pos = Atomic.fetch_and_add t.inflight 1 in
   let enq = Clock.now_us () in
   let serve_req =
     {
@@ -207,7 +210,7 @@ let handle_query t fd (q : Wire.query) =
         Metrics.incr "net.errors.server_error";
         Wire.Error { code = Wire.Server_error; message = Printexc.to_string e }
   in
-  Atomic.decr lane.inflight;
+  Atomic.decr t.inflight;
   send fd reply;
   Metrics.observe "net.request_us" (Clock.now_us () -. enq)
 

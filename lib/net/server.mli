@@ -18,12 +18,14 @@
 
     A connection is strict request–reply: the server reads one frame,
     answers it, and only then reads the next, so a client cannot
-    buffer unbounded work into a lane.  At admission each query is
-    stamped with its lane's live in-flight count (the
-    [queue_position] fed to the serve layer's shed check) and an
-    [enqueued_us] clock stamp (credited as queue wait by the profiling
-    layer); with [shed_queue_depth] configured on the wrapped server,
-    overload answers explicit [Shed] frames instead of queueing.
+    buffer unbounded work into a lane.  Admission is by arrival
+    order, as in {!Cqp_serve.Workload.replay}: each query is stamped
+    with the server-wide count of queries in flight when it arrives,
+    whichever lane it hashes to (the [queue_position] fed to the serve
+    layer's shed check), and an [enqueued_us] clock stamp (credited as
+    queue wait by the profiling layer).  Lanes only execute.  With
+    [shed_queue_depth] configured on the wrapped server, overload
+    answers explicit [Shed] frames instead of queueing.
 
     {2 Profile storage}
 
@@ -72,7 +74,6 @@ type addr =
 type t
 
 val create :
-  ?lanes:int ->
   ?max_connections:int ->
   ?store_dir:string ->
   ?store_resident:int ->
@@ -80,10 +81,10 @@ val create :
   addr:addr ->
   Cqp_serve.Serve.t ->
   t
-(** [lanes] defaults to the pool's domain count; [max_connections]
-    (default 32) bounds live connection domains.  [store_dir] opens
-    (or reopens — a directory prepopulated offline works) a {!Store}
-    owned by the server, with [store_resident] (default 4096) bounding
+(** One lane per pool domain; [max_connections] (default 32) bounds
+    live connection domains.  [store_dir] opens (or reopens — a
+    directory prepopulated offline works) a {!Store} owned by the
+    server, with [store_resident] (default 4096) bounding
     the decoded working set; the server wires the store's eviction
     hook to lane uninstalls itself, which is why it opens the store
     rather than accepting one.  {!stop} closes it. *)

@@ -53,7 +53,6 @@ type t = {
   mutable served : int;
   caching : bool;
   pref_space_capacity : int option;
-  memo_estimates : bool option;
   resilience : Config.t;
   mutable shards : t array;
       (* domain-local sub-servers for parallel replay; [||] until
@@ -63,19 +62,17 @@ type t = {
 
 exception Unknown_user of string
 
-let create ?(caching = true) ?pref_space_capacity ?memo_estimates
+let create ?(caching = true) ?pref_space_capacity
     ?(resilience = Config.default) catalog =
   {
     catalog;
     cache =
-      (if caching then
-         Some (Cache.create ?pref_space_capacity ?memo_estimates catalog)
+      (if caching then Some (Cache.create ?pref_space_capacity catalog)
        else None);
     profiles = Hashtbl.create 16;
     served = 0;
     caching;
     pref_space_capacity;
-    memo_estimates;
     resilience;
     shards = [||];
   }
@@ -373,8 +370,6 @@ let handle ?queue_position ?enqueued_us ?deadline_ms t req =
         latency_ms;
       }
 
-let serve t req = handle t req
-let serve_batch t reqs = List.map (serve t) reqs
 let requests_served t = t.served
 
 (* --- sharding (parallel replay support) ------------------------------ *)
@@ -387,8 +382,7 @@ let shards t n =
     t.shards <-
       Array.init n (fun _ ->
           create ~caching:t.caching ?pref_space_capacity:t.pref_space_capacity
-            ?memo_estimates:t.memo_estimates ~resilience:t.resilience
-            t.catalog);
+            ~resilience:t.resilience t.catalog);
   (* Sync the parent's current profiles down.  [set_profile] only
      invalidates on a fingerprint change, so re-pushing unchanged
      profiles before a warm pass costs nothing. *)

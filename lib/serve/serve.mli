@@ -33,9 +33,12 @@
       with bounded exponential backoff (capped by the remaining
       budget); past [max_retries] the request answers unpersonalized
       rather than failing.
-    - With [shed_queue_depth] set, a request whose queue position in
-      its serving lane reaches the depth is {e shed}: answered with an
-      explicit {!Shed} verdict, never silently dropped.
+    - With [shed_queue_depth] set, a request whose queue position
+      reaches the depth is {e shed}: answered with an explicit {!Shed}
+      verdict, never silently dropped.  The caller assigns positions;
+      {!Workload.replay} and the network server both number requests
+      by arrival order, so the shed pattern does not depend on the
+      lane count.
     - A seeded {!Cqp_resilience.Fault.t} plan injects I/O latency
       spikes, forced cache misses, eviction storms, and transient
       exceptions — deterministically per request content, at any
@@ -103,12 +106,11 @@ exception Unknown_user of string
 val create :
   ?caching:bool ->
   ?pref_space_capacity:int ->
-  ?memo_estimates:bool ->
   ?resilience:Cqp_resilience.Config.t ->
   Cqp_relal.Catalog.t ->
   t
 (** [caching:false] disables both caches (the differential baseline);
-    the capacity knobs are forwarded to {!Cqp_core.Cache.create}.
+    [pref_space_capacity] is forwarded to {!Cqp_core.Cache.create}.
     [resilience] (default {!Cqp_resilience.Config.default}, all off)
     configures deadlines, degradation, retries, shedding, and fault
     injection. *)
@@ -166,12 +168,6 @@ val handle :
     @raise Cqp_sql.Parser.Parse_error /
     [Cqp_sql.Analyzer.Semantic_error] as {!Cqp_core.Personalizer.run}
     does. *)
-
-val serve : t -> request -> response
-(** {!handle} with no queue position (never sheds). *)
-
-val serve_batch : t -> request list -> response list
-(** Serve in order; a raised exception aborts the rest of the batch. *)
 
 val requests_served : t -> int
 (** Requests actually served (shed requests are not counted). *)

@@ -93,105 +93,99 @@ let install server ~user ?shape seed =
   in
   Serve.set_profile server ~user profile
 
-(* Queue positions for load shedding model burst admission: position i
-   is the request's 0-based index within its serving lane's batch — the
-   single lane here, its shard's slice in a parallel replay.  The
-   pattern of shed requests therefore depends on the lane count (more
-   lanes = shorter queues), but for a fixed lane count it is a pure
-   function of the workload. *)
-(* Under profiling, a replay models burst arrival: every request is
-   considered enqueued when the replay starts, so request i's
-   queue_wait phase is the handling time of the i-1 requests ahead of
-   it in its lane.  The stamp is only taken (and the clock only read)
-   while profiling is on. *)
+(* Admission is by arrival order: a request's queue position is its
+   0-based index among the workload's requests, whatever the lane
+   count, so the shed pattern is a pure function of the workload and
+   lanes only execute.  Under profiling, a replay models burst arrival:
+   every request is considered enqueued when the replay starts, so
+   request i's queue_wait phase is the handling time of the requests
+   ahead of it in its lane.  The stamp is only taken (and the clock
+   only read) while profiling is on. *)
 let enqueue_stamp () =
   if Cqp_profile.Request.is_enabled () then Some (Cqp_obs.Clock.now_us ())
   else None
 
-let replay_sequential server entries =
-  let position = ref 0 in
-  let enqueued_us = enqueue_stamp () in
-  List.filter_map
-    (function
-      | Set_profile { user; seed; shape } ->
-          install server ~user ?shape seed;
-          None
-      | Request req ->
-          let queue_position = !position in
-          incr position;
-          Some (Serve.handle ~queue_position ?enqueued_us server req))
-    entries
-
-(* Parallel replay: partition entries by user over one shard server per
-   pool domain.  Per-user entry order (profile installs vs. requests)
-   is preserved inside a shard, and each response is written into the
-   slot of its original position, so the response list is the
-   sequential one bit for bit — only latencies and cache hit/miss
-   splits (domain-local caches) may differ, and caches cannot change
-   results.  The user→shard map hashes the user name, never the pool
-   size-independent entry order, so it is stable for a given domain
-   count. *)
-let replay_parallel pool server entries =
-  let nshards = Cqp_par.Pool.domains pool in
-  let shards = Serve.shards server nshards in
-  let shard_of user = Hashtbl.hash user mod nshards in
-  let per_shard = Array.make nshards [] in
+(* Replay partitions entries by user over one lane per pool domain: the
+   server itself without a pool (or with one domain), its persistent
+   {!Serve.shards} fleet otherwise.  Per-user entry order (profile
+   installs vs. requests) is preserved inside a lane, and each response
+   is written into the slot of its original position, so the response
+   list is the same at every width bit for bit — only latencies and
+   cache hit/miss splits (domain-local caches) may differ, and caches
+   cannot change results.  The user→lane map hashes the user name, so
+   it is stable for a given domain count. *)
+let replay ?pool server entries =
+  let pool =
+    match pool with
+    | Some p when Cqp_par.Pool.domains p > 1 -> Some p
+    | Some _ | None -> None
+  in
+  let lanes =
+    match pool with
+    | Some p -> Serve.shards server (Cqp_par.Pool.domains p)
+    | None -> [| server |]
+  in
+  let nlanes = Array.length lanes in
+  let per_lane = Array.make nlanes [] in
   let slots = ref 0 in
-  (* Queue positions count requests per shard (the serving lane), so
-     shedding under a parallel replay models each lane's own queue. *)
-  let shard_positions = Array.make nshards 0 in
   List.iter
     (fun entry ->
-      let s = shard_of
-          (match entry with
-          | Set_profile { user; _ } -> user
-          | Request req -> req.Serve.user)
-      in
-      let tagged =
+      let user, tagged =
         match entry with
-        | Set_profile { user; seed; shape } -> `Install (user, seed, shape)
+        | Set_profile { user; seed; shape } ->
+            (user, `Install (user, seed, shape))
         | Request req ->
             let slot = !slots in
             incr slots;
-            let queue_position = shard_positions.(s) in
-            shard_positions.(s) <- queue_position + 1;
-            `Serve (slot, queue_position, req)
+            (req.Serve.user, `Serve (slot, req))
       in
-      per_shard.(s) <- tagged :: per_shard.(s))
+      let l = Hashtbl.hash user mod nlanes in
+      per_lane.(l) <- tagged :: per_lane.(l))
     entries;
   let responses = Array.make !slots None in
   let enqueued_us = enqueue_stamp () in
-  let job s =
-    let shard = shards.(s) in
+  let job l =
     List.iter
       (function
-        | `Install (user, seed, shape) -> install shard ~user ?shape seed
-        | `Serve (slot, queue_position, req) ->
+        | `Install (user, seed, shape) -> install lanes.(l) ~user ?shape seed
+        | `Serve (slot, req) ->
             responses.(slot) <-
-              Some (Serve.handle ~queue_position ?enqueued_us shard req))
-      (List.rev per_shard.(s))
+              Some
+                (Serve.handle ~queue_position:slot ?enqueued_us lanes.(l) req))
+      (List.rev per_lane.(l))
   in
-  (* An exception in any shard (e.g. [Serve.Unknown_user]) aborts the
-     replay after the batch drains, like a sequential replay aborts its
-     remainder — the pool re-raises the lowest-shard failure. *)
-  Cqp_par.Pool.run_all pool (Array.init nshards (fun s _index -> job s));
-  let served =
-    Array.fold_left
-      (fun n -> function
-        | Some { Serve.verdict = Serve.Served _; _ } -> n + 1
-        | Some { Serve.verdict = Serve.Shed _; _ } | None -> n)
-      0 responses
-  in
-  Serve.drain_shards server ~served;
+  (match pool with
+  | None -> job 0
+  | Some pool ->
+      (* An exception in any lane (e.g. [Serve.Unknown_user]) aborts
+         the replay after the batch drains, like a sequential replay
+         aborts its remainder — the pool re-raises the lowest-lane
+         failure. *)
+      Cqp_par.Pool.run_all pool (Array.init nlanes (fun l _index -> job l));
+      let served =
+        Array.fold_left
+          (fun n -> function
+            | Some { Serve.verdict = Serve.Served _; _ } -> n + 1
+            | Some { Serve.verdict = Serve.Shed _; _ } | None -> n)
+          0 responses
+      in
+      Serve.drain_shards server ~served);
   Array.to_list responses |> List.filter_map Fun.id
 
-let replay ?pool server entries =
-  match pool with
-  | Some pool when Cqp_par.Pool.domains pool > 1 ->
-      replay_parallel pool server entries
-  | Some _ | None -> replay_sequential server entries
-
 (* --- on-disk format --- *)
+
+(* [float_of_string] also reads "nan", "inf" and out-of-range values;
+   each field states what it accepts, so a bad number fails at load,
+   naming its line, instead of serving unpersonalized or raising
+   mid-replay. *)
+let checked_float ~what ok s =
+  let v = float_of_string s in
+  if ok v then v else failwith (Printf.sprintf "Workload: bad %s: %s" what s)
+
+(* A constraint bound may be infinite (vacuous) but not NaN. *)
+let bound_value name = checked_float ~what:name (fun v -> not (Float.is_nan v))
+let doi_bound = checked_float ~what:"doi bound" (fun v -> v >= 0. && v <= 1.)
+let finite = checked_float ~what:"normal parameter" Float.is_finite
 
 let problem_to_field (p : Problem.t) =
   let c = p.Problem.constraints in
@@ -224,8 +218,9 @@ let problem_of_field s =
               match String.index_opt kv '=' with
               | None -> failwith ("Workload: bad constraint: " ^ kv)
               | Some j ->
-                  ( String.sub kv 0 j,
-                    float_of_string
+                  let name = String.sub kv 0 j in
+                  ( name,
+                    bound_value name
                       (String.sub kv (j + 1) (String.length kv - j - 1)) ))
             (String.split_on_char ',' rest)
       in
@@ -275,23 +270,19 @@ let shape_of_field s =
   in
   let doi_dist =
     match String.split_on_char ':' (get "doi") with
-    | [ "u"; lo; hi ] ->
-        Profile_gen.Uniform (float_of_string lo, float_of_string hi)
+    | [ "u"; lo; hi ] -> Profile_gen.Uniform (doi_bound lo, doi_bound hi)
     | [ "n"; mean; stddev ] ->
-        Profile_gen.Normal
-          { mean = float_of_string mean; stddev = float_of_string stddev }
+        Profile_gen.Normal { mean = finite mean; stddev = finite stddev }
     | _ -> failwith ("Workload: bad doi distribution: " ^ get "doi")
   in
   let join_doi_range =
     match String.split_on_char ':' (get "join") with
-    | [ lo; hi ] -> (float_of_string lo, float_of_string hi)
+    | [ lo; hi ] -> (doi_bound lo, doi_bound hi)
     | _ -> failwith ("Workload: bad join range: " ^ get "join")
   in
-  {
-    Profile_gen.n_selections = int_of_string (get "sel");
-    doi_dist;
-    join_doi_range;
-  }
+  let n_selections = int_of_string (get "sel") in
+  if n_selections < 0 then failwith ("Workload: negative sel: " ^ get "sel");
+  { Profile_gen.n_selections; doi_dist; join_doi_range }
 
 let entry_to_line = function
   | Set_profile { user; seed; shape = None } ->

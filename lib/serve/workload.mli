@@ -55,24 +55,30 @@ val random_request :
 val install :
   Serve.t -> user:string -> ?shape:Cqp_workload.Profile_gen.config -> int -> unit
 (** What a [Set_profile] entry does during replay: generate the seeded
-    (optionally shaped) profile and install it.  Exposed for replay
-    variants outside this module (the curriculum's arrival-order
-    admission replay). *)
+    (optionally shaped) profile and install it.  Exposed for callers
+    that install profiles outside a replay. *)
 
 val replay : ?pool:Cqp_par.Pool.t -> Serve.t -> entry list -> Serve.response list
 (** Apply entries in order; [Set_profile] installs (returning
     nothing), [Request] serves.
 
+    Admission is by {e arrival order}: each request's [queue_position]
+    (the serve layer's shed check) is its 0-based index among the
+    workload's requests, decided before any lane runs.  The shed
+    pattern is therefore a pure function of the workload, the same at
+    every domain count.
+
     With a [pool] of more than one domain, entries are partitioned by
     user over the server's persistent {!Serve.shards} fleet (one shard
     per domain, each with domain-local caches) and replayed in
     parallel.  Responses come back in entry order and are
-    bit-identical to the sequential replay — caches cannot change
-    results and per-user entry order is preserved within a shard —
-    while per-request latencies and the hit/miss split across the
-    domain-local caches naturally differ ([test/test_par_diff.ml]
-    checks both claims).  A shard exception aborts the replay after
-    the in-flight batch drains, re-raising the lowest-shard failure. *)
+    bit-identical to the sequential replay, shed verdicts included —
+    caches cannot change results and per-user entry order is preserved
+    within a shard — while per-request latencies and the hit/miss
+    split across the domain-local caches naturally differ
+    ([test/test_par_diff.ml] checks both claims).  A shard exception
+    aborts the replay after the in-flight batch drains, re-raising the
+    lowest-shard failure. *)
 
 (** {1 On-disk format}
 
@@ -86,12 +92,17 @@ val replay : ?pool:Cqp_par.Pool.t -> Serve.t -> entry list -> Serve.response lis
     A profile installation with a non-default shape carries a fourth
     column ([sel=<n>;doi=u:<lo>:<hi>|n:<mean>:<sd>;join=<lo>:<hi>],
     floats in hex); three-column [user] lines — every file written
-    before shapes existed — still parse. *)
+    before shapes existed — still parse.
+
+    Numbers are checked at parse time: a NaN constraint bound, a
+    uniform or join doi bound outside the unit interval, a
+    non-finite normal parameter and a negative [sel] are rejected.
+    An infinite constraint bound is accepted: it constrains nothing. *)
 
 val entry_to_line : entry -> string
 
 val entry_of_line : string -> entry
-(** @raise Failure on a malformed line. *)
+(** @raise Failure on a malformed line or a rejected number. *)
 
 val save : string -> entry list -> unit
 

@@ -6,7 +6,6 @@
 module Rng = Cqp_util.Rng
 module Genome = Cqp_curriculum.Genome
 module Scenario = Cqp_curriculum.Scenario
-module Replay = Cqp_curriculum.Replay
 module Curriculum = Cqp_curriculum.Curriculum
 module Workload = Cqp_serve.Workload
 
@@ -145,7 +144,7 @@ let corpus_is_adversarial () =
     let g = Genome.baseline ~seed:42 in
     let server = Genome.server g (Lazy.force catalog) in
     Scenario.expect_of_responses
-      (Replay.run server (Genome.decode g (Lazy.force catalog)))
+      (Workload.replay server (Genome.decode g (Lazy.force catalog)))
   in
   let worse (s : Scenario.t) =
     s.Scenario.expect.Scenario.shed > baseline_expect.Scenario.shed

@@ -188,6 +188,11 @@ let test_merged_same_relation_twice () =
 
 let space_of ps = C.Space.create ~order:C.Space.By_doi ps
 
+(* The doi/cost front: the skyline of [Nsga2.front]'s tri-objective
+   front (exact at these K). *)
+let front_2d ?constraints space =
+  C.Pareto.skyline (C.Nsga2.front ?constraints space)
+
 let ps0 =
   Testlib.fabricate
     ~costs:[| 40.; 25.; 35.; 15.; 10. |]
@@ -197,7 +202,7 @@ let ps0 =
 
 let test_pareto_exact_front () =
   let space = space_of ps0 in
-  let front = C.Pareto.exact_front space in
+  let front = front_2d space in
   checkb "non-empty" true (front <> []);
   checkb "mutually non-dominated" true (C.Pareto.is_front front);
   (* The empty personalization (cheapest) and the full set (max doi)
@@ -213,7 +218,7 @@ let test_pareto_front_covers_problem2 () =
   (* For any cmax, the Problem-2 optimum must be a front point (same
      doi at no greater cost). *)
   let space = space_of ps0 in
-  let front = C.Pareto.exact_front space in
+  let front = front_2d space in
   List.iter
     (fun cmax ->
       let opt = C.Exhaustive.solve space ~cmax in
@@ -228,26 +233,9 @@ let test_pareto_front_covers_problem2 () =
            front))
     [ 20.; 50.; 80.; 200. ]
 
-let test_pareto_greedy_feasible () =
-  let space = space_of ps0 in
-  let front = C.Pareto.greedy_front space in
-  checkb "non-empty" true (front <> []);
-  checkb "is a front" true (C.Pareto.is_front front);
-  (* greedy points are never above the exact front *)
-  let exact = C.Pareto.exact_front space in
-  List.iter
-    (fun g ->
-      checkb "not dominating exact front" true
-        (List.exists
-           (fun e ->
-             e.C.Pareto.params.C.Params.doi >= g.C.Pareto.params.C.Params.doi -. 1e-9
-             && e.C.Pareto.params.C.Params.cost <= g.C.Pareto.params.C.Params.cost +. 1e-9)
-           exact))
-    front
-
 let test_pareto_knee () =
   let space = space_of ps0 in
-  let front = C.Pareto.exact_front space in
+  let front = front_2d space in
   match C.Pareto.knee front with
   | Some k -> checkb "knee on front" true (List.exists (fun p -> p = k) front)
   | None -> Alcotest.fail "expected a knee"
@@ -256,21 +244,12 @@ let test_pareto_size_constraint () =
   let space = space_of ps0 in
   let base = C.Estimate.base_size ps0.C.Pref_space.estimate in
   let constraints = C.Params.make ~smax:(0.6 *. base) () in
-  let front = C.Pareto.exact_front ~constraints space in
+  let front = front_2d ~constraints space in
   List.iter
     (fun p ->
       checkb "size bound holds" true
         (p.C.Pareto.params.C.Params.size <= (0.6 *. base) +. 1e-9))
     front
-
-let prop_greedy_front_sound =
-  QCheck.Test.make ~name:"greedy front sound on random spaces" ~count:40
-    QCheck.(pair (int_range 2 8) (int_range 0 10000))
-    (fun (k, seed) ->
-      let rng = Cqp_util.Rng.create seed in
-      let ps = Testlib.random_space rng ~k in
-      let space = space_of ps in
-      C.Pareto.is_front (C.Pareto.greedy_front space))
 
 (* --- Explain ------------------------------------------------------------- *)
 
@@ -502,8 +481,6 @@ let test_state_mask () =
     (let a = C.State.mask [ 1; 3 ] and b = C.State.mask [ 0; 1; 3 ] in
      a land b = a)
 
-let qc = Testlib.qc
-
 let () =
   Testlib.seed_banner "extensions";
   Alcotest.run "extensions"
@@ -527,10 +504,8 @@ let () =
         [
           Alcotest.test_case "exact front" `Quick test_pareto_exact_front;
           Alcotest.test_case "covers problem 2" `Quick test_pareto_front_covers_problem2;
-          Alcotest.test_case "greedy feasible" `Quick test_pareto_greedy_feasible;
           Alcotest.test_case "knee" `Quick test_pareto_knee;
           Alcotest.test_case "size constraint" `Quick test_pareto_size_constraint;
-          qc prop_greedy_front_sound;
         ] );
       ( "explain",
         [

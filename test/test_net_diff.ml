@@ -10,8 +10,9 @@
 
    A second group covers the protocol edges the oracle cannot reach:
    ping, unknown users, parse errors, framing errors, busy rejection,
-   graceful shutdown, and serving out of a persistent store across a
-   server restart with a bounded resident working set. *)
+   graceful shutdown, arrival-order admission across lanes, and
+   serving out of a persistent store across a server restart with a
+   bounded resident working set. *)
 
 module C = Cqp_core
 module S = Cqp_serve
@@ -48,9 +49,12 @@ let inprocess_observables entries =
   let server = S.Serve.create ~caching:true (Lazy.force catalog) in
   List.map Wire.response_of_serve (S.Workload.replay server entries)
 
-let with_loopback ?store_dir ?store_resident ?max_connections ~domains f =
+let with_loopback ?store_dir ?store_resident ?max_connections ?resilience
+    ~domains f =
   Pool.with_pool ~domains (fun pool ->
-      let serve = S.Serve.create ~caching:true (Lazy.force catalog) in
+      let serve =
+        S.Serve.create ~caching:true ?resilience (Lazy.force catalog)
+      in
       let srv =
         Server.create ?store_dir ?store_resident ?max_connections ~pool
           ~addr:(Server.Tcp ("127.0.0.1", 0))
@@ -209,6 +213,72 @@ let test_shutdown_frame_drains () =
       Server.stop srv;
       Alcotest.(check bool) "not serving" false (Server.serving srv))
 
+(* Admission is by arrival order across the whole server, not per lane:
+   with two lanes and a shed depth of 1, a query that arrives while
+   another user's query is in flight on the other lane is shed at
+   position 1.  Every request sleeps in a 400 ms injected spike, so the
+   first query is still in flight when the second arrives. *)
+let test_shed_counts_every_lane () =
+  let resilience =
+    {
+      Cqp_resilience.Config.default with
+      Cqp_resilience.Config.shed_queue_depth = Some 1;
+      fault =
+        Some
+          (Cqp_resilience.Fault.plan
+             ~spec:
+               {
+                 Cqp_resilience.Fault.default_spec with
+                 Cqp_resilience.Fault.io_spike = 1.;
+                 io_spike_ms = 400.;
+                 cache_miss = 0.;
+                 evict = 0.;
+                 fail = 0.;
+               }
+             ~rng:(Rng.create 5) ());
+    }
+  in
+  (* Users are hashed onto lanes; pick two that land on different ones. *)
+  let lane u = Hashtbl.hash u mod 2 in
+  let user_a = "alice" in
+  let user_b =
+    List.find
+      (fun u -> lane u <> lane user_a)
+      (List.init 16 (fun i -> "bob" ^ string_of_int i))
+  in
+  let query user =
+    Wire.Query
+      (query_of_request
+         {
+           S.Serve.user;
+           sql = "select title from movie";
+           problem = C.Problem.problem2 ~cmax:500.0;
+           max_k = Some 4;
+           algorithm = C.Algorithm.C_boundaries;
+           execute = false;
+         })
+  in
+  with_loopback ~resilience ~domains:2 (fun addr ->
+      let a = Client.connect addr and b = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close a;
+          Client.close b)
+        (fun () ->
+          Client.install a ~user:user_a 1;
+          Client.install a ~user:user_b 2;
+          let first = Domain.spawn (fun () -> Client.call a (query user_a)) in
+          Unix.sleepf 0.1;
+          (match Client.call b (query user_b) with
+          | Wire.Shed { queue_position; limit } ->
+              Alcotest.(check (pair int int))
+                "second arrival shed at position 1 of depth 1" (1, 1)
+                (queue_position, limit)
+          | _ -> Alcotest.fail "expected the second arrival to be shed");
+          match Domain.join first with
+          | Wire.Served _ -> ()
+          | _ -> Alcotest.fail "expected the first arrival to be served"))
+
 (* --- store-backed serving --------------------------------------------- *)
 
 let store_dir =
@@ -298,6 +368,8 @@ let () =
           Alcotest.test_case "busy rejection" `Quick test_busy_rejection;
           Alcotest.test_case "shutdown frame drains" `Quick
             test_shutdown_frame_drains;
+          Alcotest.test_case "shed counts every lane" `Quick
+            test_shed_counts_every_lane;
         ] );
       ( "store-backed",
         [

@@ -1,16 +1,15 @@
 (* Pareto-front laws and the NSGA-II tri-objective machinery.
 
-   Three layers of guarantees.  Unit regressions pin the two bugfixes
-   this suite rode in with: [Pareto.knee] seeding its normalization
-   folds from the front itself (degenerate and all-negative fronts),
-   and [Pareto.greedy_front] tie-breaking equal-score candidates by
-   (gain, lowest id) instead of an epsilon price floor.  Qcheck laws
-   cover dominance and skyline algebra (irreflexivity, skyline output
-   is a front, idempotence) plus Deb's fast non-dominated sort.  The
-   differential anchors the serving path: [Nsga2.front] is
-   bit-identical to the exact tri-objective DFS front at every K the
-   exact path covers, across seeds and repeated runs, and the
-   evolutionary path never invents a point the exact front refutes. *)
+   Three layers of guarantees.  Unit regressions pin [Pareto.knee]
+   seeding its normalization folds from the front itself (degenerate
+   and all-negative fronts).  Qcheck laws cover dominance and skyline
+   algebra (irreflexivity, skyline output is a front, idempotence)
+   plus Deb's fast non-dominated sort.  The differential anchors the
+   serving path: [Nsga2.front] is bit-identical to the exact
+   tri-objective DFS front at every K the exact path covers, across
+   seeds and repeated runs; the 2D front read off it as a skyline is
+   the exhaustive 2D skyline, bit for bit; and the evolutionary path
+   never invents a point the exact front refutes. *)
 
 module C = Cqp_core
 module Rng = Cqp_util.Rng
@@ -55,38 +54,6 @@ let test_knee_negative_front () =
   in
   Alcotest.(check bool) "knee is doi-translation invariant" true
     (C.Pareto.knee [ shift a; shift m; shift b ] = Some (shift b))
-
-(* --- greedy tie-breaking ----------------------------------------------- *)
-
-(* Two identical best items: the greedy chain must pick the lowest id,
-   deterministically, whether the shared score is finite (equal
-   positive price) or infinite (zero price — the old [max 1e-9] floor
-   turned "free" into "score depends on gain magnitude alone"). *)
-let check_greedy_singleton ~msg costs =
-  let ps =
-    Testlib.fabricate ~costs ~dois:[| 0.9; 0.9; 0.3 |]
-      ~fracs:[| 0.5; 0.5; 0.5 |] ()
-  in
-  let space = C.Space.create ~order:C.Space.By_doi ps in
-  let front = C.Pareto.greedy_front space in
-  Alcotest.(check bool) (msg ^ ": front property holds") true
-    (C.Pareto.is_front front);
-  let singletons =
-    List.filter (fun p -> List.length p.C.Pareto.pref_ids = 1) front
-  in
-  List.iter
-    (fun p ->
-      Alcotest.(check (list int)) (msg ^ ": tie broken toward lowest id") [ 0 ]
-        p.C.Pareto.pref_ids)
-    singletons;
-  Alcotest.(check bool) (msg ^ ": greedy front is deterministic") true
-    (C.Pareto.greedy_front space = front)
-
-let test_greedy_equal_cost_tie () =
-  check_greedy_singleton ~msg:"equal positive cost" [| 10.; 10.; 50. |]
-
-let test_greedy_zero_cost_tie () =
-  check_greedy_singleton ~msg:"zero cost (infinite score)" [| 0.; 0.; 50. |]
 
 (* --- qcheck laws: dominance and skylines ------------------------------- *)
 
@@ -326,6 +293,63 @@ let test_front_matches_exact_constrained () =
       exact
   done
 
+(* The 2D front is the skyline of the tri-objective one: a (doi, cost)
+   pair that nothing dominates in two objectives is the projection of
+   some point nothing dominates in three.  The reference is a skyline
+   over every feasible subset, enumerated independently of [Nsga2].
+   Ties may pick a different id set for the same pair, so the
+   (doi, cost) sequences are compared as float bits. *)
+let exhaustive_skyline ?constraints space =
+  let candidates = ref [] in
+  C.Exhaustive.iter_subsets space (fun ids _n params ->
+      if C.Pareto.feasible constraints params then
+        candidates := { C.Pareto.pref_ids = List.rev ids; params } :: !candidates);
+  C.Pareto.skyline !candidates
+
+let doi_cost_bits front =
+  List.map
+    (fun p ->
+      ( Int64.bits_of_float p.C.Pareto.params.C.Params.doi,
+        Int64.bits_of_float p.C.Pareto.params.C.Params.cost ))
+    front
+
+let check_projection ?constraints msg space =
+  let projected = C.Pareto.skyline (C.Nsga2.exact_front ?constraints space) in
+  let reference = exhaustive_skyline ?constraints space in
+  Alcotest.(check (list (pair int64 int64)))
+    (msg ^ ": skyline of exact tri front = exhaustive 2D skyline")
+    (doi_cost_bits reference) (doi_cost_bits projected)
+
+let test_projection_matches_exhaustive_skyline () =
+  for seed = 1 to 45 do
+    let rng = Rng.create (1000 + seed) in
+    let k = 4 + (seed mod 9) in
+    let space =
+      C.Space.create ~order:C.Space.By_doi (Testlib.random_space rng ~k)
+    in
+    check_projection (Printf.sprintf "seed %d (K=%d)" seed k) space
+  done;
+  let constraints = C.Params.make ~smin:10. ~smax:100000. () in
+  for seed = 1 to 10 do
+    let rng = Rng.create (7000 + seed) in
+    let space =
+      C.Space.create ~order:C.Space.By_doi (Testlib.random_space rng ~k:8)
+    in
+    check_projection ~constraints (Printf.sprintf "constrained seed %d" seed)
+      space
+  done;
+  (* Costs and dois on a 0.25 grid: every sum and noisy-or product is
+     exact, so many subsets tie on (doi, cost) and the skyline's
+     tie-breaking is what is under test. *)
+  let ties =
+    Testlib.fabricate
+      ~costs:[| 0.25; 0.5; 0.25; 0.75; 0.5; 0.25; 1.; 0.5; 0.75; 0.25 |]
+      ~dois:[| 0.25; 0.5; 0.5; 0.75; 0.25; 0.5; 0.75; 0.25; 0.5; 0.25 |]
+      ~fracs:[| 0.25; 0.5; 0.75; 0.25; 0.5; 0.75; 0.25; 0.5; 0.75; 0.5 |]
+      ()
+  in
+  check_projection "tie-heavy grid" (C.Space.create ~order:C.Space.By_doi ties)
+
 let test_evolve_consistent_with_exact () =
   (* The evolutionary path at exactly-enumerable K: deterministic
      across runs, front property holds, no point the exact front
@@ -422,13 +446,6 @@ let () =
           Alcotest.test_case "negative-doi front regression" `Quick
             test_knee_negative_front;
         ] );
-      ( "greedy",
-        [
-          Alcotest.test_case "equal-cost tie-break" `Quick
-            test_greedy_equal_cost_tie;
-          Alcotest.test_case "zero-cost tie-break" `Quick
-            test_greedy_zero_cost_tie;
-        ] );
       ( "laws",
         [
           Testlib.qc prop_dominates_irreflexive;
@@ -462,6 +479,8 @@ let () =
             test_front_matches_exact_dfs;
           Alcotest.test_case "constrained front = constrained DFS" `Quick
             test_front_matches_exact_constrained;
+          Alcotest.test_case "2D front = skyline of exact tri front" `Quick
+            test_projection_matches_exhaustive_skyline;
           Alcotest.test_case "evolve consistent with exact" `Slow
             test_evolve_consistent_with_exact;
         ] );

@@ -214,12 +214,12 @@ let request sql =
 let test_serve_basics () =
   let server = S.Serve.create (Lazy.force catalog) in
   checkb "unknown user raises" true
-    (match S.Serve.serve server (request "select title from movie") with
+    (match S.Serve.handle server (request "select title from movie") with
     | exception S.Serve.Unknown_user "u" -> true
     | _ -> false);
   S.Serve.set_profile server ~user:"u" (mk_profile 1);
-  let r1 = S.Serve.serve server (request "select title from movie") in
-  let r2 = S.Serve.serve server (request "select title from movie") in
+  let r1 = S.Serve.handle server (request "select title from movie") in
+  let r2 = S.Serve.handle server (request "select title from movie") in
   checki "served" 2 (S.Serve.requests_served server);
   let o1 = S.Serve.outcome_exn r1 and o2 = S.Serve.outcome_exn r2 in
   checkb "identical outcomes across cold/warm" true
@@ -274,36 +274,72 @@ let test_workload_load_names_offending_line () =
       (Lazy.force catalog)
   in
   let file = Filename.temp_file "cqp-workload" ".tsv" in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let req problem =
+    "req\tu00\t" ^ problem ^ "\t8\tC_Boundaries\t-\tselect title from movie"
+  in
+  let shape ?(sel = "5") ?(doi = "u:0x1p-2:0x1p-1") ?(join = "0x1p-1:0x1p+0")
+      () =
+    Printf.sprintf "user\tu00\t7\tsel=%s;doi=%s;join=%s" sel doi join
+  in
+  (* A malformed entry, then numbers that parse but mean nothing: NaN
+     bounds, doi bounds outside [0, 1] or not finite, non-finite normal
+     parameters and a negative selection count. *)
+  let bad_lines =
+    [
+      "req\tonly-two-fields";
+      req "2:cmax=nan";
+      req "4:dmin=nan";
+      shape ~doi:"u:nan:0x1p-1" ();
+      shape ~doi:"u:0x1p-1:0x1p+1" ();
+      shape ~doi:"n:nan:0x1p-3" ();
+      shape ~doi:"n:0x1p-1:infinity" ();
+      shape ~join:"0x1p-1:0x1p+1" ();
+      shape ~join:"nan:0x1p+0" ();
+      shape ~sel:"-3" ();
+    ]
+  in
+  (* Infinite constraint bounds are vacuous, hence accepted. *)
+  List.iter
+    (fun line ->
+      checkb ("accepted: " ^ line) true
+        (match S.Workload.entry_of_line line with
+        | S.Workload.Request _ -> true
+        | _ -> false))
+    [ req "2:cmax=infinity"; req "3:cmax=0x1p+9,smin=-infinity,smax=inf" ];
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       S.Workload.save file entries;
       (* Round-trip sanity before corrupting anything. *)
       checkb "save/load roundtrip" true (S.Workload.load file = entries);
-      (* Append a blank line (skipped but counted) and a malformed
-         entry: the error must carry the file and the 1-based line
-         number of the bad line, not just the parse failure. *)
-      let oc = open_out_gen [ Open_append ] 0o644 file in
-      output_string oc "\nreq\tonly-two-fields\n";
-      close_out oc;
-      let bad_line = List.length entries + 2 in
-      match S.Workload.load file with
-      | _ -> Alcotest.fail "malformed workload loaded"
-      | exception Failure msg ->
-          checkb
-            (Printf.sprintf "names file (got %S)" msg)
-            true
-            (String.length msg >= String.length file
-            && String.sub msg 0 (String.length file) = file);
-          let needle = Printf.sprintf "line %d" bad_line in
-          let contains s sub =
-            let n = String.length s and m = String.length sub in
-            let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-            go 0
-          in
-          checkb
-            (Printf.sprintf "names line %d (got %S)" bad_line msg)
-            true (contains msg needle))
+      List.iter
+        (fun bad ->
+          (* A blank line (skipped but counted) and the bad entry: the
+             error must carry the file and the 1-based line number of
+             the bad line, not just the parse failure. *)
+          S.Workload.save file entries;
+          let oc = open_out_gen [ Open_append ] 0o644 file in
+          output_string oc ("\n" ^ bad ^ "\n");
+          close_out oc;
+          let bad_line = List.length entries + 2 in
+          match S.Workload.load file with
+          | _ -> Alcotest.failf "malformed workload loaded: %S" bad
+          | exception Failure msg ->
+              checkb
+                (Printf.sprintf "names file (got %S)" msg)
+                true
+                (String.length msg >= String.length file
+                && String.sub msg 0 (String.length file) = file);
+              checkb
+                (Printf.sprintf "names line %d (got %S)" bad_line msg)
+                true
+                (contains msg (Printf.sprintf "line %d" bad_line)))
+        bad_lines)
 
 let test_workload_replay_deterministic () =
   let entries =

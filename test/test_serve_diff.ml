@@ -76,15 +76,15 @@ let test_no_stale_hit_after_update () =
   let fresh profile =
     let server = S.Serve.create ~caching:false catalog in
     S.Serve.set_profile server ~user:"u" profile;
-    observable (S.Serve.serve server request)
+    observable (S.Serve.handle server request)
   in
   let server = S.Serve.create ~caching:true catalog in
   S.Serve.set_profile server ~user:"u" profile_a;
-  let a1 = observable (S.Serve.serve server request) in
+  let a1 = observable (S.Serve.handle server request) in
   S.Serve.set_profile server ~user:"u" profile_b;
-  let b = observable (S.Serve.serve server request) in
+  let b = observable (S.Serve.handle server request) in
   S.Serve.set_profile server ~user:"u" profile_a;
-  let a2 = observable (S.Serve.serve server request) in
+  let a2 = observable (S.Serve.handle server request) in
   Alcotest.(check bool) "cold A = fresh A" true (a1 = fresh profile_a);
   Alcotest.(check bool) "post-update B = fresh B (no stale hit)" true
     (b = fresh profile_b);

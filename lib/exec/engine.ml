@@ -11,20 +11,133 @@ type result = {
   block_reads : int;
 }
 
+(* Tuples as hash keys under [Value.equal]; equality walks the cells
+   without allocating. *)
 module Tuple_tbl = Hashtbl.Make (struct
   type t = Tuple.t
 
-  let equal = Tuple.equal
+  let equal a b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && Value.equal a.(!i) b.(!i) do
+      incr i
+    done;
+    !i = n
+
   let hash = Tuple.hash
 end)
 
+module Value_tbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
 let fail msg = raise (Runtime_error msg)
+
+(* --- row-id batches ---------------------------------------------------- *)
+
+(* Growable int array, for batch positions whose count is not known up
+   front. *)
+module Positions = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = Array.make 16 0; len = 0 }
+
+  let add b x =
+    if b.len = Array.length b.data then begin
+      let bigger = Array.make (2 * b.len) 0 in
+      Array.blit b.data 0 bigger 0 b.len;
+      b.data <- bigger
+    end;
+    b.data.(b.len) <- x;
+    b.len <- b.len + 1
+
+  let contents b = Array.sub b.data 0 b.len
+end
+
+(* The rows of a join prefix as row ids: row [i] of [len] combines, for
+   each of the prefix's sources [s], row [ids.(s).(i)] of [rows.(s)]
+   ([All]: row [i] itself, a source no filter or join has narrowed).
+   [header] concatenates the sources' headers, [widths.(s)] columns
+   each.  Filters and joins only move ids; projection builds the
+   output tuples. *)
+type ids = All | Ids of int array
+
+type batch = {
+  header : Rowset.col list;
+  widths : int array;
+  rows : Tuple.t array array;
+  ids : ids array;
+  len : int;
+}
+
+let batch_of header rows =
+  {
+    header;
+    widths = [| List.length header |];
+    rows = [| rows |];
+    ids = [| All |];
+    len = Array.length rows;
+  }
+
+(* Header position [p] as a (source, column) slot, read through the
+   row ids. *)
+let column b p =
+  let rec slot s c =
+    if c < b.widths.(s) then (s, c) else slot (s + 1) (c - b.widths.(s))
+  in
+  let s, c = slot 0 p in
+  let rows = b.rows.(s) in
+  match b.ids.(s) with
+  | All -> fun i -> rows.(i).(c)
+  | Ids ids -> fun i -> rows.(ids.(i)).(c)
+
+(* A column reference resolves once, against the header the batch's
+   rows would have as concatenated tuples. *)
+let scope b : int Eval.scope =
+ fun q name -> column b (Rowset.find_col b.header q name)
+
+(* The rows at [positions], in that order. *)
+let pick b positions =
+  {
+    b with
+    ids =
+      Array.map
+        (function
+          | All -> Ids positions
+          | Ids ids -> Ids (Array.map (fun i -> ids.(i)) positions))
+        b.ids;
+    len = Array.length positions;
+  }
+
+let filter b p =
+  let keep = Eval.predicate (Eval.scalar (scope b)) p in
+  let kept = Positions.create () in
+  for i = 0 to b.len - 1 do
+    if keep i then Positions.add kept i
+  done;
+  if kept.len = b.len then b else pick b (Positions.contents kept)
+
+(* [acc] joined with the one-source batch [r]: output row [x] pairs
+   [acc]'s row [left.(x)] with [r]'s row [right.(x)]. *)
+let extend acc r left right =
+  {
+    header = acc.header @ r.header;
+    widths = Array.append acc.widths r.widths;
+    rows = Array.append acc.rows r.rows;
+    ids = Array.append (pick acc left).ids (pick r right).ids;
+    len = Array.length left;
+  }
 
 (* --- physical operators --------------------------------------------- *)
 
 (* Full scan of a base relation: every block is charged, matching the
    paper's cost model. *)
-let scan io name rel header =
+let scan io name rel =
   Cqp_obs.Trace.with_span ~name:"engine.scan"
     ~attrs:(fun () ->
       [
@@ -34,180 +147,76 @@ let scan io name rel header =
       ])
   @@ fun () ->
   Io.charge_scan io rel;
-  Rowset.make header (Relation.to_array rel)
+  Relation.to_array rel
 
-let filter rs p = Rowset.filter rs (fun row -> Eval.predicate rs row p)
+let cartesian acc r =
+  let na = acc.len and nb = r.len in
+  extend acc r
+    (Array.init (na * nb) (fun x -> x / nb))
+    (Array.init (na * nb) (fun x -> x mod nb))
 
-(* Cross product into one exactly-sized output array: no nested
-   intermediate lists. *)
-let cartesian a b =
-  let cols = Rowset.product_cols a b in
-  let ra = a.Rowset.rows and rb = b.Rowset.rows in
-  let na = Array.length ra and nb = Array.length rb in
-  let rows = Array.make (na * nb) [||] in
-  for i = 0 to na - 1 do
-    let left = ra.(i) in
-    let base = i * nb in
-    for j = 0 to nb - 1 do
-      rows.(base + j) <- Tuple.concat left rb.(j)
-    done
-  done;
-  Rowset.make cols rows
-
-(* Hash join on the given equi-key column index pairs
-   [(left_idx, right_idx)].  NULL keys never match.  Keys are built
-   straight into an array ([Array.map] over an int-array of column
-   indexes) — one allocation per probed row, no intermediate list —
-   and matches append into a row builder instead of concatenated
-   per-probe lists. *)
-let hash_join a b keys =
-  let cols = Rowset.product_cols a b in
-  let left_idxs = Array.of_list (List.map fst keys)
-  and right_idxs = Array.of_list (List.map snd keys) in
-  let key_of row idxs = Array.map (fun i -> row.(i)) idxs in
-  let table = Tuple_tbl.create (max 16 (Rowset.cardinality b)) in
-  Array.iter
-    (fun rb ->
-      let k = key_of rb right_idxs in
-      if not (Array.exists Value.is_null k) then
-        match Tuple_tbl.find_opt table k with
-        | Some bucket -> bucket := rb :: !bucket
-        | None -> Tuple_tbl.add table k (ref [ rb ]))
-    b.Rowset.rows;
-  (* Buckets accumulate newest-first; one flip restores [b]'s storage
-     order for every probe. *)
-  Tuple_tbl.iter (fun _ bucket -> bucket := List.rev !bucket) table;
-  let out = Rowset.Builder.create ~hint:(Array.length a.Rowset.rows) () in
-  Array.iter
-    (fun ra ->
-      let k = key_of ra left_idxs in
-      if not (Array.exists Value.is_null k) then
-        match Tuple_tbl.find_opt table k with
-        | Some bucket ->
-            List.iter
-              (fun rb -> Rowset.Builder.add out (Tuple.concat ra rb))
-              !bucket
-        | None -> ())
-    a.Rowset.rows;
-  Rowset.make cols (Rowset.Builder.contents out)
-
-(* --- aggregation ----------------------------------------------------- *)
-
-let numeric_fold f init rows eval_arg =
-  let acc = ref init and seen = ref false in
-  List.iter
-    (fun row ->
-      match Value.to_float (eval_arg row) with
-      | Some x ->
-          acc := f !acc x;
-          seen := true
-      | None -> ())
-    rows;
-  if !seen then Some !acc else None
-
-(* Evaluate an expression in group context: [rows] are the group
-   members, [rep] a representative row for aggregate-free parts. *)
-let rec eval_group rs rows rep e =
-  match e with
-  | Col _ | Lit _ -> Eval.scalar rs rep e
-  | Count_star -> Value.Int (List.length rows)
-  | Count arg ->
-      let n =
-        List.length
-          (List.filter
-             (fun row -> not (Value.is_null (eval_group rs rows row arg)))
-             rows)
-      in
-      Value.Int n
-  | Sum arg -> (
-      match
-        numeric_fold ( +. ) 0. rows (fun row ->
-            eval_group rs rows row arg)
-      with
-      | Some s -> Value.Float s
-      | None -> Value.Null)
-  | Avg arg -> (
-      let vals =
-        List.filter_map
-          (fun row -> Value.to_float (eval_group rs rows row arg))
-          rows
-      in
-      match vals with
-      | [] -> Value.Null
-      | _ ->
-          Value.Float
-            (List.fold_left ( +. ) 0. vals /. float_of_int (List.length vals)))
-  | Min arg ->
-      List.fold_left
-        (fun best row ->
-          let v = eval_group rs rows row arg in
-          if Value.is_null v then best
-          else
-            match best with
-            | Value.Null -> v
-            | b -> if Value.compare v b < 0 then v else b)
-        Value.Null rows
-  | Max arg ->
-      List.fold_left
-        (fun best row ->
-          let v = eval_group rs rows row arg in
-          if Value.is_null v then best
-          else
-            match best with
-            | Value.Null -> v
-            | b -> if Value.compare v b > 0 then v else b)
-        Value.Null rows
-
-let eval_group_pred rs rows rep p =
-  let rec go = function
-    | True -> Some true
-    | Cmp (op, l, r) ->
-        Eval.compare_values op (eval_group rs rows rep l)
-          (eval_group rs rows rep r)
-    | And (a, b) -> (
-        match go a, go b with
-        | Some false, _ | _, Some false -> Some false
-        | Some true, Some true -> Some true
-        | _ -> None)
-    | Or (a, b) -> (
-        match go a, go b with
-        | Some true, _ | _, Some true -> Some true
-        | Some false, Some false -> Some false
-        | _ -> None)
-    | Not q -> Option.map not (go q)
-    | In_list (e, vs) ->
-        let v = eval_group rs rows rep e in
-        if Value.is_null v then None
-        else Some (List.exists (fun x -> Value.equal v x) vs)
-    | Like (e, pat) -> (
-        match eval_group rs rows rep e with
-        | Value.Null -> None
-        | v -> Some (Eval.like_match ~pattern:pat (Value.to_string v)))
-    | Is_null e -> Some (Value.is_null (eval_group rs rows rep e))
-    | Is_not_null e ->
-        Some (not (Value.is_null (eval_group rs rows rep e)))
+(* Hash join on (left, right) header positions.  It builds on [r],
+   probes in [acc]'s order and emits each probe's matches in [r]'s
+   order, so rows come out as a nested loop would produce them.  The
+   table hashes the first key; a match must agree on the others too.
+   NULL keys never match. *)
+let hash_join acc r keys =
+  let left = Array.of_list (List.map (fun (p, _) -> column acc p) keys)
+  and right = Array.of_list (List.map (fun (_, p) -> column r p) keys) in
+  let n_keys = Array.length left in
+  let rec no_null cols i c =
+    c = n_keys || ((not (Value.is_null (cols.(c) i))) && no_null cols i (c + 1))
   in
-  go p = Some true
+  let rec agree i j c =
+    c = n_keys || (Value.equal (left.(c) i) (right.(c) j) && agree i j (c + 1))
+  in
+  (* [first] maps a key to its first row in [r]; [next] chains each row
+     to the next one with the same key. *)
+  let nb = r.len in
+  let first = Value_tbl.create (max 16 nb) and next = Array.make nb (-1) in
+  for j = nb - 1 downto 0 do
+    if no_null right j 0 then
+      let k = right.(0) j in
+      match Value_tbl.find first k with
+      | head ->
+          next.(j) <- !head;
+          head := j
+      | exception Not_found -> Value_tbl.add first k (ref j)
+  done;
+  let na = acc.len in
+  let lpos = Positions.create () and rpos = Positions.create () in
+  for i = 0 to na - 1 do
+    if no_null left i 0 then
+      match Value_tbl.find first (left.(0) i) with
+      | head ->
+          let j = ref !head in
+          while !j >= 0 do
+            if agree i !j 1 then begin
+              Positions.add lpos i;
+              Positions.add rpos !j
+            end;
+            j := next.(!j)
+          done
+      | exception Not_found -> ()
+  done;
+  extend acc r (Positions.contents lpos) (Positions.contents rpos)
 
 (* --- plan interpretation --------------------------------------------- *)
 
 let rec exec_plan io : Explain.t -> Rowset.t = function
   | Plan_select b -> exec_block io b
   | Plan_union [] -> fail "empty UNION"
-  | Plan_union (first :: rest) ->
-      List.fold_left
-        (fun acc sub -> Rowset.append acc (exec_plan io sub))
-        (exec_plan io first) rest
+  | Plan_union plans -> Rowset.concat (List.map (exec_plan io) plans)
 
 (* A source's rows under its plan header, with its pushed-down
    conjuncts applied. *)
 and load io (s : Explain.source_plan) =
   let rows =
     match s.input with
-    | Base (name, rel) -> scan io name rel s.header
-    | Derived sub -> Rowset.make s.header (exec_plan io sub).Rowset.rows
+    | Base (name, rel) -> scan io name rel
+    | Derived sub -> (exec_plan io sub).Rowset.rows
   in
-  List.fold_left filter rows s.pushed_down
+  List.fold_left filter (batch_of s.header rows) s.pushed_down
 
 and exec_block io (b : Explain.block_plan) : Rowset.t =
   (* 1. Sources, each filtered by its pushed-down conjuncts. *)
@@ -218,115 +227,107 @@ and exec_block io (b : Explain.block_plan) : Rowset.t =
     | [] -> fail "empty FROM"
     | first :: rest ->
         List.fold_left2
-          (fun acc rs (j : Explain.join_step) ->
+          (fun acc r (j : Explain.join_step) ->
             let joined =
               match j.method_ with
               | `Cartesian ->
                   Cqp_obs.Trace.with_span ~name:"engine.cartesian"
                     ~attrs:(fun () ->
                       [
-                        Cqp_obs.Attr.int "left_rows" (Rowset.cardinality acc);
-                        Cqp_obs.Attr.int "right_rows" (Rowset.cardinality rs);
+                        Cqp_obs.Attr.int "left_rows" acc.len;
+                        Cqp_obs.Attr.int "right_rows" r.len;
                       ])
-                    (fun () -> cartesian acc rs)
+                    (fun () -> cartesian acc r)
               | `Hash keys ->
                   Cqp_obs.Trace.with_span ~name:"engine.hash_join"
                     ~attrs:(fun () ->
                       [
                         Cqp_obs.Attr.int "keys" (List.length keys);
-                        Cqp_obs.Attr.int "left_rows" (Rowset.cardinality acc);
-                        Cqp_obs.Attr.int "right_rows" (Rowset.cardinality rs);
+                        Cqp_obs.Attr.int "left_rows" acc.len;
+                        Cqp_obs.Attr.int "right_rows" r.len;
                       ])
-                    (fun () -> hash_join acc rs (List.map snd keys))
+                    (fun () -> hash_join acc r (List.map snd keys))
             in
             List.fold_left filter joined j.post_filters)
           first rest b.joins
   in
   (* 3. Residual filters. *)
   let filtered = List.fold_left filter joined b.residual in
+  let ctx = scope filtered and n = filtered.len in
   (* 4. Projection / aggregation.  Each output row is paired with its
-     ORDER BY key values, evaluated while the pre-projection context is
-     still available (SQL permits ordering by non-output columns). *)
-  let out_rs_empty = Rowset.make b.cols [||] in
-  let order_keys_of out_row eval_in_context =
-    List.map
-      (fun (e, _) ->
-        match Eval.scalar out_rs_empty out_row e with
-        | v -> v
-        | exception Eval.Eval_error _ -> (
-            match eval_in_context e with
+     ORDER BY key values: a key reads the output row, or else the
+     pre-projection context (SQL permits ordering by non-output
+     columns), or else is NULL. *)
+  let order_keys in_context =
+    let keys =
+      List.map
+        (fun (e, _) ->
+          let on_output = Eval.scalar (Eval.tuple_scope b.cols) e
+          and in_context = in_context e in
+          fun out_row c ->
+            match on_output out_row with
             | v -> v
-            | exception Eval.Eval_error _ -> Value.Null))
-      b.order_by
+            | exception Eval.Eval_error _ -> (
+                match in_context c with
+                | v -> v
+                | exception Eval.Eval_error _ -> Value.Null))
+        b.order_by
+    in
+    fun out_row c -> List.map (fun key -> key out_row c) keys
   in
   let projected =
     match b.aggregate with
     | None ->
-        Array.map
-          (fun row ->
-            let out_row =
-              Array.of_list
-                (List.map (fun e -> Eval.scalar filtered row e) b.outputs)
-            in
-            (out_row, order_keys_of out_row (Eval.scalar filtered row)))
-          filtered.Rowset.rows
+        let outputs = Array.of_list (List.map (Eval.scalar ctx) b.outputs) in
+        let keys = order_keys (Eval.scalar ctx) in
+        Array.init n (fun i ->
+            let out_row = Array.map (fun f -> f i) outputs in
+            (out_row, keys out_row i))
     | Some (group_by, having) ->
         Cqp_obs.Trace.with_span ~name:"engine.aggregate"
           ~attrs:(fun () ->
             [
-              Cqp_obs.Attr.int "input_rows" (Rowset.cardinality filtered);
+              Cqp_obs.Attr.int "input_rows" n;
               Cqp_obs.Attr.int "group_by" (List.length group_by);
             ])
         @@ fun () ->
-        let groups = Tuple_tbl.create 64 in
-        let order = ref [] in
-        Array.iter
-          (fun row ->
-            let key =
-              Array.of_list
-                (List.map (fun e -> Eval.scalar filtered row e) group_by)
-            in
-            match Tuple_tbl.find_opt groups key with
-            | Some rows_ref -> rows_ref := row :: !rows_ref
-            | None ->
-                Tuple_tbl.add groups key (ref [ row ]);
-                order := key :: !order)
-          filtered.Rowset.rows;
-        (* no GROUP BY: one implicit group, even over an empty input *)
-        let keys = if group_by = [] then [ [||] ] else List.rev !order in
-        let group_rows key =
-          if group_by = [] then Rowset.to_list filtered
-          else
-            match Tuple_tbl.find_opt groups key with
-            | Some r -> List.rev !r
-            | None -> []
+        (* Each group's member positions, groups in first-seen order. *)
+        let groups =
+          if group_by = [] then
+            (* one implicit group, even over an empty input *)
+            [ Array.init n Fun.id ]
+          else begin
+            let key_of = Array.of_list (List.map (Eval.scalar ctx) group_by) in
+            let table = Tuple_tbl.create 64 and order = ref [] in
+            for i = 0 to n - 1 do
+              let key = Array.map (fun f -> f i) key_of in
+              match Tuple_tbl.find_opt table key with
+              | Some members -> members := i :: !members
+              | None ->
+                  let members = ref [ i ] in
+                  Tuple_tbl.add table key members;
+                  order := members :: !order
+            done;
+            List.rev_map (fun members -> Array.of_list (List.rev !members)) !order
+          end
         in
-        let rows =
-          List.filter_map
-            (fun key ->
-              let rows = group_rows key in
-              let rep =
-                match rows with
-                | r :: _ -> r
-                | [] -> Array.make (Rowset.arity filtered) Value.Null
-              in
-              let keep =
-                match having with
-                | None -> true
-                | Some p -> eval_group_pred filtered rows rep p
-              in
-              if keep then begin
-                let out_row =
-                  Array.of_list
-                    (List.map (fun e -> eval_group filtered rows rep e) b.outputs)
-                in
-                Some
-                  (out_row, order_keys_of out_row (eval_group filtered rows rep))
-              end
-              else None)
-            keys
+        let in_group e =
+          let g = Eval.grouped ctx e in
+          fun (members, rep) -> g members rep
         in
-        Array.of_list rows
+        let keep = Option.map (Eval.predicate in_group) having in
+        let outputs = Array.of_list (List.map (Eval.grouped ctx) b.outputs) in
+        let keys = order_keys in_group in
+        List.filter_map
+          (fun members ->
+            let rep = if Array.length members = 0 then None else Some members.(0) in
+            let kept = match keep with None -> true | Some p -> p (members, rep) in
+            if kept then
+              let out_row = Array.map (fun f -> f members rep) outputs in
+              Some (out_row, keys out_row (members, rep))
+            else None)
+          groups
+        |> Array.of_list
   in
   (* 5. DISTINCT (on output rows only, keeping the first occurrence). *)
   let deduped =

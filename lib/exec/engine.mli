@@ -1,10 +1,13 @@
 (** Query execution.
 
-    A rule-based planner turns the SQL AST into a left-deep pipeline of
-    materialized physical operators: base-table scan (charging block
-    I/O), selection pushdown, hash equi-join (cartesian product as a
-    fallback), residual filters, hash aggregation with HAVING, DISTINCT,
-    ORDER BY, LIMIT, and bag UNION ALL.
+    A rule-based planner ({!Explain}) turns the SQL AST into a
+    left-deep pipeline of materialized physical operators: base-table
+    scan (charging block I/O), selection pushdown, hash equi-join
+    (cartesian product as a fallback), residual filters, hash
+    aggregation with HAVING, DISTINCT, ORDER BY, LIMIT, and bag UNION
+    ALL.  Column references are resolved once per query into closures;
+    filters and joins pass row ids, and only output rows are built as
+    tuples.
 
     Every base relation touched by a (sub-)query is scanned exactly
     once, matching the paper's cost assumptions, so

@@ -3,16 +3,78 @@ module Value = Cqp_relal.Value
 
 exception Eval_error of string
 
-let scalar rs row e =
-  let go = function
-    | Col (q, name) -> (
-        try row.(Rowset.find_col rs q name)
-        with Rowset.Column_error msg -> raise (Eval_error msg))
-    | Lit v -> v
-    | Count_star | Count _ | Min _ | Max _ | Sum _ | Avg _ ->
-        raise (Eval_error "aggregate in row context")
-  in
-  go e
+type 'r scope = string option -> string -> 'r -> Value.t
+
+let tuple_scope cols q name =
+  let i = Rowset.find_col cols q name in
+  fun (row : Cqp_relal.Tuple.t) -> row.(i)
+
+let scalar scope = function
+  | Col (q, name) -> (
+      match scope q name with
+      | get -> get
+      | exception Rowset.Column_error msg -> fun _ -> raise (Eval_error msg))
+  | Lit v -> fun _ -> v
+  | Count_star | Count _ | Min _ | Max _ | Sum _ | Avg _ ->
+      fun _ -> raise (Eval_error "aggregate in row context")
+
+(* An aggregate's argument is itself evaluated in group context, with
+   each member in turn as the representative row. *)
+let rec grouped scope = function
+  | Col (q, name) -> (
+      match scope q name with
+      | get -> (
+          fun _ rep -> match rep with Some row -> get row | None -> Value.Null)
+      | exception Rowset.Column_error msg -> fun _ _ -> raise (Eval_error msg))
+  | Lit v -> fun _ _ -> v
+  | Count_star -> fun members _ -> Value.Int (Array.length members)
+  | Count arg ->
+      let arg = grouped scope arg in
+      fun members _ ->
+        Value.Int
+          (Array.fold_left
+             (fun n m -> if Value.is_null (arg members (Some m)) then n else n + 1)
+             0 members)
+  | Sum arg ->
+      let sum = numeric scope arg in
+      fun members _ ->
+        let s, n = sum members in
+        if n = 0 then Value.Null else Value.Float s
+  | Avg arg ->
+      let sum = numeric scope arg in
+      fun members _ ->
+        let s, n = sum members in
+        if n = 0 then Value.Null else Value.Float (s /. float_of_int n)
+  | Min arg -> extremum scope arg (fun c -> c < 0)
+  | Max arg -> extremum scope arg (fun c -> c > 0)
+
+(* Sum and count of the argument's numeric values, in member order. *)
+and numeric scope arg =
+  let arg = grouped scope arg in
+  fun members ->
+    let s = ref 0. and n = ref 0 in
+    Array.iter
+      (fun m ->
+        match Value.to_float (arg members (Some m)) with
+        | Some x ->
+            s := !s +. x;
+            incr n
+        | None -> ())
+      members;
+    (!s, !n)
+
+and extremum scope arg better =
+  let arg = grouped scope arg in
+  fun members _ ->
+    Array.fold_left
+      (fun best m ->
+        let v = arg members (Some m) in
+        if Value.is_null v then best
+        else
+          match best with
+          | Value.Null -> v
+          | b -> if better (Value.compare v b) then v else b)
+      Value.Null members
 
 let like_match ~pattern s =
   let np = String.length pattern and ns = String.length s in
@@ -31,11 +93,16 @@ let like_match ~pattern s =
   in
   go 0 0 (-1) (-1)
 
+(* Kleene truth values. *)
+type truth = Yes | No | Unknown
+
+let of_bool b = if b then Yes else No
+
 let compare_values op a b =
-  if Value.is_null a || Value.is_null b then None
+  if Value.is_null a || Value.is_null b then Unknown
   else
     let c = Value.compare a b in
-    Some
+    of_bool
       (match op with
       | Eq -> c = 0
       | Neq -> c <> 0
@@ -44,41 +111,55 @@ let compare_values op a b =
       | Gt -> c > 0
       | Ge -> c >= 0)
 
-(* Kleene connectives over [bool option]. *)
 let kand a b =
   match a, b with
-  | Some false, _ | _, Some false -> Some false
-  | Some true, Some true -> Some true
-  | _ -> None
+  | No, _ | _, No -> No
+  | Yes, Yes -> Yes
+  | _ -> Unknown
 
 let kor a b =
   match a, b with
-  | Some true, _ | _, Some true -> Some true
-  | Some false, Some false -> Some false
-  | _ -> None
+  | Yes, _ | _, Yes -> Yes
+  | No, No -> No
+  | _ -> Unknown
 
-let knot = function
-  | Some b -> Some (not b)
-  | None -> None
+let knot = function Yes -> No | No -> Yes | Unknown -> Unknown
 
-let predicate rs row p =
+let predicate expr p =
   let rec go = function
-    | True -> Some true
-    | Cmp (op, l, r) -> compare_values op (scalar rs row l) (scalar rs row r)
-    | And (a, b) -> kand (go a) (go b)
-    | Or (a, b) -> kor (go a) (go b)
-    | Not q -> knot (go q)
+    | True -> fun _ -> Yes
+    | Cmp (op, l, r) ->
+        let l = expr l and r = expr r in
+        fun row -> compare_values op (l row) (r row)
+    | And (a, b) ->
+        let a = go a and b = go b in
+        fun row -> kand (a row) (b row)
+    | Or (a, b) ->
+        let a = go a and b = go b in
+        fun row -> kor (a row) (b row)
+    | Not q ->
+        let q = go q in
+        fun row -> knot (q row)
     | In_list (e, vs) ->
-        let v = scalar rs row e in
-        if Value.is_null v then None
-        else if List.exists (fun x -> Value.equal v x) vs then Some true
-        else if List.exists Value.is_null vs then None
-        else Some false
-    | Like (e, pat) -> (
-        match scalar rs row e with
-        | Value.Null -> None
-        | v -> Some (like_match ~pattern:pat (Value.to_string v)))
-    | Is_null e -> Some (Value.is_null (scalar rs row e))
-    | Is_not_null e -> Some (not (Value.is_null (scalar rs row e)))
+        let e = expr e and has_null = List.exists Value.is_null vs in
+        fun row ->
+          let v = e row in
+          if Value.is_null v then Unknown
+          else if List.exists (fun x -> Value.equal v x) vs then Yes
+          else if has_null then Unknown
+          else No
+    | Like (e, pattern) -> (
+        let e = expr e in
+        fun row ->
+          match e row with
+          | Value.Null -> Unknown
+          | v -> of_bool (like_match ~pattern (Value.to_string v)))
+    | Is_null e ->
+        let e = expr e in
+        fun row -> of_bool (Value.is_null (e row))
+    | Is_not_null e ->
+        let e = expr e in
+        fun row -> of_bool (not (Value.is_null (e row)))
   in
-  go p = Some true
+  let p = go p in
+  fun row -> match p row with Yes -> true | No | Unknown -> false

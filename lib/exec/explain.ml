@@ -50,10 +50,10 @@ let rec output_cols = function
 
 (* --- column resolution against headers -------------------------------- *)
 
-(* Header-only rowsets resolve columns by exactly the rules [Eval]
-   applies to rows. *)
+(* Headers resolve columns by exactly the rules [Engine] compiles
+   them with. *)
 let find cols (q, n) =
-  match Rowset.find_col (Rowset.make cols [||]) q n with
+  match Rowset.find_col cols q n with
   | i -> Some i
   | exception Rowset.Column_error _ -> None
 

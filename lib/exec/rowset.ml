@@ -15,7 +15,7 @@ let to_list t = Array.to_list t.rows
 let arity t = List.length t.cols
 let cardinality t = Array.length t.rows
 
-let find_col t qualifier name =
+let find_col cols qualifier name =
   let name = String.lowercase_ascii name in
   let qualifier = Option.map String.lowercase_ascii qualifier in
   let matches c =
@@ -24,7 +24,7 @@ let find_col t qualifier name =
     match qualifier with None -> true | Some q -> c.qualifier = Some q
   in
   let hits =
-    List.concat (List.mapi (fun i c -> if matches c then [ i ] else []) t.cols)
+    List.concat (List.mapi (fun i c -> if matches c then [ i ] else []) cols)
   in
   match hits with
   | [ i ] -> i
@@ -38,38 +38,14 @@ let find_col t qualifier name =
       raise
         (Column_error (Printf.sprintf "ambiguous column reference %s" name))
 
-let append a b =
-  if arity a <> arity b then
-    raise (Column_error "append: arity mismatch between union branches");
-  { cols = a.cols; rows = Array.append a.rows b.rows }
+let concat = function
+  | [] -> invalid_arg "Rowset.concat: no rowsets"
+  | first :: _ as all ->
+      if List.exists (fun t -> arity t <> arity first) all then
+        raise (Column_error "append: arity mismatch between union branches");
+      { cols = first.cols; rows = Array.concat (List.map (fun t -> t.rows) all) }
 
 let product_cols a b = a.cols @ b.cols
-
-(* Growable row batch for operators whose output size is unknown up
-   front (filters, hash-join probes): amortized O(1) append into a
-   doubling array, one [Array.sub] at the end — no per-row list cell. *)
-module Builder = struct
-  type builder = { mutable data : Cqp_relal.Tuple.t array; mutable len : int }
-
-  let create ?(hint = 16) () = { data = Array.make (max 1 hint) [||]; len = 0 }
-
-  let add b row =
-    if b.len = Array.length b.data then begin
-      let bigger = Array.make (max 16 (2 * b.len)) [||] in
-      Array.blit b.data 0 bigger 0 b.len;
-      b.data <- bigger
-    end;
-    b.data.(b.len) <- row;
-    b.len <- b.len + 1
-
-  let contents b =
-    if b.len = Array.length b.data then b.data else Array.sub b.data 0 b.len
-end
-
-let filter t p =
-  let b = Builder.create ~hint:(Array.length t.rows) () in
-  Array.iter (fun row -> if p row then Builder.add b row) t.rows;
-  { cols = t.cols; rows = Builder.contents b }
 
 let pp ppf t =
   let header =

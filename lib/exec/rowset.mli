@@ -2,8 +2,9 @@
 
     A rowset is a materialized batch of rows with a column header that
     records, for every column, the FROM-binding alias it came from (if
-    any) and its name.  Rows live in a flat array — operators run
-    array-at-a-time over it instead of walking per-tuple list cells.
+    any) and its name.  Rows live in a flat array.  A rowset is what a
+    query block returns; inside a block {!Engine} moves row ids into its
+    sources' arrays instead.
     Column lookup mirrors SQL scoping: a qualified reference matches
     alias + name; an unqualified one must match a unique name. *)
 
@@ -23,28 +24,18 @@ val to_list : t -> Cqp_relal.Tuple.t list
 val arity : t -> int
 val cardinality : t -> int
 
-val find_col : t -> string option -> string -> int
-(** Index of the referenced column.
+val find_col : col list -> string option -> string -> int
+(** Index of the referenced column in a header.
     @raise Column_error when missing or ambiguous. *)
 
-val append : t -> t -> t
-(** Bag union; headers must agree in arity (the first header wins). *)
+val concat : t list -> t
+(** Bag union in one copy; headers must agree in arity (the first
+    header wins).
+    @raise Column_error on an arity mismatch.
+    @raise Invalid_argument on an empty list. *)
 
 val product_cols : t -> t -> col list
 (** Header of a join/product of the two rowsets. *)
-
-val filter : t -> (Cqp_relal.Tuple.t -> bool) -> t
-(** Keep the rows satisfying the predicate (batch filter, one output
-    array). *)
-
-(** Growable row batch used by operators with unknown output size. *)
-module Builder : sig
-  type builder
-
-  val create : ?hint:int -> unit -> builder
-  val add : builder -> Cqp_relal.Tuple.t -> unit
-  val contents : builder -> Cqp_relal.Tuple.t array
-end
 
 val pp : Format.formatter -> t -> unit
 (** Tabular rendering of header and rows (for examples and the CLI). *)

@@ -140,23 +140,21 @@ let reference_execute q =
           (Rowset.of_list [] [ [||] ])
           source_rowsets
       in
+      let scope = Eval.tuple_scope product.Rowset.cols in
       let filtered =
         match b.Ast.where with
         | None -> Rowset.to_list product
         | Some p ->
-            List.filter
-              (fun row -> Eval.predicate product row p)
-              (Rowset.to_list product)
+            List.filter (Eval.predicate (Eval.scalar scope) p) (Rowset.to_list product)
       in
-      List.map
-        (fun row ->
-          List.map
-            (function
-              | Ast.Item (e, _) -> Eval.scalar product row e
-              | Ast.Star -> assert false)
-            b.Ast.items
-          |> Array.of_list)
-        filtered
+      let outputs =
+        List.map
+          (function
+            | Ast.Item (e, _) -> Eval.scalar scope e
+            | Ast.Star -> assert false)
+          b.Ast.items
+      in
+      List.map (fun row -> Array.of_list (List.map (fun f -> f row) outputs)) filtered
 
 (* Reference DISTINCT / ORDER BY / LIMIT on top of [reference_execute].
    Only queries whose ORDER BY is a prefix-free list of exactly the
@@ -248,6 +246,11 @@ let duplicate_row_cases =
      order by r1.s, u1.s desc limit 6";
     (* no limit: full ordered duplicate-bearing output *)
     "select t1.c from t t1 order by t1.c desc";
+    (* two-key hash joins, the first key with NULLs in one order *)
+    "select r1.a, r2.b from r r1, r r2 where r1.a = r2.a and r1.b = r2.b \
+     order by r1.a, r2.b";
+    "select r1.s, r2.a from r r1, r r2 where r1.b = r2.b and r1.s = r2.s \
+     order by r1.s desc, r2.a";
   ]
 
 let test_duplicate_rows_ordered () =
@@ -264,75 +267,123 @@ let test_duplicate_rows_ordered () =
 
 (* --- aggregation differential ------------------------------------------ *)
 
-(* Reference for single-table GROUP BY queries: partition rows by the
-   key column, aggregate naively. *)
-let reference_group_by ~rel ~key_idx ~agg_col_idx rows =
+(* Grouped queries [select k, count( * ), sum(v) ... group by k order by
+   k] over three FROM shapes: table [r] alone, the join of [r] and [t]
+   on [a], and a derived table (optionally a UNION ALL of [r] and [t],
+   the personalized wrapper's shape).  Each shape also yields its input
+   as (k, v) pairs, computed naively from the base relations. *)
+type group_shape = Single | Join | Derived of { union : bool }
+
+let base_rows name =
+  Cqp_relal.Relation.to_list (Cqp_relal.Catalog.get catalog name)
+
+let int_at row i = match Tuple.get row i with V.Int x -> Some x | _ -> None
+
+let group_input shape ~excluded =
+  let kept row = int_at row 0 <> Some excluded in
+  let pairs name v_idx =
+    List.filter_map
+      (fun row -> if kept row then Some (Tuple.get row 0, Tuple.get row v_idx) else None)
+      (base_rows name)
+  in
+  match shape with
+  | Single | Derived { union = false } -> pairs "r" 1
+  | Derived { union = true } -> pairs "r" 1 @ pairs "t" 1
+  | Join ->
+      List.concat_map
+        (fun r1 ->
+          if not (kept r1) then []
+          else
+            List.filter_map
+              (fun t1 ->
+                if V.equal (Tuple.get r1 0) (Tuple.get t1 0) then
+                  Some (Tuple.get r1 0, Tuple.get t1 1)
+                else None)
+              (base_rows "t"))
+        (base_rows "r")
+
+let group_sql shape ~excluded ~having =
+  let where col = Printf.sprintf " where %s <> %d" col excluded in
+  let from, k, v =
+    match shape with
+    | Single -> ("r" ^ where "a", "a", "b")
+    | Join ->
+        ( Printf.sprintf "r r1, t t1 where r1.a = t1.a and r1.a <> %d" excluded,
+          "r1.a",
+          "t1.c" )
+    | Derived { union } ->
+        ( Printf.sprintf "(select a, b from r%s%s) d" (where "a")
+            (if union then " union all select a, c from t" ^ where "a" else ""),
+          "d.a",
+          "d.b" )
+  in
+  Printf.sprintf "select %s, count(*), sum(%s) from %s group by %s%s order by %s"
+    k v from k having k
+
+(* Partition (k, v) pairs by k: each group's key, size and the sum of
+   its non-NULL values (None when there are none), sorted by key. *)
+let reference_group_by pairs =
   let groups = Hashtbl.create 16 in
   List.iter
-    (fun row ->
-      let key = V.to_sql (Tuple.get row key_idx) in
-      let existing = try Hashtbl.find groups key with Not_found -> [] in
-      Hashtbl.replace groups key (row :: existing))
-    rows;
-  ignore rel;
+    (fun (k, v) ->
+      let key = V.to_sql k in
+      let existing = try snd (Hashtbl.find groups key) with Not_found -> [] in
+      Hashtbl.replace groups key (k, v :: existing))
+    pairs;
   Hashtbl.fold
-    (fun _ group acc ->
-      let count = List.length group in
-      let vals =
-        List.filter_map (fun r -> V.to_float (Tuple.get r agg_col_idx)) group
+    (fun _ (k, vs) acc ->
+      let vals = List.filter_map V.to_float vs in
+      let sum =
+        match vals with [] -> None | _ -> Some (List.fold_left ( +. ) 0. vals)
       in
-      let sum = List.fold_left ( +. ) 0. vals in
-      let key_val = Tuple.get (List.hd group) key_idx in
-      (key_val, count, sum) :: acc)
+      (k, List.length vs, sum) :: acc)
     groups []
+  |> List.sort (fun (k1, _, _) (k2, _, _) -> V.compare k1 k2)
 
 let prop_group_by_matches_reference =
   QCheck.Test.make ~name:"group-by = naive reference" ~count:100
     QCheck.(int_range 0 100000)
     (fun seed ->
       let rng = Rng.create seed in
-      (* Random single-table grouped query over r: group by a, count +
-         sum(b), optionally filtered. *)
-      let filter_year = Rng.int rng 8 in
-      let with_where = Rng.bool rng in
-      let sql =
-        Printf.sprintf
-          "select a, count(*), sum(b) from r%s group by a order by a"
-          (if with_where then Printf.sprintf " where a <> %d" filter_year
-           else "")
+      let shape =
+        Rng.choice rng
+          [| Single; Join; Derived { union = false }; Derived { union = true } |]
       in
-      let q = Cqp_sql.Parser.parse sql in
+      (* An excluded key value outside 0..7 filters nothing. *)
+      let excluded = Rng.int rng 10 in
+      let min_count = 1 + Rng.int rng 4 and min_sum = Rng.int rng 12 in
+      let having, keep =
+        match Rng.int rng 3 with
+        | 0 -> ("", fun _ -> true)
+        | 1 ->
+            ( Printf.sprintf " having count(*) >= %d" min_count,
+              fun (_, count, _) -> count >= min_count )
+        | _ ->
+            ( Printf.sprintf " having sum(%s) > %d"
+                (match shape with
+                | Single -> "b"
+                | Join -> "t1.c"
+                | Derived _ -> "d.b")
+                min_sum,
+              fun (_, _, sum) ->
+                match sum with Some s -> s > float_of_int min_sum | None -> false )
+      in
+      let q = Cqp_sql.Parser.parse (group_sql shape ~excluded ~having) in
+      Cqp_sql.Analyzer.check catalog q;
       let engine_rows = (execute q).Engine.rows in
-      (* Reference: filter then group. *)
-      let base_rows =
-        Cqp_relal.Relation.to_list (Cqp_relal.Catalog.get catalog "r")
-      in
-      let filtered =
-        if with_where then
-          List.filter
-            (fun row ->
-              match Tuple.get row 0 with
-              | V.Int a -> a <> filter_year
-              | _ -> false)
-            base_rows
-        else base_rows
-      in
       let expected =
-        reference_group_by ~rel:"r" ~key_idx:0 ~agg_col_idx:1 filtered
-        |> List.sort (fun (k1, _, _) (k2, _, _) -> V.compare k1 k2)
+        List.filter keep (reference_group_by (group_input shape ~excluded))
       in
       List.length engine_rows = List.length expected
       && List.for_all2
            (fun row (key, count, sum) ->
              V.equal (Tuple.get row 0) key
              && V.equal (Tuple.get row 1) (V.Int count)
-             && (match V.to_float (Tuple.get row 2) with
-                | Some s -> abs_float (s -. sum) < 1e-9
-                | None ->
-                    (* SUM over an all-NULL group is NULL; reference sum
-                       of no values is 0 with an empty vals list. *)
-                    sum = 0.)
-           )
+             &&
+             match V.to_float (Tuple.get row 2), sum with
+             | Some s, Some expected -> abs_float (s -. expected) < 1e-9
+             | None, None -> true
+             | _ -> false)
            engine_rows expected)
 
 (* Also check the printed SQL round-trips through the parser and still
@@ -366,10 +417,8 @@ let imdb = lazy (Cqp_workload.Imdb.build ~seed:42 ())
 let imdb_profile =
   lazy (Cqp_workload.Profile_gen.generate ~rng:(Rng.create 7) (Lazy.force imdb))
 
-(* A serve template personalized with 2–4 of its extracted preferences:
-   the UNION ALL / GROUP BY / HAVING wrapper over derived table [qp]
-   that [Rewrite.personalize] emits. *)
-let personalized_query rng =
+(* A serve template and 2–4 of its extracted preferences' paths. *)
+let template_and_paths rng =
   let module C = Cqp_core in
   let catalog = Lazy.force imdb in
   let q = Cqp_workload.Query_gen.generate_serve ~rng catalog in
@@ -380,10 +429,15 @@ let personalized_query rng =
   let items = Array.copy ps.C.Pref_space.items in
   Rng.shuffle rng items;
   let l = min (Array.length items) (2 + Rng.int rng 3) in
-  let paths =
-    List.map (fun it -> it.C.Pref_space.path) (Array.to_list (Array.sub items 0 l))
-  in
-  C.Rewrite.personalize ~dedup:(Rng.bool rng) catalog q paths
+  ( q,
+    List.map (fun it -> it.C.Pref_space.path) (Array.to_list (Array.sub items 0 l)) )
+
+(* A serve template personalized with 2–4 of its extracted preferences:
+   the UNION ALL / GROUP BY / HAVING wrapper over derived table [qp]
+   that [Rewrite.personalize] emits. *)
+let personalized_query rng =
+  let q, paths = template_and_paths rng in
+  Cqp_core.Rewrite.personalize ~dedup:(Rng.bool rng) (Lazy.force imdb) q paths
 
 let occurrences needle hay =
   let n = String.length needle and m = String.length hay in
@@ -421,6 +475,107 @@ let prop_personalized_plan_matches_execution =
                scans
       | _ -> false)
 
+(* --- golden: row order ------------------------------------------------- *)
+
+(* The properties above compare unordered results as sorted multisets,
+   so a change in the order the engine emits rows would pass them.
+   This case pins it on 224 queries over [imdb]: 40 seeded template and
+   path samples, each personalized with and without per-branch DISTINCT
+   (the wrapper, and the UNION ALL of its branches alone, since the
+   wrapper's HAVING keeps few rows) and with its first preference alone
+   (one join query); every serve template as written, at two years; and
+   unordered queries whose row order shows each operator's: hash joins
+   whose probes match several rows (which personalized queries project
+   away), a cartesian product, GROUP BY, DISTINCT and UNION ALL.  One
+   MD5 covers each result's schema, rows in order and block reads; a
+   second covers the plans [Explain] renders.  The constants were
+   recorded from the row-at-a-time executor the slot-resolved one
+   replaced. *)
+let golden_queries () =
+  let catalog = Lazy.force imdb in
+  let with_union q =
+    match q with
+    | Ast.Select { Ast.from = [ Ast.Subquery (union, _) ]; _ } -> [ q; union ]
+    | _ -> [ q ]
+  in
+  let personalized =
+    List.concat_map
+      (fun seed ->
+        let q, paths = template_and_paths (Rng.create (9000 + seed)) in
+        with_union (Cqp_core.Rewrite.personalize ~dedup:false catalog q paths)
+        @ with_union (Cqp_core.Rewrite.personalize ~dedup:true catalog q paths)
+        @ [ Cqp_core.Rewrite.personalize catalog q [ List.hd paths ] ])
+      (List.init 40 Fun.id)
+  in
+  let instantiate template year =
+    match String.index_opt template '%' with
+    | Some i ->
+        String.sub template 0 i ^ year
+        ^ String.sub template (i + 2) (String.length template - i - 2)
+    | None -> template
+  in
+  let templates =
+    List.concat_map
+      (fun year ->
+        List.map
+          (fun t -> Cqp_sql.Parser.parse (instantiate t year))
+          Cqp_workload.Query_gen.serve_templates)
+      [ "1975"; "1995" ]
+  in
+  let operators =
+    List.map Cqp_sql.Parser.parse
+      [
+        "select * from movie m, casts c where m.mid = c.mid and m.year >= 2015";
+        "select m.title, g.genre, c.aid, c.role from movie m, genre g, casts c \
+         where m.mid = g.mid and m.mid = c.mid and m.year = 2000";
+        "select d.name, m.title from director d, movie m \
+         where d.did = m.did and d.did < 20";
+        "select d1.name, d2.name from director d1, director d2 \
+         where d1.did < 4 and d2.did < 4";
+        "select g.genre, count(*), min(m.year) from movie m, genre g \
+         where m.mid = g.mid group by g.genre";
+        "select distinct c.role, c.aid from casts c where c.aid < 40";
+        "select title from movie where year >= 2020 \
+         union all select name from director where did < 10";
+        "select x.title, count(*) from (select title from movie m, casts c \
+         where m.mid = c.mid and c.role = 'voice') x group by x.title \
+         having count(*) >= 2";
+      ]
+  in
+  personalized @ templates @ operators
+
+let golden_rows_md5 = "f8ce6fdf6df4e843e412e79b73c7f593"
+let golden_plans_md5 = "85e4166e6411c9b6e793c128050af91d"
+
+let test_golden_row_order () =
+  let catalog = Lazy.force imdb in
+  let rows = Buffer.create 65536 and plans = Buffer.create 65536 in
+  let nonempty = ref 0 in
+  List.iter
+    (fun q ->
+      let r = execute ~catalog q in
+      List.iter
+        (fun (name, ty) ->
+          Printf.bprintf rows "%s:%s;" name (V.ty_name ty))
+        r.Engine.schema;
+      Printf.bprintf rows "\n%d blocks\n" r.Engine.block_reads;
+      List.iter
+        (fun row ->
+          Buffer.add_string rows
+            (String.concat "," (List.map V.to_sql (Tuple.to_list row)));
+          Buffer.add_char rows '\n')
+        r.Engine.rows;
+      if r.Engine.rows <> [] then incr nonempty;
+      Buffer.add_string plans (Explain.to_string catalog q))
+    (golden_queries ());
+  Alcotest.(check bool) "most answers have rows" true (!nonempty >= 100);
+  Alcotest.(check string)
+    "rows in order, schema, block reads" golden_rows_md5
+    (Digest.to_hex (Digest.string (Buffer.contents rows)));
+  Alcotest.(check string)
+    "rendered plans" golden_plans_md5
+    (Digest.to_hex (Digest.string (Buffer.contents plans)))
+
 let qc = Testlib.qc
 
 let () =
@@ -437,5 +592,7 @@ let () =
           qc prop_personalized_plan_matches_execution;
           Alcotest.test_case "duplicate rows under ORDER BY / LIMIT / DISTINCT"
             `Quick test_duplicate_rows_ordered;
+          Alcotest.test_case "row order of 224 queries = golden" `Quick
+            test_golden_row_order;
         ] );
     ]

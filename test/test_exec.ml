@@ -270,11 +270,47 @@ let test_empty_relation_behaviour () =
   checkb "count 0" true (V.equal (V.Int 0) (Tuple.get row 0));
   checkb "min null" true (V.is_null (Tuple.get row 1))
 
+(* Resolving columns once per query keeps column errors as lazy as
+   per-row evaluation made them: a reference that no row reaches does
+   not fail, and one that a row reaches fails with the row-time
+   message. *)
+let test_lazy_column_errors () =
+  checki "unknown output, no rows" 0
+    (List.length (run "select nope from movie where 1 = 0").Engine.rows);
+  checki "ambiguous output, no rows" 0
+    (List.length (run "select mid from movie, genre where 1 = 0").Engine.rows);
+  let raises msg sql =
+    match run sql with
+    | _ -> Alcotest.failf "%s: expected Eval_error %S" sql msg
+    | exception Eval.Eval_error m -> Alcotest.(check string) sql msg m
+  in
+  raises "unknown column nope" "select nope from movie";
+  raises "ambiguous column reference mid"
+    "select mid from movie, genre where year = 1977"
+
 let test_between_execution () =
   Alcotest.(check (list string))
     "between"
     [ "Annie Hall"; "Manhattan" ]
     (titles (run "select title from movie where year between 1975 and 1980"))
+
+(* HAVING and WHERE share one three-valued logic: [x not in (1, null)]
+   is never true, so no group and no row survives it. *)
+let test_having_in_list_with_null () =
+  checki "having not in (1, null)" 0
+    (List.length
+       (run
+          "select genre, count(*) from genre group by genre \
+           having count(*) not in (1, null)")
+         .Engine.rows);
+  checki "where not in (1, null)" 0
+    (List.length (run "select mid from movie where mid not in (1, null)").Engine.rows);
+  Alcotest.(check (list string))
+    "having in (2, null)" [ "comedy" ]
+    (titles
+       (run
+          "select genre, count(*) from genre group by genre \
+           having count(*) in (2, null)"))
 
 let test_having_over_aggregate_of_other_column () =
   let r =
@@ -352,6 +388,9 @@ let () =
           Alcotest.test_case "empty relation" `Quick test_empty_relation_behaviour;
           Alcotest.test_case "between" `Quick test_between_execution;
           Alcotest.test_case "having min" `Quick test_having_over_aggregate_of_other_column;
+          Alcotest.test_case "having in-list with null" `Quick
+            test_having_in_list_with_null;
+          Alcotest.test_case "lazy column errors" `Quick test_lazy_column_errors;
         ] );
       ( "like",
         [ qc prop_like_percent_matches_all; qc prop_like_self_match; qc prop_like_prefix ]

@@ -129,37 +129,31 @@ let test_io_reset () =
 (* --- Rowset column resolution -------------------------------------------- *)
 
 let test_rowset_resolution () =
-  let rs =
-    Rowset.make
-      [ Rowset.col ~qualifier:"m" "title"; Rowset.col ~qualifier:"d" "name" ]
-      [||]
+  let cols =
+    [ Rowset.col ~qualifier:"m" "title"; Rowset.col ~qualifier:"d" "name" ]
   in
-  checki "qualified" 0 (Rowset.find_col rs (Some "m") "title");
-  checki "unqualified unique" 1 (Rowset.find_col rs None "name");
+  checki "qualified" 0 (Rowset.find_col cols (Some "m") "title");
+  checki "unqualified unique" 1 (Rowset.find_col cols None "name");
   checkb "unknown" true
-    (match Rowset.find_col rs None "nope" with
+    (match Rowset.find_col cols None "nope" with
     | exception Rowset.Column_error _ -> true
     | _ -> false)
 
 let test_rowset_ambiguity () =
-  let rs =
-    Rowset.make
-      [ Rowset.col ~qualifier:"a" "x"; Rowset.col ~qualifier:"b" "x" ]
-      [||]
-  in
+  let cols = [ Rowset.col ~qualifier:"a" "x"; Rowset.col ~qualifier:"b" "x" ] in
   checkb "ambiguous unqualified" true
-    (match Rowset.find_col rs None "x" with
+    (match Rowset.find_col cols None "x" with
     | exception Rowset.Column_error _ -> true
     | _ -> false);
-  checki "qualified ok" 1 (Rowset.find_col rs (Some "b") "x")
+  checki "qualified ok" 1 (Rowset.find_col cols (Some "b") "x")
 
 let test_rowset_append_arity () =
   let a = Rowset.make [ Rowset.col "x" ] [| [| V.Int 1 |] |] in
   let b = Rowset.make [ Rowset.col "y" ] [| [| V.Int 2 |] |] in
-  checki "append" 2 (Rowset.cardinality (Rowset.append a b));
+  checki "append" 3 (Rowset.cardinality (Rowset.concat [ a; b; a ]));
   let c = Rowset.make [ Rowset.col "x"; Rowset.col "y" ] [||] in
   checkb "arity mismatch" true
-    (match Rowset.append a c with
+    (match Rowset.concat [ a; b; c ] with
     | exception Rowset.Column_error _ -> true
     | _ -> false)
 

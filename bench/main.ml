@@ -32,6 +32,9 @@ type mode = {
 let mode =
   ref { full = false; seed = 42; only = []; bechamel = false; obs = None }
 
+(* Seconds on the monotonic clock; only differences are meaningful. *)
+let now_s () = Cqp_obs.Clock.raw_us () /. 1e6
+
 let default_cmax = 400.
 (* the paper's default cmax (ms) *)
 
@@ -409,7 +412,7 @@ let fig12b () =
   let time_orders orders =
     List.map
       (fun k ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_s () in
         let n = ref 0 in
         List.iter
           (fun p ->
@@ -420,7 +423,7 @@ let fig12b () =
                 incr n)
               b.W.Experiment.queries)
           b.W.Experiment.profiles;
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = now_s () -. t0 in
         Printf.sprintf "%10.3f" (1000. *. dt /. float_of_int !n))
       (k_values ())
   in
@@ -649,9 +652,9 @@ let ablation_metaheuristics () =
             (C.Algorithm.run C.Algorithm.C_boundaries ps ~cmax).C.Solution.params
               .C.Params.doi
           in
-          let t0 = Unix.gettimeofday () in
+          let t0 = now_s () in
           let doi = solve ps ~cmax in
-          let dt = 1000. *. (Unix.gettimeofday () -. t0) in
+          let dt = 1000. *. (now_s () -. t0) in
           t_sum := !t_sum +. dt;
           gap_sum := !gap_sum +. (oracle -. doi);
           incr n
@@ -815,9 +818,9 @@ let serve_bench () =
     let server = Cqp_serve.Serve.create ~caching catalog in
     let total = ref 0. in
     for pass = 1 to passes do
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       let responses = Cqp_serve.Workload.replay server entries in
-      let elapsed = (Unix.gettimeofday () -. t0) *. 1000. in
+      let elapsed = (now_s () -. t0) *. 1000. in
       if pass > 1 then total := !total +. elapsed;
       let lat =
         Array.of_list
@@ -881,9 +884,9 @@ let serve_bench () =
     let warm = ref 0. in
     let last = ref [] in
     for pass = 1 to passes do
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       let responses = Cqp_serve.Workload.replay ?pool server entries in
-      let elapsed = (Unix.gettimeofday () -. t0) *. 1000. in
+      let elapsed = (now_s () -. t0) *. 1000. in
       if pass > 1 then warm := !warm +. elapsed;
       last := List.map observable responses
     done;
@@ -924,11 +927,11 @@ let curriculum_bench () =
     "GA-evolved adversarial workloads vs the seeded-generator baseline";
   let spec = Cur_scenario.Small 3 in
   let catalog = Cur_scenario.build_catalog spec in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   let result =
     Cur.evolve ~population:8 ~generations:3 ~seed:!mode.seed catalog
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = now_s () -. t0 in
   Printf.printf
     "evolved %d candidates over %d generations in %.1f s (catalog %s)\n"
     result.Cur.evaluations result.Cur.generations elapsed
@@ -1174,7 +1177,7 @@ let bechamel_benchmarks () =
 (* diffs two of them                                                  *)
 (* ---------------------------------------------------------------- *)
 
-module BF = Cqp_profile.Bench_file
+module BF = Cqp_obs.Bench_file
 
 (* Each trend workload returns the raw per-request latencies (µs) and
    its cache hit rate; states visited and GC words are measured around
@@ -1187,8 +1190,9 @@ let trend_measure name f =
      from whatever ran before it *)
   Gc.full_major ();
   let states0 = Cqp_obs.Metrics.counter_value "solver.states_visited" in
-  let (latencies_us, cache_hit_rate), gc = Cqp_profile.Gcprof.measure f in
-  Cqp_profile.Gcprof.publish ~section:("trend." ^ name) gc;
+  let gc0 = Gc.quick_stat () in
+  let latencies_us, cache_hit_rate = f () in
+  let gc1 = Gc.quick_stat () in
   let states1 = Cqp_obs.Metrics.counter_value "solver.states_visited" in
   let lat = Array.of_list latencies_us in
   Array.sort compare lat;
@@ -1203,8 +1207,8 @@ let trend_measure name f =
     p999_us = pct 0.999;
     states_visited = states1 - states0;
     cache_hit_rate;
-    gc_minor_words = gc.Cqp_profile.Gcprof.minor_words;
-    gc_major_words = gc.Cqp_profile.Gcprof.major_words;
+    gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
+    gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
   }
 
 (* Workload 1: the solver sweep — one exact, one bounds-based, one
@@ -1299,9 +1303,9 @@ let trend_solver_largek () =
   let lats = ref [] in
   let run ?(publish = true) order solve =
     let space = C.Space.create ~order ps in
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     solve space;
-    lats := ((Unix.gettimeofday () -. t0) *. 1e6) :: !lats;
+    lats := ((now_s () -. t0) *. 1e6) :: !lats;
     (* the BnB publishes its own counters; hand-run algorithms do not *)
     if publish then C.Instrument.publish (C.Space.stats space)
   in
@@ -1420,7 +1424,7 @@ let trend_corpus () =
 
 let run_trend ~label ~out =
   Cqp_obs.Metrics.enable ();
-  Cqp_profile.Request.enable ();
+  Cqp_obs.Request.enable ();
   (* bound in sequence: a list literal would evaluate right-to-left *)
   let solver = trend_measure "solver_sweep" trend_solver_sweep in
   let largek = trend_measure "solver_largek" trend_solver_largek in
@@ -1498,9 +1502,9 @@ let net_bench () =
   let inproc_ms =
     let server = Cqp_serve.Serve.create ~caching:true catalog in
     ignore (Cqp_serve.Workload.replay server entries);
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     ignore (Cqp_serve.Workload.replay server entries);
-    (Unix.gettimeofday () -. t0) *. 1000.
+    (now_s () -. t0) *. 1000.
   in
   Cqp_par.Pool.with_pool ~domains:2 (fun pool ->
       let serve = Cqp_serve.Serve.create ~caching:true catalog in
@@ -1516,12 +1520,12 @@ let net_bench () =
       Fun.protect ~finally:(fun () -> Cqp_net.Client.close c)
       @@ fun () ->
       let pings = 2000 in
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       for _ = 1 to pings do
         Cqp_net.Client.ping c
       done;
       Printf.printf "ping round-trip: %.1f us (mean over %d)\n%!"
-        (1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int pings)
+        (1e6 *. (now_s () -. t0) /. float_of_int pings)
         pings;
       let replay () =
         List.iter
@@ -1544,9 +1548,9 @@ let net_bench () =
           entries
       in
       replay ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       replay ();
-      let wire_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+      let wire_ms = (now_s () -. t0) *. 1000. in
       Printf.printf
         "%d-entry replay, warm: in-process %.1f ms, loopback %.1f ms \
          (+%.0f us/entry wire cost)\n%!"
@@ -1687,23 +1691,12 @@ let () =
       in
       Printf.printf "CQP experiment harness — %s mode\n%!"
         (if !mode.full then "FULL (paper-scale averaging)" else "quick");
-      (match !mode.obs with
-      | Some prefix ->
-          Cqp_obs.Obs.enable ();
-          (* partial traces still land on disk if a section dies *)
-          Cqp_obs.Trace.auto_flush ~file:(prefix ^ ".trace.json")
-      | None -> ());
-      List.iter
-        (fun (id, f) ->
-          Cqp_obs.Trace.with_span ~name:("bench." ^ id) (fun () -> f ()))
-        selected;
-      if !mode.bechamel then bechamel_benchmarks ();
-      (match !mode.obs with
-      | Some prefix ->
-          let trace_file = prefix ^ ".trace.json" in
-          Cqp_obs.Trace.write_chrome ~file:trace_file;
-          Printf.printf "observability: %d spans -> %s (%d dropped)\n%!"
-            (Cqp_obs.Trace.span_count ()) trace_file (Cqp_obs.Trace.dropped ());
-          Cqp_obs.Metrics.dump_json ~file:(prefix ^ ".metrics.json")
-      | None -> ());
+      let file ext = Option.map (fun prefix -> prefix ^ ext) !mode.obs in
+      Cqp_obs.Obs.with_sinks ?trace:(file ".trace.json")
+        ?metrics:(file ".metrics.json") (fun () ->
+          List.iter
+            (fun (id, f) ->
+              Cqp_obs.Trace.with_span ~name:("bench." ^ id) (fun () -> f ()))
+            selected;
+          if !mode.bechamel then bechamel_benchmarks ());
       Printf.printf "\ndone.\n%!"

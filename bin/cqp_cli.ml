@@ -148,23 +148,8 @@ let report_error = function
 let with_setup f verbose seed movies profile_file query problem cmax dmin
     smin smax max_k algo_name trace metrics =
   setup_logs verbose;
-  (match trace with
-  | Some file ->
-      Cqp_obs.Trace.enable ();
-      (* guarantee the trace reaches disk even on an early exit *)
-      Cqp_obs.Trace.auto_flush ~file
-  | None -> ());
-  if metrics <> None then Cqp_obs.Metrics.enable ();
-  let dump_obs () =
-    (match trace with
-    | Some file ->
-        Cqp_obs.Trace.write_chrome ~file;
-        Format.eprintf "trace: %d spans -> %s@." (Cqp_obs.Trace.span_count ())
-          file
-    | None -> ());
-    Option.iter (fun file -> Cqp_obs.Metrics.dump_json ~file) metrics
-  in
   try
+    Cqp_obs.Obs.with_sinks ?trace ?metrics @@ fun () ->
     let catalog = catalog_of ~movies ~seed in
     let profile = profile_of ~file:profile_file ~seed catalog in
     let algorithm =
@@ -174,7 +159,6 @@ let with_setup f verbose seed movies profile_file query problem cmax dmin
     in
     let problem = problem_of ~problem ~cmax ~dmin ~smin ~smax in
     f catalog profile query problem algorithm max_k;
-    dump_obs ();
     0
   with e -> report_error e
 
@@ -340,22 +324,10 @@ let serve_action verbose seed movies workload_file save_file users requests
     shed_depth inject spike_ms portfolio pareto profiling events_file
     prometheus_file trace metrics =
   setup_logs verbose;
-  (match trace with
-  | Some file ->
-      Cqp_obs.Trace.enable ();
-      Cqp_obs.Trace.auto_flush ~file
-  | None -> ());
-  if metrics <> None then Cqp_obs.Metrics.enable ();
-  (* --events implies --profile; the phase metrics that profiling
-     publishes live in the registry, so profiling implies metrics. *)
-  let profiling = profiling || events_file <> None in
-  if profiling then begin
-    Cqp_obs.Metrics.enable ();
-    Cqp_profile.Request.enable ()
-  end;
-  if prometheus_file <> None then Cqp_obs.Metrics.enable ();
-  Option.iter Cqp_profile.Reqlog.set_file events_file;
   try
+    Cqp_obs.Obs.with_sinks ?trace ?metrics ?prometheus:prometheus_file
+      ?events:events_file ~profile:profiling
+    @@ fun () ->
     let catalog = catalog_of ~movies ~seed in
     let entries =
       match workload_file with
@@ -402,9 +374,9 @@ let serve_action verbose seed movies workload_file save_file users requests
     Fun.protect ~finally:(fun () -> Option.iter Cqp_par.Pool.shutdown pool)
     @@ fun () ->
     for rep = 1 to repeat do
-      let t0 = Unix.gettimeofday () in
+      let t0 = Cqp_obs.Clock.raw_us () in
       let responses = Cqp_serve.Workload.replay ?pool server entries in
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let elapsed = (Cqp_obs.Clock.raw_us () -. t0) /. 1e6 in
       let lat =
         Array.of_list
           (List.map (fun r -> r.Cqp_serve.Serve.latency_ms) responses)
@@ -501,7 +473,7 @@ let serve_action verbose seed movies workload_file save_file users requests
              flk
              (sum Cqp_core.Cache.front_entries)
              (sum Cqp_core.Cache.front_points_held));
-    if profiling then begin
+    if Cqp_obs.Request.is_enabled () then begin
       (* Per-phase latency breakdown off the registry histograms.
          Quantiles read from log-scale buckets are upper bounds within
          a factor of 2 — fine for a console summary; the bench trend
@@ -509,11 +481,11 @@ let serve_action verbose seed movies workload_file save_file users requests
       Format.printf "phase breakdown (requests with the phase):@.";
       List.iter
         (fun p ->
-          let nm = "profile.phase." ^ Cqp_profile.Phase.name p ^ "_us" in
+          let nm = "profile.phase." ^ Cqp_obs.Phase.name p ^ "_us" in
           let n = Cqp_obs.Metrics.histogram_count nm in
           if n > 0 then
             Format.printf "  %-12s %6d  p50<=%.0fus p99<=%.0fus total=%.1fms@."
-              (Cqp_profile.Phase.name p)
+              (Cqp_obs.Phase.name p)
               n
               (Option.value ~default:0.
                  (Cqp_obs.Metrics.histogram_quantile nm 0.50))
@@ -521,29 +493,13 @@ let serve_action verbose seed movies workload_file save_file users requests
                  (Cqp_obs.Metrics.histogram_quantile nm 0.99))
               (Option.value ~default:0. (Cqp_obs.Metrics.histogram_sum nm)
               /. 1000.))
-        Cqp_profile.Phase.all;
+        Cqp_obs.Phase.all;
       Format.printf
         "gc: request minor_words=%d major_words=%d compactions=%d@."
         (Cqp_obs.Metrics.counter_value "profile.gc.request.minor_words")
         (Cqp_obs.Metrics.counter_value "profile.gc.request.major_words")
         (Cqp_obs.Metrics.counter_value "profile.gc.request.compactions")
     end;
-    (match events_file with
-    | Some f ->
-        Cqp_profile.Reqlog.close ();
-        Format.eprintf "events: %d request lines -> %s@."
-          (Cqp_profile.Reqlog.logged_count ())
-          f
-    | None -> ());
-    (match prometheus_file with
-    | Some f ->
-        Cqp_obs.Metrics.write_prometheus ~file:f;
-        Format.eprintf "prometheus exposition -> %s@." f
-    | None -> ());
-    (match trace with
-    | Some file -> Cqp_obs.Trace.write_chrome ~file
-    | None -> ());
-    Option.iter (fun file -> Cqp_obs.Metrics.dump_json ~file) metrics;
     0
   with e -> report_error e
 
@@ -739,48 +695,53 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+module Jsonx = Cqp_obs.Jsonx
+
+let json_int n = Jsonx.Num (float_of_int n)
+
 let fitness_json (f : Cur_fitness.t) =
-  Printf.sprintf
-    "{\"score\": %.6g, \"requests\": %d, \"served\": %d, \"shed\": %d, \
-     \"blown\": %d, \"degraded\": %d, \"retries\": %d, \"mean_work\": %.6g, \
-     \"stddev_work\": %.6g, \"p99_work\": %.6g, \"miss_ratio\": %.6g, \
-     \"est_cost_p99\": %.6g}"
-    (Cur_fitness.score f) f.Cur_fitness.requests f.Cur_fitness.served
-    f.Cur_fitness.shed f.Cur_fitness.blown f.Cur_fitness.degraded
-    f.Cur_fitness.retries f.Cur_fitness.mean_work f.Cur_fitness.stddev_work
-    f.Cur_fitness.p99_work f.Cur_fitness.miss_ratio f.Cur_fitness.est_cost_p99
+  Jsonx.Obj
+    [
+      ("score", Jsonx.Num (Cur_fitness.score f));
+      ("requests", json_int f.Cur_fitness.requests);
+      ("served", json_int f.Cur_fitness.served);
+      ("shed", json_int f.Cur_fitness.shed);
+      ("blown", json_int f.Cur_fitness.blown);
+      ("degraded", json_int f.Cur_fitness.degraded);
+      ("retries", json_int f.Cur_fitness.retries);
+      ("mean_work", Jsonx.Num f.Cur_fitness.mean_work);
+      ("stddev_work", Jsonx.Num f.Cur_fitness.stddev_work);
+      ("p99_work", Jsonx.Num f.Cur_fitness.p99_work);
+      ("miss_ratio", Jsonx.Num f.Cur_fitness.miss_ratio);
+      ("est_cost_p99", Jsonx.Num f.Cur_fitness.est_cost_p99);
+    ]
 
 let summary_json ~seed ~domains ~population spec (result : Curriculum.result) =
   let baseline = result.Curriculum.baseline.Curriculum.fitness in
-  let elites =
-    List.map
-      (fun (axis, (e : Curriculum.elite)) ->
-        let bv = Curriculum.axis_value baseline axis in
-        let ev = Curriculum.axis_value e.Curriculum.fitness axis in
-        Printf.sprintf
-          "    {\"axis\": %S, \"baseline\": %.6g, \"elite\": %.6g, \
-           \"beats_baseline\": %b, \"fitness\": %s}"
-          (Curriculum.axis_name axis) bv ev (ev > bv)
-          (fitness_json e.Curriculum.fitness))
-      result.Curriculum.reservoir
+  let elite (axis, (e : Curriculum.elite)) =
+    let bv = Curriculum.axis_value baseline axis in
+    let ev = Curriculum.axis_value e.Curriculum.fitness axis in
+    Jsonx.Obj
+      [
+        ("axis", Jsonx.Str (Curriculum.axis_name axis));
+        ("baseline", Jsonx.Num bv);
+        ("elite", Jsonx.Num ev);
+        ("beats_baseline", Jsonx.Bool (ev > bv));
+        ("fitness", fitness_json e.Curriculum.fitness);
+      ]
   in
-  String.concat "\n"
+  Jsonx.Obj
     [
-      "{";
-      Printf.sprintf "  \"seed\": %d," seed;
-      Printf.sprintf "  \"generations\": %d," result.Curriculum.generations;
-      Printf.sprintf "  \"population\": %d," population;
-      Printf.sprintf "  \"evaluations\": %d," result.Curriculum.evaluations;
-      Printf.sprintf "  \"domains\": %d," domains;
-      Printf.sprintf "  \"catalog\": %S,"
-        (Cur_scenario.catalog_spec_to_string spec);
-      Printf.sprintf "  \"par_pool_errors\": %d,"
-        (Cqp_obs.Metrics.counter_value "par.pool.errors");
-      Printf.sprintf "  \"baseline\": %s," (fitness_json baseline);
-      "  \"elites\": [";
-      String.concat ",\n" elites;
-      "  ]";
-      "}";
+      ("seed", json_int seed);
+      ("generations", json_int result.Curriculum.generations);
+      ("population", json_int population);
+      ("evaluations", json_int result.Curriculum.evaluations);
+      ("domains", json_int domains);
+      ("catalog", Jsonx.Str (Cur_scenario.catalog_spec_to_string spec));
+      ( "par_pool_errors",
+        json_int (Cqp_obs.Metrics.counter_value "par.pool.errors") );
+      ("baseline", fitness_json baseline);
+      ("elites", Jsonx.Arr (List.map elite result.Curriculum.reservoir));
     ]
 
 let curriculum_action verbose seed generations population mutation_rate
@@ -790,6 +751,7 @@ let curriculum_action verbose seed generations population mutation_rate
      is always on for this subcommand. *)
   Cqp_obs.Metrics.enable ();
   try
+    Cqp_obs.Obs.with_sinks ?metrics @@ fun () ->
     let spec =
       if movies = 0 then Cur_scenario.Small catalog_seed
       else Cur_scenario.Movies { movies; seed = catalog_seed }
@@ -839,11 +801,11 @@ let curriculum_action verbose seed generations population mutation_rate
           ~finally:(fun () -> close_out oc)
           (fun () ->
             output_string oc
-              (summary_json ~seed ~domains ~population spec result);
+              (Jsonx.to_string
+                 (summary_json ~seed ~domains ~population spec result));
             output_char oc '\n');
         Format.eprintf "summary -> %s@." file
     | None -> ());
-    Option.iter (fun file -> Cqp_obs.Metrics.dump_json ~file) metrics;
     0
   with e -> report_error e
 
@@ -947,8 +909,8 @@ let netserve_action verbose seed movies domains max_connections store_dir
     store_resident deadline_ms retries shed_depth no_cache capacity host port
     unix_path metrics prometheus_file =
   setup_logs verbose;
-  if metrics <> None || prometheus_file <> None then Cqp_obs.Metrics.enable ();
   try
+    Cqp_obs.Obs.with_sinks ?metrics ?prometheus:prometheus_file @@ fun () ->
     let catalog = catalog_of ~movies ~seed in
     let resilience =
       {
@@ -992,10 +954,6 @@ let netserve_action verbose seed movies domains max_connections store_dir
       | None -> "");
     Net_server.wait srv;
     Net_server.stop srv;
-    Option.iter (fun file -> Cqp_obs.Metrics.dump_json ~file) metrics;
-    Option.iter
-      (fun file -> Cqp_obs.Metrics.write_prometheus ~file)
-      prometheus_file;
     0
   with e -> report_error e
 

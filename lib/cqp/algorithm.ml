@@ -52,10 +52,10 @@ let run ?(budget = Cqp_resilience.Budget.unlimited) t ps ~cmax =
         Cqp_obs.Attr.float "cmax" cmax;
       ])
     (fun () ->
-      let start = Unix.gettimeofday () in
+      let start = Cqp_obs.Clock.raw_us () in
       let solution = (solver t) ~budget space ~cmax in
-      let elapsed = Unix.gettimeofday () -. start in
-      solution.Solution.stats.Instrument.wall_seconds <- elapsed;
+      solution.Solution.stats.Instrument.wall_seconds <-
+        (Cqp_obs.Clock.raw_us () -. start) /. 1e6;
       Instrument.publish solution.Solution.stats;
       Cqp_obs.Trace.add_attr
         (Cqp_obs.Attr.int "states_visited"

@@ -39,11 +39,13 @@ let personalize_query ?(algorithm = Algorithm.C_boundaries) ?max_k ?cache
       m "personalizing %S under %s"
         (Cqp_sql.Printer.to_string query)
         (Problem.describe problem));
-  (* Phase attribution (profiling only): estimate construction and the
-     preference-space lookup/build both run against the cross-request
-     caches, so together they are the request's [Cache_lookup] time. *)
+  (* Estimate construction and the preference-space lookup/build both
+     run against the cross-request caches, so together they are the
+     request's [Cache_lookup] phase. *)
   let ps =
-    Cqp_profile.Request.timed Cqp_profile.Phase.Cache_lookup @@ fun () ->
+    Cqp_obs.Trace.with_span ~name:"personalize.cache_lookup"
+      ~phase:Cqp_obs.Phase.Cache_lookup
+    @@ fun () ->
     let estimate =
       Cqp_obs.Trace.with_span ~name:"estimate.create" (fun () ->
           let memo = Option.bind cache Cache.memo in
@@ -61,7 +63,9 @@ let personalize_query ?(algorithm = Algorithm.C_boundaries) ?max_k ?cache
       m "preference space: K = %d, supreme cost %.1f ms" (Pref_space.k ps)
         (Pref_space.supreme_cost ps));
   let solved =
-    Cqp_profile.Request.timed Cqp_profile.Phase.Solve @@ fun () ->
+    Cqp_obs.Trace.with_span ~name:"personalize.solve"
+      ~phase:Cqp_obs.Phase.Solve
+    @@ fun () ->
     match solve with
     | Some f -> f ps
     | None -> Solver.solve ~algorithm ps problem
@@ -87,8 +91,8 @@ let personalize_query ?(algorithm = Algorithm.C_boundaries) ?max_k ?cache
      path has a fan-out join (the paper's plain construction drops
      tuples matched more than once by a branch; see Rewrite). *)
   let personalized =
-    Cqp_profile.Request.timed Cqp_profile.Phase.Render @@ fun () ->
     Cqp_obs.Trace.with_span ~name:"rewrite.personalize"
+      ~phase:Cqp_obs.Phase.Render
       ~attrs:(fun () ->
         [ Cqp_obs.Attr.int "paths" (List.length paths) ])
       (fun () -> Rewrite.personalize ~dedup:true catalog query paths)
@@ -113,10 +117,7 @@ let run ?algorithm ?max_k ?cache ?orders ?solve ?(execute = true) catalog
   in
   let rows, real_cost_ms =
     if execute then begin
-      let result =
-        Cqp_profile.Request.timed Cqp_profile.Phase.Exec (fun () ->
-            Cqp_exec.Engine.execute catalog personalized)
-      in
+      let result = Cqp_exec.Engine.execute catalog personalized in
       ( result.Cqp_exec.Engine.rows,
         float_of_int result.Cqp_exec.Engine.block_reads
         *. Cqp_exec.Io.default_block_ms )

@@ -393,35 +393,26 @@ and exec_block io (b : Explain.block_plan) : Rowset.t =
 
 (* --- public API ------------------------------------------------------ *)
 
-let execute_rowset ?io catalog q =
-  let io = match io with Some io -> io | None -> Io.create () in
-  Cqp_obs.Trace.with_span ~name:"engine.execute" (fun () ->
+(* [execute] builds on this, so both entry points share one
+   [engine.execute] span, which is the serve path's [Exec] phase. *)
+let execute_rowset ?(io = Io.create ()) catalog q =
+  Cqp_obs.Trace.with_span ~name:"engine.execute" ~phase:Cqp_obs.Phase.Exec
+    (fun () ->
       let rs = exec_plan io (Explain.explain catalog q) in
       Cqp_obs.Trace.add_attr
         (Cqp_obs.Attr.int "block_reads" (Io.block_reads io));
+      Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "rows" (Rowset.cardinality rs));
       rs)
 
 let execute ?io catalog q =
   let counter = Io.create () in
-  let rs =
-    Cqp_obs.Trace.with_span ~name:"engine.execute" (fun () ->
-        let rs = exec_plan counter (Explain.explain catalog q) in
-        Cqp_obs.Trace.add_attr
-          (Cqp_obs.Attr.int "block_reads" (Io.block_reads counter));
-        Cqp_obs.Trace.add_attr
-          (Cqp_obs.Attr.int "rows" (Rowset.cardinality rs));
-        rs)
-  in
-  (match io with
-  | Some outer -> Io.charge_blocks outer (Io.block_reads counter)
-  | None -> ());
+  let rs = execute_rowset ~io:counter catalog q in
+  Option.iter
+    (fun outer -> Io.charge_blocks outer (Io.block_reads counter))
+    io;
   let schema =
     try Cqp_sql.Analyzer.output_schema catalog q
     with Cqp_sql.Analyzer.Semantic_error _ ->
       List.map (fun c -> (c.Rowset.name, Value.Tnull)) rs.Rowset.cols
   in
   { schema; rows = Rowset.to_list rs; block_reads = Io.block_reads counter }
-
-let real_cost_ms ?(block_ms = Io.default_block_ms) catalog q =
-  let r = execute catalog q in
-  float_of_int r.block_reads *. block_ms

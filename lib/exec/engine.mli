@@ -35,9 +35,3 @@ val execute_rowset :
   ?io:Io.t -> Cqp_relal.Catalog.t -> Cqp_sql.Ast.query -> Rowset.t
 (** Like {!execute} but returning the raw rowset with qualified column
     headers (used by tests and the CLI table printer). *)
-
-val real_cost_ms :
-  ?block_ms:float -> Cqp_relal.Catalog.t -> Cqp_sql.Ast.query -> float
-(** Execute and report the simulated I/O time in milliseconds:
-    [block_reads * block_ms] (default [block_ms] is
-    {!Io.default_block_ms}). *)

@@ -1,5 +1,6 @@
 module Rng = Cqp_util.Rng
 module Clock = Cqp_obs.Clock
+module Jsonx = Cqp_obs.Jsonx
 module Workload = Cqp_serve.Workload
 module Serve = Cqp_serve.Serve
 module Profile_gen = Cqp_workload.Profile_gen
@@ -139,7 +140,8 @@ let run config ~catalog sockaddr =
         t := !t +. (-.log (1.0 -. u) /. config.rate);
         !t)
   in
-  let start = Unix.gettimeofday () +. 0.05 in
+  let now_s () = Clock.raw_us () /. 1e6 in
+  let start = now_s () +. 0.05 in
   let worker w =
     let served = ref 0
     and blown = ref 0
@@ -176,7 +178,7 @@ let run config ~catalog sockaddr =
           if !dead then record Proto_r 0.0
           else begin
             let due = start +. offsets.(!i) in
-            let now = Unix.gettimeofday () in
+            let now = now_s () in
             if now < due then Unix.sleepf (due -. now) else incr late;
             let q = arrival config ~catalog ~cdf content_base !i in
             let t0 = Clock.now_us () in
@@ -204,7 +206,7 @@ let run config ~catalog sockaddr =
   in
   let workers = Array.init conns (fun w -> Domain.spawn (fun () -> worker w)) in
   let results = Array.map Domain.join workers in
-  let finish = Unix.gettimeofday () in
+  let finish = now_s () in
   let served = ref 0
   and blown = ref 0
   and shed = ref 0
@@ -257,16 +259,21 @@ let pp_report ppf r =
     r.sent r.served r.deadline_expired r.shed r.errors r.protocol_errors
     r.p50_ms r.p99_ms r.p999_ms r.duration_s r.achieved_rate r.late_sends
 
-let json_float f =
-  if Float.is_nan f then "null" else Printf.sprintf "%.6g" f
-
 let report_to_json r =
-  Printf.sprintf
-    "{\"sent\": %d, \"served\": %d, \"shed\": %d, \"errors\": %d, \
-     \"protocol_errors\": %d, \"deadline_expired\": %d, \"late_sends\": %d, \
-     \"p50_ms\": %s, \"p99_ms\": %s, \"p999_ms\": %s, \"duration_s\": %s, \
-     \"achieved_rate\": %s}"
-    r.sent r.served r.shed r.errors r.protocol_errors r.deadline_expired
-    r.late_sends (json_float r.p50_ms) (json_float r.p99_ms)
-    (json_float r.p999_ms) (json_float r.duration_s)
-    (json_float r.achieved_rate)
+  let int n = Jsonx.Num (float_of_int n) in
+  Jsonx.to_string
+    (Jsonx.Obj
+       [
+         ("sent", int r.sent);
+         ("served", int r.served);
+         ("shed", int r.shed);
+         ("errors", int r.errors);
+         ("protocol_errors", int r.protocol_errors);
+         ("deadline_expired", int r.deadline_expired);
+         ("late_sends", int r.late_sends);
+         ("p50_ms", Jsonx.Num r.p50_ms);
+         ("p99_ms", Jsonx.Num r.p99_ms);
+         ("p999_ms", Jsonx.Num r.p999_ms);
+         ("duration_s", Jsonx.Num r.duration_s);
+         ("achieved_rate", Jsonx.Num r.achieved_rate);
+       ])

@@ -129,7 +129,7 @@ let install_profile t ~user profile =
    user cannot interleave between install and serve. *)
 let ensure_and_handle t (lane : lane) (q : Wire.query) serve_req pos enq =
   let run () =
-    Serve.handle ~queue_position:pos ~enqueued_us:enq ?deadline_ms:q.deadline_ms
+    Serve.handle ~queue_position:pos ?enqueued_us:enq ?deadline_ms:q.deadline_ms
       lane.serve serve_req
   in
   let installed =
@@ -156,7 +156,13 @@ let handle_query t fd (q : Wire.query) =
   Metrics.incr "net.requests";
   let lane = lane_of t q.user in
   let pos = Atomic.fetch_and_add t.inflight 1 in
-  let enq = Clock.now_us () in
+  (* Only [net.request_us] and profiling's [queue_wait] read the
+     stamp, so the clock is left alone while both are off. *)
+  let enq =
+    if Metrics.is_enabled () || Cqp_obs.Request.is_enabled () then
+      Some (Clock.now_us ())
+    else None
+  in
   let serve_req =
     {
       Serve.user = q.user;
@@ -212,7 +218,10 @@ let handle_query t fd (q : Wire.query) =
   in
   Atomic.decr t.inflight;
   send fd reply;
-  Metrics.observe "net.request_us" (Clock.now_us () -. enq)
+  match enq with
+  | Some e when Metrics.is_enabled () ->
+      Metrics.observe "net.request_us" (Clock.now_us () -. e)
+  | _ -> ()
 
 let initiate_stop t = Atomic.set t.stopping true
 

@@ -5,11 +5,3 @@ let str k v = (k, Str v)
 let int k v = (k, Int v)
 let float k v = (k, Float v)
 let bool k v = (k, Bool v)
-
-let value_to_string = function
-  | Str s -> s
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
-  | Bool b -> string_of_bool b
-
-let pp ppf (k, v) = Format.fprintf ppf "%s=%s" k (value_to_string v)

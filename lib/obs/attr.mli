@@ -7,6 +7,3 @@ val str : string -> string -> t
 val int : string -> int -> t
 val float : string -> float -> t
 val bool : string -> bool -> t
-
-val value_to_string : value -> string
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (** Monotonic time source for tracing and deadline budgets.
 
     Backed by [CLOCK_MONOTONIC] (C stub), so timestamps never step
-    backwards the way [Unix.gettimeofday] can under NTP corrections —
+    backwards the way wall-clock time can under NTP corrections —
     differences are safe to feed into latency histograms and deadline
     arithmetic.  Timestamps are microseconds relative to process
     start, matching the [ts] unit of the Chrome trace_event format.

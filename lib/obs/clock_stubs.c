@@ -2,7 +2,7 @@
 
    CLOCK_MONOTONIC never steps backwards (NTP slews it but cannot jump
    it), so latency measurements and deadline polls built on it cannot
-   go negative the way Unix.gettimeofday-based timing can.  The native
+   go negative the way wall-clock-based timing can.  The native
    entry point is unboxed and noalloc: a poll from a solver hot loop
    costs one vDSO call, no OCaml allocation. */
 

@@ -3,6 +3,7 @@ type t = {
   parent : int;
   depth : int;
   name : string;
+  phase : Phase.t option;
   tid : int;  (* recording domain: Chrome-trace thread id *)
   start_us : float;
   mutable dur_us : float;
@@ -11,7 +12,3 @@ type t = {
 
 let is_root t = t.parent < 0
 let closed t = t.dur_us >= 0.
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%.3f ms)" t.name (Float.max 0. t.dur_us /. 1000.);
-  List.iter (fun a -> Format.fprintf ppf " %a" Attr.pp a) (List.rev t.attrs)

@@ -5,6 +5,10 @@ type t = {
   parent : int;  (** span id of the parent; [-1] for a root span *)
   depth : int;  (** nesting depth; roots are at 0 *)
   name : string;
+  phase : Phase.t option;
+      (** the serve phase this span times; set only on the outermost
+          span of its phase on the domain, so summing the durations of
+          the spans tagged with a phase never double counts *)
   tid : int;
       (** id of the domain that recorded the span — the Chrome-trace
           thread id, so pool workers land on their own tracks *)
@@ -15,4 +19,3 @@ type t = {
 
 val is_root : t -> bool
 val closed : t -> bool
-val pp : Format.formatter -> t -> unit

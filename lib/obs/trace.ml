@@ -6,10 +6,18 @@ let enabled = ref false
    unless tracing is enabled, so the disabled path stays lock-free.
    The stack of open spans is per-domain (DLS): a span's parent is the
    innermost span opened by the *same* domain, which keeps parent
-   links meaningful when pool workers trace concurrently. *)
+   links meaningful when pool workers trace concurrently.  The same
+   domain-local record marks which phases have an open span, so only
+   the outermost span of a phase carries it. *)
 let lock = Mutex.create ()
 let buffer : Span.t list ref = ref []
-let stack_key = Domain.DLS.new_key (fun () -> ref [])
+
+type local = { mutable stack : Span.t list; open_phase : bool array }
+
+let local_key =
+  Domain.DLS.new_key (fun () ->
+      { stack = []; open_phase = Array.make Phase.count false })
+
 let count = ref 0
 let next_id = ref 0
 let capacity = ref 1_000_000
@@ -40,13 +48,17 @@ let reset () =
   Mutex.unlock lock;
   (* Only the calling domain's stack can be cleared; worker domains
      are expected to be quiescent (no open spans) across a reset. *)
-  Domain.DLS.get stack_key := []
+  (Domain.DLS.get local_key).stack <- []
 
 let enable () =
   enabled := true;
+  Request.set_tracing true;
   Clock.reset_origin ()
 
-let disable () = enabled := false
+let disable () =
+  enabled := false;
+  Request.set_tracing false
+
 let set_capacity n = capacity := max 1 n
 let under_lock f =
   Mutex.lock lock;
@@ -56,10 +68,9 @@ let span_count () = under_lock (fun () -> !count)
 let dropped () = under_lock (fun () -> !dropped_count)
 let spans () = List.rev (under_lock (fun () -> !buffer))
 
-let open_span ~name attrs =
-  let stack = Domain.DLS.get stack_key in
+let open_span local ~name ~phase attrs =
   let parent, depth =
-    match !stack with
+    match local.stack with
     | [] -> (-1, 0)
     | s :: _ -> (s.Span.id, s.Span.depth + 1)
   in
@@ -73,6 +84,7 @@ let open_span ~name attrs =
       parent;
       depth;
       name;
+      phase;
       tid = (Domain.self () :> int);
       start_us = Clock.now_us ();
       dur_us = -1.;
@@ -87,11 +99,9 @@ let open_span ~name attrs =
   Mutex.unlock lock;
   sp
 
-let close_span sp =
-  sp.Span.dur_us <- Clock.now_us () -. sp.Span.start_us;
-  let stack = Domain.DLS.get stack_key in
-  match !stack with
-  | s :: rest when s == sp -> stack := rest
+let close_span local sp =
+  match local.stack with
+  | s :: rest when s == sp -> local.stack <- rest
   | _ ->
       (* Unbalanced exit (an exception skipped inner closes): pop past
          the span so the stack stays consistent. *)
@@ -100,32 +110,66 @@ let close_span sp =
         | _ :: rest -> pop rest
         | [] -> []
       in
-      stack := pop !stack
+      local.stack <- pop local.stack
 
-let with_span ~name ?attrs f =
-  if not !enabled then f ()
+(* The one timing path.  Each end of the span reads the clock once;
+   the two readings become the trace span when tracing is on and, for
+   the outermost span of a phase inside a profiled request, that
+   phase's time and GC words. *)
+let timed ~name phase attrs f =
+  let local = Domain.DLS.get local_key in
+  let phase =
+    match phase with
+    | Some p when not local.open_phase.(Phase.index p) -> phase
+    | _ -> None
+  in
+  let credit = Option.bind phase Request.enter in
+  if not (!enabled || Option.is_some credit) then f ()
   else begin
-    let sp = open_span ~name attrs in
-    let stack = Domain.DLS.get stack_key in
-    stack := sp :: !stack;
+    let sp =
+      if !enabled then begin
+        let sp = open_span local ~name ~phase attrs in
+        local.stack <- sp :: local.stack;
+        Some sp
+      end
+      else None
+    in
+    let t0 =
+      match sp with Some sp -> sp.Span.start_us | None -> Clock.now_us ()
+    in
+    Option.iter (fun p -> local.open_phase.(Phase.index p) <- true) phase;
+    let finish () =
+      let us = Clock.now_us () -. t0 in
+      Option.iter (fun p -> local.open_phase.(Phase.index p) <- false) phase;
+      Option.iter
+        (fun sp ->
+          sp.Span.dur_us <- us;
+          close_span local sp)
+        sp;
+      Option.iter (Request.leave ~us) credit
+    in
     match f () with
     | v ->
-        close_span sp;
+        finish ();
         v
     | exception e ->
-        close_span sp;
+        finish ();
         raise e
   end
 
+let with_span ~name ?phase ?attrs f =
+  if not !Request.timing then f () else timed ~name phase attrs f
+
 let add_attr attr =
   if !enabled then
-    match !(Domain.DLS.get stack_key) with
+    let local = Domain.DLS.get local_key in
+    match local.stack with
     | [] -> ()
     | sp :: _ -> sp.Span.attrs <- attr :: sp.Span.attrs
 
 let instant ~name ?attrs () =
   if !enabled then begin
-    let sp = open_span ~name attrs in
+    let sp = open_span (Domain.DLS.get local_key) ~name ~phase:None attrs in
     sp.Span.dur_us <- 0.
   end
 
@@ -140,6 +184,11 @@ let json_of_attr_value : Attr.value -> Jsonx.t = function
 let event_of_span (sp : Span.t) =
   let args =
     List.rev_map (fun (k, v) -> (k, json_of_attr_value v)) sp.Span.attrs
+  in
+  let args =
+    match sp.Span.phase with
+    | Some p -> ("phase", Jsonx.Str (Phase.name p)) :: args
+    | None -> args
   in
   Jsonx.Obj
     [
@@ -225,16 +274,3 @@ let auto_flush ~file =
     flush_hook_registered := true;
     at_exit flush_pending
   end
-
-let pp_tree ppf () =
-  Format.pp_open_vbox ppf 0;
-  List.iter
-    (fun sp ->
-      Format.fprintf ppf "%s%a@ "
-        (String.make (2 * sp.Span.depth) ' ')
-        Span.pp sp)
-    (spans ());
-  if !dropped_count > 0 then
-    Format.fprintf ppf "... %d spans dropped (capacity %d)@ " !dropped_count
-      !capacity;
-  Format.pp_close_box ppf ()

@@ -1,18 +1,24 @@
-(** Hierarchical span tracing with a global per-run buffer.
+(** Hierarchical span tracing with a global per-run buffer, and the
+    one timing path of the serve phases.
 
-    Disabled by default.  While disabled every entry point is a single
-    boolean test — [with_span] runs its thunk directly and records
-    nothing, so instrumented hot paths cost nothing beyond the branch.
+    Disabled by default.  While tracing and request profiling
+    ({!Request}) are both off, every entry point is a single boolean
+    test — [with_span] runs its thunk directly, records nothing and
+    allocates nothing, so instrumented hot paths cost nothing beyond
+    the branch.
 
-    When enabled, {!with_span} records a span per call, nested under
-    the innermost open span {e of the calling domain}: the open-span
-    stack is domain-local, so spans emitted by {!Cqp_par.Pool} workers
-    parent correctly within their own domain, while the shared span
-    buffer itself is mutex-guarded (enabled-only — the disabled path
-    never touches the lock).  The buffer can be exported as Chrome
-    [trace_event] JSON — loadable in [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto} — or pretty-printed as an
-    indented tree. *)
+    When tracing is enabled, {!with_span} records a span per call,
+    nested under the innermost open span {e of the calling domain}:
+    the open-span stack is domain-local, so spans emitted by
+    {!Cqp_par.Pool} workers parent correctly within their own domain,
+    while the shared span buffer itself is mutex-guarded (enabled-only
+    — the disabled path never touches the lock).  The buffer can be
+    exported as Chrome [trace_event] JSON, loadable in
+    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}.
+
+    A span given [~phase] times one of the serve {!Phase}s.  The same
+    two clock readings feed the trace and, inside a profiled request,
+    the request's phase time and GC words. *)
 
 val enable : unit -> unit
 (** Start recording; also re-anchors the trace clock origin. *)
@@ -24,10 +30,20 @@ val reset : unit -> unit
 (** Drop all recorded spans and any open stack. *)
 
 val with_span :
-  name:string -> ?attrs:(unit -> Attr.t list) -> (unit -> 'a) -> 'a
+  name:string ->
+  ?phase:Phase.t ->
+  ?attrs:(unit -> Attr.t list) ->
+  (unit -> 'a) ->
+  'a
 (** [with_span ~name f] runs [f] inside a span.  [attrs] is a thunk so
     attribute values are never computed while tracing is disabled.  The
-    span is closed (duration filled in) even when [f] raises. *)
+    span is closed (duration filled in) even when [f] raises.
+
+    With [~phase], the outermost such span of each phase on the
+    calling domain is tagged with the phase ({!Span.t.phase}, and
+    ["phase"] under [args] in the Chrome export) and, inside a
+    profiled request, credited to it; a span nested inside a span of
+    the same phase is timed but neither tagged nor credited again. *)
 
 val add_attr : Attr.t -> unit
 (** Attach an attribute to the innermost open span; no-op when tracing
@@ -73,6 +89,3 @@ val auto_flush : file:string -> unit
     or missing.  A subsequent {!write_chrome} to the same [file]
     disarms the hook (the trace is written exactly once either way);
     calling [auto_flush] again re-targets it. *)
-
-val pp_tree : Format.formatter -> unit -> unit
-(** Human-readable indented span tree with durations and attributes. *)

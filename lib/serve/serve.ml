@@ -6,8 +6,8 @@ module Metrics = Cqp_obs.Metrics
 module Clock = Cqp_obs.Clock
 module Budget = Cqp_resilience.Budget
 module Rung = Cqp_resilience.Rung
-module Preq = Cqp_profile.Request
-module Phase = Cqp_profile.Phase
+module Preq = Cqp_obs.Request
+module Phase = Cqp_obs.Phase
 module Fault = Cqp_resilience.Fault
 module Config = Cqp_resilience.Config
 module Nsga2 = Cqp_core.Nsga2
@@ -167,9 +167,10 @@ let ladder t config budget profile (req : request) rung front_point ps =
          already expired).  Each cheaper rung runs under whatever
          budget remains — an already-expired budget collapses them to
          near-no-ops and the request lands on Unpersonalized.  The
-         rungs self-attribute as [Degrade] phase time, nested inside
-         the enclosing [Solve] attribution. *)
-      Preq.timed Phase.Degrade @@ fun () ->
+         rungs are the [Degrade] phase, nested inside the enclosing
+         [Solve] phase. *)
+      Cqp_obs.Trace.with_span ~name:"serve.degrade" ~phase:Phase.Degrade
+      @@ fun () ->
       let pareto_pick =
         match serving with
         | None -> None

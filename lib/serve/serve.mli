@@ -87,7 +87,7 @@ type verdict =
 type response = {
   request : request;
   request_id : int;
-      (** process-wide unique id ({!Cqp_profile.Request.fresh_id}),
+      (** process-wide unique id ({!Cqp_obs.Request.fresh_id}),
           assigned whether or not profiling is enabled *)
   verdict : verdict;
   latency_ms : float;  (** monotonic wall-clock serve time, >= 0 *)
@@ -150,11 +150,11 @@ val handle :
     ladder.  Always returns a response when the user is known — faults
     and deadlines degrade, they do not raise.
 
-    When {!Cqp_profile.Request} profiling is enabled, the request runs
-    under a phase-timer context: cache-lookup / solve / degrade /
-    render / exec phases land in the [profile.phase.*_us] histograms,
-    GC word deltas in [profile.gc.*], and one event line per request
-    in the open {!Cqp_profile.Reqlog} sink.  [enqueued_us] (a
+    When {!Cqp_obs.Request} profiling is enabled, the request runs
+    under a profiling context: its cache-lookup / solve / degrade /
+    render / exec phase spans land in the [profile.phase.*_us]
+    histograms, GC word deltas in [profile.gc.*], and one event line
+    per request in the open {!Cqp_obs.Reqlog} sink.  [enqueued_us] (a
     {!Cqp_obs.Clock.now_us} stamp taken when the request was admitted
     to its lane) credits the gap to handling start as [queue_wait].
     With profiling disabled both parameters are free and responses are

@@ -102,7 +102,7 @@ let install server ~user ?shape seed =
    ahead of it in its lane.  The stamp is only taken (and the clock
    only read) while profiling is on. *)
 let enqueue_stamp () =
-  if Cqp_profile.Request.is_enabled () then Some (Cqp_obs.Clock.now_us ())
+  if Cqp_obs.Request.is_enabled () then Some (Cqp_obs.Clock.now_us ())
   else None
 
 (* Replay partitions entries by user over one lane per pool domain: the

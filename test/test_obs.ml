@@ -85,6 +85,37 @@ let test_span_attrs () =
            s.Span.attrs)
   | _ -> Alcotest.fail "expected one span"
 
+(* Only the outermost span of a phase carries it, so summing tagged
+   spans never double counts; the mark unwinds when the span closes. *)
+let test_phase_tags () =
+  with_fresh @@ fun () ->
+  let module Phase = Cqp_obs.Phase in
+  Trace.with_span ~name:"outer" ~phase:Phase.Solve (fun () ->
+      Trace.with_span ~name:"inner" ~phase:Phase.Solve (fun () -> ());
+      Trace.with_span ~name:"other" ~phase:Phase.Degrade (fun () -> ()));
+  Trace.with_span ~name:"again" ~phase:Phase.Solve (fun () -> ());
+  (match Trace.spans () with
+  | [ outer; inner; other; again ] ->
+      checkb "outermost tagged" true (outer.Span.phase = Some Phase.Solve);
+      checkb "nested same phase untagged" true (inner.Span.phase = None);
+      checkb "distinct phase tagged" true
+        (other.Span.phase = Some Phase.Degrade);
+      checkb "mark unwound" true (again.Span.phase = Some Phase.Solve)
+  | l -> Alcotest.failf "expected 4 spans, got %d" (List.length l));
+  let tagged =
+    match Jsonx.member "traceEvents" (Trace.to_chrome_json ()) with
+    | Some (Jsonx.Arr events) ->
+        List.filter_map
+          (fun e ->
+            match Option.bind (Jsonx.member "args" e) (Jsonx.member "phase") with
+            | Some (Jsonx.Str p) -> Some p
+            | _ -> None)
+          events
+    | _ -> []
+  in
+  checkb "phase exported under args" true
+    (tagged = [ "solve"; "degrade"; "solve" ])
+
 let test_capacity_drops () =
   with_fresh @@ fun () ->
   Trace.set_capacity 2;
@@ -187,16 +218,24 @@ let test_disabled_records_nothing () =
 let test_disabled_allocates_nothing () =
   Obs.reset ();
   Obs.disable ();
+  Cqp_obs.Request.disable ();
   let f = Sys.opaque_identity (fun () -> 0) in
-  let before = Gc.minor_words () in
-  for _ = 1 to 1_000 do
-    ignore (Trace.with_span ~name:"hot" f)
-  done;
-  let delta = Gc.minor_words () -. before in
+  let loop span =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      ignore (span f)
+    done;
+    Gc.minor_words () -. before
+  in
   (* A recording with_span allocates a span record (~10 words) per
      call, i.e. >10k words over the loop; the disabled path must stay
-     within measurement noise (Gc.minor_words itself boxes a float). *)
-  checkb "disabled path within noise" true (delta < 1024.)
+     within measurement noise (Gc.minor_words itself boxes a float),
+     with and without a phase tag. *)
+  checkb "disabled path within noise" true
+    (loop (fun f -> Trace.with_span ~name:"hot" f) < 1024.);
+  checkb "disabled phase span within noise" true
+    (loop (fun f -> Trace.with_span ~name:"hot" ~phase:Cqp_obs.Phase.Exec f)
+    < 1024.)
 
 (* --- metrics ----------------------------------------------------------- *)
 
@@ -292,6 +331,7 @@ let () =
           Alcotest.test_case "closed on raise" `Quick
             test_span_closed_on_raise;
           Alcotest.test_case "attrs" `Quick test_span_attrs;
+          Alcotest.test_case "phase tags" `Quick test_phase_tags;
           Alcotest.test_case "capacity" `Quick test_capacity_drops;
           Alcotest.test_case "chrome roundtrip" `Quick test_chrome_roundtrip;
         ] );

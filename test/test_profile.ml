@@ -1,11 +1,13 @@
-(* cqp_profile: phase-timer attribution, the JSONL request log, the
-   Prometheus exposition, GC-delta profiling, the BENCH trajectory
-   comparator, and the serve-path invariant that profiling changes no
-   observable response. *)
+(* Request profiling: phase attribution through phase spans, the
+   agreement of the trace, the phase histograms and the JSONL request
+   log, the Prometheus exposition, the BENCH trajectory comparator, and
+   the serve-path invariant that profiling changes no observable
+   response. *)
 
-module P = Cqp_profile
+module P = Cqp_obs
 module Req = P.Request
 module Phase = P.Phase
+module Trace = P.Trace
 module Metrics = Cqp_obs.Metrics
 module Clock = Cqp_obs.Clock
 module S = Cqp_serve
@@ -19,6 +21,17 @@ let spin us =
   while Clock.raw_us () -. t0 < us do
     ()
   done
+
+let read_lines file =
+  let ic = open_in file in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
 
 (* Fresh switches per test; profiling off again afterwards so the rest
    of the suite (and test-order shuffles) see the default state. *)
@@ -36,16 +49,19 @@ let with_profiling f =
 
 (* --- phase timers ------------------------------------------------------ *)
 
+(* A phase span, as the serve pipeline opens them. *)
+let timed phase f = Trace.with_span ~name:(Phase.name phase) ~phase f
+
 let test_phase_attribution () =
   with_profiling @@ fun () ->
   Req.start ~id:(Req.fresh_id ()) ~user:"u";
   let w0 = Clock.raw_us () in
-  Req.timed Phase.Solve (fun () ->
+  timed Phase.Solve (fun () ->
       spin 2000.;
       (* nested same-phase block: must NOT be counted twice *)
-      Req.timed Phase.Solve (fun () -> spin 2000.);
+      timed Phase.Solve (fun () -> spin 2000.);
       (* distinct phase nests freely: Degrade is a subset of Solve *)
-      Req.timed Phase.Degrade (fun () -> spin 1000.));
+      timed Phase.Degrade (fun () -> spin 1000.));
   let wall = Clock.raw_us () -. w0 in
   let solve = Req.phase_us Phase.Solve in
   let degrade = Req.phase_us Phase.Degrade in
@@ -59,18 +75,18 @@ let test_phase_attribution () =
 let test_timed_exception_safe () =
   with_profiling @@ fun () ->
   Req.start ~id:(Req.fresh_id ()) ~user:"u";
-  (try Req.timed Phase.Exec (fun () -> spin 500.; failwith "boom")
+  (try timed Phase.Exec (fun () -> spin 500.; failwith "boom")
    with Failure _ -> ());
   checkb "time credited despite raise" true (Req.phase_us Phase.Exec >= 500.);
-  (* the reentrancy depth must have unwound: a second timed still counts *)
-  Req.timed Phase.Exec (fun () -> spin 500.);
+  (* the open-phase mark must have unwound: a second span still counts *)
+  timed Phase.Exec (fun () -> spin 500.);
   checkb "second timed accumulates" true (Req.phase_us Phase.Exec >= 1000.)
 
 let test_finish_publishes () =
   with_profiling @@ fun () ->
   Req.start ~id:(Req.fresh_id ()) ~user:"alice";
   Req.record_us Phase.Queue_wait 123.;
-  Req.timed Phase.Solve (fun () -> spin 200.);
+  timed Phase.Solve (fun () -> spin 200.);
   Req.finish ~rung:"full" ~outcome:"ok" ~cache_hits:1 ~cache_lookups:2
     ~latency_us:400.;
   checki "request counted" 1 (Metrics.counter_value "profile.requests");
@@ -89,12 +105,73 @@ let test_disabled_is_transparent () =
   Req.disable ();
   Req.start ~id:(Req.fresh_id ()) ~user:"u";
   checkb "no context while disabled" false (Req.active ());
-  let r = Req.timed Phase.Solve (fun () -> 41 + 1) in
+  let r = timed Phase.Solve (fun () -> 41 + 1) in
   checki "timed is transparent" 42 r;
   checkb "nothing accumulated" true (Req.phase_us Phase.Solve = 0.);
   let a = Req.fresh_id () in
   let b = Req.fresh_id () in
   checki "ids still advance while disabled" (a + 1) b
+
+(* --- one timing path ---------------------------------------------------- *)
+
+(* One request served with tracing, profiling and the event log all on.
+   Each phase's JSONL microseconds, its histogram observation and the
+   summed durations of its tagged (outermost) trace spans are equal as
+   floats: all three come from the same two clock readings per span.
+   [queue_wait] has no span; it is credited from the enqueue stamp. *)
+let test_one_timing_path () =
+  let catalog = Testlib.small_imdb ~seed:11 () in
+  let server = S.Serve.create catalog in
+  S.Serve.set_profile server ~user:"u"
+    (Cqp_workload.Profile_gen.generate ~rng:(Rng.create 3) catalog);
+  let req =
+    {
+      S.Serve.user = "u";
+      sql = "select title from movie";
+      problem = Cqp_core.Problem.problem2 ~cmax:400.;
+      max_k = Some 10;
+      algorithm = Cqp_core.Algorithm.C_boundaries;
+      execute = true;
+    }
+  in
+  let events_file = Filename.temp_file "cqp_events" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove events_file) @@ fun () ->
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  with_profiling @@ fun () ->
+  P.Reqlog.set_file events_file;
+  (* A spent deadline sends the solve down the degradation ladder, so
+     every phase that has a span runs. *)
+  ignore (S.Serve.handle ~deadline_ms:0. server req);
+  P.Reqlog.close ();
+  let event =
+    match read_lines events_file with
+    | [ line ] -> P.Reqlog.of_line line
+    | lines -> Alcotest.failf "expected one event, got %d" (List.length lines)
+  in
+  let spans = Trace.spans () in
+  List.iter
+    (fun p ->
+      let name = Phase.name p in
+      let tagged = List.filter (fun sp -> sp.P.Span.phase = Some p) spans in
+      checkb (name ^ " has a span") true (tagged <> []);
+      let traced =
+        List.fold_left (fun us sp -> us +. sp.P.Span.dur_us) 0. tagged
+      in
+      let logged =
+        Option.value ~default:0. (List.assoc_opt name event.P.Reqlog.phases)
+      in
+      let observed =
+        Option.value ~default:0.
+          (Metrics.histogram_sum ("profile.phase." ^ name ^ "_us"))
+      in
+      checkb (name ^ ": event = histogram") true (logged = observed);
+      checkb (name ^ ": event = trace") true (logged = traced))
+    (List.filter (fun p -> p <> Phase.Queue_wait) Phase.all)
 
 (* --- request event log ------------------------------------------------- *)
 
@@ -128,14 +205,7 @@ let test_reqlog_sink () =
   checkb "sink closed" false (P.Reqlog.is_open ());
   checki "two lines counted" 2 (P.Reqlog.logged_count ());
   P.Reqlog.log sample_event (* dropped, not an error *);
-  let ic = open_in file in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let events = List.rev_map P.Reqlog.of_line !lines in
+  let events = List.map P.Reqlog.of_line (read_lines file) in
   checki "two lines on disk" 2 (List.length events);
   checkb "ids preserved in order" true
     (List.map (fun e -> e.P.Reqlog.id) events = [ 7; 8 ])
@@ -182,48 +252,6 @@ let test_histogram_quantile () =
   | None -> Alcotest.fail "max missing");
   checkb "empty histogram has no quantile" true
     (Metrics.histogram_quantile "absent" 0.5 = None)
-
-(* --- GC profiling ------------------------------------------------------ *)
-
-(* [Gc.quick_stat ()] minor words advance at collection boundaries on
-   OCaml 5, so the workloads must overflow the minor heap (256k words
-   by default) for the delta to be visible. *)
-let test_gc_deltas () =
-  let r, d =
-    P.Gcprof.measure (fun () ->
-        Sys.opaque_identity (List.init 500_000 Fun.id))
-  in
-  checki "result passes through" 500_000 (List.length r);
-  checkb "allocation visible in minor words" true
-    (d.P.Gcprof.minor_words > 0.);
-  checkb "elapsed non-negative" true (d.P.Gcprof.elapsed_us >= 0.);
-  checkb "collections non-negative" true
-    (d.P.Gcprof.minor_collections >= 0
-    && d.P.Gcprof.major_collections >= 0
-    && d.P.Gcprof.compactions >= 0);
-  (* deltas are monotone in the amount of work: a strictly larger
-     allocation can never show fewer minor words *)
-  let _, d2 =
-    P.Gcprof.measure (fun () ->
-        Sys.opaque_identity (List.init 2_000_000 Fun.id))
-  in
-  checkb "bigger allocation, bigger delta" true
-    (d2.P.Gcprof.minor_words >= d.P.Gcprof.minor_words)
-
-let test_gc_section_publish () =
-  Metrics.reset ();
-  Metrics.enable ();
-  Fun.protect ~finally:(fun () -> Metrics.disable (); Metrics.reset ())
-  @@ fun () ->
-  let r =
-    P.Gcprof.with_section "unit" (fun () ->
-        Sys.opaque_identity (List.init 500_000 Fun.id))
-  in
-  checki "result passes through" 500_000 (List.length r);
-  checkb "section counter published" true
-    (Metrics.counter_value "profile.gc.section.unit.minor_words" > 0);
-  checki "elapsed observed" 1
-    (Metrics.histogram_count "profile.gc.section.unit.elapsed_us")
 
 (* --- BENCH files and the trajectory comparator ------------------------- *)
 
@@ -348,7 +376,7 @@ let test_serve_profiling_differential () =
     (List.length (List.sort_uniq compare ids))
 
 let () =
-  Alcotest.run "cqp_profile"
+  Alcotest.run "profile"
     [
       ( "phases",
         [
@@ -359,6 +387,8 @@ let () =
           Alcotest.test_case "finish publishes" `Quick test_finish_publishes;
           Alcotest.test_case "disabled is transparent" `Quick
             test_disabled_is_transparent;
+          Alcotest.test_case "trace, histograms and events agree" `Quick
+            test_one_timing_path;
         ] );
       ( "reqlog",
         [
@@ -370,11 +400,6 @@ let () =
           Alcotest.test_case "golden exposition" `Quick test_prometheus_golden;
           Alcotest.test_case "histogram quantile" `Quick
             test_histogram_quantile;
-        ] );
-      ( "gc",
-        [
-          Alcotest.test_case "measure deltas" `Quick test_gc_deltas;
-          Alcotest.test_case "section publish" `Quick test_gc_section_publish;
         ] );
       ( "bench",
         [

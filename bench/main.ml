@@ -1048,58 +1048,55 @@ let ablation_merged () =
   Printf.printf
     " paper leaves this combining 'beyond the scope' in footnote 1)\n%!"
 
+(* The subset enumeration the front builder replaced: every subset,
+   then the non-dominated filter. *)
+let enumerated_front space =
+  let all = ref [] in
+  C.Exhaustive.iter_subsets space (fun ids _n params ->
+      all := { C.Pareto.pref_ids = List.rev ids; params } :: !all);
+  C.Nsga2.non_dominated !all
+
 let pareto_front () =
   section_header "Extension (Section 8)"
-    "multi-objective CQP: the doi/cost Pareto front, K = 12";
+    "multi-objective CQP: Pareto fronts, the builder against enumeration";
   let b = Lazy.force bundle in
   let profile = List.nth b.W.Experiment.profiles 2 in
   let query = Cqp_sql.Parser.parse "select title from movie" in
-  let ps = pref_space profile query ~k:12 in
-  let space = C.Space.create ~order:C.Space.By_doi ps in
-  (* Both fronts come from [Nsga2], projected to (doi, cost): exact
-     enumeration at this K, and NSGA-II forced at the same K. *)
-  let exact =
-    C.Pareto.skyline
-      (C.Nsga2.front ~exact_max_k:C.Pareto.exact_budget_k space)
+  let space_at k =
+    C.Space.create ~order:C.Space.By_doi (pref_space profile query ~k)
   in
-  let evolved = C.Pareto.skyline (C.Nsga2.evolve space) in
-  Printf.printf "exact front: %d points; NSGA-II approximation: %d points\n"
-    (List.length exact) (List.length evolved);
-  Printf.printf "%8s %10s %10s %8s\n" "" "cost(ms)" "doi" "|PU|";
-  let show tag points =
-    List.iteri
-      (fun i p ->
-        if i < 8 then
-          Printf.printf "%8s %10.1f %10.6f %8d\n" tag
-            p.C.Pareto.params.C.Params.cost p.C.Pareto.params.C.Params.doi
-            (List.length p.C.Pareto.pref_ids))
-      points
+  let timed f =
+    let t0 = now_s () in
+    let r = f () in
+    (r, 1000. *. (now_s () -. t0))
   in
-  show "exact" exact;
-  (match C.Pareto.knee exact with
-  | Some knee ->
-      Printf.printf "knee: cost %.1f doi %.6f |PU|=%d\n%!"
-        knee.C.Pareto.params.C.Params.cost knee.C.Pareto.params.C.Params.doi
-        (List.length knee.C.Pareto.pref_ids)
-  | None -> ());
-  (* NSGA-II-vs-exact coverage: worst doi shortfall at equal cost *)
-  let shortfall =
-    List.fold_left
-      (fun worst g ->
-        let best_doi_at_cost =
-          List.fold_left
-            (fun acc e ->
-              if
-                e.C.Pareto.params.C.Params.cost
-                <= g.C.Pareto.params.C.Params.cost +. 1e-9
-              then max acc e.C.Pareto.params.C.Params.doi
-              else acc)
-            0. exact
-        in
-        max worst (best_doi_at_cost -. g.C.Pareto.params.C.Params.doi))
-      0. evolved
-  in
-  Printf.printf "NSGA-II front max doi shortfall vs exact: %.2e\n%!" shortfall
+  let front = C.Pareto.skyline (C.Nsga2.front (space_at 12)) in
+  Printf.printf "doi/cost front at K = 12: %d points\n" (List.length front);
+  Option.iter
+    (fun (p : C.Pareto.point) ->
+      Format.printf "knee: |PU| = %d, %a@." (List.length p.pref_ids)
+        C.Params.pp p.params)
+    (C.Pareto.knee front);
+  Printf.printf "\n%4s %12s %10s %12s %12s\n" "K" "tri points" "front"
+    "build(ms)" "enum(ms)";
+  List.iter
+    (fun k ->
+      let space = space_at k in
+      let (tri, factor), build_ms = timed (fun () -> C.Nsga2.build space) in
+      let enum_ms =
+        if k > 16 then "-"
+        else
+          let enumerated, ms = timed (fun () -> enumerated_front space) in
+          let params = List.map (fun p -> p.C.Pareto.params) in
+          if params enumerated <> params tri then
+            failwith (Printf.sprintf "pareto_front: builder <> enumeration, K %d" k);
+          Printf.sprintf "%.1f" ms
+      in
+      Printf.printf "%4d %12d %10s %12.1f %12s\n%!" (C.Space.k space)
+        (List.length tri)
+        (if factor = 1. then "exact" else Printf.sprintf "x%.4g" factor)
+        build_ms enum_ms)
+    [ 12; 16; 20; 24 ]
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks                                          *)
@@ -1366,7 +1363,7 @@ let trend_serve ?domains () =
    tri-objective front cache armed ([Config.pareto]).  The cold pass
    populates one front per (query, profile); the measured warm pass
    reports the {e front} cache hit rate, so a regression in front-key
-   stability or NSGA-II determinism (a fresh front per request) shows
+   stability or builder determinism (a fresh front per request) shows
    up as a hit-rate collapse long before it shows up as latency. *)
 let trend_pareto_front () =
   let catalog = catalog () in

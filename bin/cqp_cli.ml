@@ -265,23 +265,24 @@ let plan_cmd =
   query_cmd "plan" ~doc:"Show the physical execution plan of a SQL query."
     plan_action
 
-let pareto_action catalog profile query _problem _algorithm max_k =
+let pareto_action catalog profile query problem _algorithm max_k =
   let q = Cqp_sql.Parser.parse query in
   Cqp_sql.Analyzer.check catalog q;
   let est = C.Estimate.create catalog q in
   let ps = C.Pref_space.build ~max_k est profile in
   let space = C.Space.create ~order:C.Space.By_doi ps in
   let k = C.Pref_space.k ps in
-  (* One front computation for the CLI, the bench and the serving layer:
-     exact enumeration up to [Pareto.exact_budget_k], NSGA-II beyond.
-     The doi/cost front is the skyline of the tri-objective one. *)
-  let exact = k <= C.Pareto.exact_budget_k in
-  let algorithm = if exact then "exact" else "nsga2" in
-  let tri = C.Nsga2.front ~exact_max_k:C.Pareto.exact_budget_k space in
+  (* The serving layer's front, under the problem's size interval; the
+     doi/cost front is the skyline of the tri-objective one. *)
+  let tri, factor =
+    C.Nsga2.build ~constraints:problem.C.Problem.constraints space
+  in
   let front = C.Pareto.skyline tri in
-  Format.printf "front algorithm: %s (K = %d %s %d)@." algorithm k
-    (if exact then "<=" else ">")
-    C.Pareto.exact_budget_k;
+  let algorithm =
+    if factor = 1. then "exact"
+    else Printf.sprintf "thinned, cost and size within x%.4g" factor
+  in
+  Format.printf "front algorithm: %s (K = %d)@." algorithm k;
   Format.printf "doi/cost Pareto front (%d points, K = %d):@."
     (List.length front) k;
   Format.printf "%a@." C.Pareto.pp front;

@@ -1,22 +1,12 @@
 (** Tri-objective Pareto fronts over (doi up, cost down, size down) —
     every query parameter the paper models at once, and the only front
     computation: {!Pareto}'s doi/cost front is the {!Pareto.skyline} of
-    {!front}.
+    {!front}.  The module keeps its historical name because perfbench,
+    frozen with [BENCHMARK.json], calls it by that name.
 
-    Below {!Pareto.exact_budget_k} preferences the front is computed
-    by exact subset enumeration; beyond it, by an NSGA-II-style
-    evolutionary search (Deb's fast non-dominated sort, crowding
-    distance, constrained domination) built on the shared
-    {!Metaheuristics.Ga} operators over subset genomes.  Both paths
-    are deterministic: the exact path is enumeration plus a canonical
-    sort, the evolutionary path derives every random draw from a fixed
-    internal seed, so [front] is a pure function of its inputs — the
-    property the serving layer's front cache and the 1/2/4-domain
-    differential suites rely on.
-
-    The serving form ({!serving}) stores a front sorted by cost with a
-    prefix best-doi index, so a degraded request can pick the best
-    operating point that fits its remaining budget in O(log n). *)
+    {!build} is deterministic, so [front] is a pure function of its
+    inputs, which the front cache and the 1/2/4-domain differential
+    suites rely on. *)
 
 type point = Pareto.point = { pref_ids : int list; params : Params.t }
 
@@ -30,20 +20,11 @@ val is_front : point list -> bool
 val compare_points : point -> point -> int
 (** The canonical front order: cost ascending, then size ascending,
     then doi descending, then the id sets — a total order, so equal
-    point sets compare bit-identically regardless of builder. *)
+    point sets sort bit-identically whatever their input order. *)
 
 val non_dominated : point list -> point list
-(** The non-dominated subset, in canonical order. *)
-
-val non_dominated_sort : point array -> int list list
-(** Deb's fast non-dominated sort, O(MN^2): partitions indices into
-    fronts of increasing rank; within a front, indices ascend. *)
-
-val crowding : point array -> float array
-(** Crowding distances for one front: boundary points of every
-    spanning objective are [infinity]; an objective with zero span
-    contributes nothing (never NaN); fronts of at most two points are
-    all-infinite. *)
+(** The non-dominated subset in canonical order, O(n log n); of several
+    points with one (doi, cost, size) triple only the first survives. *)
 
 val hypervolume : ref_point:Params.t -> point list -> float
 (** Volume (in objective space) dominated by the points and bounded by
@@ -51,29 +32,20 @@ val hypervolume : ref_point:Params.t -> point list -> float
     cost, higher size, lower doi); points not strictly better than the
     reference on all three objectives contribute nothing. *)
 
-val exact_front : ?constraints:Params.constraints -> Space.t -> point list
-(** Ground truth by exhaustive enumeration (size-interval feasibility
-    per {!Pareto.feasible}), in canonical order — the repository's one
-    subset enumerator for fronts.
-    @raise Invalid_argument past {!Exhaustive.max_k}. *)
-
-val evolve : ?constraints:Params.constraints -> Space.t -> point list
-(** The evolutionary front at any K: elitist (mu + lambda) NSGA-II
-    over boolean subset genomes (population 64, per-bit mutation rate
-    0.03), seeded with the empty set and every singleton, selecting by
-    (rank, crowding) through the shared {!Metaheuristics.Ga} operators
-    under a budget of 4096 parameter evaluations.  Every feasible
-    evaluation feeds an archive; the result is the non-dominated
-    filter over the archive in canonical order — deterministic, since
-    every draw comes from one fixed seed. *)
+val build : ?constraints:Params.constraints -> Space.t -> point list * float
+(** The front over every subset, feasible per {!Pareto.feasible}, in
+    canonical order, and the factor it is within (1.0: exact).  Params
+    are the subset enumeration's bit for bit ({!Space.params_with_id}
+    in ascending id order).  While partial fronts fit 4,096 points the
+    points are the enumeration front's distinct triples; past that, for
+    every subset of size in [smin, smax / factor] some point has doi no
+    lower and cost and size within the factor, up to float rounding.
+    At most 4,096 points. *)
 
 val front :
   ?constraints:Params.constraints -> ?exact_max_k:int -> Space.t -> point list
-(** {!exact_front} up to [exact_max_k] (default {!Exhaustive.max_k},
-    always capped by it), {!evolve} beyond — the repository's only
-    front computation.  The serving layer and [cqp pareto] pass
-    [~exact_max_k:{!Pareto.exact_budget_k}]; the 2D (doi, cost) front
-    is {!Pareto.skyline} of this front. *)
+(** The points of {!build}; the ignored argument exists only because
+    perfbench, frozen with [BENCHMARK.json], passes it. *)
 
 (** {1 Serving form} *)
 

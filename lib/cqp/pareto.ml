@@ -1,10 +1,5 @@
 type point = { pref_ids : int list; params : Params.t }
 
-(* Enumeration budget for interactive front computation: 2^16 subset
-   extensions keep an exact front within an interactive latency budget
-   on the CLI, the bench, and the serving path.  [Exhaustive.max_k]
-   stays the hard correctness guard; this is the softer "switch to an
-   approximate front" threshold that every front consumer shares. *)
 let exact_budget_k = 16
 
 let dominates a b =

@@ -15,25 +15,20 @@
     enumerates nothing.  {!Nsga2.front} computes every front: each
     (doi, cost) pair on the 2D front is also the projection of a point
     on the tri-objective (doi, cost, size) front, so the 2D front is
-    [skyline (Nsga2.front space)] — exact up to {!exact_budget_k},
-    the skyline of the evolutionary front beyond.  Size constraints,
-    when given, filter candidates ({!feasible}) before the dominance
-    pass. *)
+    [skyline (Nsga2.front space)], exact whenever {!Nsga2.build}
+    reports the factor 1.0.  Size constraints, when given, filter
+    candidates ({!feasible}). *)
 
 type point = { pref_ids : int list; params : Params.t }
 
 val exact_budget_k : int
-(** The shared exact/approximate switch-over (16): up to 2^16 subset
-    enumerations, an exact front fits an interactive latency budget,
-    so the CLI, the bench, and the serving layer all fall back to an
-    approximate front above this K.  Distinct from
-    {!Exhaustive.max_k}, the hard guard past which exact enumeration
-    refuses to run at all. *)
+(** Unused (16).  It exists only because perfbench, which is frozen
+    with [BENCHMARK.json], passes it to {!Nsga2.front}. *)
 
 val feasible : Params.constraints option -> Params.t -> bool
-(** Candidate filter shared by every front builder: only the size
-    interval filters (doi and cost are the objectives themselves);
-    [None] accepts everything. *)
+(** The front builder's candidate filter: only the size interval
+    filters (doi and cost are the objectives themselves); [None]
+    accepts everything. *)
 
 val dominates : point -> point -> bool
 val is_front : point list -> bool

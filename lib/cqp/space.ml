@@ -104,6 +104,7 @@ let params_of_ids t ids =
 let params t state = params_of_ids t (List.map (fun pos -> t.positions.(pos)) state)
 
 let item t id = t.ps.Pref_space.items.(id)
+let frac t id = t.item_frac.(id)
 let uses_mask t = t.keymode = Kmask
 let estimate t = t.ps.Pref_space.estimate
 

@@ -54,6 +54,9 @@ val params_of_ids : t -> int list -> Params.t
 val item : t -> int -> Pref_space.item
 (** Item by {e preference id} (not position). *)
 
+val frac : t -> int -> float
+(** The factor adding a preference id multiplies a set's size by. *)
+
 val uses_mask : t -> bool
 (** Whether valued states carry the int mask ([k <= State.max_mask_bits]
     on an [`Auto] space). *)

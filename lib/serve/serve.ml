@@ -102,19 +102,18 @@ let profile t user = Hashtbl.find_opt t.profiles user
    dropping their warm extractions on every eviction would defeat it. *)
 let remove_profile t ~user = Hashtbl.remove t.profiles user
 
-(* Pareto serving (the NSGA-II front as a resilience rung): with
+(* Pareto serving (the tri-objective front as a resilience rung): with
    [config.pareto] on, every request computes — or looks up in the
-   front cache — the tri-objective front for its (query, profile,
-   constraints), so the cache is warm by the time pressure hits.
-   [Nsga2.front] is a pure function of its inputs, so the cache can
-   never change what a pick returns. *)
+   front cache — the front for its (query, profile, constraints), so
+   the cache is warm by the time pressure hits.  [Nsga2.front] is a
+   pure function of its inputs, so the cache can never change what a
+   pick returns. *)
 let serving_front t (req : request) profile ps =
   let problem = req.problem in
   let compute () =
     let space = Cqp_core.Space.create ~order:Cqp_core.Space.By_doi ps in
     Nsga2.serving_of_front
-      (Nsga2.front ~constraints:problem.Cqp_core.Problem.constraints
-         ~exact_max_k:Cqp_core.Pareto.exact_budget_k space)
+      (Nsga2.front ~constraints:problem.Cqp_core.Problem.constraints space)
   in
   match t.cache with
   | None -> compute ()

@@ -1,15 +1,16 @@
-(* Pareto-front laws and the NSGA-II tri-objective machinery.
+(* Pareto-front laws and the tri-objective front builder.
 
    Three layers of guarantees.  Unit regressions pin [Pareto.knee]
    seeding its normalization folds from the front itself (degenerate
    and all-negative fronts).  Qcheck laws cover dominance and skyline
-   algebra (irreflexivity, skyline output is a front, idempotence)
-   plus Deb's fast non-dominated sort.  The differential anchors the
-   serving path: [Nsga2.front] is bit-identical to the exact
-   tri-objective DFS front at every K the exact path covers, across
-   seeds and repeated runs; the 2D front read off it as a skyline is
-   the exhaustive 2D skyline, bit for bit; and the evolutionary path
-   never invents a point the exact front refutes. *)
+   algebra (irreflexivity, skyline output is a front, idempotence) and
+   the O(n log n) non-dominated filter against a brute-force O(n^2)
+   one.  The differentials anchor the serving path: [Nsga2.build]
+   equals an enumeration of every subset, kept here as the oracle, at
+   every K up to 20 on random, [Max_combine], tie-heavy and
+   size-constrained spaces; the 2D front read off it as a skyline is
+   the exhaustive 2D skyline, bit for bit; and past its point budget
+   the builder covers the exact front within the factor it reports. *)
 
 module C = Cqp_core
 module Rng = Cqp_util.Rng
@@ -119,96 +120,54 @@ let prop_non_dominated_is_front =
       let nd = C.Nsga2.non_dominated ps in
       C.Nsga2.is_front nd && C.Nsga2.non_dominated nd = nd)
 
-(* --- Deb's fast non-dominated sort ------------------------------------- *)
-
-let test_nds_chain () =
-  let pts =
-    [| pt 0.9 10. ~size:10.; pt 0.8 20. ~size:20.; pt 0.7 30. ~size:30. |]
+(* Points on a coarse grid with repeated triples, some under different
+   id sets, so ties on one objective or on all three are common. *)
+let arb_grid_points =
+  let gen_point =
+    QCheck.Gen.(
+      let* doi = map (fun i -> float_of_int i /. 4.) (0 -- 4) in
+      let* cost = map float_of_int (0 -- 3) in
+      let* size = map float_of_int (0 -- 3) in
+      let* ids = list_size (0 -- 2) (0 -- 3) in
+      return (pt ~ids ~size doi cost))
   in
-  Alcotest.(check (list (list int)))
-    "total dominance chain peels one per rank"
-    [ [ 0 ]; [ 1 ]; [ 2 ] ]
-    (C.Nsga2.non_dominated_sort pts)
+  QCheck.make
+    ~print:(fun ps -> Format.asprintf "%a" C.Pareto.pp ps)
+    QCheck.Gen.(
+      let* pool = list_size (1 -- 8) gen_point in
+      list_size (1 -- 30) (oneofl pool))
 
-let test_nds_incomparable () =
-  let pts =
-    [| pt 0.9 30. ~size:10.; pt 0.8 20. ~size:20.; pt 0.7 10. ~size:30. |]
-  in
-  Alcotest.(check (list (list int)))
-    "mutually incomparable points share rank 0"
-    [ [ 0; 1; 2 ] ]
-    (C.Nsga2.non_dominated_sort pts)
+let triple (p : C.Params.t) =
+  ( Int64.bits_of_float p.C.Params.doi,
+    Int64.bits_of_float p.C.Params.cost,
+    Int64.bits_of_float p.C.Params.size )
 
-let test_nds_all_equal () =
-  let p = pt 0.5 10. ~size:5. in
-  Alcotest.(check (list (list int)))
-    "identical points never dominate each other"
-    [ [ 0; 1; 2 ] ]
-    (C.Nsga2.non_dominated_sort [| p; p; p |])
-
-let test_nds_mixed () =
-  let a = pt 0.9 10. ~size:10. in
-  (* a dominates b and d; b and c are incomparable; d is last. *)
-  let b = pt 0.8 20. ~size:10. in
-  let c = pt 0.5 10. ~size:5. in
-  let d = pt 0.4 30. ~size:50. in
-  Alcotest.(check (list (list int)))
-    "mixed ranks" [ [ 0; 2 ]; [ 1 ]; [ 3 ] ]
-    (C.Nsga2.non_dominated_sort [| a; b; c; d |])
-
-let prop_nds_partitions =
-  QCheck.Test.make
-    ~name:"non_dominated_sort partitions indices into dominated layers"
-    ~count:150 arb_points (fun ps ->
-      let pts = Array.of_list ps in
-      let fronts = C.Nsga2.non_dominated_sort pts in
-      let flat = List.concat fronts in
-      List.sort compare flat = List.init (Array.length pts) Fun.id
-      && List.for_all
-           (fun front ->
-             C.Nsga2.is_front (List.map (fun i -> pts.(i)) front))
-           fronts
-      &&
-      (* Every rank-(r+1) member is dominated by some rank-r member. *)
-      let rec layered = function
-        | prev :: (next :: _ as rest) ->
-            List.for_all
-              (fun j ->
-                List.exists (fun i -> C.Nsga2.dominates pts.(i) pts.(j)) prev)
-              next
-            && layered rest
-        | _ -> true
+let prop_non_dominated_distinct_triples =
+  QCheck.Test.make ~name:"Nsga2.non_dominated never repeats a triple"
+    ~count:300 arb_grid_points (fun ps ->
+      let triples =
+        List.map (fun p -> triple p.C.Pareto.params) (C.Nsga2.non_dominated ps)
       in
-      layered fronts)
+      List.length (List.sort_uniq compare triples) = List.length triples)
 
-(* --- crowding distance ------------------------------------------------- *)
+(* The filter by its definition: a point survives when nothing strictly
+   dominates it and no point before it in canonical order has its
+   triple. *)
+let brute_non_dominated ps =
+  let sorted = List.sort C.Nsga2.compare_points ps in
+  List.filteri
+    (fun i p ->
+      (not (List.exists (fun q -> C.Nsga2.dominates q p) ps))
+      && not
+           (List.exists
+              (fun q -> q.C.Pareto.params = p.C.Pareto.params)
+              (List.filteri (fun j _ -> j < i) sorted)))
+    sorted
 
-let test_crowding_small_fronts () =
-  Alcotest.(check bool) "two points are both boundaries" true
-    (C.Nsga2.crowding [| pt 0.9 10.; pt 0.5 50. |] = [| infinity; infinity |]);
-  Alcotest.(check bool) "a single point is a boundary" true
-    (C.Nsga2.crowding [| pt 0.9 10. |] = [| infinity |])
-
-let test_crowding_interior () =
-  (* Equally spaced on every objective: the interior point's gap is
-     the full span on each of the three axes, so its crowding is
-     exactly 3; the extremes are infinite. *)
-  let front =
-    [| pt 0.9 30. ~size:3.; pt 0.8 20. ~size:2.; pt 0.7 10. ~size:1. |]
-  in
-  let d = C.Nsga2.crowding front in
-  Alcotest.(check bool) "boundaries are infinite" true
-    (d.(0) = infinity && d.(2) = infinity);
-  Alcotest.(check (float 1e-9)) "interior crowding is the normalized gap sum" 3.
-    d.(1)
-
-let test_crowding_identical_objectives () =
-  (* Zero span on every objective: no boundaries, no gaps — all zeros,
-     never NaN. *)
-  let p = pt 0.5 10. ~size:5. in
-  let d = C.Nsga2.crowding [| p; p; p; p |] in
-  Alcotest.(check bool) "identical-objective front crowds to zero" true
-    (Array.for_all (fun x -> x = 0.) d)
+let prop_non_dominated_brute_force =
+  QCheck.Test.make ~name:"Nsga2.non_dominated = brute-force O(n^2) filter"
+    ~count:500 arb_grid_points (fun ps ->
+      C.Nsga2.non_dominated ps = brute_non_dominated ps)
 
 (* --- hypervolume ------------------------------------------------------- *)
 
@@ -238,30 +197,141 @@ let test_hypervolume_known () =
     (C.Nsga2.hypervolume ~ref_point [ p1 ])
     (C.Nsga2.hypervolume ~ref_point [ p1; pt 0. 25. ~size:6. ])
 
-(* --- the NSGA-II / exact-DFS differential ------------------------------ *)
+(* --- the enumeration oracle ---------------------------------------------- *)
 
-let tri_ref front =
-  let worst f init =
-    List.fold_left (fun m p -> f m p.C.Pareto.params) init front
+(* Every subset through [Exhaustive.iter_subsets], the DFS whose float
+   path the builder extends along, then the non-dominated filter.  The
+   filter runs per chunk of 2^16 candidates, so memory stays at one
+   chunk plus the front at K = 20: the front of a union is the front of
+   (the front of one part) and the other part. *)
+let oracle ?constraints space =
+  let front = ref [] and chunk = ref [] and held = ref 0 in
+  let flush () =
+    front := C.Nsga2.non_dominated (List.rev_append !chunk !front);
+    chunk := [];
+    held := 0
   in
-  {
-    C.Params.doi = -1.;
-    cost = worst (fun m p -> Float.max m p.C.Params.cost) 0. +. 1.;
-    size = worst (fun m p -> Float.max m p.C.Params.size) 0. +. 1.;
-  }
+  C.Exhaustive.iter_subsets space (fun ids _n params ->
+      if C.Pareto.feasible constraints params then begin
+        chunk := { C.Pareto.pref_ids = List.rev ids; params } :: !chunk;
+        incr held;
+        if !held = 1 lsl 16 then flush ()
+      end);
+  flush ();
+  !front
+
+(* How many subsets reach each triple of [front], and the last one's
+   ids (a subset with a feasible point's triple is itself feasible). *)
+let id_sets space front =
+  let seen = Hashtbl.create 64 in
+  List.iter (fun p -> Hashtbl.replace seen (triple p.C.Pareto.params) (0, []))
+    front;
+  C.Exhaustive.iter_subsets space (fun ids _n params ->
+      let t = triple params in
+      match Hashtbl.find_opt seen t with
+      | Some (n, _) -> Hashtbl.replace seen t (n + 1, List.rev ids)
+      | None -> ());
+  seen
+
+(* An id set's params, extended in ascending id order as the DFS does. *)
+let dfs_params space ids =
+  snd
+    (List.fold_left
+       (fun (n, p) id -> (n + 1, C.Space.params_with_id space ~n p id))
+       (0, C.Space.params_of_ids space [])
+       ids)
+
+let check_builder ?constraints msg space =
+  let front, factor = C.Nsga2.build ?constraints space in
+  let exact = oracle ?constraints space in
+  Alcotest.(check (float 0.)) (msg ^ ": factor is 1.0") 1. factor;
+  Alcotest.(check (list (triple int64 int64 int64)))
+    (msg ^ ": distinct triples = the enumeration's, as float bits")
+    (List.map (fun p -> triple p.C.Pareto.params) exact)
+    (List.map (fun p -> triple p.C.Pareto.params) front);
+  let sets = id_sets space exact in
+  List.iter
+    (fun p ->
+      let ids = p.C.Pareto.pref_ids in
+      Alcotest.(check bool)
+        (msg ^ ": DFS-order params = the point")
+        true
+        (triple (dfs_params space ids) = triple p.C.Pareto.params);
+      Alcotest.(check bool)
+        (msg ^ ": point is feasible")
+        true
+        (C.Pareto.feasible constraints p.C.Pareto.params);
+      match Hashtbl.find sets (triple p.C.Pareto.params) with
+      | 1, only ->
+          Alcotest.(check (list int)) (msg ^ ": the only id set") only ids
+      | _ -> ())
+    front
+
+(* Space families: [k] preferences drawn from [rng]. *)
+let noisy_or rng ~k = (Testlib.random_space rng ~k, None)
+
+let max_combine rng ~k =
+  (Testlib.random_space ~r:Cqp_prefs.Doi.Max_combine rng ~k, None)
+
+(* Costs, dois and fractions on a 0.25 grid, zero fractions and doi 1
+   included: sums and products are exact, so subsets tie on whole
+   triples and partial sets tie before a later item erases the gap. *)
+let tie_grid rng ~k =
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  ( Testlib.fabricate
+      ~costs:(Array.init k (fun _ -> pick [| 0.25; 0.5; 0.75; 1. |]))
+      ~dois:(Array.init k (fun _ -> pick [| 0.25; 0.5; 0.75; 1. |]))
+      ~fracs:(Array.init k (fun _ -> pick [| 0.; 0.25; 0.5; 0.75; 1. |]))
+      (),
+    None )
+
+(* Size-constrained: smin 1 (generated serving workloads' Problem 3
+   bound) or drawn at random, with and without smax. *)
+let constrained rng ~k =
+  let ps = Testlib.random_space rng ~k in
+  let smin = if Rng.bool rng then 1. else Rng.float rng 20. in
+  let smax = if Rng.bool rng then Some (smin +. Rng.float rng 60.) else None in
+  (ps, Some (C.Params.make ~smin ?smax ()))
+
+let families =
+  [
+    ("noisy-or", noisy_or, 1);
+    ("max-combine", max_combine, 2);
+    ("tie grid", tie_grid, 3);
+    ("constrained", constrained, 4);
+  ]
+
+let check_family ?(spaces = 1) ~ks (name, family, salt) =
+  List.iter
+    (fun k ->
+      for s = 0 to spaces - 1 do
+        let rng = Rng.create ((10_000 * s) + (100 * salt) + k) in
+        let ps, constraints = family rng ~k in
+        check_builder ?constraints
+          (Printf.sprintf "%s K=%d space %d" name k s)
+          (C.Space.create ~order:C.Space.By_doi ps)
+      done)
+    ks
+
+let test_builder_matches_oracle () =
+  List.iter (check_family ~spaces:3 ~ks:(List.init 17 Fun.id)) families
+
+(* One space per family, K = 17 to 20 in the families' order. *)
+let test_builder_matches_oracle_large_k () =
+  List.iteri (fun i family -> check_family ~ks:[ 17 + i ] family) families
 
 let test_front_matches_exact_dfs () =
-  (* The acceptance differential: over >= 40 seeded spaces at K <= 12,
-     [Nsga2.front] is bit-identical (structural equality, floats
-     included) to the exhaustive tri-objective DFS front, and
-     identical again on a second run. *)
+  (* Over 45 seeded spaces at K <= 12, [Nsga2.front] is bit-identical
+     (structural equality, floats and id sets included) to the
+     enumeration's front — random spaces have no ties — and identical
+     again on a second run. *)
   let seeds = 45 in
   for seed = 1 to seeds do
     let rng = Rng.create (1000 + seed) in
     let k = 4 + (seed mod 9) in
     let ps = Testlib.random_space rng ~k in
     let space = C.Space.create ~order:C.Space.By_doi ps in
-    let exact = C.Nsga2.exact_front space in
+    let exact = oracle space in
     let front = C.Nsga2.front space in
     Alcotest.check point_list
       (Printf.sprintf "seed %d (K=%d): front = exact DFS" seed k)
@@ -281,7 +351,7 @@ let test_front_matches_exact_constrained () =
     let rng = Rng.create (7000 + seed) in
     let ps = Testlib.random_space rng ~k:8 in
     let space = C.Space.create ~order:C.Space.By_doi ps in
-    let exact = C.Nsga2.exact_front ~constraints space in
+    let exact = oracle ~constraints space in
     Alcotest.check point_list
       (Printf.sprintf "seed %d: constrained front = constrained exact DFS" seed)
       exact
@@ -292,6 +362,19 @@ let test_front_matches_exact_constrained () =
           (C.Pareto.feasible (Some constraints) p.C.Pareto.params))
       exact
   done
+
+(* Two items tie on doi and cost, and a third with fraction 0 erases
+   their size gap: {0,2} and {1,2} reach one triple.  The front lists
+   that operating point once. *)
+let test_front_lists_a_tie_once () =
+  let space =
+    C.Space.create ~order:C.Space.By_doi
+      (Testlib.fabricate ~costs:[| 1.; 1.; 1. |] ~dois:[| 0.8; 0.8; 0.5 |]
+         ~fracs:[| 0.4; 0.6; 0. |] ())
+  in
+  Alcotest.(check int) "5 operating points, 5 front points" 5
+    (List.length (C.Nsga2.front space));
+  check_builder "three-item tie" space
 
 (* The 2D front is the skyline of the tri-objective one: a (doi, cost)
    pair that nothing dominates in two objectives is the projection of
@@ -314,7 +397,7 @@ let doi_cost_bits front =
     front
 
 let check_projection ?constraints msg space =
-  let projected = C.Pareto.skyline (C.Nsga2.exact_front ?constraints space) in
+  let projected = C.Pareto.skyline (C.Nsga2.front ?constraints space) in
   let reference = exhaustive_skyline ?constraints space in
   Alcotest.(check (list (pair int64 int64)))
     (msg ^ ": skyline of exact tri front = exhaustive 2D skyline")
@@ -350,43 +433,80 @@ let test_projection_matches_exhaustive_skyline () =
   in
   check_projection "tie-heavy grid" (C.Space.create ~order:C.Space.By_doi ties)
 
-let test_evolve_consistent_with_exact () =
-  (* The evolutionary path at exactly-enumerable K: deterministic
-     across runs, front property holds, no point the exact front
-     refutes (every GA point is a true front member or dominated by
-     one), and it recovers most of the exact hypervolume. *)
-  let ratios = ref [] in
-  for seed = 1 to 8 do
-    let rng = Rng.create (3000 + seed) in
-    let k = 8 + (seed mod 5) in
-    let ps = Testlib.random_space rng ~k in
-    let space = C.Space.create ~order:C.Space.By_doi ps in
-    let exact = C.Nsga2.exact_front space in
-    let ga = C.Nsga2.evolve space in
-    Alcotest.(check bool)
-      (Printf.sprintf "seed %d: GA front satisfies is_front" seed)
-      true (C.Nsga2.is_front ga);
-    Alcotest.check point_list
-      (Printf.sprintf "seed %d: GA front is run-deterministic" seed)
-      ga (C.Nsga2.evolve space);
-    List.iter
-      (fun g ->
-        Alcotest.(check bool)
-          (Printf.sprintf "seed %d: GA point is exact-front-consistent" seed)
-          true
-          (List.mem g exact
-          || List.exists (fun e -> C.Nsga2.dominates e g) exact))
-      ga;
-    let ref_point = tri_ref exact in
-    let hv_exact = C.Nsga2.hypervolume ~ref_point exact in
-    let hv_ga = C.Nsga2.hypervolume ~ref_point ga in
-    if hv_exact > 0. then ratios := (hv_ga /. hv_exact) :: !ratios
-  done;
+(* --- the point budget ------------------------------------------------- *)
+
+(* Fractions exp(-c/40) make size fall exactly as cost rises, so no
+   subset dominates another: all 2^14 lie on the exact front, so both a
+   partial front (2^13 - 1 sets after 13 ids) and the final front pass
+   the builder's budget. *)
+let budget_space () =
+  let rng = Rng.create 4096 in
+  let k = 14 in
+  let costs = Array.init k (fun _ -> 5. +. Rng.float rng 100.) in
+  C.Space.create ~order:C.Space.By_doi
+    (Testlib.fabricate ~costs
+       ~dois:(Array.init k (fun _ -> 0.05 +. Rng.float rng 0.9))
+       ~fracs:(Array.map (fun c -> exp (-.c /. 40.)) costs)
+       ())
+
+let check_thinned ?constraints msg space =
+  let front, factor = C.Nsga2.build ?constraints space in
+  Alcotest.(check bool) (msg ^ ": thinned") true (factor > 1.);
+  Alcotest.(check bool)
+    (msg ^ ": at most 4,096 points")
+    true
+    (List.length front <= 4096);
+  Alcotest.(check bool)
+    (msg ^ ": mutually non-dominated")
+    true (C.Nsga2.is_front front);
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "GA recovers at least 90% of exact hypervolume"
-        true (r >= 0.9))
-    !ratios
+    (fun p ->
+      Alcotest.(check bool)
+        (msg ^ ": feasible, with DFS-exact params")
+        true
+        (C.Pareto.feasible constraints p.C.Pareto.params
+        && triple (dfs_params space p.C.Pareto.pref_ids)
+           = triple p.C.Pareto.params))
+    front;
+  (* The guarantee covers the size interval with smax divided by the
+     factor; smin needs no narrowing, since a thinned set is only
+     replaced by one that keeps its extensions above smin.  The factor
+     bounds real-number ratios; the slack absorbs float rounding in the
+     sums and logarithms behind them. *)
+  let narrowed =
+    Option.map
+      (fun (c : C.Params.constraints) ->
+        { c with C.Params.smax = Option.map (fun b -> b /. factor) c.C.Params.smax })
+      constraints
+  in
+  let within = factor *. (1. +. 1e-9) in
+  let exact = oracle ?constraints:narrowed space in
+  List.iter
+    (fun (o : C.Pareto.point) ->
+      let o = o.C.Pareto.params in
+      Alcotest.(check bool)
+        (msg ^ ": exact point covered within the factor")
+        true
+        (List.exists
+           (fun (q : C.Pareto.point) ->
+             let q = q.C.Pareto.params in
+             q.C.Params.doi >= o.C.Params.doi
+             && q.C.Params.cost <= within *. o.C.Params.cost
+             && q.C.Params.size <= within *. o.C.Params.size)
+           front))
+    exact;
+  exact
+
+let test_budget () =
+  let space = budget_space () in
+  Alcotest.(check int) "every subset is on the exact front" 16384
+    (List.length (oracle space));
+  ignore (check_thinned "unconstrained" space);
+  let constraints = C.Params.make ~smin:1e-3 ~smax:50. () in
+  let narrowed_front = check_thinned ~constraints "size-constrained" space in
+  Alcotest.(check bool) "the narrowed interval still holds most of the front"
+    true
+    (List.length narrowed_front > 4096)
 
 (* --- serving form ------------------------------------------------------ *)
 
@@ -454,22 +574,8 @@ let () =
           Testlib.qc prop_skyline_idempotent;
           Testlib.qc prop_skyline_covers;
           Testlib.qc prop_non_dominated_is_front;
-        ] );
-      ( "nds",
-        [
-          Alcotest.test_case "dominance chain" `Quick test_nds_chain;
-          Alcotest.test_case "incomparable" `Quick test_nds_incomparable;
-          Alcotest.test_case "all equal" `Quick test_nds_all_equal;
-          Alcotest.test_case "mixed ranks" `Quick test_nds_mixed;
-          Testlib.qc prop_nds_partitions;
-        ] );
-      ( "crowding",
-        [
-          Alcotest.test_case "small fronts all-infinite" `Quick
-            test_crowding_small_fronts;
-          Alcotest.test_case "interior gap sum" `Quick test_crowding_interior;
-          Alcotest.test_case "identical objectives" `Quick
-            test_crowding_identical_objectives;
+          Testlib.qc prop_non_dominated_distinct_triples;
+          Testlib.qc prop_non_dominated_brute_force;
         ] );
       ( "hypervolume",
         [ Alcotest.test_case "known fronts" `Quick test_hypervolume_known ] );
@@ -481,8 +587,14 @@ let () =
             test_front_matches_exact_constrained;
           Alcotest.test_case "2D front = skyline of exact tri front" `Quick
             test_projection_matches_exhaustive_skyline;
-          Alcotest.test_case "evolve consistent with exact" `Slow
-            test_evolve_consistent_with_exact;
+          Alcotest.test_case "builder = enumeration at K <= 16" `Quick
+            test_builder_matches_oracle;
+          Alcotest.test_case "builder = enumeration at K 17-20" `Slow
+            test_builder_matches_oracle_large_k;
+          Alcotest.test_case "a tied operating point is listed once" `Quick
+            test_front_lists_a_tie_once;
+          Alcotest.test_case "past the point budget: covered within the factor"
+            `Quick test_budget;
         ] );
       ( "serving",
         [

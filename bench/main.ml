@@ -4,7 +4,6 @@
    Usage:
      dune exec bench/main.exe                 # quick averaging set
      dune exec bench/main.exe -- --full       # the paper's 20x10 runs
-     dune exec bench/main.exe -- --bechamel   # Bechamel micro-benchmarks
      dune exec bench/main.exe -- --only fig12a,fig15
 
    Absolute times differ from the paper's 2005 Oracle testbed; the
@@ -24,13 +23,11 @@ type mode = {
   full : bool;
   seed : int;
   only : string list;  (** empty = all sections *)
-  bechamel : bool;
   obs : string option;
       (** prefix for a trace + metrics dump of the whole run *)
 }
 
-let mode =
-  ref { full = false; seed = 42; only = []; bechamel = false; obs = None }
+let mode = ref { full = false; seed = 42; only = []; obs = None }
 
 (* Seconds on the monotonic clock; only differences are meaningful. *)
 let now_s () = Cqp_obs.Clock.raw_us () /. 1e6
@@ -919,7 +916,6 @@ let serve_bench () =
 (* ---------------------------------------------------------------- *)
 
 module Cur = Cqp_curriculum.Curriculum
-module Cur_fitness = Cqp_curriculum.Fitness
 module Cur_scenario = Cqp_curriculum.Scenario
 
 let curriculum_bench () =
@@ -936,15 +932,7 @@ let curriculum_bench () =
     "evolved %d candidates over %d generations in %.1f s (catalog %s)\n"
     result.Cur.evaluations result.Cur.generations elapsed
     (Cur_scenario.catalog_spec_to_string spec);
-  Printf.printf "baseline: %s\n"
-    (Cur_fitness.summary result.Cur.baseline.Cur.fitness);
-  Printf.printf "%-22s %14s %14s\n" "axis" "baseline" "elite";
-  List.iter
-    (fun (axis, (e : Cur.elite)) ->
-      Printf.printf "%-22s %14.4f %14.4f\n" (Cur.axis_name axis)
-        (Cur.axis_value result.Cur.baseline.Cur.fitness axis)
-        (Cur.axis_value e.Cur.fitness axis))
-    result.Cur.reservoir;
+  Cur.pp_table Format.std_formatter result;
   Printf.printf
     "(the committed corpus under test/corpus/ is frozen from a longer run\n";
   Printf.printf " of `cqp curriculum --export`; see EXPERIMENTS.md)\n%!"
@@ -1097,77 +1085,6 @@ let pareto_front () =
         (if factor = 1. then "exact" else Printf.sprintf "x%.4g" factor)
         build_ms enum_ms)
     [ 12; 16; 20; 24 ]
-
-(* ---------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks                                          *)
-(* ---------------------------------------------------------------- *)
-
-let bechamel_benchmarks () =
-  section_header "Bechamel" "micro-benchmarks (one Test.make per experiment)";
-  let open Bechamel in
-  let b = Lazy.force bundle in
-  let profile = List.hd b.W.Experiment.profiles in
-  let query = Cqp_sql.Parser.parse "select title from movie" in
-  let ps = pref_space profile query ~k:15 in
-  let cmax = 0.3 *. C.Pref_space.supreme_cost ps in
-  let algo_test algo =
-    Test.make
-      ~name:(C.Algorithm.name algo)
-      (Staged.stage (fun () -> ignore (C.Algorithm.run algo ps ~cmax)))
-  in
-  let tests =
-    [
-      Test.make ~name:"table2_vectors"
-        (Staged.stage (fun () ->
-             ignore (pref_space profile query ~k:10)));
-      Test.make ~name:"fig12b_pref_space_d_only"
-        (Staged.stage (fun () ->
-             let est = C.Estimate.create (catalog ()) query in
-             ignore
-               (C.Pref_space.build ~max_k:15 ~orders:C.Pref_space.D_only est
-                  profile)));
-      Test.make ~name:"fig12b_pref_space_all_orders"
-        (Staged.stage (fun () ->
-             let est = C.Estimate.create (catalog ()) query in
-             ignore (C.Pref_space.build ~max_k:15 est profile)));
-      algo_test C.Algorithm.C_boundaries;
-      algo_test C.Algorithm.C_maxbounds;
-      algo_test C.Algorithm.D_maxdoi;
-      algo_test C.Algorithm.D_singlemaxdoi;
-      algo_test C.Algorithm.D_heurdoi;
-      Test.make ~name:"fig15_execute_personalized"
-        (Staged.stage (fun () ->
-             let sol = C.Algorithm.run C.Algorithm.D_heurdoi ps ~cmax in
-             let space = C.Space.create ~order:C.Space.By_doi ps in
-             let paths = C.Solution.paths space sol in
-             let personalized = C.Rewrite.personalize (catalog ()) query paths in
-             ignore (Cqp_exec.Engine.execute (catalog ()) personalized)));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let stats = analyze results in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "%-34s %12.2f ns/run\n%!" name est
-          | _ -> Printf.printf "%-34s (no estimate)\n%!" name)
-        stats)
-    tests
 
 (* ---------------------------------------------------------------- *)
 (* Perf trajectory: `trend` writes BENCH_<label>.json, `profile`      *)
@@ -1338,15 +1255,12 @@ let trend_serve ?domains () =
   @@ fun () ->
   ignore (Cqp_serve.Workload.replay ?pool server entries);
   let fleet_stats () =
-    let caches =
-      (match Cqp_serve.Serve.cache server with Some c -> [ c ] | None -> [])
-      @ Cqp_serve.Serve.shard_caches server
-    in
     List.fold_left
       (fun (h, l) c ->
         let s = C.Cache.extraction_stats c in
         (h + s.Cqp_util.Lru.hits, l + s.Cqp_util.Lru.lookups))
-      (0, 0) caches
+      (0, 0)
+      (Cqp_serve.Serve.caches server)
   in
   let hits0, lookups0 = fleet_stats () in
   let responses = Cqp_serve.Workload.replay ?pool server entries in
@@ -1481,123 +1395,6 @@ let run_profile_diff ~base ~current ~tolerance ~ignore_timing =
   end
 
 (* ---------------------------------------------------------------- *)
-(* Net: loopback front door — wire overhead and open-loop load       *)
-(* ---------------------------------------------------------------- *)
-
-let net_bench () =
-  section_header "Net"
-    "loopback TCP front door: wire round-trip overhead and store-backed \
-     open-loop load";
-  let catalog = catalog () in
-  let entries =
-    Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
-      ~rng:(Cqp_util.Rng.create !mode.seed) catalog
-  in
-  let n = List.length entries in
-  (* In-process baseline: the same entries through Workload.replay on a
-     warm server. *)
-  let inproc_ms =
-    let server = Cqp_serve.Serve.create ~caching:true catalog in
-    ignore (Cqp_serve.Workload.replay server entries);
-    let t0 = now_s () in
-    ignore (Cqp_serve.Workload.replay server entries);
-    (now_s () -. t0) *. 1000.
-  in
-  Cqp_par.Pool.with_pool ~domains:2 (fun pool ->
-      let serve = Cqp_serve.Serve.create ~caching:true catalog in
-      let srv =
-        Cqp_net.Server.create ~pool
-          ~addr:(Cqp_net.Server.Tcp ("127.0.0.1", 0))
-          serve
-      in
-      Cqp_net.Server.start srv;
-      Fun.protect ~finally:(fun () -> Cqp_net.Server.stop srv)
-      @@ fun () ->
-      let c = Cqp_net.Client.connect (Cqp_net.Server.bound_addr srv) in
-      Fun.protect ~finally:(fun () -> Cqp_net.Client.close c)
-      @@ fun () ->
-      let pings = 2000 in
-      let t0 = now_s () in
-      for _ = 1 to pings do
-        Cqp_net.Client.ping c
-      done;
-      Printf.printf "ping round-trip: %.1f us (mean over %d)\n%!"
-        (1e6 *. (now_s () -. t0) /. float_of_int pings)
-        pings;
-      let replay () =
-        List.iter
-          (function
-            | Cqp_serve.Workload.Set_profile { user; seed; shape } ->
-                Cqp_net.Client.install c ~user ?shape seed
-            | Cqp_serve.Workload.Request r ->
-                ignore
-                  (Cqp_net.Client.call c
-                     (Cqp_net.Wire.Query
-                        {
-                          Cqp_net.Wire.user = r.Cqp_serve.Serve.user;
-                          sql = r.Cqp_serve.Serve.sql;
-                          problem = r.Cqp_serve.Serve.problem;
-                          max_k = r.Cqp_serve.Serve.max_k;
-                          algorithm = r.Cqp_serve.Serve.algorithm;
-                          execute = r.Cqp_serve.Serve.execute;
-                          deadline_ms = None;
-                        })))
-          entries
-      in
-      replay ();
-      let t0 = now_s () in
-      replay ();
-      let wire_ms = (now_s () -. t0) *. 1000. in
-      Printf.printf
-        "%d-entry replay, warm: in-process %.1f ms, loopback %.1f ms \
-         (+%.0f us/entry wire cost)\n%!"
-        n inproc_ms wire_ms
-        (1000. *. (wire_ms -. inproc_ms) /. float_of_int n));
-  (* Open-loop load against a store-backed server: 2000 profiles on
-     disk, 64 resident, Zipf-skewed draws faulting the cold tail. *)
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cqp-bench-net-%d" (Unix.getpid ()))
-  in
-  let users = 2000 in
-  Cqp_net.Loadgen.populate_store ~dir ~users ~seed:!mode.seed catalog;
-  Fun.protect ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-  @@ fun () ->
-  Cqp_par.Pool.with_pool ~domains:2 (fun pool ->
-      let serve = Cqp_serve.Serve.create ~caching:true catalog in
-      let srv =
-        Cqp_net.Server.create ~store_dir:dir ~store_resident:64 ~pool
-          ~addr:(Cqp_net.Server.Tcp ("127.0.0.1", 0))
-          serve
-      in
-      Cqp_net.Server.start srv;
-      Fun.protect ~finally:(fun () -> Cqp_net.Server.stop srv)
-      @@ fun () ->
-      let config =
-        {
-          Cqp_net.Loadgen.default with
-          Cqp_net.Loadgen.users;
-          requests = 400;
-          rate = 500.;
-          connections = 4;
-          seed = !mode.seed;
-        }
-      in
-      let report =
-        Cqp_net.Loadgen.run config ~catalog (Cqp_net.Server.bound_addr srv)
-      in
-      Printf.printf "open loop, %d users on disk / 64 resident:\n%!" users;
-      Format.printf "%a@." Cqp_net.Loadgen.pp_report report);
-  Printf.printf
-    "(responses over the wire are bit-identical to in-process replay —\n";
-  Printf.printf " test/test_net_diff.ml holds them equal at 1/2/4 domains)\n%!"
-
-(* ---------------------------------------------------------------- *)
 (* Main                                                               *)
 (* ---------------------------------------------------------------- *)
 
@@ -1623,7 +1420,6 @@ let sections =
     ("scaling", scaling);
     ("serve", serve_bench);
     ("curriculum", curriculum_bench);
-    ("net", net_bench);
   ]
 
 let () =
@@ -1638,8 +1434,6 @@ let () =
       ("--full", Arg.Unit (fun () -> mode := { !mode with full = true }),
        " run the paper's full averaging set (20 profiles x 10 queries, K to 40)");
       ("--seed", Arg.Int (fun s -> mode := { !mode with seed = s }), " workload seed");
-      ("--bechamel", Arg.Unit (fun () -> mode := { !mode with bechamel = true }),
-       " also run Bechamel micro-benchmarks");
       ("--only", Arg.Set_string only,
        " comma-separated section ids (e.g. fig12a,fig15)");
       ("--obs", Arg.String (fun p -> mode := { !mode with obs = Some p }),
@@ -1681,6 +1475,15 @@ let () =
   | [] ->
       if !only <> "" then
         mode := { !mode with only = String.split_on_char ',' !only };
+      (match
+         List.filter (fun id -> not (List.mem_assoc id sections)) !mode.only
+       with
+      | [] -> ()
+      | unknown ->
+          Printf.eprintf "unknown section %s; sections: %s\n"
+            (String.concat ", " unknown)
+            (String.concat ", " (List.map fst sections));
+          exit 2);
       let selected =
         match !mode.only with
         | [] -> sections
@@ -1694,6 +1497,5 @@ let () =
           List.iter
             (fun (id, f) ->
               Cqp_obs.Trace.with_span ~name:("bench." ^ id) (fun () -> f ()))
-            selected;
-          if !mode.bechamel then bechamel_benchmarks ());
+            selected);
       Printf.printf "\ndone.\n%!"

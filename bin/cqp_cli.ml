@@ -433,47 +433,43 @@ let serve_action verbose seed movies workload_file save_file users requests
     done;
     (* Fleet-wide cache summary: the parent cache plus every shard's
        domain-local cache (sequential runs have no shards). *)
-    (let caches =
-       (match Cqp_serve.Serve.cache server with Some c -> [ c ] | None -> [])
-       @ Cqp_serve.Serve.shard_caches server
-     in
-     match caches with
-     | [] -> Format.printf "caches disabled@."
-     | caches ->
-         let sum f = List.fold_left (fun acc c -> acc + f c) 0 caches in
-         let hits =
-           sum (fun c ->
-               (Cqp_core.Cache.extraction_stats c).Cqp_util.Lru.hits)
-         in
-         let lookups =
-           sum (fun c ->
-               (Cqp_core.Cache.extraction_stats c).Cqp_util.Lru.lookups)
-         in
-         let mlk = sum (fun c -> fst (Cqp_core.Cache.memo_stats c)) in
-         let mht = sum (fun c -> snd (Cqp_core.Cache.memo_stats c)) in
-         Format.printf
-           "pref_space cache: %d/%d hits (%d entries, %d bytes%s); estimate \
-            memo: %d/%d hits@."
-           hits lookups
-           (sum Cqp_core.Cache.extraction_entries)
-           (sum Cqp_core.Cache.bytes_held)
-           (match List.length caches with
-           | 1 -> ""
-           | n -> Printf.sprintf " across %d caches" n)
-           mht mlk;
-         if pareto then
-           let flk =
-             sum (fun c ->
-                 (Cqp_core.Cache.front_stats c).Cqp_util.Lru.lookups)
-           in
-           let fht =
-             sum (fun c -> (Cqp_core.Cache.front_stats c).Cqp_util.Lru.hits)
-           in
-           Format.printf
-             "pareto front cache: %d/%d hits (%d entries, %d points)@." fht
-             flk
-             (sum Cqp_core.Cache.front_entries)
-             (sum Cqp_core.Cache.front_points_held));
+    (match Cqp_serve.Serve.caches server with
+    | [] -> Format.printf "caches disabled@."
+    | caches ->
+        let sum f = List.fold_left (fun acc c -> acc + f c) 0 caches in
+        let hits =
+          sum (fun c ->
+              (Cqp_core.Cache.extraction_stats c).Cqp_util.Lru.hits)
+        in
+        let lookups =
+          sum (fun c ->
+              (Cqp_core.Cache.extraction_stats c).Cqp_util.Lru.lookups)
+        in
+        let mlk = sum (fun c -> fst (Cqp_core.Cache.memo_stats c)) in
+        let mht = sum (fun c -> snd (Cqp_core.Cache.memo_stats c)) in
+        Format.printf
+          "pref_space cache: %d/%d hits (%d entries, %d bytes%s); estimate \
+           memo: %d/%d hits@."
+          hits lookups
+          (sum Cqp_core.Cache.extraction_entries)
+          (sum Cqp_core.Cache.bytes_held)
+          (match List.length caches with
+          | 1 -> ""
+          | n -> Printf.sprintf " across %d caches" n)
+          mht mlk;
+        if pareto then
+          let flk =
+            sum (fun c ->
+                (Cqp_core.Cache.front_stats c).Cqp_util.Lru.lookups)
+          in
+          let fht =
+            sum (fun c -> (Cqp_core.Cache.front_stats c).Cqp_util.Lru.hits)
+          in
+          Format.printf
+            "pareto front cache: %d/%d hits (%d entries, %d points)@." fht
+            flk
+            (sum Cqp_core.Cache.front_entries)
+            (sum Cqp_core.Cache.front_points_held));
     if Cqp_obs.Request.is_enabled () then begin
       (* Per-phase latency breakdown off the registry histograms.
          Quantiles read from log-scale buckets are upper bounds within
@@ -773,20 +769,7 @@ let curriculum_action verbose seed generations population mutation_rate
       (Cur_scenario.catalog_spec_to_string spec)
       domains
       (if domains = 1 then "" else "s");
-    Format.printf "baseline: %s@."
-      (Cur_fitness.summary result.Curriculum.baseline.Curriculum.fitness);
-    Format.printf "%-22s %14s %14s  improved@." "axis" "baseline" "elite";
-    List.iter
-      (fun (axis, (e : Curriculum.elite)) ->
-        let bv =
-          Curriculum.axis_value result.Curriculum.baseline.Curriculum.fitness
-            axis
-        in
-        let ev = Curriculum.axis_value e.Curriculum.fitness axis in
-        Format.printf "%-22s %14.4f %14.4f  %s@." (Curriculum.axis_name axis)
-          bv ev
-          (if ev > bv then "yes" else "no"))
-      result.Curriculum.reservoir;
+    Curriculum.pp_table Format.std_formatter result;
     (match export_dir with
     | Some dir ->
         mkdir_p dir;

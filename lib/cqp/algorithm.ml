@@ -22,10 +22,6 @@ let of_name s =
     (fun a -> String.lowercase_ascii (name a) = s)
     (Exhaustive :: all)
 
-let is_exact = function
-  | C_boundaries | D_maxdoi | Exhaustive -> true
-  | C_maxbounds | D_singlemaxdoi | D_heurdoi -> false
-
 let space_order = function
   | C_boundaries | C_maxbounds | Exhaustive -> Space.By_cost
   | D_maxdoi | D_singlemaxdoi | D_heurdoi -> Space.By_doi

@@ -16,11 +16,7 @@ val name : t -> string
 (** The paper's figure labels, e.g. ["C_Boundaries"]. *)
 
 val of_name : string -> t option
-val is_exact : t -> bool
-(** Provably optimal for Problem 2 (C-BOUNDARIES, D-MAXDOI,
-    Exhaustive). *)
 
-val space_order : t -> Space.order
 val required_orders : t -> Pref_space.orders
 (** [D_only] when the algorithm never touches the C/S vectors, so
     Preference Space can skip building them (Figure 12(b)). *)

@@ -41,8 +41,8 @@ let extraction_key ?(constraints = Params.unconstrained) ?max_path_length
   (* Everything Pref_space.extract's output can depend on, besides the
      catalog (fixed per cache): the profile, Q's anchor relation set,
      the path-length bound, and the chain-viability inputs cmax and
-     base_cost (the latter covers Q's relation multiset and block_ms).
-     Floats in hex so the key is exact. *)
+     base_cost (the latter covers Q's relation multiset).  Floats in hex
+     so the key is exact. *)
   let anchors =
     Cqp_sql.Ast.tables_of (Estimate.query estimate)
     |> List.map fst
@@ -57,9 +57,8 @@ let extraction_key ?(constraints = Params.unconstrained) ?max_path_length
   let mpl =
     match max_path_length with None -> "d" | Some n -> string_of_int n
   in
-  Printf.sprintf "%s|%s|%s|%h|%h|%s" fingerprint anchors cmax
+  Printf.sprintf "%s|%s|%s|%h|%s" fingerprint anchors cmax
     (Estimate.base_cost estimate)
-    (Estimate.block_ms estimate)
     mpl
 
 let pref_space t ?constraints ?max_k ?max_path_length ?orders estimate profile

@@ -4,7 +4,7 @@
 
     - an LRU over {!Pref_space.extract} results, keyed by (profile
       fingerprint, Q's anchor relation set, cmax, Q's base cost,
-      block_ms, path-length bound).  Only the graph walk is cached;
+      path-length bound).  Only the graph walk is cached;
       {!Pref_space.assemble} re-prices candidates per request, because
       item cost/size depend on Q's full WHERE clause.  Keys embed the
       {!Cqp_prefs.Profile.fingerprint}, so a changed profile can never

@@ -46,11 +46,6 @@ let find_optimal_valued ~budget space ~cmax =
     !solutions
   end
 
-let find_optimal ?(budget = Budget.unlimited) space ~cmax =
-  List.map
-    (fun (v : Space.valued) -> v.state)
-    (find_optimal_valued ~budget space ~cmax)
-
 let solve ?(budget = Budget.unlimited) space ~cmax =
   let stats = Space.stats space in
   let solutions =

@@ -12,10 +12,5 @@
     BestExpectedDoi early exit — solutions live in the D order, so
     their doi is read off directly. *)
 
-val find_optimal :
-  ?budget:Cqp_resilience.Budget.t -> Space.t -> cmax:float -> State.t list
-(** Phase one only.  The space must be doi-ordered.  Stops early
-    (best-so-far candidates) on [budget] expiry. *)
-
 val solve :
   ?budget:Cqp_resilience.Budget.t -> Space.t -> cmax:float -> Solution.t

@@ -48,7 +48,6 @@ end
 type t = {
   catalog : Catalog.t;
   query : Ast.query;
-  block_ms : float;
   f : Doi.compose;
   r : Doi.combine;
   query_rels : (string * string) list;  (** alias, relation name *)
@@ -59,7 +58,7 @@ type t = {
 
 let catalog t = t.catalog
 let query t = t.query
-let block_ms t = t.block_ms
+let block_ms = Cqp_exec.Io.default_block_ms
 
 (* Selectivity of a literal comparison against catalog stats. *)
 let raw_condition_selectivity catalog rel attr op (v : Value.t) =
@@ -159,8 +158,7 @@ let estimate_block_size ?memo catalog (b : Ast.select_block) =
   in
   List.fold_left (fun acc c -> acc *. sel_of_conjunct c) card conjuncts
 
-let create ?memo ?(block_ms = 1.0) ?(f = Doi.Product) ?(r = Doi.Noisy_or)
-    catalog query =
+let create ?memo ?(f = Doi.Product) ?(r = Doi.Noisy_or) catalog query =
   let tables = Ast.tables_of query in
   List.iter
     (fun (name, _) ->
@@ -189,7 +187,7 @@ let create ?memo ?(block_ms = 1.0) ?(f = Doi.Product) ?(r = Doi.Noisy_or)
             | Ast.Union_all _ -> acc)
           0. qs
   in
-  { catalog; query; block_ms; f; r; query_rels; base_cost; base_size; memo }
+  { catalog; query; f; r; query_rels; base_cost; base_size; memo }
 
 let base_cost t = t.base_cost
 let base_size t = t.base_size
@@ -210,7 +208,7 @@ let item_cost t path =
     | _anchor :: joined -> joined
   in
   t.base_cost
-  +. t.block_ms
+  +. block_ms
      *. float_of_int
           (List.fold_left
              (fun acc rel -> acc + blocks_of ?memo:t.memo t.catalog rel)
@@ -254,7 +252,6 @@ let item_doi t path =
 let combine_doi t dois = Doi.combine ~r:t.r dois
 let combine_doi_incr t acc d = Doi.combine_incr ~r:t.r acc d
 let combine_doi_retract t acc d = Doi.combine_retract ~r:t.r acc d
-let doi_combine t = t.r
 
 let merged_cost t paths =
   List.fold_left

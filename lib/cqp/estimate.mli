@@ -49,24 +49,21 @@ end
 
 val create :
   ?memo:Memo.t ->
-  ?block_ms:float ->
   ?f:Cqp_prefs.Doi.compose ->
   ?r:Cqp_prefs.Doi.combine ->
   Cqp_relal.Catalog.t ->
   Cqp_sql.Ast.query ->
   t
-(** [memo], when given, memoizes this estimator's per-predicate catalog
-    lookups across requests; it must have been created for (or only
-    ever used with) the same catalog.
+(** Costs are priced at the paper's [b] = {!Cqp_exec.Io.default_block_ms}
+    per block read.  [memo], when given, memoizes this estimator's
+    per-predicate catalog lookups across requests; it must have been
+    created for (or only ever used with) the same catalog.
     @raise Invalid_argument when [Q] references unknown relations. *)
 
 val catalog : t -> Cqp_relal.Catalog.t
 val query : t -> Cqp_sql.Ast.query
 
 val memo : t -> Memo.t option
-
-val block_ms : t -> float
-(** The configured per-block I/O cost [b] in milliseconds. *)
 
 val blocks : t -> string -> int
 (** Block count of a relation, through the memo when one is attached
@@ -99,9 +96,6 @@ val combine_doi_retract : t -> float -> float -> float option
 (** Undo one {!combine_doi_incr} step under the configured [r]; [None]
     when not invertible from the accumulator (see
     {!Cqp_prefs.Doi.combine_retract}). *)
-
-val doi_combine : t -> Cqp_prefs.Doi.combine
-(** The configured conjunction operator [r]. *)
 
 val params_of : t -> Cqp_prefs.Path.t list -> Params.t
 (** Full estimate for [Q ∧ Px].  With an empty list this is [Q] itself

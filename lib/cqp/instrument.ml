@@ -11,14 +11,6 @@ type t = {
 
 let entry_overhead_words = 3
 
-(* hold/release touch three fields that must move together (live, peak,
-   underflows), so a shared instrument — e.g. one memory account fed by
-   several pool domains — is guarded per-record.  Contended
-   acquisitions are counted globally so parallel layers can see when
-   memory accounting itself serializes. *)
-let contentions = Atomic.make 0
-let hold_lock_contentions () = Atomic.get contentions
-
 let create () =
   {
     states_visited = 0;
@@ -35,11 +27,11 @@ let visit t = t.states_visited <- t.states_visited + 1
 let eval t = t.param_evals <- t.param_evals + 1
 let incr_update t = t.incr_updates <- t.incr_updates + 1
 
+(* hold/release touch three fields that must move together (live, peak,
+   underflows), so a shared instrument — e.g. one memory account fed by
+   several pool domains — is guarded per-record. *)
 let locked t f =
-  if not (Mutex.try_lock t.hold_lock) then begin
-    Atomic.incr contentions;
-    Mutex.lock t.hold_lock
-  end;
+  Mutex.lock t.hold_lock;
   f ();
   Mutex.unlock t.hold_lock
 
@@ -78,15 +70,14 @@ let snapshot t =
     hold_lock = Mutex.create ();
   }
 
-let publish ?(prefix = "solver") t =
+let publish t =
   if Cqp_obs.Metrics.is_enabled () then begin
-    Cqp_obs.Metrics.add (prefix ^ ".states_visited") t.states_visited;
-    Cqp_obs.Metrics.add (prefix ^ ".param_evals") t.param_evals;
-    Cqp_obs.Metrics.add (prefix ^ ".incr_updates") t.incr_updates;
-    Cqp_obs.Metrics.add (prefix ^ ".hold_underflows") t.hold_underflows;
-    Cqp_obs.Metrics.observe (prefix ^ ".peak_words")
-      (float_of_int t.peak_words);
-    Cqp_obs.Metrics.observe (prefix ^ ".wall_us") (1e6 *. t.wall_seconds)
+    Cqp_obs.Metrics.add "solver.states_visited" t.states_visited;
+    Cqp_obs.Metrics.add "solver.param_evals" t.param_evals;
+    Cqp_obs.Metrics.add "solver.incr_updates" t.incr_updates;
+    Cqp_obs.Metrics.add "solver.hold_underflows" t.hold_underflows;
+    Cqp_obs.Metrics.observe "solver.peak_words" (float_of_int t.peak_words);
+    Cqp_obs.Metrics.observe "solver.wall_us" (1e6 *. t.wall_seconds)
   end
 
 let pp ppf t =

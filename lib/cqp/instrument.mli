@@ -56,22 +56,16 @@ val hold : t -> State.t -> unit
 val release : t -> State.t -> unit
 (** Record that a stored state was dropped. *)
 
-val hold_lock_contentions : unit -> int
-(** Global count of {!hold_words}/{!release_words} acquisitions that
-    found the record's mutex held by another domain (monotone; the
-    uncontended fast path is a single [try_lock]). *)
-
 val peak_bytes : t -> int
 val peak_kbytes : t -> float
 val snapshot : t -> t
 (** An independent copy: later mutations of [t] leave it unchanged. *)
 
-val publish : ?prefix:string -> t -> unit
+val publish : t -> unit
 (** Feed the counters into the {!Cqp_obs.Metrics} registry (no-op while
-    it is disabled): [<prefix>.states_visited],
-    [<prefix>.param_evals], [<prefix>.incr_updates] and
-    [<prefix>.hold_underflows] counters accumulate across runs;
-    [<prefix>.peak_words] and [<prefix>.wall_us] are recorded as
-    log-scale histogram observations.  Default prefix: ["solver"]. *)
+    it is disabled): [solver.states_visited], [solver.param_evals],
+    [solver.incr_updates] and [solver.hold_underflows] counters
+    accumulate across runs; [solver.peak_words] and [solver.wall_us]
+    are recorded as log-scale histogram observations. *)
 
 val pp : Format.formatter -> t -> unit

@@ -81,8 +81,7 @@ module Ga = struct
 end
 
 let simulated_annealing ?(budget = default_budget)
-    ?(deadline = Deadline.unlimited) ?(initial_temperature = 1.0)
-    ?(cooling = 0.995) ~rng space ~cmax =
+    ?(deadline = Deadline.unlimited) ~rng space ~cmax =
   let k = Space.k space in
   if k = 0 then Solution.empty space
   else begin
@@ -93,7 +92,7 @@ let simulated_annealing ?(budget = default_budget)
     let current_fit = ref (fitness_of ~cmax !cur_params) in
     let best = ref (Array.copy current) in
     let best_fit = ref !current_fit in
-    let temperature = ref initial_temperature in
+    let temperature = ref 1.0 in
     let accepts = ref 0 in
     let remaining = ref budget.evaluations in
     while !remaining > 0 && not (Deadline.poll deadline) do
@@ -121,13 +120,14 @@ let simulated_annealing ?(budget = default_budget)
         end
       end
       else current.(flip) <- not current.(flip);
-      temperature := !temperature *. cooling
+      temperature := !temperature *. 0.995
     done;
     best_feasible space ~cmax [ !best ]
   end
 
-let genetic ?(budget = default_budget) ?(deadline = Deadline.unlimited)
-    ?(population = 24) ?(mutation_rate = 0.05) ~rng space ~cmax =
+let genetic ?(budget = default_budget) ?(deadline = Deadline.unlimited) ~rng
+    space ~cmax =
+  let population = 24 and mutation_rate = 0.05 in
   let k = Space.k space in
   if k = 0 then Solution.empty space
   else begin
@@ -158,8 +158,9 @@ let genetic ?(budget = default_budget) ?(deadline = Deadline.unlimited)
     best_feasible space ~cmax (Array.to_list pop)
   end
 
-let tabu ?(budget = default_budget) ?(deadline = Deadline.unlimited)
-    ?(tenure = 8) ~rng space ~cmax =
+let tabu ?(budget = default_budget) ?(deadline = Deadline.unlimited) ~rng
+    space ~cmax =
+  let tenure = 8 in
   let k = Space.k space in
   if k = 0 then Solution.empty space
   else begin

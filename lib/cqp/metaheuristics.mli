@@ -16,8 +16,6 @@ type budget = {
   evaluations : int;  (** parameter-evaluation budget per run *)
 }
 
-val default_budget : budget
-
 (** Representation-agnostic seeded GA operators.  {!genetic} is built
     on these, and the adversarial workload curriculum
     ([Cqp_curriculum]) reuses them over its genome vectors, so there
@@ -50,28 +48,26 @@ end
 val simulated_annealing :
   ?budget:budget ->
   ?deadline:Cqp_resilience.Budget.t ->
-  ?initial_temperature:float ->
-  ?cooling:float ->
   rng:Cqp_util.Rng.t ->
   Space.t ->
   cmax:float ->
   Solution.t
+(** Geometric cooling from temperature 1.0, by 0.995 per step. *)
 
 val genetic :
   ?budget:budget ->
   ?deadline:Cqp_resilience.Budget.t ->
-  ?population:int ->
-  ?mutation_rate:float ->
   rng:Cqp_util.Rng.t ->
   Space.t ->
   cmax:float ->
   Solution.t
+(** Steady-state GA: 24 individuals, per-bit mutation rate 0.05. *)
 
 val tabu :
   ?budget:budget ->
   ?deadline:Cqp_resilience.Budget.t ->
-  ?tenure:int ->
   rng:Cqp_util.Rng.t ->
   Space.t ->
   cmax:float ->
   Solution.t
+(** A flipped preference stays tabu for 8 iterations. *)

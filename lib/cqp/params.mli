@@ -27,7 +27,6 @@ val satisfies : constraints -> t -> bool
     smin ≤ size ≤ smax). *)
 
 val violates_cost : constraints -> t -> bool
-val violates_doi : constraints -> t -> bool
 val violates_size : constraints -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -14,10 +14,6 @@
       List.iter print_row outcome.rows
     ]} *)
 
-val log_src : Logs.src
-(** The pipeline's log source (["cqp.personalizer"]); enable debug
-    level to trace extraction, search, and infeasibility fallbacks. *)
-
 type outcome = {
   original : Cqp_sql.Ast.query;
   pref_space : Pref_space.t;

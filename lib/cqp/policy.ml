@@ -17,17 +17,8 @@ type context = {
   location : location option;
 }
 
-let default_context =
-  {
-    device = Laptop;
-    network = Wifi;
-    intent = Browse;
-    requested_answers = None;
-    location = None;
-  }
-
-let at ?(doi = 1.0) loc_rel loc_attr loc_value =
-  { loc_rel; loc_attr; loc_value; loc_doi = Cqp_prefs.Doi.check doi }
+let at loc_rel loc_attr loc_value =
+  { loc_rel; loc_attr; loc_value; loc_doi = 1.0 }
 
 let localize ctx profile =
   match ctx.location with

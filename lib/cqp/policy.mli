@@ -39,11 +39,8 @@ type context = {
           competes with (or, at doi 1.0, dominates) the stored tastes *)
 }
 
-val default_context : context
-(** Laptop, wifi, browse, no explicit request, no location. *)
-
-val at : ?doi:float -> string -> string -> Cqp_relal.Value.t -> location
-(** [at "restaurant" "city" (String "pisa")] — doi defaults to 1.0. *)
+val at : string -> string -> Cqp_relal.Value.t -> location
+(** [at "restaurant" "city" (String "pisa")], at doi 1.0. *)
 
 val localize :
   context -> Cqp_prefs.Profile.t -> Cqp_prefs.Profile.t

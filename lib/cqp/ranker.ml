@@ -18,7 +18,7 @@ module Tuple_tbl = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-let rank ?(mode = Any_of) ?(r = Doi.Noisy_or) catalog q paths =
+let rank ?(mode = Any_of) catalog q paths =
   match paths with
   | [] ->
       let res = Cqp_exec.Engine.execute catalog q in
@@ -67,8 +67,7 @@ let rank ?(mode = Any_of) ?(r = Doi.Noisy_or) catalog q paths =
                      None
                    else begin
                      let score =
-                       Doi.combine ~r
-                         (List.map (fun i -> dois.(i)) satisfied)
+                       Doi.combine (List.map (fun i -> dois.(i)) satisfied)
                      in
                      Some { row; satisfied; score }
                    end)

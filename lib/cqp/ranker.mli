@@ -28,7 +28,6 @@ type result = {
 
 val rank :
   ?mode:mode ->
-  ?r:Cqp_prefs.Doi.combine ->
   Cqp_relal.Catalog.t ->
   Cqp_sql.Ast.query ->
   (Cqp_prefs.Path.t * float) list ->
@@ -36,8 +35,8 @@ val rank :
 (** [rank catalog q paths_with_dois] executes one sub-query per
     preference (the Section 4.2 construction) and scores each distinct
     output tuple.  With an empty path list, returns Q's own rows with
-    score 0.  Default [mode] is [Any_of], default [r] the paper's
-    noisy-or.
+    score 0.  Default [mode] is [Any_of]; scores combine with the
+    paper's noisy-or.
     @raise Rewrite.Rewrite_error when [q] has the wrong shape. *)
 
 val rank_solution :

@@ -500,8 +500,7 @@ let probe_members ~budget ~rng ~label_suffix ps ~cmax ~finish =
         finish (Metaheuristics.tabu ~deadline:budget ~rng space ~cmax));
   ]
 
-let portfolio ?pool ?(seed = 0x5EED) ?(budget = Budget.unlimited) ps
-    (problem : Problem.t) =
+let portfolio ?pool ?(budget = Budget.unlimited) ps (problem : Problem.t) =
   Cqp_obs.Trace.with_span ~name:"solver.portfolio"
     ~attrs:(fun () ->
       [
@@ -511,7 +510,7 @@ let portfolio ?pool ?(seed = 0x5EED) ?(budget = Budget.unlimited) ps
   @@ fun () ->
   let constraints = problem.Problem.constraints in
   let k = Pref_space.k ps in
-  let rng = Cqp_util.Rng.create seed in
+  let rng = Cqp_util.Rng.create 0x5EED in
   let finish_on base_ps sol =
     (* Evaluate (and if needed repair) the candidate on a space of its
        own: spaces carry single-writer instrumentation, so racing

@@ -111,7 +111,6 @@ val max_doi_bnb :
 
 val portfolio :
   ?pool:Cqp_par.Pool.t ->
-  ?seed:int ->
   ?budget:Cqp_resilience.Budget.t ->
   Pref_space.t ->
   Problem.t ->
@@ -120,7 +119,7 @@ val portfolio :
     the race; [None] when no member finds a feasible subset.  Publishes
     [solver.portfolio.races], [solver.portfolio.members] and a
     [solver.portfolio.win.<member>] counter for the merged winner.
-    [seed] (default [0x5EED]) feeds the metaheuristic probes.  All
+    The metaheuristic probes are seeded with [0x5EED].  All
     members share [budget] (it is domain-safe), so one deadline caps
     the whole race; note that {e which} member wins under an expiring
     budget depends on where each search was cut, so determinism across

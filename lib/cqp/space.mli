@@ -170,6 +170,4 @@ module Visited : sig
   val mem_key : t -> key -> bool
   (** Membership from a key alone (pre-valuation pruning).
       @raise Invalid_argument on a key from a different space. *)
-
-  val add_key : t -> key -> unit
 end

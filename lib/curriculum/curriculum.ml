@@ -109,6 +109,17 @@ let evolve ?pool ?(population = 12) ?(mutation_rate = 0.25)
     generations;
   }
 
+let pp_table ppf result =
+  let base = result.baseline.fitness in
+  Format.fprintf ppf "baseline: %s@." (Fitness.summary base);
+  Format.fprintf ppf "%-22s %14s %14s  improved@." "axis" "baseline" "elite";
+  List.iter
+    (fun (axis, elite) ->
+      let bv = axis_value base axis and ev = axis_value elite.fitness axis in
+      Format.fprintf ppf "%-22s %14.4f %14.4f  %s@." (axis_name axis) bv ev
+        (if ev > bv then "yes" else "no"))
+    result.reservoir
+
 let export ~dir spec result =
   List.map
     (fun (axis, elite) ->

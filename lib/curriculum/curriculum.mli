@@ -59,6 +59,11 @@ val evolve :
 (** Run the loop ([population] defaults to 12, [mutation_rate] to
     0.25).  [log] receives one progress line per generation. *)
 
+val pp_table : Format.formatter -> result -> unit
+(** The baseline's fitness summary, then one line per reservoir axis:
+    baseline value, elite value, and whether the elite improved on
+    the baseline. *)
+
 val export :
   dir:string -> Scenario.catalog_spec -> result -> (axis * string) list
 (** Freeze every reservoir elite as [<dir>/<axis_name>.scenario]

@@ -79,7 +79,7 @@ let evaluate catalog genome =
   let entries = Genome.decode genome catalog in
   let server = Genome.server genome catalog in
   let responses = Cqp_serve.Workload.replay server entries in
-  of_responses ~caches:(Option.to_list (Serve.cache server)) responses
+  of_responses ~caches:(Serve.caches server) responses
 
 (* Rational squash: x / (x + s) rises from 0 toward 1 with
    half-saturation at [s].  Pure +,*,/ keeps scores bit-identical

@@ -108,16 +108,12 @@ let expect_of_responses responses =
 
 (* --- freeze / replay / check -------------------------------------- *)
 
-let caches_of server =
-  (match Serve.cache server with Some c -> [ c ] | None -> [])
-  @ Serve.shard_caches server
-
 let freeze ~name spec genome =
   let catalog = build_catalog spec in
   let entries = Genome.decode genome catalog in
   let server = Genome.server genome catalog in
   let responses = Workload.replay server entries in
-  let fitness = Fitness.of_responses ~caches:(caches_of server) responses in
+  let fitness = Fitness.of_responses ~caches:(Serve.caches server) responses in
   {
     name;
     catalog = spec;

@@ -30,7 +30,6 @@ type catalog_spec =
       (** [Imdb.default_config] resized to [movies] *)
 
 val catalog_spec_to_string : catalog_spec -> string
-val catalog_spec_of_string : string -> catalog_spec
 val build_catalog : catalog_spec -> Cqp_relal.Catalog.t
 
 type expect = {
@@ -40,7 +39,10 @@ type expect = {
   blown : int;
   retries : int;
   rungs : (string * int) list;  (** count per {!Cqp_resilience.Rung.all} *)
-  digest : string;  (** MD5 hex over {!observable_line}s, in order *)
+  digest : string;
+      (** MD5 hex over each response's timing-independent render
+          (verdict, rung, retries, expiry, solution ids and hex
+          parameters, personalized SQL, rows), in order *)
 }
 
 type t = {
@@ -51,11 +53,6 @@ type t = {
   expect : expect;
   info : (string * float) list;
 }
-
-val observable_line : Cqp_serve.Serve.response -> string
-(** Canonical render of everything timing-independent about a
-    response: verdict, rung, retries, expiry, solution ids and hex
-    parameters, personalized SQL, rows. *)
 
 val expect_of_responses : Cqp_serve.Serve.response list -> expect
 

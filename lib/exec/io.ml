@@ -18,7 +18,6 @@ let charge_scan t rel =
   end
 let block_reads t = t.block_reads
 
-let cost_ms ?(block_ms = default_block_ms) t =
-  float_of_int t.block_reads *. block_ms
+let cost_ms t = float_of_int t.block_reads *. default_block_ms
 
 let pp ppf t = Format.fprintf ppf "%d block reads" t.block_reads

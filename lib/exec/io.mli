@@ -3,8 +3,7 @@
     The engine charges one unit per block read from a base relation.
     This implements the paper's execution-cost regime (Section 7.1):
     cost is I/O only, every relation required by a (sub-)query is read
-    from disk exactly once, and reading one block costs [b] milliseconds
-    (default 1 ms). *)
+    from disk exactly once, and reading one block costs [b] = 1 ms. *)
 
 type t
 
@@ -22,7 +21,7 @@ val charge_scan : t -> Cqp_relal.Relation.t -> unit
 
 val block_reads : t -> int
 
-val cost_ms : ?block_ms:float -> t -> float
-(** Total simulated I/O time: [block_reads * block_ms]. *)
+val cost_ms : t -> float
+(** Total simulated I/O time: [block_reads * default_block_ms]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,9 +1,4 @@
-type t = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  chunk : Bytes.t;
-  mutable closed : bool;
-}
+type t = { fd : Unix.file_descr; reader : Wire.reader; mutable closed : bool }
 
 exception Closed
 exception Protocol of Wire.error
@@ -19,7 +14,7 @@ let connect sockaddr =
    with e ->
      (try Unix.close fd with _ -> ());
      raise e);
-  { fd; buf = Buffer.create 4096; chunk = Bytes.create 65536; closed = false }
+  { fd; reader = Wire.reader (); closed = false }
 
 let close t =
   if not t.closed then begin
@@ -38,18 +33,12 @@ let write_all fd s =
   go 0
 
 let rec read_response t =
-  match Wire.decode_response (Buffer.contents t.buf) with
-  | Result.Ok (resp, consumed) ->
-      let rest = Buffer.sub t.buf consumed (Buffer.length t.buf - consumed) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf rest;
-      resp
+  match Wire.next_response t.reader with
+  | Result.Ok resp -> resp
   | Result.Error Wire.Truncated -> (
-      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
+      match Wire.refill t.reader (Unix.read t.fd) with
       | 0 -> raise Closed
-      | n ->
-          Buffer.add_subbytes t.buf t.chunk 0 n;
-          read_response t
+      | _ -> read_response t
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_response t)
   | Result.Error e -> raise (Protocol e)
 

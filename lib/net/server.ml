@@ -257,23 +257,16 @@ let connection t fd id =
   (* The read timeout doubles as the drain poll: an idle connection
      wakes a few times a second to notice the stop flag. *)
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05 with _ -> ());
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
+  let reader = Wire.reader () in
   let alive = ref true in
   (try
      while !alive && not (Atomic.get t.stopping) do
-       match Wire.decode_request (Buffer.contents buf) with
-       | Result.Ok (req, consumed) ->
-           let rest = Buffer.sub buf consumed (Buffer.length buf - consumed) in
-           Buffer.clear buf;
-           Buffer.add_string buf rest;
-           handle_request t fd req alive
+       match Wire.next_request reader with
+       | Result.Ok req -> handle_request t fd req alive
        | Result.Error Wire.Truncated -> (
-           match Unix.read fd chunk 0 (Bytes.length chunk) with
+           match Wire.refill reader (Unix.read fd) with
            | 0 -> alive := false
-           | n ->
-               Buffer.add_subbytes buf chunk 0 n;
-               Metrics.add "net.bytes_in" n
+           | n -> Metrics.add "net.bytes_in" n
            | exception
                Unix.Unix_error
                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->

@@ -547,6 +547,58 @@ let decode_request ?pos buf =
 let decode_response ?pos buf =
   decode ~request:false ~decode_payload:decode_payload_response ?pos buf
 
+(* --- streaming reader ------------------------------------------------- *)
+
+(* The pending stream bytes are [buf.[start .. stop)].  Reads land in
+   place and a frame is decoded once, when its length prefix says it is
+   all there, so a frame costs time linear in its size. *)
+type reader = { mutable buf : Bytes.t; mutable start : int; mutable stop : int }
+
+let chunk = 65536
+let reader () = { buf = Bytes.create chunk; start = 0; stop = 0 }
+
+(* The pending frame's declared [tag + payload] length, once its 4-byte
+   prefix is in. *)
+let declared r =
+  if r.stop - r.start < 4 then None
+  else
+    Some
+      ((Bytes.get_uint16_be r.buf r.start lsl 16)
+      lor Bytes.get_uint16_be r.buf (r.start + 2))
+
+let refill r read =
+  let pending = r.stop - r.start in
+  let want =
+    match declared r with
+    | Some len when len <= max_frame_len -> max chunk (4 + len)
+    | _ -> chunk
+  in
+  let buf = if want = Bytes.length r.buf then r.buf else Bytes.create want in
+  (* Moving only when the buffer changes or has a consumed prefix keeps
+     each pending byte's copies bounded while a large frame streams in. *)
+  if buf != r.buf || r.start > 0 then begin
+    Bytes.blit r.buf r.start buf 0 pending;
+    r.buf <- buf;
+    r.start <- 0;
+    r.stop <- pending
+  end;
+  let n = read r.buf r.stop (Bytes.length r.buf - r.stop) in
+  r.stop <- r.stop + n;
+  n
+
+let next decode r =
+  match declared r with
+  | None -> Result.Error Truncated
+  | Some len when len > max_frame_len -> Result.Error (Oversized len)
+  | Some len when r.stop - r.start < 4 + len -> Result.Error Truncated
+  | Some len ->
+      let frame = Bytes.sub_string r.buf r.start (4 + len) in
+      r.start <- r.start + 4 + len;
+      Result.map fst (decode frame)
+
+let next_request r = next (fun s -> decode_request s) r
+let next_response r = next (fun s -> decode_response s) r
+
 (* --- profile blobs ---------------------------------------------------- *)
 
 let encode_profile p =

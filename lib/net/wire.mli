@@ -20,8 +20,8 @@
     the declared frame length, whatever the peer sent
     ([test/test_net_wire.ml] fuzzes truncated, oversized and garbage
     input against this).  {!Truncated} means "not enough bytes yet":
-    a streaming reader keeps the buffer and reads more.  Every other
-    error is fatal for the connection (framing is lost).
+    the streaming {!reader} keeps the bytes and reads more.  Every
+    other error is fatal for the connection (framing is lost).
 
     The codec laws ([decode (encode f) = Ok (f, length)] for every
     frame type) are property-tested. *)
@@ -110,6 +110,30 @@ val decode_request : ?pos:int -> string -> (request * int, error) result
 
 val decode_response : ?pos:int -> string -> (response * int, error) result
 
+(** {1 Streaming reader}
+
+    Both ends of a connection read frames through a {!reader}.  It
+    keeps the bytes read so far and decodes a frame once, when its
+    length prefix says the whole frame is in, so reading a frame takes
+    time linear in its size. *)
+
+type reader
+
+val reader : unit -> reader
+
+val refill : reader -> (Bytes.t -> int -> int -> int) -> int
+(** [refill r read] appends the bytes [read buf pos len] stores (as
+    [Unix.read fd] does) and returns their count, 0 at end of stream.
+    Call it after {!next_request} or {!next_response} returned
+    [Truncated]; an exception from [read] propagates and leaves the
+    pending bytes as they were. *)
+
+val next_request : reader -> (request, error) result
+val next_response : reader -> (response, error) result
+(** The next whole frame, taken off [r]: [Truncated] until all of it
+    is in, [Oversized] as soon as a 4-byte prefix declares more than
+    {!max_frame_len}.  Any other error loses the framing. *)
+
 (** {1 Profile blobs}
 
     The same primitive codec, unframed — the on-disk record format of
@@ -122,10 +146,6 @@ val rows_digest : Cqp_relal.Tuple.t list -> string
 (** 16-byte MD5 of a canonical full-precision dump of the rows (floats
     in hex), so two replays producing byte-identical digests produced
     identical tuples — the differential suite's row oracle. *)
-
-val served_of_response : Cqp_serve.Serve.response -> served
-(** Project a serve-layer response onto its wire form (digesting the
-    rows); [Invalid_argument] on a shed response. *)
 
 val response_of_serve : Cqp_serve.Serve.response -> response
 (** [Served] or [Shed] as appropriate. *)

@@ -44,10 +44,6 @@ type finding = {
   regression : bool;
 }
 
-val timing_epsilon_us : float
-(** Absolute floor under which timing deltas are never regressions,
-    whatever the ratio — sub-50µs percentiles are scheduler noise. *)
-
 val diff :
   ?tolerance:float ->
   ?ignore_timing:bool ->
@@ -57,7 +53,7 @@ val diff :
   finding list
 (** One finding per (workload, metric) pair of [base], in order.
     [tolerance] defaults to [0.20]: lower-is-better metrics regress
-    above [base * 1.2] (timing additionally past {!timing_epsilon_us}),
+    above [base * 1.2] (timing additionally more than 50 µs above base),
     higher-is-better below [base * 0.8].  A base workload missing from
     [current] yields a single synthetic ["present"] regression.
     Workloads only in [current] are ignored (new coverage is not a

@@ -10,7 +10,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 (** Compact rendering.  Non-finite numbers are emitted as [null];
     integral numbers are emitted without a fractional part. *)

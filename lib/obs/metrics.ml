@@ -17,23 +17,16 @@ let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
    below ([if !enabled then ...]) stay outside it: while the registry
    is disabled no lock is ever taken, preserving the zero-cost
    contract (test_par_stress asserts [lock_acquisitions] stays flat
-   while disabled).  Acquisitions and contended acquisitions are
-   counted so parallel layers can see when metric publishing itself
-   becomes a bottleneck. *)
+   while disabled). *)
 let lock = Mutex.create ()
 let acquisitions = Atomic.make 0
-let contentions = Atomic.make 0
 
 let locked f =
-  if not (Mutex.try_lock lock) then begin
-    Atomic.incr contentions;
-    Mutex.lock lock
-  end;
+  Mutex.lock lock;
   Atomic.incr acquisitions;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let lock_acquisitions () = Atomic.get acquisitions
-let lock_contentions () = Atomic.get contentions
 
 let enable () = enabled := true
 let disable () = enabled := false

@@ -37,9 +37,6 @@ val reset : unit -> unit
 val lock_acquisitions : unit -> int
 (** Total mutex acquisitions since program start (monotone). *)
 
-val lock_contentions : unit -> int
-(** Acquisitions that found the mutex already held and had to block. *)
-
 (** {1 Recording} *)
 
 val add : string -> int -> unit
@@ -99,12 +96,12 @@ val to_json : unit -> Jsonx.t
     with only non-empty buckets listed. *)
 
 val to_json_string : unit -> string
-val write_json : file:string -> unit
 
 val dump_json : file:string -> unit
-(** {!write_json} plus a one-line ["metrics -> <file> (...)"] note on
-    stderr — the single dump path shared by the CLI and the bench
-    harness so their output stays uniform. *)
+(** Write {!to_json_string} to [file], plus a one-line
+    ["metrics -> <file> (...)"] note on stderr — the single dump path
+    shared by the CLI and the bench harness so their output stays
+    uniform. *)
 
 val to_prometheus : unit -> string
 (** The whole registry in the Prometheus text exposition format

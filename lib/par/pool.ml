@@ -46,7 +46,6 @@ let create ~domains () =
   t
 
 let domains t = t.size
-let recommended_domains () = max 1 (Domain.recommended_domain_count ())
 
 (* Re-raise the lowest-index captured exception: deterministic no
    matter which domain failed first in wall-clock time. *)

@@ -59,9 +59,6 @@ val create : domains:int -> unit -> t
 val domains : t -> int
 (** The total parallelism (workers + the submitting domain). *)
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()], clamped to at least 1. *)
-
 val run_all : t -> (int -> unit) array -> unit
 (** Run every job (each receives its own index), returning when all
     have finished.  Re-raises the lowest-index captured exception, if

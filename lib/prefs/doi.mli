@@ -35,9 +35,6 @@ val combine_incr : ?r:combine -> float -> float -> float
 (** [combine_incr acc d] extends a conjunction with one more doi in
     O(1): for noisy-or, [1 − (1 − acc)(1 − d)]. *)
 
-val compose_incr : ?f:compose -> float -> float -> float
-(** Extend a composition with one more step. *)
-
 val combine_retract : ?r:combine -> float -> float -> float option
 (** [combine_retract acc d] undoes one {!combine_incr} step in O(1)
     when the conjunction operator admits it: for noisy-or it inverts by

@@ -95,12 +95,6 @@ let reachable_relations t anchor =
   in
   bfs [] [ anchor ]
 
-let pp_node ppf = function
-  | Rel_node r -> Format.fprintf ppf "rel:%s" r
-  | Attr_node (r, a) -> Format.fprintf ppf "attr:%s.%s" r a
-  | Value_node (r, a, v) ->
-      Format.fprintf ppf "value:%s.%s=%s" r a (Value.to_sql v)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>personalization graph: %d nodes, %d edges@ %a@]"
     (List.length (nodes t))

@@ -26,11 +26,7 @@ val build : Cqp_relal.Catalog.t -> Profile.t -> t
 
 val nodes : t -> node list
 val edges : t -> edge list
-val relation_names : t -> string list
 val profile : t -> Profile.t
-
-val selection_edges_on : t -> string -> Profile.selection list
-val join_edges_from : t -> string -> Profile.join list
 
 val acyclic_paths_from : ?max_length:int -> t -> string -> Path.t list
 (** All acyclic paths anchored at the relation, by exhaustive DFS,
@@ -41,5 +37,4 @@ val reachable_relations : t -> string -> string list
 (** Relations reachable from the anchor through join edges (anchor
     included). *)
 
-val pp_node : Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit

@@ -75,6 +75,4 @@ val validate : Cqp_relal.Catalog.t -> t -> (unit, string list) result
 (** Check every referenced relation/attribute exists and value types are
     compatible; returns the list of problems otherwise. *)
 
-val pp_selection : Format.formatter -> selection -> unit
-val pp_join : Format.formatter -> join -> unit
 val pp : Format.formatter -> t -> unit

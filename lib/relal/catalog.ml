@@ -44,9 +44,6 @@ let refresh_stats t = Hashtbl.reset t.stats_cache
 let blocks t name =
   match find t name with None -> 0 | Some r -> Relation.blocks r
 
-let total_blocks t =
-  Hashtbl.fold (fun _ r acc -> acc + Relation.blocks r) t.relations 0
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter

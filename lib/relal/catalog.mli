@@ -33,5 +33,4 @@ val blocks : t -> string -> int
 (** Block count of the named relation (0 when absent): the [blocks(R)]
     input of the paper's cost formula. *)
 
-val total_blocks : t -> int
 val pp : Format.formatter -> t -> unit

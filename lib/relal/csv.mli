@@ -20,10 +20,6 @@ val parse_line : string -> string list
     [""] as the embedded-quote escape.
     @raise Csv_error on unbalanced quotes. *)
 
-val format_line : string list -> string
-(** Render fields, quoting when a field contains a comma, quote or
-    newline. *)
-
 val load_string :
   ?block_size:int -> ?header:bool -> Schema.t -> string -> Relation.t
 (** Parse a whole CSV document.  With [header:true] (default) the first

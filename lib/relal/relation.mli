@@ -7,12 +7,9 @@
 
 type t
 
-val default_block_size : int
-(** 8192 bytes, the conventional page size. *)
-
 val create : ?block_size:int -> Schema.t -> t
-(** Fresh empty relation.  [block_size] defaults to
-    {!default_block_size}. *)
+(** Fresh empty relation.  [block_size] defaults to 8192 bytes, the
+    conventional page size. *)
 
 val of_tuples : ?block_size:int -> Schema.t -> Tuple.t list -> t
 val schema : t -> Schema.t

@@ -6,12 +6,6 @@ type attribute = {
 
 type t = { rel_name : string; attrs : attribute list }
 
-let default_width = function
-  | Value.Tint | Value.Tfloat -> 8
-  | Value.Tbool -> 1
-  | Value.Tstring -> 24
-  | Value.Tnull -> 1
-
 let attribute name ty width =
   { attr_name = String.lowercase_ascii name; attr_ty = ty; attr_width = width }
 

@@ -30,9 +30,5 @@ val mem : t -> string -> bool
 val tuple_width : t -> int
 (** Sum of attribute widths: the byte footprint of one stored tuple. *)
 
-val default_width : Value.ty -> int
-(** Conventional width used when a caller does not specify one:
-    int/float 8, bool 1, string 24, null 1. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

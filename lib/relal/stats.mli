@@ -14,7 +14,7 @@ type column_stats = {
   max_v : Value.t option;
   mcv : (Value.t * int) list;
       (** most common values with exact frequencies, most frequent
-          first; covers at most {!mcv_limit} values *)
+          first; covers at most 16 values *)
   histogram : Value.t array;
       (** equi-depth bucket upper bounds over the non-MCV remainder *)
   rest_count : int;  (** cells not covered by [mcv] *)
@@ -26,9 +26,6 @@ type t = {
   rel_blocks : int;
   columns : (string * column_stats) list;  (** by attribute name *)
 }
-
-val mcv_limit : int
-val histogram_buckets : int
 
 val analyze : Relation.t -> t
 (** Full scan computing statistics for every column. *)

@@ -119,4 +119,3 @@ let of_sql_literal s =
             | None -> String s))
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
-let pp_ty ppf t = Format.pp_print_string ppf (ty_name t)

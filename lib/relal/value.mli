@@ -54,4 +54,3 @@ val of_sql_literal : string -> t
     [true]/[false], [null]; anything else becomes a [String]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_ty : Format.formatter -> ty -> unit

@@ -392,18 +392,12 @@ let shards t n =
     t.shards;
   t.shards
 
+let caches t = List.filter_map (fun s -> s.cache) (t :: Array.to_list t.shards)
+
 let drain_shards t ~served =
   Array.iter
     (fun shard ->
       Hashtbl.iter (fun user p -> set_profile t ~user p) shard.profiles)
     t.shards;
   t.served <- t.served + served;
-  if Metrics.is_enabled () then begin
-    let caches =
-      List.filter_map (fun s -> s.cache) (t :: Array.to_list t.shards)
-    in
-    Cache.publish_gauge_totals caches
-  end
-
-let shard_caches t =
-  List.filter_map (fun s -> s.cache) (Array.to_list t.shards)
+  if Metrics.is_enabled () then Cache.publish_gauge_totals (caches t)

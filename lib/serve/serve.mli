@@ -196,6 +196,7 @@ val drain_shards : t -> served:int -> unit
     and re-publish the [serve.cache.*] gauges as fleet-wide totals
     ({!Cqp_core.Cache.publish_gauge_totals}). *)
 
-val shard_caches : t -> Cqp_core.Cache.t list
-(** The shard fleet's caches (empty before {!shards} or with caching
-    off) — for summary output that reports fleet totals. *)
+val caches : t -> Cqp_core.Cache.t list
+(** The server's own cache, if any, then its shard fleet's (no shards
+    before {!shards}; empty with caching off) — the fleet whose totals
+    summaries report. *)

@@ -24,21 +24,11 @@ and source =
 
 type env = binding list
 
-val block_env : Cqp_relal.Catalog.t -> Ast.select_block -> env
-(** Bindings introduced by a block's FROM clause, in order.
-    @raise Semantic_error on unknown tables or duplicate aliases. *)
-
 val resolve : env -> string option -> string -> int * int * Cqp_relal.Value.ty
 (** [resolve env qualifier column] returns
     [(binding_index, column_index, type)].
     @raise Semantic_error when unresolvable or ambiguous. *)
 
-val expr_ty : env -> Ast.expr -> Cqp_relal.Value.ty
-(** Result type of an expression; aggregates over numerics are numeric,
-    [count] is [Tint].
-    @raise Semantic_error on unresolvable columns. *)
-
-val check_predicate : env -> Ast.predicate -> unit
 val check : Cqp_relal.Catalog.t -> Ast.query -> unit
 
 val output_schema :

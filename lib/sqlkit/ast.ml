@@ -41,9 +41,18 @@ and select_block = {
 
 and query = Select of select_block | Union_all of query list
 
-let simple_select ?(distinct = false) ?where ?(group_by = []) ?having
-    ?(order_by = []) ?limit items from =
-  Select { distinct; items; from; where; group_by; having; order_by; limit }
+let simple_select ?where ?(order_by = []) ?limit items from =
+  Select
+    {
+      distinct = false;
+      items;
+      from;
+      where;
+      group_by = [];
+      having = None;
+      order_by;
+      limit;
+    }
 
 let rec conj = function
   | [] -> True

@@ -54,16 +54,14 @@ and select_block = {
 and query = Select of select_block | Union_all of query list
 
 val simple_select :
-  ?distinct:bool ->
   ?where:predicate ->
-  ?group_by:expr list ->
-  ?having:predicate ->
   ?order_by:(expr * order_dir) list ->
   ?limit:int ->
   select_item list ->
   from_item list ->
   query
-(** Convenience constructor for a single block. *)
+(** Convenience constructor for a single non-distinct block without
+    GROUP BY or HAVING. *)
 
 val conj : predicate list -> predicate
 (** Right-nested conjunction; [conj [] = True]. *)

@@ -118,12 +118,3 @@ let tokenize input =
   in
   lex 0;
   List.rev !tokens
-
-let pp_token ppf = function
-  | Ident s -> Format.fprintf ppf "ident %s" s
-  | Int_lit i -> Format.fprintf ppf "int %d" i
-  | Float_lit f -> Format.fprintf ppf "float %g" f
-  | String_lit s -> Format.fprintf ppf "string %S" s
-  | Kw k -> Format.fprintf ppf "keyword %s" k
-  | Punct p -> Format.fprintf ppf "punct %s" p
-  | Eof -> Format.fprintf ppf "eof"

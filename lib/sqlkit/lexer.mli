@@ -15,12 +15,7 @@ type token =
 
 exception Lex_error of string * int  (** message, byte position *)
 
-val keywords : string list
-(** The recognized keyword set (uppercase). *)
-
 val tokenize : string -> (token * int) list
 (** All tokens with their starting byte positions, ending with [Eof].
     @raise Lex_error on an unexpected character or unterminated
     string. *)
-
-val pp_token : Format.formatter -> token -> unit

@@ -36,12 +36,5 @@ val default_config : config
 val small_config : config
 (** A few hundred tuples; for unit tests. *)
 
-val genre_vocabulary : string array
 val build : ?config:config -> seed:int -> unit -> Cqp_relal.Catalog.t
 (** Deterministic for a given seed and configuration. *)
-
-val movie_schema : Cqp_relal.Schema.t
-val director_schema : Cqp_relal.Schema.t
-val genre_schema : Cqp_relal.Schema.t
-val actor_schema : Cqp_relal.Schema.t
-val casts_schema : Cqp_relal.Schema.t

@@ -1,15 +1,10 @@
 module V = Cqp_relal.Value
 module Rng = Cqp_util.Rng
 
-type config = {
-  n_restaurants : int;
-  n_reviews : int;
-  n_reviewers : int;
-  block_size : int;
-}
-
-let default_config =
-  { n_restaurants = 400; n_reviews = 1500; n_reviewers = 40; block_size = 512 }
+let n_restaurants = 400
+let n_reviews = 1500
+let n_reviewers = 40
+let block_size = 512
 
 let cities = [| "pisa"; "florence"; "siena"; "lucca" |]
 let cuisines = [| "tuscan"; "seafood"; "pizza"; "vegetarian"; "fusion" |]
@@ -29,13 +24,11 @@ let review_schema =
   Cqp_relal.Schema.make "review"
     [ ("rid", V.Tint, 8); ("author", V.Tstring, 16); ("stars", V.Tint, 8) ]
 
-let build ?(config = default_config) ~seed () =
+let build ~seed () =
   let rng = Rng.create seed in
   let cat = Cqp_relal.Catalog.create () in
-  let restaurants =
-    Cqp_relal.Relation.create ~block_size:config.block_size restaurant_schema
-  in
-  for rid = 1 to config.n_restaurants do
+  let restaurants = Cqp_relal.Relation.create ~block_size restaurant_schema in
+  for rid = 1 to n_restaurants do
     Cqp_relal.Relation.insert restaurants
       (Cqp_relal.Tuple.make
          [
@@ -48,15 +41,13 @@ let build ?(config = default_config) ~seed () =
          ])
   done;
   Cqp_relal.Catalog.add cat restaurants;
-  let reviews =
-    Cqp_relal.Relation.create ~block_size:config.block_size review_schema
-  in
-  for _ = 1 to config.n_reviews do
+  let reviews = Cqp_relal.Relation.create ~block_size review_schema in
+  for _ = 1 to n_reviews do
     Cqp_relal.Relation.insert reviews
       (Cqp_relal.Tuple.make
          [
-           V.Int (Rng.int_in rng 1 config.n_restaurants);
-           V.String (Printf.sprintf "user%02d" (Rng.int_in rng 1 config.n_reviewers));
+           V.Int (Rng.int_in rng 1 n_restaurants);
+           V.String (Printf.sprintf "user%02d" (Rng.int_in rng 1 n_reviewers));
            V.Int (Rng.int_in rng 1 5);
          ])
   done;

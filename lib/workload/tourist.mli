@@ -3,21 +3,9 @@
     plus user reviews) and "Al's" profile, for the mobile-personalization
     examples and the Policy tests. *)
 
-type config = {
-  n_restaurants : int;
-  n_reviews : int;
-  n_reviewers : int;
-  block_size : int;
-}
-
-val default_config : config
-(** 400 restaurants, 1500 reviews. *)
-
-val cities : string array
-val cuisines : string array
-
-val build : ?config:config -> seed:int -> unit -> Cqp_relal.Catalog.t
-(** Deterministic for a given seed. *)
+val build : seed:int -> unit -> Cqp_relal.Catalog.t
+(** 400 restaurants and 1500 reviews by 40 reviewers, in 512-byte
+    blocks.  Deterministic for a given seed. *)
 
 val al_profile : Cqp_prefs.Profile.t
 (** Al's preferences: strong for Tuscan food and top ratings, moderate

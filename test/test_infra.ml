@@ -119,12 +119,7 @@ let test_io_reset () =
   Io.charge_blocks io 7;
   checki "charged" 7 (Io.block_reads io);
   Io.reset io;
-  checki "reset" 0 (Io.block_reads io);
-  Alcotest.(check (float 1e-9)) "custom block ms" 14.
-    (Io.cost_ms ~block_ms:2.
-       (let io = Io.create () in
-        Io.charge_blocks io 7;
-        io))
+  checki "reset" 0 (Io.block_reads io)
 
 (* --- Rowset column resolution -------------------------------------------- *)
 

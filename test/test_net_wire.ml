@@ -5,7 +5,8 @@
    concatenate — and adversarial input: truncations of valid frames
    report Truncated, oversized declarations report Oversized, random
    garbage and bit-flipped frames decode to a typed result without
-   ever raising or reading past the declared frame. *)
+   ever raising or reading past the declared frame.  The streaming
+   reader decodes a stream the same however its reads are chunked. *)
 
 module W = Cqp_net.Wire
 module Profile = Cqp_prefs.Profile
@@ -239,6 +240,58 @@ let prop_profile_roundtrip =
           && W.encode_profile p' = s
       | Result.Error _ -> false)
 
+(* --- streaming reader --------------------------------------------------- *)
+
+(* A [read] over [stream] whose every call returns between 1 byte and
+   the whole stream, drawn from [seed]. *)
+let chunked_read stream seed =
+  let st = Random.State.make [| seed |] in
+  let pos = ref 0 in
+  fun buf off len ->
+    let size = 1 + Random.State.int st (max 1 (String.length stream)) in
+    let n = min (min size len) (String.length stream - !pos) in
+    Bytes.blit_string stream !pos buf off n;
+    pos := !pos + n;
+    n
+
+(* Every frame of [stream], read to its end through one reader. *)
+let read_stream next stream seed =
+  let r = W.reader () in
+  let read = chunked_read stream seed in
+  let rec go acc =
+    match next r with
+    | Result.Ok f -> go (f :: acc)
+    | Result.Error W.Truncated ->
+        if W.refill r read = 0 then Some (List.rev acc) else go acc
+    | Result.Error _ -> None
+  in
+  go []
+
+(* Query SQL is padded by [pad] bytes, so some frames span several
+   64 KiB reads and the reader has to grow (and later shrink) its
+   buffer. *)
+let prop_reader_chunking =
+  QCheck.Test.make ~name:"reader decodes a stream the same in any chunking"
+    ~count:200
+    QCheck.(
+      quad
+        (list_of_size (Gen.int_range 0 6) arb_request)
+        (list_of_size (Gen.int_range 0 6) arb_response)
+        int
+        (make (Gen.oneofl [ 0; 70_000; 200_000 ])))
+    (fun (reqs, resps, seed, pad) ->
+      let reqs =
+        List.map
+          (function
+            | W.Query q -> W.Query { q with sql = q.sql ^ String.make pad 's' }
+            | r -> r)
+          reqs
+      in
+      let requests = String.concat "" (List.map W.encode_request reqs) in
+      let responses = String.concat "" (List.map W.encode_response resps) in
+      eq (read_stream W.next_request requests seed) (Some reqs)
+      && eq (read_stream W.next_response responses seed) (Some resps))
+
 (* --- adversarial input ------------------------------------------------ *)
 
 let prop_truncations =
@@ -286,6 +339,21 @@ let header len =
   Buffer.add_char b (Char.chr ((len lsr 8) land 0xff));
   Buffer.add_char b (Char.chr (len land 0xff));
   b
+
+let prop_reader_oversized =
+  QCheck.Test.make ~name:"reader rejects an oversized header before its body"
+    ~count:200
+    QCheck.(pair (int_range (W.max_frame_len + 1) 0xFFFF_FFFF) int)
+    (fun (len, seed) ->
+      let r = W.reader () in
+      let read = chunked_read (Buffer.contents (header len)) seed in
+      let rec go () =
+        match W.next_request r with
+        | Result.Error W.Truncated -> W.refill r read > 0 && go ()
+        | Result.Error (W.Oversized n) -> n = len
+        | _ -> false
+      in
+      go ())
 
 let test_oversized () =
   let b = header (W.max_frame_len + 1) in
@@ -398,12 +466,14 @@ let () =
           Testlib.qc prop_concatenated_frames;
           Testlib.qc prop_trailing_garbage_untouched;
           Testlib.qc prop_profile_roundtrip;
+          Testlib.qc prop_reader_chunking;
         ] );
       ( "adversarial",
         [
           Testlib.qc prop_truncations;
           Testlib.qc prop_garbage_never_raises;
           Testlib.qc prop_bitflip_never_raises;
+          Testlib.qc prop_reader_oversized;
           Alcotest.test_case "oversized declaration" `Quick test_oversized;
           Alcotest.test_case "bad tag" `Quick test_bad_tag;
           Alcotest.test_case "empty frame" `Quick test_empty_frame;

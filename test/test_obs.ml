@@ -310,10 +310,8 @@ let test_instrument_publish () =
   C.Instrument.hold t [ 0; 1 ];
   t.C.Instrument.wall_seconds <- 0.25;
   C.Instrument.publish t;
-  C.Instrument.publish ~prefix:"alt" t;
   checki "states bridged" 7 (Metrics.counter_value "solver.states_visited");
   checki "evals bridged" 5 (Metrics.counter_value "solver.param_evals");
-  checki "prefix respected" 7 (Metrics.counter_value "alt.states_visited");
   checki "peak histogram fed" 1 (Metrics.histogram_count "solver.peak_words");
   checki "wall histogram fed" 1 (Metrics.histogram_count "solver.wall_us");
   Obs.disable ();

@@ -60,21 +60,12 @@ let catalog t = t.catalog
 let query t = t.query
 let block_ms = Cqp_exec.Io.default_block_ms
 
-(* Selectivity of a literal comparison against catalog stats. *)
-let raw_condition_selectivity catalog rel attr op (v : Value.t) =
-  let stats = Catalog.stats catalog rel in
-  match op with
-  | Ast.Eq -> Stats.eq_selectivity stats attr v
-  | Ast.Neq -> 1. -. Stats.eq_selectivity stats attr v
-  | Ast.Lt | Ast.Le -> Stats.range_selectivity stats attr ~hi:v ()
-  | Ast.Gt | Ast.Ge -> Stats.range_selectivity stats attr ~lo:v ()
-
 let condition_selectivity ?memo catalog rel attr op v =
   match memo with
-  | None -> raw_condition_selectivity catalog rel attr op v
+  | None -> Cqp_exec.Explain.selectivity catalog rel attr op v
   | Some m ->
       Memo.get m m.Memo.sel (rel, attr, op, v) (fun () ->
-          raw_condition_selectivity catalog rel attr op v)
+          Cqp_exec.Explain.selectivity catalog rel attr op v)
 
 let distinct_of ?memo catalog rel attr =
   match memo with

@@ -60,46 +60,55 @@ module Positions = struct
 end
 
 (* The rows of a join prefix as row ids: row [i] of [len] combines, for
-   each of the prefix's sources [s], row [ids.(s).(i)] of [rows.(s)]
-   ([All]: row [i] itself, a source no filter or join has narrowed).
-   [header] concatenates the sources' headers, [widths.(s)] columns
-   each.  Filters and joins only move ids; projection builds the
-   output tuples. *)
+   each slot [k], row [ids.(k).(i)] of [rows.(k)] ([All]: row [i]
+   itself, a source no filter or join has narrowed).  Slot [k] holds
+   the block's source [srcs.(k)], by its position in the FROM list;
+   slots follow the join order.  Filters and joins only move ids;
+   projection builds the output tuples. *)
 type ids = All | Ids of int array
 
 type batch = {
-  header : Rowset.col list;
-  widths : int array;
+  srcs : int array;
   rows : Tuple.t array array;
   ids : ids array;
   len : int;
 }
 
-let batch_of header rows =
+(* A source's rows after its pushed-down conjuncts, as a one-slot
+   batch of source 0, with the hash tables built on its columns so far:
+   per column, a table mapping each key to its first row and an array
+   chaining each row to the next one with the same key. *)
+type load = {
+  batch : batch;
+  mutable tables : (int * (int ref Value_tbl.t * int array)) list;
+}
+
+(* The concatenated headers of a block's sources: position [p] is
+   column [at.(p)] as a (source, column) pair. *)
+type layout = { header : Rowset.col list; at : (int * int) array }
+
+let layout headers =
   {
-    header;
-    widths = [| List.length header |];
-    rows = [| rows |];
-    ids = [| All |];
-    len = Array.length rows;
+    header = List.concat headers;
+    at =
+      Array.concat
+        (List.mapi
+           (fun s cols -> Array.of_list (List.mapi (fun c _ -> (s, c)) cols))
+           headers);
   }
 
-(* Header position [p] as a (source, column) slot, read through the
-   row ids. *)
-let column b p =
-  let rec slot s c =
-    if c < b.widths.(s) then (s, c) else slot (s + 1) (c - b.widths.(s))
-  in
-  let s, c = slot 0 p in
-  let rows = b.rows.(s) in
-  match b.ids.(s) with
+(* Column [c] of source [s], read through the row ids. *)
+let column b (s, c) =
+  let rec slot k = if b.srcs.(k) = s then k else slot (k + 1) in
+  let k = slot 0 in
+  let rows = b.rows.(k) in
+  match b.ids.(k) with
   | All -> fun i -> rows.(i).(c)
   | Ids ids -> fun i -> rows.(ids.(i)).(c)
 
-(* A column reference resolves once, against the header the batch's
-   rows would have as concatenated tuples. *)
-let scope b : int Eval.scope =
- fun q name -> column b (Rowset.find_col b.header q name)
+(* A column reference resolves once, against the layout's header. *)
+let scope l b : int Eval.scope =
+ fun q name -> column b l.at.(Rowset.find_col l.header q name)
 
 (* The rows at [positions], in that order. *)
 let pick b positions =
@@ -114,24 +123,57 @@ let pick b positions =
     len = Array.length positions;
   }
 
-let filter b p =
-  let keep = Eval.predicate (Eval.scalar (scope b)) p in
+let filter l b p =
+  let keep = Eval.predicate (Eval.scalar (scope l b)) p in
   let kept = Positions.create () in
   for i = 0 to b.len - 1 do
     if keep i then Positions.add kept i
   done;
   if kept.len = b.len then b else pick b (Positions.contents kept)
 
-(* [acc] joined with the one-source batch [r]: output row [x] pairs
+(* [acc] joined with source [s], loaded as [r]: output row [x] pairs
    [acc]'s row [left.(x)] with [r]'s row [right.(x)]. *)
-let extend acc r left right =
+let extend acc s r left right =
   {
-    header = acc.header @ r.header;
-    widths = Array.append acc.widths r.widths;
+    srcs = Array.append acc.srcs [| s |];
     rows = Array.append acc.rows r.rows;
     ids = Array.append (pick acc left).ids (pick r right).ids;
     len = Array.length left;
   }
+
+(* The rows in the order a nested loop over the sources in FROM order
+   emits them: by row id, source by source.  Joins that start from a
+   source in storage order often emit that order already. *)
+let in_from_order b =
+  let n = Array.length b.srcs in
+  let rec from_order k = k = n || (b.srcs.(k) = k && from_order (k + 1)) in
+  if from_order 0 then b
+  else begin
+    let id = Array.make n [||] in
+    Array.iteri
+      (fun k s ->
+        id.(s) <-
+          (match b.ids.(k) with
+          | Ids ids -> ids
+          | All -> Array.init b.len Fun.id))
+      b.srcs;
+    let rec cmp s x y =
+      if s = n then 0
+      else
+        let ids = id.(s) in
+        let c = Int.compare ids.(x) ids.(y) in
+        if c <> 0 then c else cmp (s + 1) x y
+    in
+    let rec sorted i =
+      i + 1 >= b.len || (cmp 0 i (i + 1) < 0 && sorted (i + 1))
+    in
+    if sorted 0 then b
+    else begin
+      let order = Array.init b.len Fun.id in
+      Array.sort (cmp 0) order;
+      pick b order
+    end
+  end
 
 (* --- physical operators --------------------------------------------- *)
 
@@ -145,48 +187,55 @@ let scan io name rel =
         Cqp_obs.Attr.int "blocks" (Relation.blocks rel);
         Cqp_obs.Attr.int "rows" (Relation.cardinality rel);
       ])
-  @@ fun () ->
-  Io.charge_scan io rel;
-  Relation.to_array rel
+  @@ fun () -> Io.charge_scan io rel
 
-let cartesian acc r =
+let cartesian acc s r =
   let na = acc.len and nb = r.len in
-  extend acc r
+  extend acc s r
     (Array.init (na * nb) (fun x -> x / nb))
     (Array.init (na * nb) (fun x -> x mod nb))
 
-(* Hash join on (left, right) header positions.  It builds on [r],
-   probes in [acc]'s order and emits each probe's matches in [r]'s
-   order, so rows come out as a nested loop would produce them.  The
-   table hashes the first key; a match must agree on the others too.
+(* Hash join of [acc] with source [s], loaded as [r], on (accumulated
+   column, column of [r]) keys.  It probes in [acc]'s order and emits
+   each probe's matches in [r]'s order, so rows come out as a nested
+   loop would produce them.  The table, on [r]'s first key column, is
+   built once per load; a match must agree on the other keys too.
    NULL keys never match. *)
-let hash_join acc r keys =
+let hash_join acc s (r : load) keys =
   let left = Array.of_list (List.map (fun (p, _) -> column acc p) keys)
-  and right = Array.of_list (List.map (fun (_, p) -> column r p) keys) in
-  let n_keys = Array.length left in
-  let rec no_null cols i c =
-    c = n_keys || ((not (Value.is_null (cols.(c) i))) && no_null cols i (c + 1))
+  and right =
+    Array.of_list (List.map (fun (_, c) -> column r.batch (0, c)) keys)
   in
+  let n_keys = Array.length left in
   let rec agree i j c =
     c = n_keys || (Value.equal (left.(c) i) (right.(c) j) && agree i j (c + 1))
   in
-  (* [first] maps a key to its first row in [r]; [next] chains each row
-     to the next one with the same key. *)
-  let nb = r.len in
-  let first = Value_tbl.create (max 16 nb) and next = Array.make nb (-1) in
-  for j = nb - 1 downto 0 do
-    if no_null right j 0 then
-      let k = right.(0) j in
-      match Value_tbl.find first k with
-      | head ->
-          next.(j) <- !head;
-          head := j
-      | exception Not_found -> Value_tbl.add first k (ref j)
-  done;
-  let na = acc.len in
+  let c = snd (List.hd keys) in
+  let first, next =
+    match List.assoc_opt c r.tables with
+    | Some table -> table
+    | None ->
+        let nb = r.batch.len in
+        let first = Value_tbl.create (max 16 nb)
+        and next = Array.make nb (-1) in
+        for j = nb - 1 downto 0 do
+          let k = right.(0) j in
+          if not (Value.is_null k) then
+            match Value_tbl.find first k with
+            | head ->
+                next.(j) <- !head;
+                head := j
+            | exception Not_found -> Value_tbl.add first k (ref j)
+        done;
+        r.tables <- (c, (first, next)) :: r.tables;
+        (first, next)
+  in
+  let rec no_null i c =
+    c = n_keys || ((not (Value.is_null (left.(c) i))) && no_null i (c + 1))
+  in
   let lpos = Positions.create () and rpos = Positions.create () in
-  for i = 0 to na - 1 do
-    if no_null left i 0 then
+  for i = 0 to acc.len - 1 do
+    if no_null i 0 then
       match Value_tbl.find first (left.(0) i) with
       | head ->
           let j = ref !head in
@@ -199,61 +248,89 @@ let hash_join acc r keys =
           done
       | exception Not_found -> ()
   done;
-  extend acc r (Positions.contents lpos) (Positions.contents rpos)
+  extend acc s r.batch (Positions.contents lpos) (Positions.contents rpos)
 
 (* --- plan interpretation --------------------------------------------- *)
 
-let rec exec_plan io : Explain.t -> Rowset.t = function
-  | Plan_select b -> exec_block io b
+(* The base-source loads of one execution, by relation, alias and
+   pushed-down conjuncts: every branch of a union that reads the same
+   source shares its filtered rows and hash tables, and still pays for
+   its own scan. *)
+type shared = ((string * string * predicate list) * load) list ref
+
+let rec exec_plan io (shared : shared) : Explain.t -> Rowset.t = function
+  | Plan_select b -> exec_block io shared b
   | Plan_union [] -> fail "empty UNION"
-  | Plan_union plans -> Rowset.concat (List.map (exec_plan io) plans)
+  | Plan_union plans -> Rowset.concat (List.map (exec_plan io shared) plans)
 
-(* A source's rows under its plan header, with its pushed-down
-   conjuncts applied. *)
-and load io (s : Explain.source_plan) =
-  let rows =
-    match s.input with
-    | Base (name, rel) -> scan io name rel
-    | Derived sub -> (exec_plan io sub).Rowset.rows
+(* A source's rows with its pushed-down conjuncts applied. *)
+and load io shared (s : Explain.source_plan) =
+  let filtered rows =
+    let one =
+      { srcs = [| 0 |]; rows = [| rows |]; ids = [| All |]; len = Array.length rows }
+    in
+    {
+      batch = List.fold_left (filter (layout [ s.header ])) one s.pushed_down;
+      tables = [];
+    }
   in
-  List.fold_left filter (batch_of s.header rows) s.pushed_down
+  match s.input with
+  | Derived sub -> filtered (exec_plan io shared sub).Rowset.rows
+  | Base (name, rel) -> (
+      scan io name rel;
+      let key = (name, s.label, s.pushed_down) in
+      match List.assoc_opt key !shared with
+      | Some l -> l
+      | None ->
+          let l = filtered (Relation.to_array rel) in
+          shared := (key, l) :: !shared;
+          l)
 
-and exec_block io (b : Explain.block_plan) : Rowset.t =
+and exec_block io shared (b : Explain.block_plan) : Rowset.t =
+  let l =
+    layout (List.map (fun (s : Explain.source_plan) -> s.header) b.sources)
+  in
   (* 1. Sources, each filtered by its pushed-down conjuncts. *)
-  let sources = List.map (load io) b.sources in
-  (* 2. Left-deep joins, each followed by its post-join filters. *)
+  let loads = Array.of_list (List.map (load io shared) b.sources) in
+  (* 2. Joins in the plan's order, each followed by its post-join
+     filters; then the rows in FROM order. *)
   let joined =
-    match sources with
-    | [] -> fail "empty FROM"
-    | first :: rest ->
-        List.fold_left2
-          (fun acc r (j : Explain.join_step) ->
-            let joined =
-              match j.method_ with
-              | `Cartesian ->
-                  Cqp_obs.Trace.with_span ~name:"engine.cartesian"
-                    ~attrs:(fun () ->
-                      [
-                        Cqp_obs.Attr.int "left_rows" acc.len;
-                        Cqp_obs.Attr.int "right_rows" r.len;
-                      ])
-                    (fun () -> cartesian acc r)
-              | `Hash keys ->
-                  Cqp_obs.Trace.with_span ~name:"engine.hash_join"
-                    ~attrs:(fun () ->
-                      [
-                        Cqp_obs.Attr.int "keys" (List.length keys);
-                        Cqp_obs.Attr.int "left_rows" acc.len;
-                        Cqp_obs.Attr.int "right_rows" r.len;
-                      ])
-                    (fun () -> hash_join acc r (List.map snd keys))
-            in
-            List.fold_left filter joined j.post_filters)
-          first rest b.joins
+    List.fold_left
+      (fun acc (j : Explain.join_step) ->
+        let s = j.with_source in
+        let r = loads.(s) in
+        let joined =
+          match j.method_ with
+          | `Cartesian ->
+              Cqp_obs.Trace.with_span ~name:"engine.cartesian"
+                ~attrs:(fun () ->
+                  [
+                    Cqp_obs.Attr.int "left_rows" acc.len;
+                    Cqp_obs.Attr.int "right_rows" r.batch.len;
+                  ])
+                (fun () -> cartesian acc s r.batch)
+          | `Hash keys ->
+              Cqp_obs.Trace.with_span ~name:"engine.hash_join"
+                ~attrs:(fun () ->
+                  [
+                    Cqp_obs.Attr.int "keys" (List.length keys);
+                    Cqp_obs.Attr.int "left_rows" acc.len;
+                    Cqp_obs.Attr.int "right_rows" r.batch.len;
+                  ])
+                (fun () ->
+                  hash_join acc s r
+                    (List.map
+                       (fun (_, (p, q)) -> (l.at.(p), snd l.at.(q)))
+                       keys))
+        in
+        List.fold_left (filter l) joined j.post_filters)
+      { (loads.(b.first).batch) with srcs = [| b.first |] }
+      b.joins
+    |> in_from_order
   in
   (* 3. Residual filters. *)
-  let filtered = List.fold_left filter joined b.residual in
-  let ctx = scope filtered and n = filtered.len in
+  let filtered = List.fold_left (filter l) joined b.residual in
+  let ctx = scope l filtered and n = filtered.len in
   (* 4. Projection / aggregation.  Each output row is paired with its
      ORDER BY key values: a key reads the output row, or else the
      pre-projection context (SQL permits ordering by non-output
@@ -398,7 +475,7 @@ and exec_block io (b : Explain.block_plan) : Rowset.t =
 let execute_rowset ?(io = Io.create ()) catalog q =
   Cqp_obs.Trace.with_span ~name:"engine.execute" ~phase:Cqp_obs.Phase.Exec
     (fun () ->
-      let rs = exec_plan io (Explain.explain catalog q) in
+      let rs = exec_plan io (ref []) (Explain.explain catalog q) in
       Cqp_obs.Trace.add_attr
         (Cqp_obs.Attr.int "block_reads" (Io.block_reads io));
       Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "rows" (Rowset.cardinality rs));

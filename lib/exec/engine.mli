@@ -3,16 +3,26 @@
     A rule-based planner ({!Explain}) turns the SQL AST into a
     left-deep pipeline of materialized physical operators: base-table
     scan (charging block I/O), selection pushdown, hash equi-join
-    (cartesian product as a fallback), residual filters, hash
-    aggregation with HAVING, DISTINCT, ORDER BY, LIMIT, and bag UNION
-    ALL.  Column references are resolved once per query into closures;
-    filters and joins pass row ids, and only output rows are built as
-    tuples.
+    (cartesian product as a fallback) in an order chosen by estimated
+    source size, residual filters, hash aggregation with HAVING,
+    DISTINCT, ORDER BY, LIMIT, and bag UNION ALL.  Column references
+    are resolved once per query into closures; filters and joins pass
+    row ids, and only output rows are built as tuples.
 
-    Every base relation touched by a (sub-)query is scanned exactly
-    once, matching the paper's cost assumptions, so
-    [Io.block_reads] after execution is the "real" execution cost that
-    Figure 15 compares against the estimator. *)
+    Each join builds its hash table on the incoming source and probes
+    it with the rows joined so far.  When the plan joins in another
+    order than FROM's, the joined row ids are then sorted source by
+    source in FROM order, so rows come out exactly as a nested loop
+    over the FROM list would emit them, whatever the order.
+
+    Within one {!execute}, a base source's filtered rows are built once
+    per relation, alias and pushed-down conjuncts, and a hash table on
+    one of its columns once: the branches of a personalized query's
+    UNION ALL share both.  Every base relation touched by a
+    (sub-)query is still charged one full scan, matching the paper's
+    cost assumptions, so [Io.block_reads] after execution is the
+    "real" execution cost that Figure 15 compares against the
+    estimator. *)
 
 exception Runtime_error of string
 

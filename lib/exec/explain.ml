@@ -1,6 +1,7 @@
 open Cqp_sql.Ast
 module Catalog = Cqp_relal.Catalog
 module Relation = Cqp_relal.Relation
+module Stats = Cqp_relal.Stats
 module Printer = Cqp_sql.Printer
 
 exception Runtime_error of string
@@ -14,16 +15,18 @@ and source_plan = {
   blocks : int;
   header : Rowset.col list;
   pushed_down : predicate list;
+  estimate : float;
 }
 
 and join_step = {
-  with_source : string;
+  with_source : int;
   method_ : [ `Hash of (predicate * (int * int)) list | `Cartesian ];
   post_filters : predicate list;
 }
 
 and block_plan = {
   sources : source_plan list;
+  first : int;
   joins : join_step list;
   residual : predicate list;
   outputs : expr list;
@@ -71,17 +74,14 @@ let rec pred_cols = function
 
 let resolves_in cols p = List.for_all (fun c -> find cols c <> None) (pred_cols p)
 
-(* An equality between a column of [a] and a column of [b] is a hash-join
-   key: its (left, right) column indexes. *)
-let join_key a b = function
-  | Cmp (Eq, Col (ql, nl), Col (qr, nr)) -> (
-      match find a (ql, nl), find b (qr, nr) with
-      | Some i, Some j -> Some (i, j)
-      | _ -> (
-          match find a (qr, nr), find b (ql, nl) with
-          | Some i, Some j -> Some (i, j)
-          | _ -> None))
-  | _ -> None
+(* A post-scan conjunct, resolved once against its block's header: the
+   sources it reads ([None] when a reference does not resolve) and, for
+   an equality of two columns, their header positions. *)
+type conjunct = {
+  pred : predicate;
+  reads : int list option;
+  equi : (int * int) option;
+}
 
 (* Output expressions (with [*] expanded against the block's header) and
    the column each one is named. *)
@@ -106,6 +106,33 @@ let output_items header items =
           in
           [ (e, Rowset.col name) ])
     items
+
+(* --- size estimates ---------------------------------------------------- *)
+
+let selectivity catalog rel attr op v =
+  let stats = Catalog.stats catalog rel in
+  match op with
+  | Eq -> Stats.eq_selectivity stats attr v
+  | Neq -> 1. -. Stats.eq_selectivity stats attr v
+  | Lt | Le -> Stats.range_selectivity stats attr ~hi:v ()
+  | Gt | Ge -> Stats.range_selectivity stats attr ~lo:v ()
+
+(* The fraction of [rel]'s rows a pushed-down conjunct keeps: the
+   catalog-stats selectivity of a comparison with a literal, a guessed
+   half for any other conjunct. *)
+let conjunct_selectivity catalog rel = function
+  | Cmp (op, Col (_, attr), Lit v) -> selectivity catalog rel attr op v
+  | Cmp (op, Lit v, Col (_, attr)) ->
+      let mirrored =
+        match op with
+        | Lt -> Gt
+        | Le -> Ge
+        | Gt -> Lt
+        | Ge -> Le
+        | (Eq | Neq) as op -> op
+      in
+      selectivity catalog rel attr mirrored v
+  | _ -> 0.5
 
 (* --- the planner ------------------------------------------------------- *)
 
@@ -132,6 +159,7 @@ and source catalog = function
             (fun a -> Rowset.col ~qualifier:label a.Cqp_relal.Schema.attr_name)
             (Relation.schema rel).Cqp_relal.Schema.attrs;
         pushed_down = [];
+        estimate = float_of_int (Relation.cardinality rel);
       }
   | Subquery (q, alias) ->
       let sub = explain catalog q in
@@ -145,55 +173,132 @@ and source catalog = function
             (fun c -> Rowset.col ~qualifier:alias c.Rowset.name)
             (output_cols sub);
         pushed_down = [];
+        estimate = infinity;
       }
 
 and plan_block catalog b =
   let remaining =
     ref (match b.where with None -> [] | Some p -> predicate_conjuncts p)
   in
-  let claim cols =
-    let mine, rest = List.partition (resolves_in cols) !remaining in
-    remaining := rest;
-    mine
-  in
   (* 1. Selection pushdown: each source takes the conjuncts it resolves
-     alone. *)
+     alone, which scale a base source's estimate. *)
   let sources =
     List.map
       (fun from ->
         let s = source catalog from in
-        { s with pushed_down = claim s.header })
+        let pushed_down, rest =
+          List.partition (resolves_in s.header) !remaining
+        in
+        remaining := rest;
+        let estimate =
+          match s.input with
+          | Base (name, _) ->
+              List.fold_left
+                (fun n p -> n *. conjunct_selectivity catalog name p)
+                s.estimate pushed_down
+          | Derived _ -> s.estimate
+        in
+        { s with pushed_down; estimate })
       b.from
   in
-  (* 2. Left-deep joins: equi-conjuncts across the two sides become hash
-     keys; conjuncts the joined header newly resolves filter the join. *)
-  let joins =
-    match sources with
-    | [] -> fail "empty FROM"
-    | first :: rest ->
-        let acc = ref first.header in
-        List.map
-          (fun s ->
-            let keys, others =
-              List.partition_map
-                (fun p ->
-                  match join_key !acc s.header p with
-                  | Some key -> Either.Left (p, key)
-                  | None -> Either.Right p)
-                !remaining
-            in
-            remaining := others;
-            acc := !acc @ s.header;
-            {
-              with_source = s.label;
-              method_ = (if keys = [] then `Cartesian else `Hash keys);
-              post_filters = claim !acc;
-            })
-          rest
-  in
-  (* 3. Whatever is left filters the joined rows. *)
-  let residual = !remaining in
+  if sources = [] then fail "empty FROM";
+  (* Every other conjunct, like the outputs, resolves against the
+     block's header, the sources' headers in FROM order, so the join
+     order decides where a conjunct runs, never what it means. *)
   let header = List.concat_map (fun s -> s.header) sources in
+  let owner =
+    Array.of_list
+      (List.concat
+         (List.mapi (fun i s -> List.map (fun _ -> i) s.header) sources))
+  in
+  let resolve pred =
+    let reads =
+      List.fold_left
+        (fun acc c ->
+          match acc, find header c with
+          | Some ss, Some i -> Some (owner.(i) :: ss)
+          | _ -> None)
+        (Some []) (pred_cols pred)
+    and equi =
+      match pred with
+      | Cmp (Eq, Col (ql, nl), Col (qr, nr)) -> (
+          match find header (ql, nl), find header (qr, nr) with
+          | Some i, Some j -> Some (i, j)
+          | _ -> None)
+      | _ -> None
+    in
+    { pred; reads; equi }
+  in
+  let pending = ref (List.map resolve !remaining) in
+  let n = List.length sources in
+  let estimate = Array.of_list (List.map (fun s -> s.estimate) sources) in
+  let joined = Array.make n false in
+  (* An equality between a column of a joined source and one of [s] is
+     a hash-join key: its header positions, the joined side's first. *)
+  let key s c =
+    match c.equi with
+    | Some (i, j) when joined.(owner.(i)) && owner.(j) = s -> Some (i, j)
+    | Some (i, j) when joined.(owner.(j)) && owner.(i) = s -> Some (j, i)
+    | _ -> None
+  in
+  (* The smallest estimate, the earliest in FROM order on a tie. *)
+  let smallest = function
+    | [] -> assert false
+    | s :: rest ->
+        List.fold_left
+          (fun best s -> if estimate.(s) < estimate.(best) then s else best)
+          s rest
+  in
+  let unjoined () =
+    List.filter (fun s -> not joined.(s)) (List.init n Fun.id)
+  in
+  (* 2. Greedy join order: the smallest source first, then the smallest
+     one an equi-conjunct links to those already joined (of all the
+     others when none is linked: a cartesian step).  Each step builds on
+     the incoming source; conjuncts whose sources are now all joined
+     filter its rows. *)
+  let first = smallest (unjoined ()) in
+  joined.(first) <- true;
+  let rec joins () =
+    match unjoined () with
+    | [] -> []
+    | rest ->
+        let linked =
+          List.filter
+            (fun s -> List.exists (fun c -> key s c <> None) !pending)
+            rest
+        in
+        let s = smallest (if linked = [] then rest else linked) in
+        let keys, others =
+          List.partition_map
+            (fun c ->
+              match key s c with
+              | Some k -> Either.Left (c.pred, k)
+              | None -> Either.Right c)
+            !pending
+        in
+        joined.(s) <- true;
+        let post, others =
+          List.partition
+            (fun c ->
+              match c.reads with
+              | Some ss -> List.for_all (fun s -> joined.(s)) ss
+              | None -> false)
+            others
+        in
+        pending := others;
+        let step =
+          {
+            with_source = s;
+            method_ = (if keys = [] then `Cartesian else `Hash keys);
+            post_filters = List.map (fun c -> c.pred) post;
+          }
+        in
+        step :: joins ()
+  in
+  let joins = joins () in
+  (* 3. Whatever is left filters the joined rows. *)
+  let residual = List.map (fun c -> c.pred) !pending in
   let outputs, cols = List.split (output_items header b.items) in
   let aggregate =
     if b.group_by <> [] || List.exists Cqp_sql.Analyzer.has_aggregate outputs
@@ -202,6 +307,7 @@ and plan_block catalog b =
   in
   {
     sources;
+    first;
     joins;
     residual;
     outputs;
@@ -229,13 +335,17 @@ let rec pp ppf plan =
   Format.pp_close_box ppf ()
 
 and pp_block ppf p =
+  let sources = Array.of_list p.sources in
+  let order = p.first :: List.map (fun j -> j.with_source) p.joins in
   List.iter
-    (fun s ->
+    (fun i ->
+      let s = sources.(i) in
       (match s.input with
       | Base (name, _) ->
-          Format.fprintf ppf "scan %s%s (%d tuples, %d blocks)" s.label
+          Format.fprintf ppf "scan %s%s (%d tuples, %d blocks, est. %.1f rows)"
+            s.label
             (if name <> s.label then " [" ^ name ^ "]" else "")
-            s.cardinality s.blocks
+            s.cardinality s.blocks s.estimate
       | Derived _ ->
           Format.fprintf ppf "scan %s (derived table, %d blocks)" s.label
             s.blocks);
@@ -245,18 +355,21 @@ and pp_block ppf p =
       match s.input with
       | Derived sub -> Format.fprintf ppf "  @[<v>%a@]@ " pp sub
       | Base _ -> ())
-    p.sources;
+    order;
   List.iter
     (fun j ->
+      let label = sources.(j.with_source).label in
       (match j.method_ with
       | `Hash keys ->
-          Format.fprintf ppf "hash join with %s on %s@ " j.with_source
+          Format.fprintf ppf "hash join with %s on %s@ " label
             (conj (List.map fst keys))
-      | `Cartesian ->
-          Format.fprintf ppf "cartesian product with %s@ " j.with_source);
+      | `Cartesian -> Format.fprintf ppf "cartesian product with %s@ " label);
       if j.post_filters <> [] then
         Format.fprintf ppf "  then filter: %s@ " (conj j.post_filters))
     p.joins;
+  if order <> List.init (Array.length sources) Fun.id then
+    Format.fprintf ppf "restore FROM order: %s@ "
+      (String.concat ", " (List.map (fun s -> s.label) p.sources));
   if p.residual <> [] then
     Format.fprintf ppf "residual filter: %s@ " (conj p.residual);
   (match p.aggregate with

@@ -566,11 +566,13 @@ let declared r =
       ((Bytes.get_uint16_be r.buf r.start lsl 16)
       lor Bytes.get_uint16_be r.buf (r.start + 2))
 
+(* The buffer grows to a frame's declared length only once its tag byte
+   is in, which [next] has checked by the time [refill] is called. *)
 let refill r read =
   let pending = r.stop - r.start in
   let want =
     match declared r with
-    | Some len when len <= max_frame_len -> max chunk (4 + len)
+    | Some len when len <= max_frame_len && pending > 4 -> max chunk (4 + len)
     | _ -> chunk
   in
   let buf = if want = Bytes.length r.buf then r.buf else Bytes.create want in
@@ -586,18 +588,25 @@ let refill r read =
   r.stop <- r.stop + n;
   n
 
-let next decode r =
+(* A frame's tag is checked as soon as its byte is in, so a frame that
+   will be rejected is never waited for. *)
+let next ~request decode r =
   match declared r with
   | None -> Result.Error Truncated
   | Some len when len > max_frame_len -> Result.Error (Oversized len)
-  | Some len when r.stop - r.start < 4 + len -> Result.Error Truncated
+  | Some len when r.stop - r.start < 4 + len ->
+      if r.stop - r.start = 4 then Result.Error Truncated
+      else
+        let tag = Bytes.get_uint8 r.buf (r.start + 4) in
+        if known_tag ~request tag then Result.Error Truncated
+        else Result.Error (Bad_tag tag)
   | Some len ->
       let frame = Bytes.sub_string r.buf r.start (4 + len) in
       r.start <- r.start + 4 + len;
       Result.map fst (decode frame)
 
-let next_request r = next (fun s -> decode_request s) r
-let next_response r = next (fun s -> decode_response s) r
+let next_request r = next ~request:true (fun s -> decode_request s) r
+let next_response r = next ~request:false (fun s -> decode_response s) r
 
 (* --- profile blobs ---------------------------------------------------- *)
 

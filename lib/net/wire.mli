@@ -125,14 +125,18 @@ val refill : reader -> (Bytes.t -> int -> int -> int) -> int
 (** [refill r read] appends the bytes [read buf pos len] stores (as
     [Unix.read fd] does) and returns their count, 0 at end of stream.
     Call it after {!next_request} or {!next_response} returned
-    [Truncated]; an exception from [read] propagates and leaves the
-    pending bytes as they were. *)
+    [Truncated]: it reads at most 64 KiB at a time until the pending
+    frame's tag byte is in and checked, and only then grows to the
+    declared frame.  An exception from [read] propagates and leaves
+    the pending bytes as they were. *)
 
 val next_request : reader -> (request, error) result
 val next_response : reader -> (response, error) result
 (** The next whole frame, taken off [r]: [Truncated] until all of it
     is in, [Oversized] as soon as a 4-byte prefix declares more than
-    {!max_frame_len}.  Any other error loses the framing. *)
+    {!max_frame_len}, [Bad_tag] as soon as the tag byte is in and is
+    not a request (for [next_request]) or response (for
+    [next_response]) tag.  Any other error loses the framing. *)
 
 (** {1 Profile blobs}
 

@@ -309,6 +309,116 @@ let test_explain_cartesian () =
       checkb "cartesian" true (j.Cqp_exec.Explain.method_ = `Cartesian)
   | _ -> Alcotest.fail "expected one cartesian join"
 
+(* The personalized branch that joins [movie], [casts] and [actor]: an
+   actor-name equality narrows [actor] to about one row, so the plan
+   starts there and reaches [movie] last, and the engine still emits
+   the FROM-order nested loop's rows. *)
+let imdb =
+  lazy
+    (Cqp_workload.Imdb.build ~config:Cqp_workload.Imdb.small_config ~seed:3 ())
+
+let test_explain_smallest_first () =
+  let catalog = Lazy.force imdb in
+  let rows name =
+    Cqp_relal.Relation.to_list (Cqp_relal.Catalog.get catalog name)
+  in
+  (* the actor of the first cast row, so the answer is not empty *)
+  let aid = Cqp_relal.Tuple.get (List.hd (rows "casts")) 1 in
+  let name =
+    List.find (fun a -> V.equal (Cqp_relal.Tuple.get a 0) aid) (rows "actor")
+    |> fun a -> Cqp_relal.Tuple.get a 1
+  in
+  let sql =
+    Printf.sprintf
+      "select m.title, c.role from movie m, casts c, actor a \
+       where m.mid = c.mid and c.aid = a.aid and a.name = %s"
+      (V.to_sql name)
+  in
+  let q = Parser.parse sql in
+  (match Cqp_exec.Explain.explain catalog q with
+  | Cqp_exec.Explain.Plan_select p ->
+      checki "actor first" 2 p.Cqp_exec.Explain.first;
+      Alcotest.(check (list int))
+        "then casts, then movie" [ 1; 0 ]
+        (List.map
+           (fun j -> j.Cqp_exec.Explain.with_source)
+           p.Cqp_exec.Explain.joins)
+  | _ -> Alcotest.fail "expected select plan");
+  let nested_loop =
+    List.concat_map
+      (fun m ->
+        List.concat_map
+          (fun c ->
+            List.filter_map
+              (fun a ->
+                let get = Cqp_relal.Tuple.get in
+                if V.equal (get m 0) (get c 0) && V.equal (get c 1) (get a 0)
+                   && V.equal (get a 1) name
+                then Some (V.to_sql (get m 1) ^ "," ^ V.to_sql (get c 2))
+                else None)
+              (rows "actor"))
+          (rows "casts"))
+      (rows "movie")
+  in
+  let engine =
+    List.map
+      (fun r ->
+        V.to_sql (Cqp_relal.Tuple.get r 0)
+        ^ "," ^ V.to_sql (Cqp_relal.Tuple.get r 1))
+      (Engine.execute catalog q).Engine.rows
+  in
+  checkb "non-empty" true (nested_loop <> []);
+  Alcotest.(check (list string))
+    "rows in FROM nested-loop order" nested_loop engine
+
+(* A comparison written literal first is priced as its mirror. *)
+let test_explain_mirrored_comparison () =
+  let estimate sql =
+    match Cqp_exec.Explain.explain catalog (Parser.parse sql) with
+    | Cqp_exec.Explain.Plan_select { sources = [ s ]; _ } ->
+        s.Cqp_exec.Explain.estimate
+    | _ -> Alcotest.fail "expected a one-source plan"
+  in
+  List.iter
+    (fun (col_first, lit_first) ->
+      checkf col_first
+        (estimate ("select title from movie where " ^ col_first))
+        (estimate ("select title from movie where " ^ lit_first)))
+    [ ("year > 1975", "1975 < year"); ("year <= 1996", "1996 >= year") ];
+  checkb "narrower than the relation" true
+    (estimate "select title from movie where 1975 < year" < 4.)
+
+(* Both branches of the wrapper read [movie] under the same alias with
+   no pushed-down conjunct, so the second reuses the first's load; each
+   still pays for its own scan, and the rows are the branches' own. *)
+let test_shared_load_charged_per_branch () =
+  let pq = C.Rewrite.personalize catalog q [ path_allen; path_musical ] in
+  let branches =
+    match pq with
+    | Cqp_sql.Ast.Select
+        {
+          Cqp_sql.Ast.from =
+            [ Cqp_sql.Ast.Subquery (Cqp_sql.Ast.Union_all bs, _) ];
+          _;
+        } ->
+        bs
+    | _ -> Alcotest.fail "expected the personalized wrapper"
+  in
+  let alone = List.map (Engine.execute catalog) branches in
+  let r = Engine.execute catalog (Cqp_sql.Ast.Union_all branches) in
+  checki "every branch's blocks"
+    (List.fold_left (fun n a -> n + a.Engine.block_reads) 0 alone)
+    r.Engine.block_reads;
+  checki "movie read twice"
+    ((2 * Cqp_relal.Catalog.blocks catalog "movie")
+    + Cqp_relal.Catalog.blocks catalog "director"
+    + Cqp_relal.Catalog.blocks catalog "genre")
+    r.Engine.block_reads;
+  Alcotest.(check (list string))
+    "rows of the branches alone"
+    (List.concat_map (fun a -> List.map title a.Engine.rows) alone)
+    (List.map title r.Engine.rows)
+
 (* --- CSV ----------------------------------------------------------------- *)
 
 module Csv = Cqp_relal.Csv
@@ -513,6 +623,12 @@ let () =
           Alcotest.test_case "join + pushdown" `Quick test_explain_join_and_pushdown;
           Alcotest.test_case "union + rendering" `Quick test_explain_union_and_string;
           Alcotest.test_case "cartesian" `Quick test_explain_cartesian;
+          Alcotest.test_case "smallest source first" `Quick
+            test_explain_smallest_first;
+          Alcotest.test_case "mirrored comparison" `Quick
+            test_explain_mirrored_comparison;
+          Alcotest.test_case "shared load charged per branch" `Quick
+            test_shared_load_charged_per_branch;
         ] );
       ( "csv",
         [

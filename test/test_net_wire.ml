@@ -380,6 +380,29 @@ let test_bad_tag () =
   | Result.Error (W.Bad_tag _) -> ()
   | _ -> Alcotest.fail "expected Bad_tag decoding a response as a request"
 
+(* A frame that declares 15 MiB and carries an unknown tag is rejected
+   once the tag byte is in: no peer holds the reader for a body it will
+   reject. *)
+let test_bad_tag_before_body () =
+  let b = header (15 * 1024 * 1024) in
+  Buffer.add_char b '\xee';
+  let frame = Buffer.contents b in
+  let check name next =
+    let r = W.reader () in
+    let n =
+      W.refill r (fun buf pos _ ->
+          Bytes.blit_string frame 0 buf pos (String.length frame);
+          String.length frame)
+    in
+    Alcotest.(check int) (name ^ ": header and tag read") 5 n;
+    match next r with
+    | Result.Error (W.Bad_tag 0xee) -> ()
+    | Result.Error e -> Alcotest.failf "%s: %s" name (W.error_to_string e)
+    | Result.Ok _ -> Alcotest.failf "%s: decoded a frame" name
+  in
+  check "request" (fun r -> Result.map ignore (W.next_request r));
+  check "response" (fun r -> Result.map ignore (W.next_response r))
+
 let test_empty_frame () =
   match W.decode_request (Buffer.contents (header 0)) with
   | Result.Error (W.Malformed _) -> ()
@@ -476,6 +499,8 @@ let () =
           Testlib.qc prop_reader_oversized;
           Alcotest.test_case "oversized declaration" `Quick test_oversized;
           Alcotest.test_case "bad tag" `Quick test_bad_tag;
+          Alcotest.test_case "bad tag before its body" `Quick
+            test_bad_tag_before_body;
           Alcotest.test_case "empty frame" `Quick test_empty_frame;
           Alcotest.test_case "trailing payload bytes" `Quick
             test_trailing_payload_bytes;

@@ -705,7 +705,7 @@ let fig12_problem1 () =
   section_header "Section 7 (Problem 1)"
     "optimization time (ms) vs K on the size state space (floor at 40% of the supreme shrinkage)";
   (* The size floor becomes a cost bound on the transformed space
-     (Section 6 / Solver.log_size_pref_space), so the Section-5
+     (Section 6 / Pref_space.log_size), so the Section-5
      algorithms run unchanged; the paper reports the same relative
      behaviour as Figures 12-14 and omits the plots. *)
   Printf.printf "%-16s %s\n" "algorithm"
@@ -726,7 +726,7 @@ let fig12_problem1 () =
               (fun (p, q) ->
                 let ps = pref_space p q ~k in
                 if C.Pref_space.k ps > 0 then begin
-                  let ps' = C.Solver.log_size_pref_space ps in
+                  let ps' = C.Pref_space.log_size ps in
                   (* The resource budget plays cmax's role: 40% of the
                      total shrinkage all K preferences would apply —
                      the regime where Figure 12's searches peak. *)

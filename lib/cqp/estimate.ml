@@ -122,6 +122,11 @@ let estimate_block_size ?memo catalog (b : Ast.select_block) =
   let conjuncts =
     match b.Ast.where with None -> [] | Some p -> Ast.predicate_conjuncts p
   in
+  let literal_selectivity q a op v =
+    match rel_of_col q a with
+    | Some rel -> condition_selectivity ?memo catalog rel a op v
+    | None -> 0.1
+  in
   let sel_of_conjunct = function
     | Ast.Cmp (Ast.Eq, Ast.Col (q1, a1), Ast.Col (q2, a2)) -> (
         match rel_of_col q1 a1, rel_of_col q2 a2 with
@@ -130,11 +135,9 @@ let estimate_block_size ?memo catalog (b : Ast.select_block) =
             let d2 = max 1 (distinct_of ?memo catalog r2 a2) in
             1. /. float_of_int (max d1 d2)
         | _ -> 0.1)
-    | Ast.Cmp (op, Ast.Col (q, a), Ast.Lit v)
-    | Ast.Cmp (op, Ast.Lit v, Ast.Col (q, a)) -> (
-        match rel_of_col q a with
-        | Some rel -> condition_selectivity ?memo catalog rel a op v
-        | None -> 0.1)
+    | Ast.Cmp (op, Ast.Col (q, a), Ast.Lit v) -> literal_selectivity q a op v
+    | Ast.Cmp (op, Ast.Lit v, Ast.Col (q, a)) ->
+        literal_selectivity q a (Ast.mirror op) v
     | Ast.In_list (Ast.Col (q, a), vs) -> (
         match rel_of_col q a with
         | Some rel ->

@@ -157,24 +157,7 @@ let of_size_bounds ps ~smin ~smax =
   if smin > smax then None
   else begin
     let base = Estimate.base_size ps.Pref_space.estimate in
-    let open Pref_space in
-    let items =
-      Array.map
-        (fun it ->
-          let frac = if base > 0. then it.size /. base else 0. in
-          let resource = if frac <= 0. then 1e9 else -.log frac in
-          { it with cost = resource })
-        ps.items
-    in
-    let c = Array.init (Array.length items) (fun i -> i) in
-    Array.sort
-      (fun i j ->
-        match Stdlib.compare items.(j).cost items.(i).cost with
-        | 0 -> Stdlib.compare i j
-        | cmp -> cmp)
-      c;
-    let ps' = { ps with items; c } in
     let lo = if smax >= base then 0. else log (base /. smax) in
     let hi = if smin <= 0. then infinity else log (base /. smin) in
-    Some (Space.create ~order:Space.By_cost ps', lo, hi)
+    Some (Space.create ~order:Space.By_cost (Pref_space.log_size ps), lo, hi)
   end

@@ -37,9 +37,6 @@ val solve : Space.t -> lo:float -> hi:float -> Solution.t option
 
 val of_size_bounds :
   Pref_space.t -> smin:float -> smax:float -> (Space.t * float * float) option
-(** Build the transformed resource space and the [(lo, hi)] pair for a
-    size interval; [None] when the interval is unsatisfiable outright
-    (e.g. [smin > base size] means even adding every preference cannot
-    help … actually [smin > base] rules out the empty set only — the
-    caller gets the space and decides; [None] is returned when
-    [smin > smax]). *)
+(** The resource space ({!Pref_space.log_size}, in C order) and the
+    [(lo, hi)] pair for a size interval; [None] when [smin > smax].  A
+    base size below [smin] still yields the space: the caller decides. *)

@@ -124,6 +124,17 @@ let extract ?(constraints = Params.unconstrained) ?max_path_length estimate
   Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "anchors" (List.length anchors));
   List.rev !results
 
+(* The C vector: positions in decreasing cost, ties by position. *)
+let cost_order items =
+  let c = Array.init (Array.length items) (fun i -> i) in
+  Array.sort
+    (fun i j ->
+      match Stdlib.compare items.(j).cost items.(i).cost with
+      | 0 -> Stdlib.compare i j
+      | cmp -> cmp)
+    c;
+  c
+
 let assemble ?(constraints = Params.unconstrained) ?max_k
     ?(orders = All_orders) estimate paths =
   (* Price every candidate with THIS request's estimator (cost and size
@@ -164,13 +175,7 @@ let assemble ?(constraints = Params.unconstrained) ?max_k
     match orders with
     | D_only -> ([||], [||])
     | All_orders ->
-        let c = Array.init k (fun i -> i) in
-        Array.sort
-          (fun i j ->
-            match Stdlib.compare items.(j).cost items.(i).cost with
-            | 0 -> Stdlib.compare i j
-            | cmp -> cmp)
-          c;
+        let c = cost_order items in
         let s = Array.init k (fun i -> i) in
         Array.sort
           (fun i j ->
@@ -195,6 +200,17 @@ let k t = Array.length t.items
 let supreme_cost t =
   if Array.length t.items = 0 then Estimate.base_cost t.estimate
   else Array.fold_left (fun acc it -> acc +. it.cost) 0. t.items
+
+let log_size t =
+  let base = Estimate.base_size t.estimate in
+  let items =
+    Array.map
+      (fun it ->
+        let frac = if base > 0. then it.size /. base else 0. in
+        { it with cost = (if frac <= 0. then 1e9 else -.log frac) })
+      t.items
+  in
+  { t with items; c = cost_order items }
 
 let supreme_doi t =
   Estimate.combine_doi t.estimate

@@ -84,6 +84,15 @@ val supreme_cost : t -> float
 (** Cost of the query integrating all K preferences — the paper's
     "Supreme Cost", the 100% point of the cmax sweeps. *)
 
+val log_size : t -> t
+(** The size-resource view of Section 6: each item's cost becomes
+    [−log frac], its size fraction of [size(Q)] (1e9 when the fraction
+    is 0), and C is re-sorted by it.  Since
+    [size(Q ∧ Px) = size(Q) · Π fracᵢ], a bound [log (size(Q) /. s)]
+    on the summed cost of a set is the bound [size ≥ s] on the original,
+    so the Section-5 cost-bounded searches and the dual-boundary
+    search run unchanged on a size constraint. *)
+
 val supreme_doi : t -> float
 (** doi of the all-preferences conjunction (the best possible doi). *)
 

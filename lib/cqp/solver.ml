@@ -1,3 +1,37 @@
+module Budget = Cqp_resilience.Budget
+
+(* Preference ids in increasing item cost, ties by id. *)
+let by_cost space =
+  List.init (Space.k space) Fun.id
+  |> List.sort (fun a b ->
+         Stdlib.compare
+           (Space.item space a).Pref_space.cost
+           (Space.item space b).Pref_space.cost)
+  |> Array.of_list
+
+(* Cost over cmax or size under smin: both only worsen as preferences
+   are added, so no superset of such a set is feasible. *)
+let hopeless (constraints : Params.constraints) (p : Params.t) =
+  Params.violates_cost constraints p
+  ||
+  match constraints.Params.smin with
+  | Some smin -> p.Params.size < smin
+  | None -> false
+
+(* The one greedy walk: add [order]'s ids to the empty set, one at a
+   time, until the constraints hold.  [Ok ids] then; [Error ids], the
+   ids added so far, when the order or the budget runs out first. *)
+let add_until_feasible ?(budget = Budget.unlimited) space constraints order =
+  let rec go i ids n p =
+    if Params.satisfies constraints p then Ok ids
+    else if i >= Array.length order || Budget.poll budget then Error ids
+    else begin
+      let id = order.(i) in
+      go (i + 1) (id :: ids) (n + 1) (Space.params_with_id space ~n p id)
+    end
+  in
+  go 0 [] 0 (Space.params_of_ids space [])
+
 (* Branch-and-bound for the cost-minimization problems (4, 5, 6).
 
    Preferences are considered in increasing cost order; the search adds
@@ -7,8 +41,6 @@
      cannot reach dmin;
    - size infeasibility: the current size is already below smin (sizes
      only shrink as preferences are added). *)
-module Budget = Cqp_resilience.Budget
-
 let min_cost_bnb ?(budget = Budget.unlimited) space
     (constraints : Params.constraints) =
   Cqp_obs.Trace.with_span ~name:"solver.min_cost_bnb"
@@ -16,15 +48,7 @@ let min_cost_bnb ?(budget = Budget.unlimited) space
   @@ fun () ->
   let k = Space.k space in
   let stats = Space.stats space in
-  let by_cost =
-    List.init k (fun id -> id)
-    |> List.sort
-         (fun a b ->
-           Stdlib.compare
-             (Space.item space a).Pref_space.cost
-             (Space.item space b).Pref_space.cost)
-    |> Array.of_list
-  in
+  let by_cost = by_cost space in
   let item id = Space.item space id in
   (* suffix_doi_bound.(i): noisy-or doi of items by_cost.(i..) — an upper
      bound on what the remaining choices can still contribute. *)
@@ -90,32 +114,19 @@ let min_cost_bnb ?(budget = Budget.unlimited) space
   in
   go 0 [] 0 (Space.params_of_ids space []);
   if !nodes <= 0 then Cqp_obs.Metrics.incr "solver.budget_exhausted";
-  (if !best = None && (!nodes <= 0 || Budget.expired budget) then begin
+  (if !best = None && (!nodes <= 0 || Budget.expired budget) then
      (* Budget (nodes or deadline) ran out before any feasible node:
         greedy completion.  Cheapest-first minimizes cost but may never
         reach a deep dmin target within k additions, so a
         decreasing-doi pass (preference ids are the D order) is tried
         before giving up. *)
-     let try_order order =
-       let rec greedy i acc n p =
-         if i >= Array.length order then None
-         else begin
-           let id = order.(i) in
-           let p = Space.params_with_id space ~n p id in
-           let acc = id :: acc in
-           if feasible p then Some acc else greedy (i + 1) acc (n + 1) p
-         end
-       in
-       greedy 0 [] 0 (Space.params_of_ids space [])
+     let walk order =
+       Result.to_option (add_until_feasible space constraints order)
      in
-     let by_doi = Array.init k (fun id -> id) in
-     match try_order by_cost with
-     | Some ids -> best := Some ids
-     | None -> (
-         match try_order by_doi with
-         | Some ids -> best := Some ids
-         | None -> ())
-   end);
+     best :=
+       match walk by_cost with
+       | Some _ as ids -> ids
+       | None -> walk (Array.init k Fun.id));
   let result = Option.map (Solution.of_ids space) !best in
   Instrument.publish stats;
   result
@@ -173,16 +184,7 @@ let max_doi_bnb ?(budget = Budget.unlimited) space
         optimistic > !best_doi +. 1e-15
         || (!best = None && optimistic >= !best_doi)
       in
-      let monotone_ok =
-        (match constraints.Params.cmax with
-        | Some cmax -> params.Params.cost <= cmax
-        | None -> true)
-        &&
-        match constraints.Params.smin with
-        | Some smin -> params.Params.size >= smin
-        | None -> true
-      in
-      if still_viable && monotone_ok then begin
+      if still_viable && not (hopeless constraints params) then begin
         (* As in min_cost_bnb: item costs each price a full sub-query,
            so a non-empty set costs the plain sum; the empty set is Q
            itself — [params_with_id] handles both through [n]. *)
@@ -207,32 +209,19 @@ let max_doi_bnb ?(budget = Budget.unlimited) space
    O(k log k + k·|ids|) instead of re-filtering, re-sorting and
    [List.mem]-scanning the candidate list on every iteration. *)
 let repair_size space (constraints : Params.constraints) ids =
-  let k = Space.k space in
   let params ids = Space.params_of_ids space ids in
-  let member = Array.make k false in
+  let member = Array.make (Space.k space) false in
   List.iter (fun id -> member.(id) <- true) ids;
-  let by_cost =
-    List.init k Fun.id
-    |> List.sort (fun a b ->
-           Stdlib.compare
-             (Space.item space a).Pref_space.cost
-             (Space.item space b).Pref_space.cost)
-  in
+  let by_cost = by_cost space in
   let rec grow ids =
     let p = params ids in
     match constraints.Params.smax with
     | Some smax when p.Params.size > smax -> (
         let viable =
-          List.find_opt
+          Array.find_opt
             (fun id ->
               (not member.(id))
-              &&
-              let p' = params (id :: ids) in
-              (not (Params.violates_cost constraints p'))
-              && not
-                   (match constraints.Params.smin with
-                   | Some smin -> p'.Params.size < smin
-                   | None -> false))
+              && not (hopeless constraints (params (id :: ids))))
             by_cost
         in
         match viable with
@@ -259,43 +248,58 @@ let repair_size space (constraints : Params.constraints) ids =
            (Space.item space b).Pref_space.doi)
        (grow ids))
 
-(* A Problem-2-shaped view of a size-constrained problem: per-item cost
-   becomes -log frac so that "size >= smin" is "Σ cost' <= cmax'". *)
-let log_size_space ps =
-  let open Pref_space in
-  let base = Estimate.base_size ps.estimate in
-  let items =
-    Array.map
-      (fun it ->
-        let frac = if base > 0. then it.size /. base else 0. in
-        let cost = if frac <= 0. then 1e9 else -.log frac in
-        { it with cost })
-      ps.items
-  in
-  let c = Array.init (Array.length items) (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      match Stdlib.compare items.(j).cost items.(i).cost with
-      | 0 -> Stdlib.compare i j
-      | cmp -> cmp)
-    c;
-  { ps with items; c }
+(* --- the Section-6 reduction ------------------------------------------- *)
 
-let log_size_pref_space = log_size_space
+(* The four searches a Table-1 problem maps to. *)
+type search =
+  | Doi_under_cost of Pref_space.t * float
+      (* maximize doi under a cost bound, on the given space: Problem 2
+         on its own, Problem 1 without smax on [Pref_space.log_size]
+         with the bound log (size(Q) / smin) *)
+  | Unreachable  (* Problem 1 whose base size is below smin *)
+  | Interval of float
+      (* [max_doi_bnb] on the constraints (Problems 1 and 3); the float
+         caps the cost of the heuristic probes: cmax, or infinity *)
+  | Min_cost  (* [min_cost_bnb] (Problems 4-6) *)
 
-let run_doi_max ?budget algorithm ps ~cmax =
-  Algorithm.run ?budget algorithm ps ~cmax
+(* [Problem.make] gives Problems 2 and 3 a cmax and Problem 1 a size
+   bound, so every problem reduces. *)
+let reduce ps (problem : Problem.t) =
+  let c = problem.Problem.constraints in
+  match (problem.Problem.number, c.Params.smin, c.Params.smax) with
+  | 2, _, _ -> Doi_under_cost (ps, Option.get c.Params.cmax)
+  | 1, Some smin, None ->
+      let base = Estimate.base_size ps.Pref_space.estimate in
+      if base < smin then Unreachable
+      else
+        (* A floor at or below 0 keeps every set: no bound, not a NaN. *)
+        let bound = if smin <= 0. then infinity else log (base /. smin) in
+        Doi_under_cost (Pref_space.log_size ps, bound)
+  | (1 | 3), _, _ ->
+      Interval (Option.value c.Params.cmax ~default:infinity)
+  | _ -> Min_cost
 
-(* Accept a solution as-is when feasible, otherwise try repairing the
-   size interval and re-check. *)
-let check_feasible constraints space (sol : Solution.t) =
-  if Params.satisfies constraints sol.Solution.params then Some sol
-  else begin
-    let ids = repair_size space constraints sol.Solution.pref_ids in
-    let sol' = Solution.of_ids space ids in
-    if Params.satisfies constraints sol'.Solution.params then Some sol'
-    else None
-  end
+(* The one finishing step: run [search] on a space of the original
+   preferences of its own (spaces carry single-writer instrumentation,
+   so racing portfolio members must not share one), re-evaluate its
+   answer there, repair the size when the constraints do not hold, and
+   keep the search's stats. *)
+let finished ps (problem : Problem.t) search =
+  let constraints = problem.Problem.constraints in
+  let space = Space.create ~order:Space.By_doi ps in
+  Option.bind (search space) (fun (sol : Solution.t) ->
+      let feasible ids =
+        let s = Solution.of_ids space ids in
+        if Params.satisfies constraints s.Solution.params then
+          Some { s with Solution.stats = sol.Solution.stats }
+        else None
+      in
+      match feasible sol.Solution.pref_ids with
+      | Some _ as s -> s
+      | None -> feasible (repair_size space constraints sol.Solution.pref_ids))
+
+let doi_search ~budget algorithm ps ~cmax _space =
+  Some (Algorithm.run ~budget algorithm ps ~cmax)
 
 let solve ?(algorithm = Algorithm.C_boundaries) ?(budget = Budget.unlimited)
     ps (problem : Problem.t) =
@@ -308,132 +312,63 @@ let solve ?(algorithm = Algorithm.C_boundaries) ?(budget = Budget.unlimited)
       ])
   @@ fun () ->
   let constraints = problem.Problem.constraints in
-  let check_feasible space sol = check_feasible constraints space sol in
-  match problem.Problem.number with
-  | 2 -> (
-      match constraints.Params.cmax with
-      | None -> invalid_arg "Solver.solve: Problem 2 requires cmax"
-      | Some cmax ->
-          let sol = run_doi_max ~budget algorithm ps ~cmax in
-          let space = Space.create ~order:Space.By_doi ps in
-          check_feasible space sol)
-  | 1 when constraints.Params.smax = None -> (
-      (* Pure lower size bound: the exact log-space reduction lets the
-         chosen Section-5 algorithm do the work. *)
-      match constraints.Params.smin with
-      | None -> invalid_arg "Solver.solve: Problem 1 requires smin"
-      | Some smin ->
-          let base = Estimate.base_size ps.Pref_space.estimate in
-          if base < smin then None
-          else begin
-            let cmax' = log (base /. smin) in
-            let ps' = log_size_space ps in
-            let sol = run_doi_max ~budget algorithm ps' ~cmax:cmax' in
-            let space = Space.create ~order:Space.By_doi ps in
-            check_feasible space
-              (Solution.of_ids space sol.Solution.pref_ids)
-          end)
-  | 1 | 3 ->
-      if problem.Problem.number = 3 && constraints.Params.cmax = None then
-        invalid_arg "Solver.solve: Problem 3 requires cmax";
-      let space = Space.create ~order:Space.By_doi ps in
-      max_doi_bnb ~budget space constraints
-  | 4 | 5 | 6 ->
-      let space = Space.create ~order:Space.By_doi ps in
-      min_cost_bnb ~budget space constraints
-  | n -> invalid_arg (Printf.sprintf "Solver.solve: unknown problem %d" n)
+  match reduce ps problem with
+  | Doi_under_cost (ps', cmax) ->
+      finished ps problem (doi_search ~budget algorithm ps' ~cmax)
+  | Unreachable -> None
+  | Interval _ ->
+      finished ps problem (fun space -> max_doi_bnb ~budget space constraints)
+  | Min_cost ->
+      finished ps problem (fun space -> min_cost_bnb ~budget space constraints)
 
 (* --- degraded rungs --------------------------------------------------- *)
 
 (* One cheap heuristic instead of the configured algorithm: the serve
    path's first degradation rung.  D-SINGLEMAXDOI is the cheapest
-   Section-5 algorithm that still explores alternatives, and the
-   log-size reduction keeps it applicable to Problem 1 without smax;
-   the cost-minimization problems get a cheapest-first greedy (the same
+   Section-5 algorithm that still explores alternatives; the
+   cost-minimization problems take the cheapest-first walk (the same
    completion min_cost_bnb falls back to). *)
-let cheapest_first_greedy ~budget space (constraints : Params.constraints) =
-  let k = Space.k space in
-  let by_cost =
-    List.init k Fun.id
-    |> List.sort (fun a b ->
-           Stdlib.compare
-             (Space.item space a).Pref_space.cost
-             (Space.item space b).Pref_space.cost)
-    |> Array.of_list
-  in
-  let rec grow i ids n p =
-    if Params.satisfies constraints p then Some ids
-    else if i >= k || Budget.poll budget then None
-    else begin
-      let id = by_cost.(i) in
-      grow (i + 1) (id :: ids) (n + 1) (Space.params_with_id space ~n p id)
-    end
-  in
-  match grow 0 [] 0 (Space.params_of_ids space []) with
-  | Some ids -> Some (Solution.of_ids space ids)
-  | None -> None
-
 let solve_heuristic ?(budget = Budget.unlimited) ps (problem : Problem.t) =
   let constraints = problem.Problem.constraints in
-  let finish sol =
-    let space = Space.create ~order:Space.By_doi ps in
-    check_feasible constraints space
-      (Solution.of_ids space sol.Solution.pref_ids)
-  in
-  match problem.Problem.number with
-  | 1 when constraints.Params.smax = None -> (
-      match constraints.Params.smin with
-      | None -> invalid_arg "Solver.solve_heuristic: Problem 1 requires smin"
-      | Some smin ->
-          let base = Estimate.base_size ps.Pref_space.estimate in
-          if base < smin then None
-          else
-            finish
-              (run_doi_max ~budget Algorithm.D_singlemaxdoi
-                 (log_size_space ps)
-                 ~cmax:(log (base /. smin))))
-  | 1 | 2 | 3 ->
-      if problem.Problem.number = 2 && constraints.Params.cmax = None then
-        invalid_arg "Solver.solve_heuristic: Problem 2 requires cmax";
-      let cmax =
-        match constraints.Params.cmax with Some c -> c | None -> infinity
-      in
-      finish (run_doi_max ~budget Algorithm.D_singlemaxdoi ps ~cmax)
-  | 4 | 5 | 6 ->
-      let space = Space.create ~order:Space.By_doi ps in
-      cheapest_first_greedy ~budget space constraints
-  | n ->
-      invalid_arg (Printf.sprintf "Solver.solve_heuristic: unknown problem %d" n)
+  let single ps' ~cmax = doi_search ~budget Algorithm.D_singlemaxdoi ps' ~cmax in
+  match reduce ps problem with
+  | Doi_under_cost (ps', cmax) -> finished ps problem (single ps' ~cmax)
+  | Unreachable -> None
+  | Interval cap -> finished ps problem (single ps ~cmax:cap)
+  | Min_cost ->
+      finished ps problem (fun space ->
+          add_until_feasible ~budget space constraints (by_cost space)
+          |> Result.to_option
+          |> Option.map (Solution.of_ids space))
 
 (* The last personalized rung: one doi-ordered pass, no search at all.
    Maximization problems take every preference that keeps the state
    feasible-so-far; minimization problems add until the constraints are
-   met.  [check_feasible]'s size repair runs on the result, so a
-   feasible answer is still guaranteed whenever one greedy pass can
-   reach one. *)
+   met.  The finishing size repair runs on the result, so a feasible
+   answer is still guaranteed whenever one greedy pass can reach one. *)
 let solve_greedy ?(budget = Budget.unlimited) ps (problem : Problem.t) =
   let constraints = problem.Problem.constraints in
-  let space = Space.create ~order:Space.By_doi ps in
+  finished ps problem @@ fun space ->
   let k = Space.k space in
-  let maximize = problem.Problem.number <= 3 in
-  let violates (p : Params.t) =
-    Params.violates_cost constraints p
-    ||
-    match constraints.Params.smin with
-    | Some smin -> p.Params.size < smin
-    | None -> false
+  let ids =
+    match problem.Problem.objective with
+    | Problem.Maximize_doi ->
+        let rec take id ids n p =
+          if id >= k || Budget.poll budget then ids
+          else begin
+            let p' = Space.params_with_id space ~n p id in
+            if hopeless constraints p' then take (id + 1) ids n p
+            else take (id + 1) (id :: ids) (n + 1) p'
+          end
+        in
+        take 0 [] 0 (Space.params_of_ids space [])
+    | Problem.Minimize_cost -> (
+        match
+          add_until_feasible ~budget space constraints (Array.init k Fun.id)
+        with
+        | Ok ids | Error ids -> ids)
   in
-  let rec go id ids n p =
-    if id >= k || Budget.poll budget then ids
-    else if (not maximize) && Params.satisfies constraints p then ids
-    else begin
-      let p' = Space.params_with_id space ~n p id in
-      if maximize && violates p' then go (id + 1) ids n p
-      else go (id + 1) (id :: ids) (n + 1) p'
-    end
-  in
-  let ids = go 0 [] 0 (Space.params_of_ids space []) in
-  check_feasible constraints space (Solution.of_ids space ids)
+  Some (Solution.of_ids space ids)
 
 (* --- portfolio ------------------------------------------------------- *)
 
@@ -481,25 +416,6 @@ let run_members ?pool members =
   | Some pool -> Cqp_par.Pool.map pool (fun job -> job ()) jobs
   | None -> Array.map (fun job -> job ()) jobs
 
-(* The metaheuristic probes solve the Problem-2 shape (doi under a cost
-   cap); the size-interval problems run them with the cap (or none) and
-   rely on [check_feasible]'s repair to pull the answer into the
-   interval. *)
-let probe_members ~budget ~rng ~label_suffix ps ~cmax ~finish =
-  let probe name f = (name ^ label_suffix, f) in
-  [
-    probe "SA" (fun () ->
-        let rng = Cqp_util.Rng.split rng 0 in
-        let space = Space.create ~order:Space.By_doi ps in
-        finish
-          (Metaheuristics.simulated_annealing ~deadline:budget ~rng space
-             ~cmax));
-    probe "Tabu" (fun () ->
-        let rng = Cqp_util.Rng.split rng 1 in
-        let space = Space.create ~order:Space.By_doi ps in
-        finish (Metaheuristics.tabu ~deadline:budget ~rng space ~cmax));
-  ]
-
 let portfolio ?pool ?(budget = Budget.unlimited) ps (problem : Problem.t) =
   Cqp_obs.Trace.with_span ~name:"solver.portfolio"
     ~attrs:(fun () ->
@@ -509,143 +425,47 @@ let portfolio ?pool ?(budget = Budget.unlimited) ps (problem : Problem.t) =
       ])
   @@ fun () ->
   let constraints = problem.Problem.constraints in
-  let k = Pref_space.k ps in
   let rng = Cqp_util.Rng.create 0x5EED in
-  let finish_on base_ps sol =
-    (* Evaluate (and if needed repair) the candidate on a space of its
-       own: spaces carry single-writer instrumentation, so racing
-       members must not share one. *)
-    let space = Space.create ~order:Space.By_doi base_ps in
-    check_feasible constraints space
-      (Solution.of_ids space sol.Solution.pref_ids)
+  let member label search = (label, fun () -> finished ps problem search) in
+  (* The metaheuristic probes solve the doi-under-cost shape; on an
+     interval they run under its cap and rely on [finish]'s repair to
+     pull the answer into the interval. *)
+  let probes ps' ~cmax =
+    [
+      member "SA" (fun _ ->
+          let rng = Cqp_util.Rng.split rng 0 in
+          let space = Space.create ~order:Space.By_doi ps' in
+          Some
+            (Metaheuristics.simulated_annealing ~deadline:budget ~rng space
+               ~cmax));
+      member "Tabu" (fun _ ->
+          let rng = Cqp_util.Rng.split rng 1 in
+          let space = Space.create ~order:Space.By_doi ps' in
+          Some (Metaheuristics.tabu ~deadline:budget ~rng space ~cmax));
+    ]
   in
   let members =
-    match problem.Problem.number with
-    | 2 -> (
-        match constraints.Params.cmax with
-        | None -> invalid_arg "Solver.portfolio: Problem 2 requires cmax"
-        | Some cmax ->
-            List.map
-              (fun a ->
-                ( Algorithm.name a,
-                  fun () -> finish_on ps (run_doi_max ~budget a ps ~cmax) ))
-              Algorithm.all
-            @ probe_members ~budget ~rng ~label_suffix:"" ps ~cmax
-                ~finish:(finish_on ps))
-    | 1 when constraints.Params.smax = None -> (
-        match constraints.Params.smin with
-        | None -> invalid_arg "Solver.portfolio: Problem 1 requires smin"
-        | Some smin ->
-            let base = Estimate.base_size ps.Pref_space.estimate in
-            if base < smin then []
-            else begin
-              let cmax' = log (base /. smin) in
-              let ps' = log_size_space ps in
-              List.map
-                (fun a ->
-                  ( Algorithm.name a,
-                    fun () ->
-                      finish_on ps (run_doi_max ~budget a ps' ~cmax:cmax') ))
-                Algorithm.all
-              @ probe_members ~budget ~rng ~label_suffix:"(log)" ps'
-                  ~cmax:cmax' ~finish:(finish_on ps)
-            end)
-    | 1 | 3 ->
-        if problem.Problem.number = 3 && constraints.Params.cmax = None then
-          invalid_arg "Solver.portfolio: Problem 3 requires cmax";
-        let cmax =
-          match constraints.Params.cmax with
-          | Some cmax -> cmax
-          | None -> infinity
-        in
-        ( "Max_doi_bnb",
-          fun () ->
-            max_doi_bnb ~budget
-              (Space.create ~order:Space.By_doi ps)
-              constraints )
-        :: probe_members ~budget ~rng ~label_suffix:"" ps ~cmax
-             ~finish:(finish_on ps)
-    | 4 | 5 | 6 ->
+    match reduce ps problem with
+    | Doi_under_cost (ps', cmax) ->
+        List.map
+          (fun a -> member (Algorithm.name a) (doi_search ~budget a ps' ~cmax))
+          Algorithm.all
+        @ probes ps' ~cmax
+    | Unreachable -> []
+    | Interval cap ->
+        member "Max_doi_bnb" (fun space -> max_doi_bnb ~budget space constraints)
+        :: probes ps ~cmax:cap
+    | Min_cost ->
         [
-          ( "Min_cost_bnb",
-            fun () ->
-              min_cost_bnb ~budget
-                (Space.create ~order:Space.By_doi ps)
-                constraints );
+          member "Min_cost_bnb" (fun space ->
+              min_cost_bnb ~budget space constraints);
         ]
-    | n ->
-        invalid_arg (Printf.sprintf "Solver.portfolio: unknown problem %d" n)
   in
   Cqp_obs.Metrics.incr "solver.portfolio.races";
   Cqp_obs.Metrics.add "solver.portfolio.members" (List.length members);
   let candidates = run_members ?pool members in
-  match merge_candidates problem k candidates with
+  match merge_candidates problem (Pref_space.k ps) candidates with
   | None -> None
   | Some (label, sol) ->
       Cqp_obs.Metrics.incr ("solver.portfolio.win." ^ label);
       Some sol
-
-(* --- parallel exhaustive oracle -------------------------------------- *)
-
-(* All 2^K subsets, partitioned by the membership pattern of the low
-   [b] preference ids.  The partition scheme is fixed (never derived
-   from the pool size), each shard's enumeration threads parameters in
-   ascending id order exactly like [Exhaustive.iter_subsets], and both
-   the shard-local best and the final merge use the same
-   objective-then-[ids_precede] rule — so the oracle's answer is a
-   deterministic function of the problem alone, with any pool or none. *)
-let parallel_oracle ?pool ps (problem : Problem.t) =
-  let k = Pref_space.k ps in
-  if k > Exhaustive.max_k then
-    invalid_arg
-      (Printf.sprintf "Solver.parallel_oracle: K = %d exceeds the %d-bit cap"
-         k Exhaustive.max_k);
-  let b = min k 4 in
-  let better_entry (ids, v) = function
-    | None -> true
-    | Some (bids, bv) ->
-        Problem.better problem v bv
-        || ((not (Problem.better problem bv v)) && ids_precede k ids bids)
-  in
-  let shard pattern =
-    let space = Space.create ~order:Space.By_doi ps in
-    let stats = Space.stats space in
-    let best = ref None in
-    let consider ids p =
-      Instrument.visit stats;
-      if Params.satisfies problem.Problem.constraints p then begin
-        let v = Problem.objective_value problem p in
-        if better_entry (ids, v) !best then best := Some (ids, v)
-      end
-    in
-    let rec go i ids n p =
-      consider ids p;
-      for j = i to k - 1 do
-        go (j + 1) (j :: ids) (n + 1) (Space.params_with_id space ~n p j)
-      done
-    in
-    let fixed =
-      List.filter
-        (fun id -> pattern land (1 lsl id) <> 0)
-        (List.init b Fun.id)
-    in
-    go b (List.rev fixed) (List.length fixed) (Space.params_of_ids space fixed);
-    !best
-  in
-  let jobs = Array.init (1 lsl b) (fun pattern () -> shard pattern) in
-  let results =
-    match pool with
-    | Some pool -> Cqp_par.Pool.map pool (fun job -> job ()) jobs
-    | None -> Array.map (fun job -> job ()) jobs
-  in
-  let best =
-    Array.fold_left
-      (fun acc -> function
-        | Some entry when better_entry entry acc -> Some entry
-        | _ -> acc)
-      None results
-  in
-  Option.map
-    (fun (ids, _) ->
-      Solution.of_ids (Space.create ~order:Space.By_doi ps) ids)
-    best

@@ -122,16 +122,7 @@ let selectivity catalog rel attr op v =
    half for any other conjunct. *)
 let conjunct_selectivity catalog rel = function
   | Cmp (op, Col (_, attr), Lit v) -> selectivity catalog rel attr op v
-  | Cmp (op, Lit v, Col (_, attr)) ->
-      let mirrored =
-        match op with
-        | Lt -> Gt
-        | Le -> Ge
-        | Gt -> Lt
-        | Ge -> Le
-        | (Eq | Neq) as op -> op
-      in
-      selectivity catalog rel attr mirrored v
+  | Cmp (op, Lit v, Col (_, attr)) -> selectivity catalog rel attr (mirror op) v
   | _ -> 0.5
 
 (* --- the planner ------------------------------------------------------- *)

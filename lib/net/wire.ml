@@ -226,8 +226,6 @@ let put_problem buf (p : Problem.t) =
 
 let get_problem c =
   let number = get_u8 c in
-  if number < 1 || number > 6 then
-    raise (Bad (Printf.sprintf "bad problem number %d" number));
   let objective =
     match get_u8 c with
     | 0 -> Problem.Maximize_doi
@@ -238,11 +236,9 @@ let get_problem c =
   let dmin = get_option get_f64 c in
   let smin = get_option get_f64 c in
   let smax = get_option get_f64 c in
-  {
-    Problem.number;
-    objective;
-    constraints = { Params.cmax; dmin; smin; smax };
-  }
+  match Problem.make ~objective number { Params.cmax; dmin; smin; smax } with
+  | Ok p -> p
+  | Error msg -> raise (Bad msg)
 
 let put_shape buf (s : Profile_gen.config) =
   put_u32 buf s.Profile_gen.n_selections;

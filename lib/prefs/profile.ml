@@ -56,15 +56,7 @@ let parse_atom condition doi =
   | Ast.Cmp (op, Ast.Col (Some r, a), Ast.Lit v) ->
       `Sel (selection r a ~op v doi)
   | Ast.Cmp (op, Ast.Lit v, Ast.Col (Some r, a)) ->
-      let flip = function
-        | Ast.Eq -> Ast.Eq
-        | Ast.Neq -> Ast.Neq
-        | Ast.Lt -> Ast.Gt
-        | Ast.Le -> Ast.Ge
-        | Ast.Gt -> Ast.Lt
-        | Ast.Ge -> Ast.Le
-      in
-      `Sel (selection r a ~op:(flip op) v doi)
+      `Sel (selection r a ~op:(Ast.mirror op) v doi)
   | _ ->
       invalid_arg
         ("Profile.parse_atom: not an atomic selection or equi-join: "

@@ -175,15 +175,13 @@ let replay ?pool server entries =
 (* --- on-disk format --- *)
 
 (* [float_of_string] also reads "nan", "inf" and out-of-range values;
-   each field states what it accepts, so a bad number fails at load,
-   naming its line, instead of serving unpersonalized or raising
-   mid-replay. *)
+   each field states what it accepts (a problem, through
+   [Problem.make]), so a bad number or problem fails at load, naming
+   its line, instead of serving unpersonalized or raising mid-replay. *)
 let checked_float ~what ok s =
   let v = float_of_string s in
   if ok v then v else failwith (Printf.sprintf "Workload: bad %s: %s" what s)
 
-(* A constraint bound may be infinite (vacuous) but not NaN. *)
-let bound_value name = checked_float ~what:name (fun v -> not (Float.is_nan v))
 let doi_bound = checked_float ~what:"doi bound" (fun v -> v >= 0. && v <= 1.)
 let finite = checked_float ~what:"normal parameter" Float.is_finite
 
@@ -205,10 +203,8 @@ let problem_to_field (p : Problem.t) =
 let problem_of_field s =
   match String.index_opt s ':' with
   | None -> failwith ("Workload: bad problem field: " ^ s)
-  | Some i ->
+  | Some i -> (
       let number = int_of_string (String.sub s 0 i) in
-      if number < 1 || number > 6 then
-        failwith ("Workload: bad problem number: " ^ s);
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
       let fields =
         if rest = "" then []
@@ -218,25 +214,23 @@ let problem_of_field s =
               match String.index_opt kv '=' with
               | None -> failwith ("Workload: bad constraint: " ^ kv)
               | Some j ->
-                  let name = String.sub kv 0 j in
-                  ( name,
-                    bound_value name
+                  ( String.sub kv 0 j,
+                    float_of_string
                       (String.sub kv (j + 1) (String.length kv - j - 1)) ))
             (String.split_on_char ',' rest)
       in
       let get name = List.assoc_opt name fields in
-      {
-        Problem.number;
-        objective =
-          (if number <= 3 then Problem.Maximize_doi else Problem.Minimize_cost);
-        constraints =
+      match
+        Problem.make number
           {
             Params.cmax = get "cmax";
             dmin = get "dmin";
             smin = get "smin";
             smax = get "smax";
-          };
-      }
+          }
+      with
+      | Ok p -> p
+      | Error msg -> failwith (Printf.sprintf "Workload: %s: %s" msg s))
 
 (* Profile shape field (curriculum workloads): semicolon-separated so
    it nests inside one tab-separated column, floats in hex so the

@@ -54,6 +54,13 @@ let simple_select ?where ?(order_by = []) ?limit items from =
       limit;
     }
 
+let mirror = function
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+  | (Eq | Neq) as op -> op
+
 let rec conj = function
   | [] -> True
   | [ p ] -> p

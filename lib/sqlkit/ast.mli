@@ -63,6 +63,11 @@ val simple_select :
 (** Convenience constructor for a single non-distinct block without
     GROUP BY or HAVING. *)
 
+val mirror : binop -> binop
+(** The operator that holds with its operands swapped:
+    [v op a] iff [a (mirror op) v], so [1990 <= year] is
+    [year >= 1990]. *)
+
 val conj : predicate list -> predicate
 (** Right-nested conjunction; [conj [] = True]. *)
 

@@ -116,6 +116,22 @@ let test_selective_query_size () =
              "select title from movie m, director d where m.did = d.did"))
     = float_of_int (movie_blocks + director_blocks))
 
+let test_mirrored_comparison_size () =
+  (* A literal on the left is the mirrored comparison, priced alike. *)
+  let size sql =
+    C.Estimate.base_size (C.Estimate.create catalog (Cqp_sql.Parser.parse sql))
+  in
+  List.iter
+    (fun (col_first, lit_first) ->
+      checkf lit_first
+        (size ("select title from movie where " ^ col_first))
+        (size ("select title from movie where " ^ lit_first)))
+    [
+      ("year >= 1994", "1994 <= year");
+      ("year < 1992", "1992 > year");
+      ("year = 1995", "1995 = year");
+    ]
+
 (* --- The three partial orders over random subsets --------------------- *)
 
 let paths = [ path_genre; path_dir; Path.atomic (Profile.selection "movie" "year" (V.Int 1995) 0.3) ]
@@ -186,6 +202,8 @@ let () =
           Alcotest.test_case "base" `Quick test_base_size;
           Alcotest.test_case "fraction" `Quick test_item_frac_bounds;
           Alcotest.test_case "selective query" `Quick test_selective_query_size;
+          Alcotest.test_case "mirrored comparison" `Quick
+            test_mirrored_comparison_size;
         ] );
       ( "doi",
         [

@@ -50,16 +50,20 @@ let gen_value =
 let gen_binop = Gen.oneofl [ Ast.Eq; Ast.Neq; Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ]
 let gen_algorithm = Gen.oneofl Cqp_core.Algorithm.all
 
+(* Any problem [Problem.make] accepts: a cmax for Problems 2 and 3, a
+   size bound for Problem 1. *)
 let gen_problem =
   let open Gen in
   let* number = int_range 1 6 in
-  let* objective = oneofl [ Problem.Maximize_doi; Problem.Minimize_cost ] in
-  let* cmax = option gen_float in
+  let needs_cmax = number = 2 || number = 3 in
+  let* cmax = if needs_cmax then map Option.some gen_float else option gen_float in
   let* dmin = option gen_float in
   let* smin = option gen_float in
-  let* smax = option gen_float in
-  return
-    { Problem.number; objective; constraints = { Params.cmax; dmin; smin; smax } }
+  let* smax =
+    if number = 1 && smin = None then map Option.some gen_float
+    else option gen_float
+  in
+  return (Result.get_ok (Problem.make number { Params.cmax; dmin; smin; smax }))
 
 let gen_selection =
   let open Gen in
@@ -439,6 +443,70 @@ let test_doi_out_of_range_rejected () =
           Alcotest.fail ("unexpected error: " ^ W.error_to_string e))
     [ 2.0; Float.nan ]
 
+(* A Query frame whose problem is written byte by byte (number,
+   objective tag, then the cmax/dmin/smin/smax options), so shapes
+   [Problem.make] refuses can still reach the decoder. *)
+let raw_query_frame ~number ~objective ~cmax ~dmin ~smin ~smax =
+  let p = Buffer.create 64 in
+  let u32 b n = Buffer.add_int32_be b (Int32.of_int n) in
+  let str s =
+    u32 p (String.length s);
+    Buffer.add_string p s
+  in
+  let bound = function
+    | None -> Buffer.add_uint8 p 0
+    | Some f ->
+        Buffer.add_uint8 p 1;
+        Buffer.add_int64_be p (Int64.bits_of_float f)
+  in
+  Buffer.add_uint8 p 0x03;
+  str "u";
+  str "select title from movie";
+  Buffer.add_uint8 p number;
+  Buffer.add_uint8 p objective;
+  List.iter bound [ cmax; dmin; smin; smax ];
+  (* no max_k, algorithm 0, no execute, no deadline *)
+  Buffer.add_string p "\000\000\000\000";
+  let frame = Buffer.create (Buffer.length p + 4) in
+  u32 frame (Buffer.length p);
+  Buffer.add_buffer frame p;
+  Buffer.contents frame
+
+let test_problem_shape_validated () =
+  (* The layout is right: a well-formed Problem 2 decodes to itself. *)
+  (match
+     W.decode_request
+       (raw_query_frame ~number:2 ~objective:0 ~cmax:(Some 100.) ~dmin:None
+          ~smin:None ~smax:None)
+   with
+  | Result.Ok (W.Query q, _) ->
+      Alcotest.(check bool)
+        "problem 2 decoded" true
+        (q.W.problem = Problem.problem2 ~cmax:100.)
+  | _ -> Alcotest.fail "a well-formed Query frame must decode");
+  (* Shapes no solver answers are typed errors at the door. *)
+  List.iter
+    (fun (what, frame) ->
+      match W.decode_request frame with
+      | Result.Error (W.Malformed _) -> ()
+      | Result.Ok _ -> Alcotest.failf "expected Malformed for %s" what
+      | Result.Error e ->
+          Alcotest.failf "%s: unexpected error %s" what (W.error_to_string e))
+    [
+      ( "Problem 2 without cmax",
+        raw_query_frame ~number:2 ~objective:0 ~cmax:None ~dmin:None
+          ~smin:None ~smax:None );
+      ( "Problem 1 without a size bound",
+        raw_query_frame ~number:1 ~objective:0 ~cmax:(Some 100.) ~dmin:None
+          ~smin:None ~smax:None );
+      ( "Problem 4 maximizing doi",
+        raw_query_frame ~number:4 ~objective:0 ~cmax:None ~dmin:(Some 0.5)
+          ~smin:None ~smax:None );
+      ( "a NaN cmax",
+        raw_query_frame ~number:2 ~objective:0 ~cmax:(Some Float.nan)
+          ~dmin:None ~smin:None ~smax:None );
+    ]
+
 (* --- rows digest ------------------------------------------------------ *)
 
 let test_rows_digest () =
@@ -506,6 +574,8 @@ let () =
             test_trailing_payload_bytes;
           Alcotest.test_case "wire doi validated" `Quick
             test_doi_out_of_range_rejected;
+          Alcotest.test_case "wire problem shape validated" `Quick
+            test_problem_shape_validated;
         ] );
       ( "digest",
         [ Alcotest.test_case "rows digest" `Quick test_rows_digest ] );

@@ -1,12 +1,12 @@
 (* Differential tests for the parallel execution layer (cqp_par).
 
    The determinism contract: a pool of any width computes bit-identical
-   results to the sequential run.  Three consumers are held to it —
+   results to the sequential run.  Two consumers are held to it —
    [Workload.replay] with a pool (sharded serving, domain-local
-   caches), [Solver.portfolio] (racing algorithm members), and
-   [Solver.parallel_oracle] (partitioned exhaustive enumeration) —
-   plus the latency-independent metric counters, which must not depend
-   on the domain count either. *)
+   caches) and [Solver.portfolio] (racing algorithm members), whose
+   objective [Exhaustive.solve_problem] checks — plus the
+   latency-independent metric counters, which must not depend on the
+   domain count either. *)
 
 module C = Cqp_core
 module S = Cqp_serve
@@ -161,6 +161,9 @@ let objective problem = function
   | Some (s : C.Solution.t) ->
       Some (C.Problem.objective_value problem s.C.Solution.params)
 
+let oracle ps problem =
+  C.Exhaustive.solve_problem (C.Space.create ~order:C.Space.By_doi ps) problem
+
 let close a b =
   match (a, b) with
   | None, None -> true
@@ -177,17 +180,13 @@ let prop_portfolio_matches_oracle =
       let problems = problems_of (Rng.create (seed + 1)) ps in
       List.for_all
         (fun problem ->
-          let oracle = C.Solver.parallel_oracle ps problem in
           let sequential = C.Solver.portfolio ps problem in
           let widths_agree =
             List.for_all
               (fun domains ->
                 Pool.with_pool ~domains (fun pool ->
                     sol_observable (C.Solver.portfolio ~pool ps problem)
-                    = sol_observable sequential
-                    && sol_observable
-                         (C.Solver.parallel_oracle ~pool ps problem)
-                       = sol_observable oracle))
+                    = sol_observable sequential))
               [ 2; 4 ]
           in
           let feasible =
@@ -198,13 +197,15 @@ let prop_portfolio_matches_oracle =
                   s.C.Solution.params
           in
           widths_agree && feasible
-          && close (objective problem sequential) (objective problem oracle))
+          && close
+               (objective problem sequential)
+               (objective problem (oracle ps problem)))
         problems)
 
 let prop_solve_matches_oracle =
-  (* [solve] (the sequential dispatch) is exact on these small spaces,
-     so the oracle doubles as its ground truth — and transitively ties
-     portfolio, solve and oracle to one objective value. *)
+  (* [solve] is exact on these small spaces, so the oracle doubles as
+     its ground truth — and transitively ties portfolio, solve and
+     oracle to one objective value. *)
   QCheck.Test.make ~name:"sequential solve = oracle objective" ~count:25
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -214,7 +215,7 @@ let prop_solve_matches_oracle =
         (fun problem ->
           close
             (objective problem (C.Solver.solve ps problem))
-            (objective problem (C.Solver.parallel_oracle ps problem)))
+            (objective problem (oracle ps problem)))
         problems)
 
 (* --- pool: primitive behavior ----------------------------------------- *)

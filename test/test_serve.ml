@@ -287,13 +287,18 @@ let test_workload_load_names_offending_line () =
     Printf.sprintf "user\tu00\t7\tsel=%s;doi=%s;join=%s" sel doi join
   in
   (* A malformed entry, then numbers that parse but mean nothing: NaN
-     bounds, doi bounds outside [0, 1] or not finite, non-finite normal
-     parameters and a negative selection count. *)
+     bounds, problems no solver answers (Problem 2 without cmax, Problem
+     1 without a size bound, Problem 3 without cmax), doi bounds outside
+     [0, 1] or not finite, non-finite normal parameters and a negative
+     selection count. *)
   let bad_lines =
     [
       "req\tonly-two-fields";
       req "2:cmax=nan";
       req "4:dmin=nan";
+      req "2:";
+      req "1:";
+      req "3:smin=0x1p+0";
       shape ~doi:"u:nan:0x1p-1" ();
       shape ~doi:"u:0x1p-1:0x1p+1" ();
       shape ~doi:"n:nan:0x1p-3" ();

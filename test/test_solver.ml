@@ -16,6 +16,11 @@ let solve_and_oracle ps problem =
 let feasible problem (sol : C.Solution.t) =
   C.Params.satisfies problem.C.Problem.constraints sol.C.Solution.params
 
+(* A problem from its number and bounds, for the shapes the [problemN]
+   constructors do not build (a size floor alone, no size bound). *)
+let problem_of number constraints =
+  Result.get_ok (C.Problem.make number constraints)
+
 (* A mid-sized deterministic space for the fixed tests. *)
 let ps0 =
   Testlib.fabricate
@@ -117,6 +122,27 @@ let test_problem6 () =
       checkf "minimal cost" oracle.C.Solution.params.C.Params.cost
         sol.C.Solution.params.C.Params.cost
   | _ -> Alcotest.fail "expected solutions"
+
+let test_stats_survive_finishing () =
+  (* The search's stats reach the answer when it is re-evaluated on the
+     original space (the log-size reduction) and when its size is
+     repaired. *)
+  let base = C.Estimate.base_size ps0.C.Pref_space.estimate in
+  let visited = function
+    | Some (s : C.Solution.t) -> s.C.Solution.stats.C.Instrument.states_visited
+    | None -> Alcotest.fail "expected a solution"
+  in
+  let floor_only = problem_of 1 (C.Params.make ~smin:(0.2 *. base) ()) in
+  checkb "log-size reduction keeps its search's states" true
+    (visited (C.Solver.solve ps0 floor_only) > 0);
+  (* Uncapped, D-SINGLEMAXDOI takes all six preferences (size 0.036 of
+     the base), which the repair pulls back above smin. *)
+  let interval = C.Problem.problem1 ~smin:(0.3 *. base) ~smax:(0.6 *. base) in
+  let repaired = C.Solver.solve_heuristic ps0 interval in
+  checkb "repaired" true
+    (List.length (Option.get repaired).C.Solution.pref_ids < 6);
+  checkb "repaired answer keeps its search's states" true
+    (visited repaired > 0)
 
 let test_infeasible_returns_none () =
   let problem = C.Problem.problem4 ~dmin:0.9999999 in
@@ -260,8 +286,90 @@ let test_small_k_sweep () =
         ("P4", C.Problem.problem4 ~dmin, true);
         ("P5", C.Problem.problem5 ~dmin ~smin ~smax, true);
         ("P6", C.Problem.problem6 ~smin ~smax, true);
+        ( "P1, floor -inf only",
+          problem_of 1 (C.Params.make ~smin:neg_infinity ()),
+          true );
       ]
   done
+
+(* --- pinned answers ----------------------------------------------------- *)
+
+(* Every solver entry point on every Table-1 shape over fixed random
+   spaces, with an unlimited budget and with one already expired: the
+   pref ids and the [%h] params of each answer, hashed.  Changing which
+   search a problem maps to, or how an answer is finished, moves it. *)
+let golden_answers_md5 = "711be87bfb45631bf984b411e749439b"
+
+let answers_digest () =
+  let buf = Buffer.create 65536 in
+  let emit label = function
+    | None -> Printf.bprintf buf "%s none\n" label
+    | Some (s : C.Solution.t) ->
+        let p = s.C.Solution.params in
+        Printf.bprintf buf "%s [%s] %h %h %h\n" label
+          (String.concat "," (List.map string_of_int s.C.Solution.pref_ids))
+          p.C.Params.doi p.C.Params.cost p.C.Params.size
+  in
+  for seed = 1 to 12 do
+    let rng = Cqp_util.Rng.create (7000 + seed) in
+    let k = 3 + (seed mod 8) in
+    let ps = Testlib.random_space rng ~k in
+    let base = C.Estimate.base_size ps.C.Pref_space.estimate in
+    let supreme = C.Pref_space.supreme_cost ps in
+    let frac lo hi = lo +. Cqp_util.Rng.float rng (hi -. lo) in
+    let cmax = frac 0.2 0.8 *. supreme in
+    let dmin = frac 0.3 0.9 in
+    let smin = frac 0.005 0.2 *. base in
+    let smax = frac 0.3 0.9 *. base in
+    let problems =
+      [
+        C.Problem.problem1 ~smin ~smax;
+        problem_of 1 (C.Params.make ~smin ());
+        problem_of 1 (C.Params.make ~smin:(2. *. base) ());
+        problem_of 1 (C.Params.make ~smax ());
+        C.Problem.problem2 ~cmax;
+        C.Problem.problem3 ~cmax ~smin ~smax;
+        problem_of 3 (C.Params.make ~cmax ());
+        C.Problem.problem4 ~dmin;
+        C.Problem.problem5 ~dmin ~smin ~smax;
+        C.Problem.problem6 ~smin ~smax;
+        problem_of 6 (C.Params.make ~smax ());
+      ]
+    in
+    List.iteri
+      (fun i problem ->
+        List.iter
+          (fun expired ->
+            let budget () =
+              if expired then begin
+                let b = Cqp_resilience.Budget.start ~deadline_ms:0. () in
+                ignore (Cqp_resilience.Budget.expired b);
+                b
+              end
+              else Cqp_resilience.Budget.unlimited
+            in
+            let label name =
+              Printf.sprintf "%d/%d/%b/%s" seed i expired name
+            in
+            List.iter
+              (fun algorithm ->
+                emit
+                  (label (C.Algorithm.name algorithm))
+                  (C.Solver.solve ~algorithm ~budget:(budget ()) ps problem))
+              (C.Algorithm.Exhaustive :: C.Algorithm.all);
+            emit (label "heuristic")
+              (C.Solver.solve_heuristic ~budget:(budget ()) ps problem);
+            emit (label "greedy")
+              (C.Solver.solve_greedy ~budget:(budget ()) ps problem);
+            emit (label "portfolio")
+              (C.Solver.portfolio ~budget:(budget ()) ps problem))
+          [ false; true ])
+      problems
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_answers_golden () =
+  Alcotest.(check string) "answers digest" golden_answers_md5 (answers_digest ())
 
 let qc = Testlib.qc
 
@@ -283,6 +391,9 @@ let () =
           Alcotest.test_case "describe" `Quick test_describe;
           Alcotest.test_case "small-K sweep vs exhaustive" `Quick
             test_small_k_sweep;
+          Alcotest.test_case "answers = golden" `Quick test_answers_golden;
+          Alcotest.test_case "stats survive finishing" `Quick
+            test_stats_survive_finishing;
         ] );
       ( "properties",
         [

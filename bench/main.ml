@@ -807,7 +807,6 @@ let serve_bench () =
     Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
       ~rng:(Cqp_util.Rng.create !mode.seed) catalog
   in
-  let percentile = Cqp_util.Stats.percentile in
   let passes = 3 in
   Printf.printf "%-10s %6s %12s %12s %14s %10s %10s %10s\n" "caches" "pass"
     "total(ms)" "req/s" "mean±sd(ms)" "p50(ms)" "p90(ms)" "p99(ms)";
@@ -819,31 +818,22 @@ let serve_bench () =
       let responses = Cqp_serve.Workload.replay server entries in
       let elapsed = (now_s () -. t0) *. 1000. in
       if pass > 1 then total := !total +. elapsed;
-      let lat =
-        Array.of_list
-          (List.map (fun r -> r.Cqp_serve.Serve.latency_ms) responses)
-      in
-      Array.sort compare lat;
-      let n = Array.length lat in
+      let l = Cqp_serve.Serve.latency responses in
       Printf.printf
         "%-10s %6d %12.1f %12.1f %7.3f±%5.3f %10.3f %10.3f %10.3f\n%!"
         (if caching then "on" else "off")
         pass elapsed
-        (if elapsed > 0. then 1000. *. float_of_int n /. elapsed else 0.)
-        (Cqp_util.Stats.mean lat)
-        (Cqp_util.Stats.stddev lat)
-        (percentile lat 0.50) (percentile lat 0.90) (percentile lat 0.99)
+        (if elapsed > 0. then 1000. *. float_of_int l.requests /. elapsed
+         else 0.)
+        l.mean_ms l.sd_ms l.p50_ms l.p90_ms l.p99_ms
     done;
-    (match Cqp_serve.Serve.cache server with
-    | Some c ->
-        let s = C.Cache.extraction_stats c in
-        let mlk, mht = C.Cache.memo_stats c in
-        Printf.printf
-          "           pref_space: %d/%d hits, %d entries, %d bytes; \
-           estimate memo: %d/%d hits\n%!"
-          s.Cqp_util.Lru.hits s.Cqp_util.Lru.lookups
-          (C.Cache.extraction_entries c) (C.Cache.bytes_held c) mht mlk
-    | None -> ());
+    let c = Cqp_serve.Serve.cache_totals server in
+    if c.caches > 0 then
+      Printf.printf
+        "           pref_space: %d/%d hits, %d entries, %d bytes; estimate \
+         memo: %d/%d hits\n%!"
+        c.extraction_hits c.extraction_lookups c.extraction_entries
+        c.bytes_held c.memo_hits c.memo_lookups;
     !total
   in
   let warm_off = run_config false in
@@ -1235,6 +1225,20 @@ let trend_solver_largek () =
   done;
   (!lats, 0.)
 
+(* The measured warm pass of a serve workload: replay [entries] again
+   and return its latencies (µs) and the hit rate, over the pass, of
+   the (hits, lookups) that [pick] reads off the server's cache
+   totals. *)
+let warm_pass ?pool server entries
+    (pick : Cqp_serve.Serve.cache_totals -> int * int) =
+  let hits0, lookups0 = pick (Cqp_serve.Serve.cache_totals server) in
+  let responses = Cqp_serve.Workload.replay ?pool server entries in
+  let hits1, lookups1 = pick (Cqp_serve.Serve.cache_totals server) in
+  ( List.map (fun r -> r.Cqp_serve.Serve.latency_ms *. 1000.) responses,
+    if lookups1 > lookups0 then
+      float_of_int (hits1 - hits0) /. float_of_int (lookups1 - lookups0)
+    else 0. )
+
 (* Workloads 3 and 4: serve replay — a cold pass warms the caches,
    then the measured warm pass replays the same entries; the parallel
    variant fans the identical workload over a 4-domain pool with
@@ -1254,24 +1258,8 @@ let trend_serve ?domains () =
   Fun.protect ~finally:(fun () -> Option.iter Cqp_par.Pool.shutdown pool)
   @@ fun () ->
   ignore (Cqp_serve.Workload.replay ?pool server entries);
-  let fleet_stats () =
-    List.fold_left
-      (fun (h, l) c ->
-        let s = C.Cache.extraction_stats c in
-        (h + s.Cqp_util.Lru.hits, l + s.Cqp_util.Lru.lookups))
-      (0, 0)
-      (Cqp_serve.Serve.caches server)
-  in
-  let hits0, lookups0 = fleet_stats () in
-  let responses = Cqp_serve.Workload.replay ?pool server entries in
-  let hits1, lookups1 = fleet_stats () in
-  let hit_rate =
-    if lookups1 > lookups0 then
-      float_of_int (hits1 - hits0) /. float_of_int (lookups1 - lookups0)
-    else 0.
-  in
-  ( List.map (fun r -> r.Cqp_serve.Serve.latency_ms *. 1000.) responses,
-    hit_rate )
+  warm_pass ?pool server entries (fun c ->
+      (c.extraction_hits, c.extraction_lookups))
 
 (* Workload 5: pareto-front serving — the serve replay with the
    tri-objective front cache armed ([Config.pareto]).  The cold pass
@@ -1290,23 +1278,7 @@ let trend_pareto_front () =
   in
   let server = Cqp_serve.Serve.create ~caching:true ~resilience catalog in
   ignore (Cqp_serve.Workload.replay server entries);
-  let front_stats () =
-    match Cqp_serve.Serve.cache server with
-    | Some c ->
-        let s = C.Cache.front_stats c in
-        (s.Cqp_util.Lru.hits, s.Cqp_util.Lru.lookups)
-    | None -> (0, 0)
-  in
-  let hits0, lookups0 = front_stats () in
-  let responses = Cqp_serve.Workload.replay server entries in
-  let hits1, lookups1 = front_stats () in
-  let hit_rate =
-    if lookups1 > lookups0 then
-      float_of_int (hits1 - hits0) /. float_of_int (lookups1 - lookups0)
-    else 0.
-  in
-  ( List.map (fun r -> r.Cqp_serve.Serve.latency_ms *. 1000.) responses,
-    hit_rate )
+  warm_pass server entries (fun c -> (c.front_hits, c.front_lookups))
 
 (* Workload 6: replay the frozen adversarial corpus (skipped when
    test/corpus is absent — e.g. when trend runs outside the repo

@@ -318,8 +318,6 @@ let profile_cmd =
 
 (* --- serve: batch multi-user workload replay --------------------- *)
 
-let percentile = Cqp_util.Stats.percentile
-
 let serve_action verbose seed movies workload_file save_file users requests
     updates repeat domains no_cache capacity execute deadline_ms retries
     shed_depth inject spike_ms portfolio pareto profiling events_file
@@ -378,12 +376,8 @@ let serve_action verbose seed movies workload_file save_file users requests
       let t0 = Cqp_obs.Clock.raw_us () in
       let responses = Cqp_serve.Workload.replay ?pool server entries in
       let elapsed = (Cqp_obs.Clock.raw_us () -. t0) /. 1e6 in
-      let lat =
-        Array.of_list
-          (List.map (fun r -> r.Cqp_serve.Serve.latency_ms) responses)
-      in
-      Array.sort compare lat;
-      let n = Array.length lat in
+      let l = Cqp_serve.Serve.latency responses in
+      let n = l.requests in
       Format.printf
         "pass %d/%d (%d domain%s): %d requests in %.1f ms (%.1f req/s)  \
          latency ms mean=%.2f±%.2f p50=%.2f p90=%.2f p99=%.2f@."
@@ -391,9 +385,7 @@ let serve_action verbose seed movies workload_file save_file users requests
         (if domains = 1 then "" else "s")
         n (elapsed *. 1000.)
         (if elapsed > 0. then float_of_int n /. elapsed else 0.)
-        (Cqp_util.Stats.mean lat)
-        (Cqp_util.Stats.stddev lat)
-        (percentile lat 0.50) (percentile lat 0.90) (percentile lat 0.99);
+        l.mean_ms l.sd_ms l.p50_ms l.p90_ms l.p99_ms;
       (* Outcome tally — only interesting (and only printed) when a
          resilience feature is on. *)
       if not (Cqp_resilience.Config.is_inert resilience) || pareto then begin
@@ -433,43 +425,21 @@ let serve_action verbose seed movies workload_file save_file users requests
     done;
     (* Fleet-wide cache summary: the parent cache plus every shard's
        domain-local cache (sequential runs have no shards). *)
-    (match Cqp_serve.Serve.caches server with
-    | [] -> Format.printf "caches disabled@."
-    | caches ->
-        let sum f = List.fold_left (fun acc c -> acc + f c) 0 caches in
-        let hits =
-          sum (fun c ->
-              (Cqp_core.Cache.extraction_stats c).Cqp_util.Lru.hits)
-        in
-        let lookups =
-          sum (fun c ->
-              (Cqp_core.Cache.extraction_stats c).Cqp_util.Lru.lookups)
-        in
-        let mlk = sum (fun c -> fst (Cqp_core.Cache.memo_stats c)) in
-        let mht = sum (fun c -> snd (Cqp_core.Cache.memo_stats c)) in
-        Format.printf
-          "pref_space cache: %d/%d hits (%d entries, %d bytes%s); estimate \
-           memo: %d/%d hits@."
-          hits lookups
-          (sum Cqp_core.Cache.extraction_entries)
-          (sum Cqp_core.Cache.bytes_held)
-          (match List.length caches with
-          | 1 -> ""
-          | n -> Printf.sprintf " across %d caches" n)
-          mht mlk;
-        if pareto then
-          let flk =
-            sum (fun c ->
-                (Cqp_core.Cache.front_stats c).Cqp_util.Lru.lookups)
-          in
-          let fht =
-            sum (fun c -> (Cqp_core.Cache.front_stats c).Cqp_util.Lru.hits)
-          in
-          Format.printf
-            "pareto front cache: %d/%d hits (%d entries, %d points)@." fht
-            flk
-            (sum Cqp_core.Cache.front_entries)
-            (sum Cqp_core.Cache.front_points_held));
+    let c = Cqp_serve.Serve.cache_totals server in
+    if c.caches = 0 then Format.printf "caches disabled@."
+    else begin
+      Format.printf
+        "pref_space cache: %d/%d hits (%d entries, %d bytes%s); estimate \
+         memo: %d/%d hits@."
+        c.extraction_hits c.extraction_lookups c.extraction_entries
+        c.bytes_held
+        (if c.caches = 1 then ""
+         else Printf.sprintf " across %d caches" c.caches)
+        c.memo_hits c.memo_lookups;
+      if pareto then
+        Format.printf "pareto front cache: %d/%d hits (%d entries, %d points)@."
+          c.front_hits c.front_lookups c.front_entries c.front_points
+    end;
     if Cqp_obs.Request.is_enabled () then begin
       (* Per-phase latency breakdown off the registry histograms.
          Quantiles read from log-scale buckets are upper bounds within

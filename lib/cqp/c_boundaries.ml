@@ -41,38 +41,30 @@ let find_boundaries ~budget space ~cmax =
     let seed = Space.value_singleton space 0 in
     mark seed;
     Rq.push_tail rq seed;
-    let rec loop () =
-      (* On deadline expiry the scan stops where it is; the boundaries
-         found so far feed phase 2 as the best-so-far answer. *)
-      if Budget.poll budget then ()
-      else
-        match Rq.pop rq with
-        | None -> ()
-        | Some v ->
-          Instrument.visit stats;
-          if v.Space.params.Params.cost <= cmax then begin
-            add_boundary v;
-            Instrument.hold stats v.Space.state;
-            (match Space.horizontal_v space v with
-            | Some v' when not (prune v') ->
-                mark v';
-                Rq.push_tail rq v'
-            | Some _ | None -> ())
-          end
-          else
-            (* Vertical neighbors explored head-first so the current
-               group finishes before the next begins; visited and
-               dominance pruning run on keys, before valuation. *)
-            Space.iter_vertical ~rev:true space v
-              ~keep:(fun ~p ~q key ->
-                (not (Space.Visited.mem_key visited key))
-                && not (below_boundary_subst v ~p ~q))
-              ~f:(fun v' ->
-                mark v';
-                Rq.push_head rq v');
-          loop ()
-    in
-    loop ();
+    (* On deadline expiry the scan stops where it is; the boundaries
+       found so far feed phase 2 as the best-so-far answer. *)
+    Rq.drain ~budget rq (fun v ->
+        Instrument.visit stats;
+        if v.Space.params.Params.cost <= cmax then begin
+          add_boundary v;
+          Instrument.hold stats v.Space.state;
+          match Space.horizontal_v space v with
+          | Some v' when not (prune v') ->
+              mark v';
+              Rq.push_tail rq v'
+          | Some _ | None -> ()
+        end
+        else
+          (* Vertical neighbors explored head-first so the current
+             group finishes before the next begins; visited and
+             dominance pruning run on keys, before valuation. *)
+          Space.iter_vertical ~rev:true space v
+            ~keep:(fun ~p ~q key ->
+              (not (Space.Visited.mem_key visited key))
+              && not (below_boundary_subst v ~p ~q))
+            ~f:(fun v' ->
+              mark v';
+              Rq.push_head rq v'));
     !boundaries
   end
 

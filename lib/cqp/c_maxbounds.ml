@@ -26,24 +26,6 @@ let find_max_bounds ~budget space ~cmax =
       List.iter (fun (_, b) -> Instrument.release stats b) evicted
     in
     let prune v = Space.Visited.mem visited v || covered v.Space.key in
-    (* Greedy saturation: repeatedly insert the most expensive absent
-       preference that keeps the state within the budget.  Formula 6
-       makes state cost additive, so neighbors are priced in O(1). *)
-    let climb (v : Space.valued) =
-      let rec go (v : Space.valued) =
-        let cost_v = v.params.Params.cost in
-        let rec find p =
-          if p >= kk then None
-          else if Space.mem_pos space v p then find (p + 1)
-          else if cost_v +. Space.pos_cost space p <= cmax then Some p
-          else find (p + 1)
-        in
-        match find 0 with
-        | Some p -> go (Space.with_pos space v p)
-        | None -> v
-      in
-      go v
-    in
     let find_max_bound seed_pos =
       let rq = Rq.create ~words:Space.entry_words stats in
       let seed = Space.value_singleton space seed_pos in
@@ -51,18 +33,14 @@ let find_max_bounds ~budget space ~cmax =
         Space.Visited.add visited seed;
         Rq.push_head rq seed
       end;
-      let rec loop () =
-        if Budget.poll budget then ()
-        else
-        match Rq.pop rq with
-        | None -> ()
-        | Some v0 when covered v0.Space.key ->
-            (* A bound found after v0 was enqueued already covers it. *)
-            loop ()
-        | Some v0 ->
+      Rq.drain ~budget rq (fun v0 ->
+          (* A bound found after v0 was enqueued may already cover it. *)
+          if not (covered v0.Space.key) then begin
             Instrument.visit stats;
             let v =
-              if v0.Space.params.Params.cost <= cmax then climb v0 else v0
+              if v0.Space.params.Params.cost <= cmax then
+                fst (Space.saturate space v0 ~cmax)
+              else v0
             in
             if (not (State.equal v.Space.state v0.Space.state))
                && not (prune v)
@@ -73,10 +51,8 @@ let find_max_bounds ~budget space ~cmax =
                 && not (Space.Visited.mem_key visited key || covered key))
               ~f:(fun v' ->
                 Space.Visited.add visited v';
-                Rq.push_head rq v');
-            loop ()
-      in
-      loop ()
+                Rq.push_head rq v')
+          end)
     in
     let last_size () =
       match !max_bounds with
@@ -98,20 +74,17 @@ let solve ?(budget = Budget.unlimited) space ~cmax =
         Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "max_bounds" (List.length bs));
         bs)
   in
-  if bounds = [] then begin
-    (* No multi-preference bound was found; fall back to the feasible
-       singletons, which the greedy rounds skip when they cannot grow. *)
-    let kk = Space.k space in
-    let singles =
+  let candidates =
+    if bounds <> [] then bounds
+    else
+      (* No multi-preference bound was found; fall back to the feasible
+         singletons, which the greedy rounds skip when they cannot
+         grow. *)
       List.filter
         (fun s -> Space.cost space s <= cmax)
-        (List.init kk State.singleton)
-    in
-    if singles = [] then Solution.empty space
-    else
-      Cqp_obs.Trace.with_span ~name:"c_maxbounds.phase2" (fun () ->
-          Cost_phase2.find_max_doi space singles)
-  end
+        (List.init (Space.k space) State.singleton)
+  in
+  if candidates = [] then Solution.empty space
   else
     Cqp_obs.Trace.with_span ~name:"c_maxbounds.phase2" (fun () ->
-        Cost_phase2.find_max_doi space bounds)
+        Cost_phase2.find_max_doi space candidates)

@@ -6,10 +6,11 @@
     C-BOUNDARIES: redundant sub-boundaries and boundaries lying below
     earlier ones.  Each round seeds the search with the most expensive
     preference not yet examined and greedily saturates states with
-    Horizontal2 insertions (the most expensive preference that still
-    fits first); Vertical neighbors retaining the seed continue the
-    round.  The round loop stops once a maximal boundary covers every
-    remaining preference.  Phase two is {!Cost_phase2.find_max_doi}. *)
+    Horizontal2 insertions ({!Space.saturate}: the most expensive
+    preference that still fits first); Vertical neighbors retaining
+    the seed continue the round.  The round loop stops once a maximal
+    boundary covers every remaining preference.  Phase two is
+    {!Cost_phase2.find_max_doi}. *)
 
 val find_max_bounds :
   budget:Cqp_resilience.Budget.t -> Space.t -> cmax:float -> State.t list

@@ -27,36 +27,35 @@ let best_below space boundary =
     slots
   |> List.sort Stdlib.compare
 
-let find_max_doi space boundaries =
+let best_expected space ~group ~value candidates =
   let stats = Space.stats space in
-  let ordered =
-    List.stable_sort
-      (fun a b -> Stdlib.compare (State.group_size b) (State.group_size a))
-      boundaries
-  in
   let ps = Space.pref_space space in
-  let best = ref None in
-  let best_doi = ref 0. in
-  (try
-     let kr = ref (Space.k space) in
-     List.iter
-       (fun boundary ->
-         let g = State.group_size boundary in
-         if g < !kr then begin
-           (* Best possible doi from any group of size <= g. *)
-           let bound = Pref_space.prefix_doi ps g in
-           if !best_doi > bound then raise Exit;
-           kr := g
-         end;
-         Instrument.visit stats;
-         let ids = best_below space boundary in
-         let doi = (Space.params_of_ids space ids).Params.doi in
-         if doi > !best_doi || !best = None then begin
-           best_doi := doi;
-           best := Some ids
-         end)
-       ordered
-   with Exit -> ());
-  match !best with
+  let ordered =
+    List.stable_sort (fun a b -> Stdlib.compare (group b) (group a)) candidates
+  in
+  let rec scan best best_doi kr = function
+    | [] -> best
+    | c :: rest ->
+        let g = group c in
+        (* Best possible doi from any group of size <= g. *)
+        if g < kr && best_doi > Pref_space.prefix_doi ps g then best
+        else begin
+          Instrument.visit stats;
+          let answer, doi = value c in
+          if doi > best_doi || Option.is_none best then
+            scan (Some answer) doi (min g kr) rest
+          else scan best best_doi (min g kr) rest
+        end
+  in
+  scan None 0. (Space.k space) ordered
+
+let find_max_doi space boundaries =
+  match
+    best_expected space ~group:State.group_size
+      ~value:(fun boundary ->
+        let ids = best_below space boundary in
+        (ids, (Space.params_of_ids space ids).Params.doi))
+      boundaries
+  with
   | None -> Solution.empty space
   | Some ids -> Solution.of_ids space ids

@@ -1,39 +1,17 @@
 module Budget = Cqp_resilience.Budget
 
 let solve ?(budget = Budget.unlimited) space ~cmax =
-  let k = Space.k space in
   let stats = Space.stats space in
-  let ps = Space.pref_space space in
-  if k = 0 then Solution.empty space
-  else begin
-    let best = ref None and best_doi = ref 0. in
-    (* Greedy saturation with O(1) neighbor pricing (additive cost). *)
-    let climb ?forbid (v : Space.valued) =
-      let rec go (v : Space.valued) =
-        Instrument.visit stats;
-        let cost_v = v.params.Params.cost in
-        let rec find p =
-          if p >= k then None
-          else if Space.mem_pos space v p || forbid = Some p then find (p + 1)
-          else if cost_v +. Space.pos_cost space p <= cmax then Some p
-          else find (p + 1)
-        in
-        match find 0 with
-        | Some p -> go (Space.with_pos space v p)
-        | None -> v
-      in
-      go v
-    in
-    let consider (v : Space.valued) =
-      if v.params.Params.cost <= cmax then begin
-        let doi = v.params.Params.doi in
-        if doi > !best_doi || !best = None then begin
-          best_doi := doi;
-          best := Some v.state
-        end
-      end
-    in
-    let round seed_pos =
+  (* Every state a climb passes counts as visited. *)
+  let climb ?forbid v =
+    let v, passed = Space.saturate ?forbid space v ~cmax in
+    for _ = 1 to passed do
+      Instrument.visit stats
+    done;
+    v
+  in
+  D_singlemaxdoi.rounds ~name:"d_heurdoi.round" ~budget space ~cmax
+    (fun ~consider seed_pos ->
       let seed = Space.value_singleton space seed_pos in
       if seed.Space.params.Params.cost <= cmax then begin
         let r = climb seed in
@@ -46,28 +24,7 @@ let solve ?(budget = Budget.unlimited) space ~cmax =
         let i = ref (Array.length arr - 1) in
         while !i >= 1 && not (Budget.poll budget) do
           cur := Space.remove_pos space !cur arr.(!i);
-          let alt = climb ~forbid:arr.(!i) !cur in
-          consider alt;
+          consider (climb ~forbid:arr.(!i) !cur);
           decr i
         done
-      end
-    in
-    let pos = ref 0 in
-    let best_expected = ref (Pref_space.suffix_doi ps 0) in
-    let rounds = ref 0 in
-    while
-      !pos < k && !best_doi <= !best_expected && not (Budget.expired budget)
-    do
-      let seed = !pos in
-      Cqp_obs.Trace.with_span ~name:"d_heurdoi.round"
-        ~attrs:(fun () -> [ Cqp_obs.Attr.int "seed" seed ])
-        (fun () -> round seed);
-      incr rounds;
-      best_expected := Pref_space.suffix_doi ps !pos;
-      incr pos
-    done;
-    Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "rounds" !rounds);
-    match !best with
-    | None -> Solution.empty space
-    | Some r -> Solution.of_ids space (Space.pref_ids space r)
-  end
+      end)

@@ -9,7 +9,8 @@
     which is why this algorithm explores large parts of the space
     (the paper's Figure 12 discussion).  Phase two (D_FINDMAXDOI) scans
     the candidate solutions in decreasing group size with the
-    BestExpectedDoi early exit — solutions live in the D order, so
+    BestExpectedDoi early exit ({!Cost_phase2.best_expected}, the scan
+    C_FINDMAXDOI also ends with) — solutions live in the D order, so
     their doi is read off directly. *)
 
 val solve :

@@ -1,82 +1,61 @@
 module Budget = Cqp_resilience.Budget
 
-let solve ?(budget = Budget.unlimited) space ~cmax =
+let rounds ~name ~budget space ~cmax round =
   let k = Space.k space in
-  let stats = Space.stats space in
-  let ps = Space.pref_space space in
   if k = 0 then Solution.empty space
   else begin
-    let visited = Space.Visited.create space 256 in
+    let ps = Space.pref_space space in
     let best = ref None and best_doi = ref 0. in
-    (* Greedy saturation with O(1) neighbor pricing (additive cost). *)
-    let climb (v : Space.valued) =
-      let rec go (v : Space.valued) =
-        let cost_v = v.params.Params.cost in
-        let rec find p =
-          if p >= k then None
-          else if Space.mem_pos space v p then find (p + 1)
-          else if cost_v +. Space.pos_cost space p <= cmax then Some p
-          else find (p + 1)
-        in
-        match find 0 with
-        | Some p -> go (Space.with_pos space v p)
-        | None -> v
-      in
-      go v
-    in
     let consider (v : Space.valued) =
       let doi = v.params.Params.doi in
-      if (doi > !best_doi || !best = None) && v.params.Params.cost <= cmax
+      if (doi > !best_doi || Option.is_none !best) && v.params.Params.cost <= cmax
       then begin
         best_doi := doi;
         best := Some v.state
       end
     in
-    let round seed_pos =
+    (* After the round seeded at [pos], BestExpectedDoi is the doi of
+       the preferences from [pos] on combined. *)
+    let rec go pos best_expected =
+      if pos < k && !best_doi <= best_expected && not (Budget.expired budget)
+      then begin
+        Cqp_obs.Trace.with_span ~name
+          ~attrs:(fun () -> [ Cqp_obs.Attr.int "seed" pos ])
+          (fun () -> round ~consider pos);
+        go (pos + 1) (Pref_space.suffix_doi ps pos)
+      end
+      else pos
+    in
+    let rounds = go 0 (Pref_space.suffix_doi ps 0) in
+    Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "rounds" rounds);
+    match !best with
+    | None -> Solution.empty space
+    | Some r -> Solution.of_ids space (Space.pref_ids space r)
+  end
+
+let solve ?(budget = Budget.unlimited) space ~cmax =
+  let stats = Space.stats space in
+  let visited = Space.Visited.create space 256 in
+  rounds ~name:"d_singlemaxdoi.round" ~budget space ~cmax
+    (fun ~consider seed_pos ->
       let rq = Rq.create ~words:Space.entry_words stats in
       let seed = Space.value_singleton space seed_pos in
       if not (Space.Visited.mem visited seed) then begin
         Space.Visited.add visited seed;
         Rq.push_head rq seed
       end;
-      let rec loop () =
-        if Budget.poll budget then ()
-        else
-        match Rq.pop rq with
-        | None -> ()
-        | Some v0 ->
-            Instrument.visit stats;
-            let v =
-              if v0.Space.params.Params.cost <= cmax then climb v0 else v0
-            in
-            consider v;
-            Space.iter_vertical space v
-              ~keep:(fun ~p:_ ~q:_ key ->
-                Space.key_mem key seed_pos
-                && not (Space.Visited.mem_key visited key))
-              ~f:(fun v' ->
-                Space.Visited.add visited v';
-                Rq.push_head rq v');
-            loop ()
-      in
-      loop ()
-    in
-    let pos = ref 0 in
-    let best_expected = ref (Pref_space.suffix_doi ps 0) in
-    let rounds = ref 0 in
-    while
-      !pos < k && !best_doi <= !best_expected && not (Budget.expired budget)
-    do
-      let seed = !pos in
-      Cqp_obs.Trace.with_span ~name:"d_singlemaxdoi.round"
-        ~attrs:(fun () -> [ Cqp_obs.Attr.int "seed" seed ])
-        (fun () -> round seed);
-      incr rounds;
-      best_expected := Pref_space.suffix_doi ps !pos;
-      incr pos
-    done;
-    Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "rounds" !rounds);
-    match !best with
-    | None -> Solution.empty space
-    | Some r -> Solution.of_ids space (Space.pref_ids space r)
-  end
+      Rq.drain ~budget rq (fun v0 ->
+          Instrument.visit stats;
+          let v =
+            if v0.Space.params.Params.cost <= cmax then
+              fst (Space.saturate space v0 ~cmax)
+            else v0
+          in
+          consider v;
+          Space.iter_vertical space v
+            ~keep:(fun ~p:_ ~q:_ key ->
+              Space.key_mem key seed_pos
+              && not (Space.Visited.mem_key visited key))
+            ~f:(fun v' ->
+              Space.Visited.add visited v';
+              Rq.push_head rq v')))

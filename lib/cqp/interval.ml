@@ -19,64 +19,58 @@ let find_boundaries space ~lo ~hi =
     let seed = Space.value_singleton space 0 in
     mark seed;
     Rq.push_tail rq seed;
-    let rec loop () =
-      match Rq.pop rq with
-      | None -> ()
-      | Some v ->
-          Instrument.visit stats;
-          let resource = v.Space.params.Params.cost in
-          (* Vertical neighbors are valued once and reused by the push
-             loop and the low-borderline test below. *)
-          let verticals () = Space.vertical_v space v in
-          if resource <= hi then begin
-            if not (below_up v) then begin
-              up := v.Space.state :: !up;
-              Instrument.hold stats v.Space.state
-            end;
-            if resource >= lo then begin
-              (* Still above the low borderline: its Vertical
-                 descendants may be too — keep walking the group so the
-                 low boundaries (last states >= lo) are found. *)
-              let vs = verticals () in
-              List.iter
-                (fun (v' : Space.valued) ->
-                  if
-                    (not (Space.Visited.mem visited v'))
-                    && v'.params.Params.cost >= lo
-                  then begin
-                    mark v';
-                    Rq.push_head rq v'
-                  end)
-                vs;
-              if
-                not
-                  (List.exists
-                     (fun (v' : Space.valued) ->
-                       v'.params.Params.cost >= lo)
-                     vs)
-              then begin
-                low := v.Space.state :: !low;
-                Instrument.hold stats v.Space.state
-              end
-            end;
-            (match Space.horizontal_v space v with
-            | Some v' when not (Space.Visited.mem visited v') ->
-                mark v';
-                Rq.push_tail rq v'
-            | Some _ | None -> ())
-          end
-          else
+    Rq.drain ~budget:Cqp_resilience.Budget.unlimited rq (fun v ->
+        Instrument.visit stats;
+        let resource = v.Space.params.Params.cost in
+        (* Vertical neighbors are valued once and reused by the push
+           loop and the low-borderline test below. *)
+        let verticals () = Space.vertical_v space v in
+        if resource <= hi then begin
+          if not (below_up v) then begin
+            up := v.Space.state :: !up;
+            Instrument.hold stats v.Space.state
+          end;
+          if resource >= lo then begin
+            (* Still above the low borderline: its Vertical
+               descendants may be too — keep walking the group so the
+               low boundaries (last states >= lo) are found. *)
+            let vs = verticals () in
             List.iter
-              (fun v' ->
-                if not (Space.Visited.mem visited v' || below_up v')
+              (fun (v' : Space.valued) ->
+                if
+                  (not (Space.Visited.mem visited v'))
+                  && v'.params.Params.cost >= lo
                 then begin
                   mark v';
                   Rq.push_head rq v'
                 end)
-              (List.rev (verticals ()));
-          loop ()
-    in
-    loop ();
+              vs;
+            if
+              not
+                (List.exists
+                   (fun (v' : Space.valued) ->
+                     v'.params.Params.cost >= lo)
+                   vs)
+            then begin
+              low := v.Space.state :: !low;
+              Instrument.hold stats v.Space.state
+            end
+          end;
+          (match Space.horizontal_v space v with
+          | Some v' when not (Space.Visited.mem visited v') ->
+              mark v';
+              Rq.push_tail rq v'
+          | Some _ | None -> ())
+        end
+        else
+          List.iter
+            (fun v' ->
+              if not (Space.Visited.mem visited v' || below_up v')
+              then begin
+                mark v';
+                Rq.push_head rq v'
+              end)
+            (List.rev (verticals ())));
     { up = !up; low = !low }
   end
 

@@ -7,7 +7,6 @@ type 'a t = {
 }
 
 let create ~words stats = { front = []; back = []; size = 0; words; stats }
-let is_empty t = t.size = 0
 let length t = t.size
 
 let push_head t s =
@@ -33,3 +32,11 @@ let pop t =
       t.size <- t.size - 1;
       Instrument.release_words t.stats (t.words s);
       Some s
+
+let rec drain ~budget t f =
+  if not (Cqp_resilience.Budget.poll budget) then
+    match pop t with
+    | None -> ()
+    | Some s ->
+        f s;
+        drain ~budget t f

@@ -10,10 +10,13 @@
 type 'a t
 
 val create : words:('a -> int) -> Instrument.t -> 'a t
-val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push_head : 'a t -> 'a -> unit
 val push_tail : 'a t -> 'a -> unit
 
-val pop : 'a t -> 'a option
-(** Remove and return the head. *)
+val drain : budget:Cqp_resilience.Budget.t -> 'a t -> ('a -> unit) -> unit
+(** [drain ~budget rq f] — the one search loop of the queue-driven
+    algorithms: poll [budget], pop the head, pass it to [f] (which may
+    push more entries), until the queue is empty or the budget has
+    expired.  A budget already expired pops nothing.  [f] counts its
+    own visits: a caller may discard an entry without one. *)

@@ -32,6 +32,16 @@ let add_until_feasible ?(budget = Budget.unlimited) space constraints order =
   in
   go 0 [] 0 (Space.params_of_ids space [])
 
+(* A branch-and-bound's answer, as [Algorithm.run] finishes a search:
+   the wall time since [start] stamped on the space's instrument (and
+   so on the answer's snapshot), then its counters published. *)
+let finish_bnb space ~start best =
+  let stats = Space.stats space in
+  stats.Instrument.wall_seconds <- (Cqp_obs.Clock.raw_us () -. start) /. 1e6;
+  let result = Option.map (Solution.of_ids space) best in
+  Instrument.publish stats;
+  result
+
 (* Branch-and-bound for the cost-minimization problems (4, 5, 6).
 
    Preferences are considered in increasing cost order; the search adds
@@ -46,6 +56,7 @@ let min_cost_bnb ?(budget = Budget.unlimited) space
   Cqp_obs.Trace.with_span ~name:"solver.min_cost_bnb"
     ~attrs:(fun () -> [ Cqp_obs.Attr.int "k" (Space.k space) ])
   @@ fun () ->
+  let start = Cqp_obs.Clock.raw_us () in
   let k = Space.k space in
   let stats = Space.stats space in
   let by_cost = by_cost space in
@@ -127,9 +138,7 @@ let min_cost_bnb ?(budget = Budget.unlimited) space
        match walk by_cost with
        | Some _ as ids -> ids
        | None -> walk (Array.init k Fun.id));
-  let result = Option.map (Solution.of_ids space) !best in
-  Instrument.publish stats;
-  result
+  finish_bnb space ~start !best
 
 (* Branch-and-bound for the doi-maximization problems with size
    intervals (1, 3).  Items are taken in decreasing doi order (the D
@@ -144,6 +153,7 @@ let max_doi_bnb ?(budget = Budget.unlimited) space
   Cqp_obs.Trace.with_span ~name:"solver.max_doi_bnb"
     ~attrs:(fun () -> [ Cqp_obs.Attr.int "k" (Space.k space) ])
   @@ fun () ->
+  let start = Cqp_obs.Clock.raw_us () in
   let k = Space.k space in
   let stats = Space.stats space in
   let ps = Space.pref_space space in
@@ -198,9 +208,7 @@ let max_doi_bnb ?(budget = Budget.unlimited) space
   in
   go 0 [] 0 (Space.params_of_ids space []);
   if !nodes <= 0 then Cqp_obs.Metrics.incr "solver.budget_exhausted";
-  let result = Option.map (Solution.of_ids space) !best in
-  Instrument.publish stats;
-  result
+  finish_bnb space ~start !best
 
 (* Greedy repair towards a size interval: add the preference that costs
    least while [size > smax] (more conjuncts shrink the answer), drop

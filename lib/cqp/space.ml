@@ -139,8 +139,6 @@ let key_subset a b =
   | (Mask _ | Bits _), _ ->
       invalid_arg "Space.key_subset: keys from different spaces"
 
-let mem_pos _t v pos = key_mem v.key pos
-
 let key_of_state t s =
   match t.keymode with
   | Kmask -> Mask (State.mask s)
@@ -245,7 +243,7 @@ let remove_pos t v pos =
       }
 
 (* Vertical step: replace [p] with [q = p + 1] — one removal plus one
-   insertion; a singleton short-circuits to the exact re-derivation.
+   insertion, the neighbor's key [nkey] already derived by the caller.
    Substituting in place keeps the list strictly increasing (q is
    absent), so the new state is built in ONE pass and the removal
    parameters stay in unboxed float locals; the arithmetic — and so
@@ -293,33 +291,19 @@ let replace_pos_keyed t v p q nkey =
       };
   }
 
-let replace_pos t v p q =
-  if State.group_size v.state = 1 then value_singleton t q
-  else replace_pos_keyed t v p q (key_replace v.key p q)
-
 let horizontal_v t v =
   let k = Array.length t.positions in
   let i = State.max_pos v.state in
   if i + 1 >= k then None else Some (with_pos t v (i + 1))
-
-let vertical_v t v =
-  let k = Array.length t.positions in
-  let rec go = function
-    | [] -> []
-    | p :: rest ->
-        if p + 1 < k && not (key_mem v.key (p + 1)) then
-          replace_pos t v p (p + 1) :: go rest
-        else go rest
-  in
-  go v.state
 
 (* Vertical neighbors with pruning BEFORE valuation: [keep] sees only
    the neighbor's identity — the replaced position [p], its successor
    [q], and the neighbor's key, derived in O(words) from the parent's —
    and only survivors are valued (state list + parameters) and passed
    to [f].  Visited-saturated searches skip the valuation of most
-   neighbors entirely.  Neighbor order matches {!vertical_v}; [~rev]
-   iterates it backwards (the head-first push loops). *)
+   neighbors entirely.  Neighbors come in the state's position order
+   (a singleton's one neighbor is re-derived exactly); [~rev] iterates
+   them backwards (the head-first push loops). *)
 let iter_vertical ?(rev = false) t v ~keep ~f =
   let k = Array.length t.positions in
   let single = State.group_size v.state = 1 in
@@ -335,6 +319,35 @@ let iter_vertical ?(rev = false) t v ~keep ~f =
   in
   if rev then List.iter consider (List.rev v.state)
   else List.iter consider v.state
+
+let vertical_v t v =
+  let acc = ref [] in
+  iter_vertical ~rev:true t v
+    ~keep:(fun ~p:_ ~q:_ _ -> true)
+    ~f:(fun v' -> acc := v' :: !acc);
+  !acc
+
+(* Greedy Horizontal2 saturation: insert the first absent position
+   whose cost still fits under [cmax] — in a cost-ordered space the
+   most expensive one, in a doi-ordered space the highest-doi one —
+   until none fits.  Formula 6 makes state cost additive, so each
+   candidate is priced in O(1) off the state's own cost. *)
+let saturate ?(forbid = -1) t v ~cmax =
+  let k = Array.length t.positions in
+  let rec fits v p =
+    if p >= k then -1
+    else if
+      p <> forbid
+      && (not (key_mem v.key p))
+      && v.params.Params.cost +. t.item_cost.(t.positions.(p)) <= cmax
+    then p
+    else fits v (p + 1)
+  in
+  let rec go v passed =
+    let p = fits v 0 in
+    if p < 0 then (v, passed) else go (with_pos t v p) (passed + 1)
+  in
+  go v 1
 
 let horizontal2_v t v =
   let k = Array.length t.positions in

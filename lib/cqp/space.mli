@@ -106,22 +106,12 @@ val entry_words : valued -> int
     queues to valued states leaves the paper's Figure-13 numbers
     unchanged. *)
 
-val mem_pos : t -> valued -> int -> bool
-(** Position membership: an O(1) bit test. *)
-
-val with_pos : t -> valued -> int -> valued
-(** Insert an absent position (Horizontal2 step).
-    @raise Invalid_argument if present. *)
-
 val remove_pos : t -> valued -> int -> valued
 (** Drop a present position of a state with group size at least 2
     (states are non-empty). *)
 
 val horizontal_v : t -> valued -> valued option
 (** Valued {!State.horizontal}. *)
-
-val vertical_v : t -> valued -> valued list
-(** Valued {!State.vertical}, same neighbor order. *)
 
 val iter_vertical :
   ?rev:bool ->
@@ -134,10 +124,28 @@ val iter_vertical :
     each neighbor (member [p] replaced by [q = p + 1]) the [keep]
     predicate sees only the neighbor's key, derived in O(words) from
     the parent's; survivors are then valued and passed to [f] in
-    {!vertical_v} order ([~rev] reverses it).  Search loops whose prune
-    tests need only membership ({!Visited.mem_key}, {!key_mem},
+    {!State.vertical} order ([~rev] reverses it).  Search loops whose
+    prune tests need only membership ({!Visited.mem_key}, {!key_mem},
     {!key_subset}, {!State.dominates_subst}) skip the O(group) state
     and parameter allocation of every pruned neighbor. *)
+
+val vertical_v : t -> valued -> valued list
+(** Every Vertical neighbor, valued: {!iter_vertical} with no pruning,
+    collected in {!State.vertical} order. *)
+
+val saturate : ?forbid:int -> t -> valued -> cmax:float -> valued * int
+(** The greedy Horizontal2 climb of Section 5.2 (C-MAXBOUNDS,
+    D-SINGLEMAXDOI and D-HEURDOI all use it): repeatedly insert the
+    lowest absent position whose item cost still keeps the state
+    within [cmax] — in a cost-ordered space the most expensive
+    preference that fits, in a doi-ordered one the highest-doi one —
+    until none fits.  Each candidate is priced in O(1) from the
+    state's cost (Formula 6 makes cost additive) and each insertion is
+    one O(1) update.  [forbid] is a position never inserted.
+    Returns the saturated state and the number of states the climb
+    passed, the start and the final one included (D-HEURDOI counts
+    each as visited).  C-MAXBOUNDS and D-SINGLEMAXDOI climb only a
+    start within [cmax]. *)
 
 val horizontal2_v : t -> valued -> valued list
 (** Valued {!State.horizontal2}, same neighbor order. *)

@@ -18,7 +18,7 @@ type t = {
   est_cost_p99 : float;
 }
 
-let of_responses ~caches responses =
+let of_responses server responses =
   let requests = List.length responses in
   let served = ref 0
   and shed = ref 0
@@ -51,12 +51,8 @@ let of_responses ~caches responses =
     a
   in
   let work_arr = sorted !work and cost_arr = sorted !est_cost in
-  let lookups, hits =
-    List.fold_left
-      (fun (lk, h) cache ->
-        let s = C.Cache.extraction_stats cache in
-        (lk + s.Cqp_util.Lru.lookups, h + s.Cqp_util.Lru.hits))
-      (0, 0) caches
+  let { Serve.extraction_lookups = lookups; extraction_hits = hits; _ } =
+    Serve.cache_totals server
   in
   {
     requests;
@@ -79,7 +75,7 @@ let evaluate catalog genome =
   let entries = Genome.decode genome catalog in
   let server = Genome.server genome catalog in
   let responses = Cqp_serve.Workload.replay server entries in
-  of_responses ~caches:(Serve.caches server) responses
+  of_responses server responses
 
 (* Rational squash: x / (x + s) rises from 0 toward 1 with
    half-saturation at [s].  Pure +,*,/ keeps scores bit-identical

@@ -24,11 +24,9 @@ type t = {
   est_cost_p99 : float;  (** p99 estimated cost of served solutions *)
 }
 
-val of_responses :
-  caches:Cqp_core.Cache.t list -> Cqp_serve.Serve.response list -> t
-(** Aggregate one replay's responses; [caches] supplies the
-    extraction-cache hit/miss totals (pass the server's cache, plus
-    shard caches if any). *)
+val of_responses : Cqp_serve.Serve.t -> Cqp_serve.Serve.response list -> t
+(** Aggregate one replay's responses on a server; the extraction-cache
+    hit/miss totals are the server's {!Cqp_serve.Serve.cache_totals}. *)
 
 val evaluate : Cqp_relal.Catalog.t -> Genome.t -> t
 (** Decode, build the genome's server, replay sequentially, aggregate.

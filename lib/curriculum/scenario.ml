@@ -113,7 +113,7 @@ let freeze ~name spec genome =
   let entries = Genome.decode genome catalog in
   let server = Genome.server genome catalog in
   let responses = Workload.replay server entries in
-  let fitness = Fitness.of_responses ~caches:(Serve.caches server) responses in
+  let fitness = Fitness.of_responses server responses in
   {
     name;
     catalog = spec;

@@ -76,8 +76,10 @@ let raw_fingerprint p = Digest.from_hex (Profile.fingerprint p)
 
 (* Scan one segment: record every complete [len][fp][blob] record in
    the index, seeking over blobs.  A record cut short by a crash —
-   short header or blob past end-of-file — ends the scan silently; a
-   structurally impossible length is corruption and raises. *)
+   short header or blob past end-of-file — ends the scan and is cut
+   off, so the next append starts a record where the next scan looks
+   for one; a structurally impossible length is corruption and
+   raises. *)
 let recover_segment t seg fd =
   let size = (Unix.fstat fd).Unix.st_size in
   let header = Bytes.create seg_header_len in
@@ -100,36 +102,41 @@ let recover_segment t seg fd =
     end
   in
   let tail = scan 0 in
+  if tail < size then Unix.ftruncate fd tail;
   t.seg_ends <- (seg, tail) :: List.remove_assoc seg t.seg_ends;
   t.disk_bytes <- t.disk_bytes + tail
 
-(* Replay [users.log], last record wins.  A mapping whose blob never
-   made it to a segment (log flushed, segment append lost) is dropped
-   with the torn tail. *)
+(* Replay [users.log], last record wins.  The log is cut back to the
+   end of the last record accepted: a torn record, or a mapping whose
+   blob never made it to a segment (log flushed, segment append lost),
+   goes with everything after it, so a later put lands where the next
+   replay reads it. *)
 let recover_users t path =
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let size = in_channel_length ic in
-    let rec scan pos =
-      if pos + 2 <= size then begin
-        let b0 = input_byte ic in
-        let b1 = input_byte ic in
-        let ulen = (b0 lsl 8) lor b1 in
-        if pos + 2 + ulen + fp_len <= size then begin
-          let user = really_input_string ic ulen in
-          let fp = really_input_string ic fp_len in
-          if Hashtbl.mem t.index fp then begin
-            Hashtbl.replace t.user_map user fp;
-            t.disk_bytes <- t.disk_bytes + 2 + ulen + fp_len;
-            scan (pos + 2 + ulen + fp_len)
-          end
-          (* else: mapping to a torn blob — ignore it and the rest *)
+  let ic = open_in_bin path in
+  let size = in_channel_length ic in
+  let rec scan pos =
+    if pos + 2 > size then pos
+    else begin
+      let b0 = input_byte ic in
+      let b1 = input_byte ic in
+      let ulen = (b0 lsl 8) lor b1 in
+      let next = pos + 2 + ulen + fp_len in
+      if next > size then pos
+      else begin
+        let user = really_input_string ic ulen in
+        let fp = really_input_string ic fp_len in
+        if Hashtbl.mem t.index fp then begin
+          Hashtbl.replace t.user_map user fp;
+          t.disk_bytes <- t.disk_bytes + (next - pos);
+          scan next
         end
+        else pos
       end
-    in
-    scan 0;
-    close_in ic
-  end
+    end
+  in
+  let accepted = scan 0 in
+  close_in ic;
+  if accepted < size then Unix.ftruncate t.log_fd accepted
 
 let open_seg t seg =
   match List.assoc_opt seg t.segs with

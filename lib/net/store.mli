@@ -22,9 +22,12 @@
     the latest record for a user wins on reopen.
 
     Both files are append-only.  Reopen scans record headers (blobs
-    are skipped by seek, not read) and truncates nothing: a torn tail
-    record — a crash mid-append — is detected by a short header or a
-    short blob and ignored, along with anything after it in that file.
+    are skipped by seek, not read) and cuts each file back to the end
+    of the last record it accepts: a torn tail record — a crash
+    mid-append — is detected by a short header or a short blob, and a
+    [users.log] record whose blob is missing is refused; either goes,
+    along with anything after it in that file, so the next append
+    lands where the next reopen reads it.
 
     {2 Residency}
 

@@ -401,3 +401,60 @@ let drain_shards t ~served =
     t.shards;
   t.served <- t.served + served;
   if Metrics.is_enabled () then Cache.publish_gauge_totals (caches t)
+
+(* --- replay summaries -------------------------------------------------- *)
+
+type latency = {
+  requests : int;
+  mean_ms : float;
+  sd_ms : float;
+  p50_ms : float;
+  p90_ms : float;
+  p99_ms : float;
+}
+
+let latency responses =
+  let lat = Array.of_list (List.map (fun r -> r.latency_ms) responses) in
+  Array.sort compare lat;
+  let pct = Cqp_util.Stats.percentile lat in
+  {
+    requests = Array.length lat;
+    mean_ms = Cqp_util.Stats.mean lat;
+    sd_ms = Cqp_util.Stats.stddev lat;
+    p50_ms = pct 0.50;
+    p90_ms = pct 0.90;
+    p99_ms = pct 0.99;
+  }
+
+type cache_totals = {
+  caches : int;
+  extraction_hits : int;
+  extraction_lookups : int;
+  extraction_entries : int;
+  bytes_held : int;
+  memo_hits : int;
+  memo_lookups : int;
+  front_hits : int;
+  front_lookups : int;
+  front_entries : int;
+  front_points : int;
+}
+
+let cache_totals t =
+  let all = caches t in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 all in
+  let extraction f = sum (fun c -> f (Cache.extraction_stats c)) in
+  let fronts f = sum (fun c -> f (Cache.front_stats c)) in
+  {
+    caches = List.length all;
+    extraction_hits = extraction (fun s -> s.Cqp_util.Lru.hits);
+    extraction_lookups = extraction (fun s -> s.Cqp_util.Lru.lookups);
+    extraction_entries = sum Cache.extraction_entries;
+    bytes_held = sum Cache.bytes_held;
+    memo_hits = sum (fun c -> snd (Cache.memo_stats c));
+    memo_lookups = sum (fun c -> fst (Cache.memo_stats c));
+    front_hits = fronts (fun s -> s.Cqp_util.Lru.hits);
+    front_lookups = fronts (fun s -> s.Cqp_util.Lru.lookups);
+    front_entries = sum Cache.front_entries;
+    front_points = sum Cache.front_points_held;
+  }

@@ -196,7 +196,40 @@ val drain_shards : t -> served:int -> unit
     and re-publish the [serve.cache.*] gauges as fleet-wide totals
     ({!Cqp_core.Cache.publish_gauge_totals}). *)
 
-val caches : t -> Cqp_core.Cache.t list
-(** The server's own cache, if any, then its shard fleet's (no shards
-    before {!shards}; empty with caching off) — the fleet whose totals
-    summaries report. *)
+(** {1 Replay summaries}
+
+    What [cqp serve] and the bench report about a replay, computed one
+    way. *)
+
+type latency = {
+  requests : int;
+  mean_ms : float;
+  sd_ms : float;  (** population standard deviation *)
+  p50_ms : float;
+  p90_ms : float;
+  p99_ms : float;
+}
+
+val latency : response list -> latency
+(** The responses' [latency_ms]: mean, standard deviation and
+    nearest-rank percentiles ({!Cqp_util.Stats}); all zero for no
+    responses. *)
+
+type cache_totals = {
+  caches : int;
+      (** how many caches were summed: the server's own, then its shard
+          fleet's (none before {!shards}); 0 with caching off *)
+  extraction_hits : int;
+  extraction_lookups : int;  (** pref-space extraction LRU *)
+  extraction_entries : int;
+  bytes_held : int;
+  memo_hits : int;
+  memo_lookups : int;  (** estimate memo *)
+  front_hits : int;
+  front_lookups : int;  (** Pareto front LRU *)
+  front_entries : int;
+  front_points : int;
+}
+
+val cache_totals : t -> cache_totals
+(** Every cache statistic summed over the server's caches. *)

@@ -120,6 +120,50 @@ let test_best_below_crossed_orders () =
   (* id 0 is the doi-0.9 preference (cost 10 <= cost at position 0). *)
   checkf "its doi" 0.9 (ps.C.Pref_space.items.(List.hd ids)).C.Pref_space.doi
 
+let test_saturate () =
+  (* The greedy Horizontal2 climb on the Figure 6/8 costs: each step
+     takes the most expensive position that still fits cmax = 185.
+     c1 (120) takes c3 (60) and stops at 180; with c3 forbidden it
+     takes c4 (40) instead; c2 (80) climbs to c2c3c4 (180); c1c3 has
+     nothing left that fits. *)
+  let space = fig_space C.Space.By_cost in
+  let climb ?forbid state =
+    let v, passed =
+      C.Space.saturate ?forbid space (C.Space.value space state) ~cmax
+    in
+    (C.State.to_string v.C.Space.state, passed)
+  in
+  let pair = Alcotest.(pair string int) in
+  Alcotest.check pair "c1" ("{1,3}", 2) (climb [ 0 ]);
+  Alcotest.check pair "c1, c3 forbidden" ("{1,4}", 2) (climb ~forbid:2 [ 0 ]);
+  Alcotest.check pair "c2" ("{2,3,4}", 3) (climb [ 1 ]);
+  Alcotest.check pair "c1c3" ("{1,3}", 1) (climb [ 0; 2 ])
+
+let test_best_expected_scan () =
+  (* The phase-two scan over (label, group size, doi) candidates: the
+     first of equal dois wins; larger groups come first; once the best
+     doi beats the best any smaller group can reach (here the top
+     single doi, 0.9), the scan stops without visiting the rest. *)
+  let space = fig_space C.Space.By_doi in
+  let scan candidates =
+    let before = (C.Space.stats space).C.Instrument.states_visited in
+    let best =
+      C.Cost_phase2.best_expected space
+        ~group:(fun (_, g, _) -> g)
+        ~value:(fun (label, _, doi) -> (label, doi))
+        candidates
+    in
+    (best, (C.Space.stats space).C.Instrument.states_visited - before)
+  in
+  let result = Alcotest.(pair (option string) int) in
+  Alcotest.check result "empty" (None, 0) (scan []);
+  Alcotest.check result "first of a tie" (Some "a", 2)
+    (scan [ ("a", 2, 0.7); ("b", 2, 0.7) ]);
+  Alcotest.check result "larger groups first" (Some "small", 2)
+    (scan [ ("small", 1, 0.8); ("big", 3, 0.5) ]);
+  Alcotest.check result "early exit" (Some "big", 1)
+    (scan [ ("small", 1, 0.95); ("big", 3, 0.99) ])
+
 (* --- Randomized equivalence against exhaustive ------------------------ *)
 
 let random_equivalence ~exact algo =
@@ -242,6 +286,8 @@ let () =
           Alcotest.test_case "maxbounds maximality" `Quick test_maxbounds_maximality;
           Alcotest.test_case "best below (aligned)" `Quick test_best_below;
           Alcotest.test_case "best below (crossed)" `Quick test_best_below_crossed_orders;
+          Alcotest.test_case "saturate (figure 8 climbs)" `Quick test_saturate;
+          Alcotest.test_case "phase-two scan" `Quick test_best_expected_scan;
         ] );
       ( "equivalence",
         [

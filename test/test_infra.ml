@@ -14,22 +14,27 @@ let checki = Alcotest.check Alcotest.int
 (* Entries here are raw states: price them like the algorithms do. *)
 let state_words s = C.State.group_size s + C.Instrument.entry_overhead_words
 
+(* Everything [Rq.drain] pops, in order. *)
+let drained ?(budget = Cqp_resilience.Budget.unlimited) rq =
+  let out = ref [] in
+  C.Rq.drain ~budget rq (fun s -> out := s :: !out);
+  List.rev !out
+
 let test_rq_fifo_tail () =
   let stats = C.Instrument.create () in
   let rq = C.Rq.create ~words:state_words stats in
   C.Rq.push_tail rq [ 0 ];
   C.Rq.push_tail rq [ 1 ];
   C.Rq.push_tail rq [ 2 ];
-  checkb "fifo" true
-    (C.Rq.pop rq = Some [ 0 ] && C.Rq.pop rq = Some [ 1 ]
-   && C.Rq.pop rq = Some [ 2 ] && C.Rq.pop rq = None)
+  checkb "fifo" true (drained rq = [ [ 0 ]; [ 1 ]; [ 2 ] ]);
+  checki "empty" 0 (C.Rq.length rq)
 
 let test_rq_lifo_head () =
   let stats = C.Instrument.create () in
   let rq = C.Rq.create ~words:state_words stats in
   C.Rq.push_head rq [ 0 ];
   C.Rq.push_head rq [ 1 ];
-  checkb "lifo" true (C.Rq.pop rq = Some [ 1 ] && C.Rq.pop rq = Some [ 0 ])
+  checkb "lifo" true (drained rq = [ [ 1 ]; [ 0 ] ])
 
 let test_rq_mixed_ends () =
   let stats = C.Instrument.create () in
@@ -37,10 +42,33 @@ let test_rq_mixed_ends () =
   C.Rq.push_tail rq [ 1 ];
   C.Rq.push_head rq [ 0 ];
   C.Rq.push_tail rq [ 2 ];
-  checkb "head first, then fifo" true
-    (C.Rq.pop rq = Some [ 0 ] && C.Rq.pop rq = Some [ 1 ]
-   && C.Rq.pop rq = Some [ 2 ]);
+  checkb "head first, then fifo" true (drained rq = [ [ 0 ]; [ 1 ]; [ 2 ] ]);
   checki "empty" 0 (C.Rq.length rq)
+
+(* Entries pushed while draining are popped by the same drain: a head
+   push comes next, a tail push after everything queued. *)
+let test_rq_drain_pushes () =
+  let stats = C.Instrument.create () in
+  let rq = C.Rq.create ~words:state_words stats in
+  C.Rq.push_tail rq [ 0 ];
+  C.Rq.push_tail rq [ 1 ];
+  let out = ref [] in
+  C.Rq.drain ~budget:Cqp_resilience.Budget.unlimited rq (fun s ->
+      out := s :: !out;
+      if s = [ 0 ] then begin
+        C.Rq.push_tail rq [ 3 ];
+        C.Rq.push_head rq [ 2 ]
+      end);
+  checkb "order" true (List.rev !out = [ [ 0 ]; [ 2 ]; [ 1 ]; [ 3 ] ])
+
+let test_rq_drain_expired () =
+  let stats = C.Instrument.create () in
+  let rq = C.Rq.create ~words:state_words stats in
+  C.Rq.push_tail rq [ 0 ];
+  let budget = Cqp_resilience.Budget.start ~deadline_ms:0. () in
+  ignore (Cqp_resilience.Budget.expired budget);
+  checkb "nothing popped" true (drained ~budget rq = []);
+  checki "entry kept" 1 (C.Rq.length rq)
 
 let test_rq_instruments_memory () =
   let stats = C.Instrument.create () in
@@ -48,7 +76,7 @@ let test_rq_instruments_memory () =
   C.Rq.push_tail rq [ 0; 1; 2 ];
   let peak_after_push = stats.C.Instrument.peak_words in
   checkb "held" true (peak_after_push > 0);
-  ignore (C.Rq.pop rq);
+  ignore (drained rq);
   checkb "released" true (stats.C.Instrument.live_words < peak_after_push);
   checkb "peak persists" true (stats.C.Instrument.peak_words = peak_after_push)
 
@@ -226,6 +254,10 @@ let () =
           Alcotest.test_case "fifo tail" `Quick test_rq_fifo_tail;
           Alcotest.test_case "lifo head" `Quick test_rq_lifo_head;
           Alcotest.test_case "mixed ends" `Quick test_rq_mixed_ends;
+          Alcotest.test_case "drain pops its own pushes" `Quick
+            test_rq_drain_pushes;
+          Alcotest.test_case "drain under an expired budget" `Quick
+            test_rq_drain_expired;
           Alcotest.test_case "memory accounting" `Quick test_rq_instruments_memory;
         ] );
       ( "instrument",

@@ -319,6 +319,32 @@ let test_instrument_publish () =
   checki "disabled publish is a no-op" 7
     (Metrics.counter_value "solver.states_visited")
 
+(* The branch-and-bounds stamp their wall time before publishing, as
+   [Algorithm.run] does for the Section-5 algorithms: each search
+   observes one positive [solver.wall_us] and its answer carries it. *)
+let test_bnb_wall_time () =
+  with_fresh @@ fun () ->
+  let ps = Testlib.random_space (Cqp_util.Rng.create 11) ~k:12 in
+  let space () = C.Space.create ~order:C.Space.By_doi ps in
+  List.iteri
+    (fun i (name, search) ->
+      match search (space ()) with
+      | None -> Alcotest.failf "%s: no answer" name
+      | Some (s : C.Solution.t) ->
+          checkb (name ^ ": answer timed") true
+            (s.C.Solution.stats.C.Instrument.wall_seconds > 0.);
+          checki (name ^ ": one observation") (i + 1)
+            (Metrics.histogram_count "solver.wall_us");
+          checkb (name ^ ": positive sum") true
+            (Option.value ~default:0. (Metrics.histogram_sum "solver.wall_us")
+            > 0.))
+    [
+      ( "min_cost_bnb",
+        fun sp -> C.Solver.min_cost_bnb sp (C.Params.make ~dmin:0.9 ()) );
+      ( "max_doi_bnb",
+        fun sp -> C.Solver.max_doi_bnb sp (C.Params.with_cmax 100.) );
+    ]
+
 let () =
   Testlib.seed_banner "obs";
   Alcotest.run "obs"
@@ -346,5 +372,9 @@ let () =
           Alcotest.test_case "json snapshot" `Quick test_metrics_json;
         ] );
       ( "bridge",
-        [ Alcotest.test_case "instrument publish" `Quick test_instrument_publish ] );
+        [
+          Alcotest.test_case "instrument publish" `Quick test_instrument_publish;
+          Alcotest.test_case "branch-and-bound wall time" `Quick
+            test_bnb_wall_time;
+        ] );
     ]

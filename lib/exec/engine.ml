@@ -11,31 +11,6 @@ type result = {
   block_reads : int;
 }
 
-(* Tuples as hash keys under [Value.equal]; equality walks the cells
-   without allocating. *)
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal a b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let i = ref 0 in
-    while !i < n && Value.equal a.(!i) b.(!i) do
-      incr i
-    done;
-    !i = n
-
-  let hash = Tuple.hash
-end)
-
-module Value_tbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
-
 let fail msg = raise (Runtime_error msg)
 
 (* --- row-id batches ---------------------------------------------------- *)
@@ -74,15 +49,6 @@ type batch = {
   len : int;
 }
 
-(* A source's rows after its pushed-down conjuncts, as a one-slot
-   batch of source 0, with the hash tables built on its columns so far:
-   per column, a table mapping each key to its first row and an array
-   chaining each row to the next one with the same key. *)
-type load = {
-  batch : batch;
-  mutable tables : (int * (int ref Value_tbl.t * int array)) list;
-}
-
 (* The concatenated headers of a block's sources: position [p] is
    column [at.(p)] as a (source, column) pair. *)
 type layout = { header : Rowset.col list; at : (int * int) array }
@@ -97,10 +63,14 @@ let layout headers =
            headers);
   }
 
+(* The slot holding source [s]. *)
+let slot b s =
+  let rec find k = if b.srcs.(k) = s then k else find (k + 1) in
+  find 0
+
 (* Column [c] of source [s], read through the row ids. *)
 let column b (s, c) =
-  let rec slot k = if b.srcs.(k) = s then k else slot (k + 1) in
-  let k = slot 0 in
+  let k = slot b s in
   let rows = b.rows.(k) in
   match b.ids.(k) with
   | All -> fun i -> rows.(i).(c)
@@ -123,12 +93,42 @@ let pick b positions =
     len = Array.length positions;
   }
 
+(* When [p] compares a column with a literal and [b] holds the column's
+   source unnarrowed: the source's rows, the column, the operator with
+   the column on its left, and the literal. *)
+let literal_test l b p =
+  let on q name op v =
+    match l.at.(Rowset.find_col l.header q name) with
+    | s, c -> (
+        let k = slot b s in
+        match b.ids.(k) with All -> Some (b.rows.(k), c, op, v) | Ids _ -> None)
+    | exception Rowset.Column_error _ -> None
+  in
+  match p with
+  | Cmp (op, Col (q, name), Lit v) -> on q name op v
+  | Cmp (op, Lit v, Col (q, name)) -> on q name (mirror op) v
+  | _ -> None
+
+(* The rows of [b] that [p] keeps.  A column compared with a literal
+   is one loop over the column's cells when no filter has narrowed its
+   source yet; NULL and cross-type values follow [Value.compare] as
+   [Eval] does, so a NULL cell or literal keeps nothing.  [Eval]
+   compiles every other predicate. *)
 let filter l b p =
-  let keep = Eval.predicate (Eval.scalar (scope l b)) p in
   let kept = Positions.create () in
-  for i = 0 to b.len - 1 do
-    if keep i then Positions.add kept i
-  done;
+  (match literal_test l b p with
+  | Some (rows, c, op, v) ->
+      if not (Value.is_null v) then
+        for i = 0 to b.len - 1 do
+          let x = rows.(i).(c) in
+          if (not (Value.is_null x)) && Eval.holds op x v then
+            Positions.add kept i
+        done
+  | None ->
+      let keep = Eval.predicate (Eval.scalar (scope l b)) p in
+      for i = 0 to b.len - 1 do
+        if keep i then Positions.add kept i
+      done);
   if kept.len = b.len then b else pick b (Positions.contents kept)
 
 (* [acc] joined with source [s], loaded as [r]: output row [x] pairs
@@ -175,6 +175,87 @@ let in_from_order b =
     end
   end
 
+(* --- the row-id hash index --------------------------------------------- *)
+
+(* Row [i]'s key is [keys.(0) i, keys.(1) i, ...]: keys stay in the rows,
+   read through column accessors, so hashing and comparing them
+   allocates nothing.  [agree left right i j c]: row [i]'s key cells
+   from [c] on, read by [left], equal row [j]'s, read by [right]. *)
+let rec agree left right i j c =
+  c = Array.length left
+  || (Value.equal (left.(c) i) (right.(c) j) && agree left right i j (c + 1))
+
+let hash_key keys i =
+  let h = ref 17 in
+  for c = 0 to Array.length keys - 1 do
+    h := (!h * 1000003) lxor Value.hash (keys.(c) i)
+  done;
+  !h
+
+(* A hash index over row positions [0, n) in two int arrays:
+   [head.(b)] is the first row of bucket [b]'s chain (-1 when empty) and
+   [next.(i)] the row after [i] in its chain.  A chain holds every row
+   added under a hash in that bucket, so a probe compares keys as it
+   walks.  The hash join, DISTINCT and GROUP BY all build on it. *)
+type index = { head : int array; next : int array }
+
+let index n =
+  let rec size s = if s >= n then s else size (2 * s) in
+  { head = Array.make (size 16) (-1); next = Array.make n (-1) }
+
+let bucket t h = h land (Array.length t.head - 1)
+
+(* Row [i] goes first in its bucket's chain. *)
+let add t h i =
+  let b = bucket t h in
+  t.next.(i) <- t.head.(b);
+  t.head.(b) <- i
+
+(* For each row [i] of [n], the first row whose key equals [i]'s ([i]
+   itself when there is none before it).  Only first rows enter the
+   index. *)
+let first_rows keys n =
+  let t = index n and first = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let h = hash_key keys i in
+    let j = ref t.head.(bucket t h) in
+    while !j >= 0 && not (agree keys keys i !j 0) do
+      j := t.next.(!j)
+    done;
+    if !j >= 0 then first.(i) <- !j
+    else begin
+      add t h i;
+      first.(i) <- i
+    end
+  done;
+  first
+
+(* The rows [first] groups together, as member positions in order;
+   groups in first-seen order.  A counting sort over int arrays: no
+   young group is stored into an old array, which would promote it. *)
+let groups first =
+  let n = Array.length first in
+  let group = Array.make n 0 and count = ref 0 in
+  for i = 0 to n - 1 do
+    if first.(i) = i then begin
+      group.(i) <- !count;
+      incr count
+    end
+    else group.(i) <- group.(first.(i))
+  done;
+  let start = Array.make (!count + 1) 0 in
+  Array.iter (fun g -> start.(g + 1) <- start.(g + 1) + 1) group;
+  for g = 1 to !count do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let sorted = Array.make n 0 and fill = Array.sub start 0 !count in
+  Array.iteri
+    (fun i g ->
+      sorted.(fill.(g)) <- i;
+      fill.(g) <- fill.(g) + 1)
+    group;
+  List.init !count (fun g -> Array.sub sorted start.(g) (start.(g + 1) - start.(g)))
+
 (* --- physical operators --------------------------------------------- *)
 
 (* Full scan of a base relation: every block is charged, matching the
@@ -195,58 +276,51 @@ let cartesian acc s r =
     (Array.init (na * nb) (fun x -> x / nb))
     (Array.init (na * nb) (fun x -> x mod nb))
 
+(* A source's rows after its pushed-down conjuncts, as a one-slot
+   batch of source 0, with the hash indexes built on its columns so
+   far (see [hash_join]). *)
+type load = { batch : batch; mutable indexes : (int * index) list }
+
+let rec no_null keys i c =
+  c = Array.length keys
+  || ((not (Value.is_null (keys.(c) i))) && no_null keys i (c + 1))
+
 (* Hash join of [acc] with source [s], loaded as [r], on (accumulated
    column, column of [r]) keys.  It probes in [acc]'s order and emits
    each probe's matches in [r]'s order, so rows come out as a nested
-   loop would produce them.  The table, on [r]'s first key column, is
-   built once per load; a match must agree on the other keys too.
-   NULL keys never match. *)
+   loop would produce them.  The index, on [r]'s first key column, is
+   built once per load, in reverse so that each chain runs in [r]'s
+   order; a match must agree on every key.  NULL keys never match. *)
 let hash_join acc s (r : load) keys =
   let left = Array.of_list (List.map (fun (p, _) -> column acc p) keys)
   and right =
     Array.of_list (List.map (fun (_, c) -> column r.batch (0, c)) keys)
   in
-  let n_keys = Array.length left in
-  let rec agree i j c =
-    c = n_keys || (Value.equal (left.(c) i) (right.(c) j) && agree i j (c + 1))
-  in
   let c = snd (List.hd keys) in
-  let first, next =
-    match List.assoc_opt c r.tables with
-    | Some table -> table
+  let t =
+    match List.assoc_opt c r.indexes with
+    | Some t -> t
     | None ->
-        let nb = r.batch.len in
-        let first = Value_tbl.create (max 16 nb)
-        and next = Array.make nb (-1) in
-        for j = nb - 1 downto 0 do
+        let t = index r.batch.len in
+        for j = r.batch.len - 1 downto 0 do
           let k = right.(0) j in
-          if not (Value.is_null k) then
-            match Value_tbl.find first k with
-            | head ->
-                next.(j) <- !head;
-                head := j
-            | exception Not_found -> Value_tbl.add first k (ref j)
+          if not (Value.is_null k) then add t (Value.hash k) j
         done;
-        r.tables <- (c, (first, next)) :: r.tables;
-        (first, next)
-  in
-  let rec no_null i c =
-    c = n_keys || ((not (Value.is_null (left.(c) i))) && no_null i (c + 1))
+        r.indexes <- (c, t) :: r.indexes;
+        t
   in
   let lpos = Positions.create () and rpos = Positions.create () in
   for i = 0 to acc.len - 1 do
-    if no_null i 0 then
-      match Value_tbl.find first (left.(0) i) with
-      | head ->
-          let j = ref !head in
-          while !j >= 0 do
-            if agree i !j 1 then begin
-              Positions.add lpos i;
-              Positions.add rpos !j
-            end;
-            j := next.(!j)
-          done
-      | exception Not_found -> ()
+    if no_null left i 0 then begin
+      let j = ref t.head.(bucket t (Value.hash (left.(0) i))) in
+      while !j >= 0 do
+        if agree left right i !j 0 then begin
+          Positions.add lpos i;
+          Positions.add rpos !j
+        end;
+        j := t.next.(!j)
+      done
+    end
   done;
   extend acc s r.batch (Positions.contents lpos) (Positions.contents rpos)
 
@@ -254,7 +328,7 @@ let hash_join acc s (r : load) keys =
 
 (* The base-source loads of one execution, by relation, alias and
    pushed-down conjuncts: every branch of a union that reads the same
-   source shares its filtered rows and hash tables, and still pays for
+   source shares its filtered rows and hash indexes, and still pays for
    its own scan. *)
 type shared = ((string * string * predicate list) * load) list ref
 
@@ -265,24 +339,25 @@ let rec exec_plan io (shared : shared) : Explain.t -> Rowset.t = function
 
 (* A source's rows with its pushed-down conjuncts applied. *)
 and load io shared (s : Explain.source_plan) =
-  let filtered rows =
-    let one =
-      { srcs = [| 0 |]; rows = [| rows |]; ids = [| All |]; len = Array.length rows }
-    in
+  let filtered rows len =
+    let one = { srcs = [| 0 |]; rows = [| rows |]; ids = [| All |]; len } in
     {
       batch = List.fold_left (filter (layout [ s.header ])) one s.pushed_down;
-      tables = [];
+      indexes = [];
     }
   in
   match s.input with
-  | Derived sub -> filtered (exec_plan io shared sub).Rowset.rows
+  | Derived sub ->
+      let rs = exec_plan io shared sub in
+      filtered rs.Rowset.rows (Rowset.cardinality rs)
   | Base (name, rel) -> (
       scan io name rel;
       let key = (name, s.label, s.pushed_down) in
       match List.assoc_opt key !shared with
       | Some l -> l
       | None ->
-          let l = filtered (Relation.to_array rel) in
+          (* the relation's own array, read in place *)
+          let l = filtered (Relation.storage rel) (Relation.cardinality rel) in
           shared := (key, l) :: !shared;
           l)
 
@@ -331,10 +406,10 @@ and exec_block io shared (b : Explain.block_plan) : Rowset.t =
   (* 3. Residual filters. *)
   let filtered = List.fold_left (filter l) joined b.residual in
   let ctx = scope l filtered and n = filtered.len in
-  (* 4. Projection / aggregation.  Each output row is paired with its
-     ORDER BY key values: a key reads the output row, or else the
-     pre-projection context (SQL permits ordering by non-output
-     columns), or else is NULL. *)
+  (* 4. Projection / aggregation: the output rows, and a function
+     giving each one's ORDER BY key values.  A key reads the output
+     row, or else the pre-projection context (SQL permits ordering by
+     non-output columns), or else is NULL. *)
   let order_keys in_context =
     let keys =
       List.map
@@ -352,14 +427,13 @@ and exec_block io shared (b : Explain.block_plan) : Rowset.t =
     in
     fun out_row c -> List.map (fun key -> key out_row c) keys
   in
-  let projected =
+  let rows, keys_of =
     match b.aggregate with
     | None ->
         let outputs = Array.of_list (List.map (Eval.scalar ctx) b.outputs) in
+        let rows = Array.init n (fun i -> Array.map (fun f -> f i) outputs) in
         let keys = order_keys (Eval.scalar ctx) in
-        Array.init n (fun i ->
-            let out_row = Array.map (fun f -> f i) outputs in
-            (out_row, keys out_row i))
+        (rows, fun i -> keys rows.(i) i)
     | Some (group_by, having) ->
         Cqp_obs.Trace.with_span ~name:"engine.aggregate"
           ~attrs:(fun () ->
@@ -368,105 +442,71 @@ and exec_block io shared (b : Explain.block_plan) : Rowset.t =
               Cqp_obs.Attr.int "group_by" (List.length group_by);
             ])
         @@ fun () ->
-        (* Each group's member positions, groups in first-seen order. *)
         let groups =
           if group_by = [] then
             (* one implicit group, even over an empty input *)
             [ Array.init n Fun.id ]
-          else begin
-            let key_of = Array.of_list (List.map (Eval.scalar ctx) group_by) in
-            let table = Tuple_tbl.create 64 and order = ref [] in
-            for i = 0 to n - 1 do
-              let key = Array.map (fun f -> f i) key_of in
-              match Tuple_tbl.find_opt table key with
-              | Some members -> members := i :: !members
-              | None ->
-                  let members = ref [ i ] in
-                  Tuple_tbl.add table key members;
-                  order := members :: !order
-            done;
-            List.rev_map (fun members -> Array.of_list (List.rev !members)) !order
-          end
+          else
+            groups
+              (first_rows
+                 (Array.of_list (List.map (Eval.scalar ctx) group_by))
+                 n)
+        in
+        let with_rep members =
+          (members, if Array.length members = 0 then None else Some members.(0))
         in
         let in_group e =
           let g = Eval.grouped ctx e in
           fun (members, rep) -> g members rep
         in
-        let keep = Option.map (Eval.predicate in_group) having in
+        let kept =
+          let all = List.map with_rep groups in
+          Array.of_list
+            (match having with
+            | None -> all
+            | Some p -> List.filter (Eval.predicate in_group p) all)
+        in
         let outputs = Array.of_list (List.map (Eval.grouped ctx) b.outputs) in
+        let rows =
+          Array.map
+            (fun (members, rep) -> Array.map (fun f -> f members rep) outputs)
+            kept
+        in
         let keys = order_keys in_group in
-        List.filter_map
-          (fun members ->
-            let rep = if Array.length members = 0 then None else Some members.(0) in
-            let kept = match keep with None -> true | Some p -> p (members, rep) in
-            if kept then
-              let out_row = Array.map (fun f -> f members rep) outputs in
-              Some (out_row, keys out_row (members, rep))
-            else None)
-          groups
-        |> Array.of_list
+        (rows, fun g -> keys rows.(g) kept.(g))
   in
-  (* 5. DISTINCT (on output rows only, keeping the first occurrence). *)
-  let deduped =
-    if not b.distinct then projected
-    else begin
-      let seen = Tuple_tbl.create 64 in
-      (* mark left-to-right so the first occurrence wins, then pack *)
-      let keep = Array.map (fun (row, _) ->
-          if Tuple_tbl.mem seen row then false
-          else begin
-            Tuple_tbl.add seen row ();
-            true
-          end)
-          projected
-      in
-      let n = Array.fold_left (fun n k -> if k then n + 1 else n) 0 keep in
-      let out = Array.make n ([||], []) in
-      let j = ref 0 in
-      Array.iteri
-        (fun i pair ->
-          if keep.(i) then begin
-            out.(!j) <- pair;
-            incr j
-          end)
-        projected;
-      out
+  (* 5. DISTINCT keeps each output row's first occurrence. *)
+  let order =
+    if b.distinct then begin
+      let cells = Array.of_list (List.mapi (fun c _ i -> rows.(i).(c)) b.cols) in
+      let first = first_rows cells (Array.length rows) and kept = Positions.create () in
+      Array.iteri (fun i f -> if f = i then Positions.add kept i) first;
+      Positions.contents kept
     end
+    else Array.init (Array.length rows) Fun.id
   in
-  (* 6. ORDER BY on the precomputed keys. *)
-  let ordered =
-    if b.order_by = [] then deduped
-    else
-      Cqp_obs.Trace.with_span ~name:"engine.sort"
-        ~attrs:(fun () ->
-          [ Cqp_obs.Attr.int "rows" (Array.length deduped) ])
-    @@ fun () ->
-    begin
-      let dirs = List.map snd b.order_by in
-      let cmp (_, k1) (_, k2) =
-        let rec go dirs k1 k2 =
+  (* 6. ORDER BY, stable, on every output row's key values. *)
+  if b.order_by <> [] then
+    Cqp_obs.Trace.with_span ~name:"engine.sort"
+      ~attrs:(fun () -> [ Cqp_obs.Attr.int "rows" (Array.length order) ])
+      (fun () ->
+        let keys = Array.init (Array.length rows) keys_of in
+        let rec cmp dirs k1 k2 =
           match dirs, k1, k2 with
-          | dir :: dirs, v1 :: k1, v2 :: k2 ->
+          | (_, dir) :: dirs, v1 :: k1, v2 :: k2 ->
               let c = Value.compare v1 v2 in
               let c = match dir with Asc -> c | Desc -> -c in
-              if c <> 0 then c else go dirs k1 k2
+              if c <> 0 then c else cmp dirs k1 k2
           | _ -> 0
         in
-        go dirs k1 k2
-      in
-      (* deduped is always a fresh array here, safe to sort in place *)
-      let sorted = Array.copy deduped in
-      Array.stable_sort cmp sorted;
-      sorted
-    end
-  in
+        Array.stable_sort (fun i j -> cmp b.order_by keys.(i) keys.(j)) order);
   (* 7. LIMIT. *)
-  let limited =
+  let order =
     match b.limit with
-    | None -> ordered
-    | Some k -> Array.sub ordered 0 (max 0 (min k (Array.length ordered)))
+    | None -> order
+    | Some k -> Array.sub order 0 (max 0 (min k (Array.length order)))
   in
-  Rowset.make b.cols (Array.map fst limited)
+  Rowset.make b.cols (Array.map (fun i -> rows.(i)) order)
 
 (* --- public API ------------------------------------------------------ *)
 

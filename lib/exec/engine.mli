@@ -15,8 +15,16 @@
     source in FROM order, so rows come out exactly as a nested loop
     over the FROM list would emit them, whatever the order.
 
+    The hash join, DISTINCT and GROUP BY share one hash index over row
+    positions: two int arrays, bucket heads and a chain of rows, with
+    keys read from the rows in place, hashed by {!Cqp_relal.Value.hash}
+    and compared by {!Cqp_relal.Value.equal}.  Building or probing it
+    allocates nothing per row.  A base source's rows are read from the
+    relation's storage in place, and a pushed-down comparison of one of
+    its columns with a literal runs as one loop over that column.
+
     Within one {!execute}, a base source's filtered rows are built once
-    per relation, alias and pushed-down conjuncts, and a hash table on
+    per relation, alias and pushed-down conjuncts, and a hash index on
     one of its columns once: the branches of a personalized query's
     UNION ALL share both.  Every base relation touched by a
     (sub-)query is still charged one full scan, matching the paper's

@@ -98,18 +98,17 @@ type truth = Yes | No | Unknown
 
 let of_bool b = if b then Yes else No
 
+let holds op a b =
+  match op with
+  | Eq -> Value.equal a b
+  | Neq -> not (Value.equal a b)
+  | Lt -> Value.compare a b < 0
+  | Le -> Value.compare a b <= 0
+  | Gt -> Value.compare a b > 0
+  | Ge -> Value.compare a b >= 0
+
 let compare_values op a b =
-  if Value.is_null a || Value.is_null b then Unknown
-  else
-    let c = Value.compare a b in
-    of_bool
-      (match op with
-      | Eq -> c = 0
-      | Neq -> c <> 0
-      | Lt -> c < 0
-      | Le -> c <= 0
-      | Gt -> c > 0
-      | Ge -> c >= 0)
+  if Value.is_null a || Value.is_null b then Unknown else of_bool (holds op a b)
 
 let kand a b =
   match a, b with

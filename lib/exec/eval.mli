@@ -45,5 +45,10 @@ val predicate :
     ([scalar scope] for WHERE, a {!grouped} view for HAVING); the
     closure holds when [p] is definitely true. *)
 
+val holds :
+  Cqp_sql.Ast.binop -> Cqp_relal.Value.t -> Cqp_relal.Value.t -> bool
+(** [holds op a b]: [a op b] for non-NULL [a] and [b] under
+    {!Cqp_relal.Value.compare}, the comparison {!predicate} makes. *)
+
 val like_match : pattern:string -> string -> bool
 (** SQL LIKE: [%] matches any sequence, [_] any single character. *)

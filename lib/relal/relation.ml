@@ -57,14 +57,7 @@ let fold f init r =
   !acc
 
 let to_list r = List.rev (fold (fun acc t -> t :: acc) [] r)
-let to_array r = Array.sub r.data 0 r.len
-
-let get_block r i =
-  let nb = blocks r in
-  if i < 0 || i >= nb then invalid_arg "Relation.get_block: out of range";
-  let lo = i * r.per_block in
-  let hi = min r.len (lo + r.per_block) in
-  Array.sub r.data lo (hi - lo)
+let storage r = r.data
 
 let column r i = List.rev (fold (fun acc t -> Tuple.get t i :: acc) [] r)
 

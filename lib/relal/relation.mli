@@ -33,14 +33,12 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val to_list : t -> Tuple.t list
 
-val to_array : t -> Tuple.t array
-(** Fresh array of the stored tuples, in storage order — the
-    zero-per-tuple-cost handoff into the execution engine's row
-    batches. *)
-
-val get_block : t -> int -> Tuple.t array
-(** [get_block r i] returns the tuples of block [i] (0-based).
-    @raise Invalid_argument if out of range. *)
+val storage : t -> Tuple.t array
+(** The stored tuples in place, in storage order: the tuple at
+    position [i] is in block [i / tuples_per_block r].  Only positions
+    below [cardinality r] hold tuples; the array may be longer.  No
+    copy is made, so the array is for reading only, and an {!insert}
+    may move the tuples to a new one. *)
 
 val column : t -> int -> Value.t list
 (** All values of the column at the given position, in storage order. *)

@@ -36,7 +36,8 @@ val equal : t -> t -> bool
     executor handles SQL null semantics separately. *)
 
 val hash : t -> int
-(** Hash consistent with {!equal} (numeric coercion included). *)
+(** Hash consistent with {!equal}: an [Int] hashes as the [Float] it
+    equals, [-0.] as [0.], and every NaN alike.  Allocates nothing. *)
 
 val is_null : t -> bool
 

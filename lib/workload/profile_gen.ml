@@ -46,9 +46,12 @@ let sample_value rng catalog rel attr =
         let idx =
           Cqp_relal.Schema.index_of (Relation.schema r) attr
         in
-        let block = Rng.int rng (Relation.blocks r) in
-        let tuples = Relation.get_block r block in
-        let t = tuples.(Rng.int rng (Array.length tuples)) in
+        (* A block, then a tuple in it. *)
+        let per_block = Relation.tuples_per_block r in
+        let lo = per_block * Rng.int rng (Relation.blocks r) in
+        let t =
+          (Relation.storage r).(lo + Rng.int rng (min per_block (card - lo)))
+        in
         Some (Cqp_relal.Tuple.get t idx)
       end
 

@@ -602,6 +602,48 @@ let test_golden_row_order () =
     "rendered plans" golden_plans_md5
     (Digest.to_hex (Digest.string (Buffer.contents plans)))
 
+(* --- allocation signature ---------------------------------------------- *)
+
+(* The first 12 preferences extracted for a serve template, as the
+   Section 4.2 wrapper: 12 union branches intersected by GROUP BY /
+   HAVING count( * ) = 12. *)
+let twelve_branch_wrapper () =
+  let module C = Cqp_core in
+  let catalog = Lazy.force imdb in
+  let q = Cqp_workload.Query_gen.generate_serve ~rng:(Rng.create 12) catalog in
+  let ps =
+    C.Pref_space.build ~max_k:12 ~orders:C.Pref_space.D_only
+      (C.Estimate.create catalog q) (Lazy.force imdb_profile)
+  in
+  let paths =
+    Array.to_list (Array.map (fun it -> it.C.Pref_space.path) ps.C.Pref_space.items)
+  in
+  if List.length paths <> 12 then
+    Alcotest.failf "expected 12 preferences, got %d" (List.length paths);
+  C.Rewrite.personalize catalog q paths
+
+(* Minor words one pass over the golden queries and the 12-branch
+   wrapper allocates, measured after a first pass has filled every
+   lazy cache.  The count repeats exactly for a given compiler.  The
+   bound is the 3,164,813 words measured (OCaml 5.1.1) when one flat
+   row-id index replaced the executor's per-row hash-table entries,
+   plus 20%; the executor before allocated 19,935,153. *)
+let exec_minor_words_bound = 3_800_000.
+
+let test_exec_minor_words () =
+  let catalog = Lazy.force imdb in
+  let queries = twelve_branch_wrapper () :: golden_queries () in
+  let pass () = List.iter (fun q -> ignore (Engine.execute catalog q)) queries in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. before in
+  Printf.printf "exec minor words over %d queries: %.0f (bound %.0f)\n"
+    (List.length queries) words exec_minor_words_bound;
+  if words > exec_minor_words_bound then
+    Alcotest.failf "executing allocated %.0f minor words, bound %.0f" words
+      exec_minor_words_bound
+
 let qc = Testlib.qc
 
 let () =
@@ -622,5 +664,7 @@ let () =
             test_golden_row_order;
           Alcotest.test_case "derived table joined last keeps FROM order"
             `Quick test_derived_join_order;
+          Alcotest.test_case "exec minor words within bound" `Quick
+            test_exec_minor_words;
         ] );
     ]

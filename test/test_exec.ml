@@ -319,6 +319,147 @@ let test_having_over_aggregate_of_other_column () =
   in
   Alcotest.(check (list string)) "genres of movie 1" [ "comedy" ] (titles r)
 
+(* --- equality classes of the hash index ------------------------------ *)
+
+(* Relations of a key [k] and a [tag] naming the row, with keys of
+   several representations.  [kf]'s filler rows give its join index
+   2048 buckets, so a key hashed apart from its equal almost never
+   shares a bucket with it by chance. *)
+let classes =
+  let c = Catalog.create () in
+  let rel name ty rows =
+    Catalog.add c
+      (Relation.of_tuples
+         (Schema.make name [ ("k", ty, 8); ("tag", V.Tstring, 8) ])
+         (List.map (fun (k, tag) -> Tuple.make [ k; V.String tag ]) rows))
+  in
+  rel "ki" V.Tint
+    (List.init 6 (fun i -> (V.Int (i + 1), string_of_int (i + 1)))
+    @ [ (V.Int 0, "0") ]);
+  rel "kf" V.Tfloat
+    ((V.Float (-0.), "-0.")
+     :: List.init 6 (fun i -> (V.Float (float_of_int (6 - i)), Printf.sprintf "%d." (6 - i)))
+    @ List.init 1500 (fun i -> (V.Float (float_of_int i +. 0.5), "filler")));
+  rel "kz" V.Tfloat [ (V.Float 0., "0.") ];
+  rel "dup" V.Tint
+    [ (V.Int 5, "a"); (V.Int 6, "x"); (V.Int 5, "b"); (V.Int 7, "y"); (V.Int 5, "c") ];
+  rel "probe" V.Tint [ (V.Int 7, "seven"); (V.Int 5, "five") ];
+  (* Int and float cells in one column: each class of equal keys
+     mixes both, and -0. follows 0. *)
+  rel "mixed" V.Tfloat
+    [
+      (V.Int 1, "r0"); (V.Float 1., "r1"); (V.Float 2., "r2"); (V.Int 2, "r3");
+      (V.Float 0., "r4"); (V.Float (-0.), "r5"); (V.Int 0, "r6"); (V.Int 3, "r7");
+    ];
+  c
+
+let tags sql =
+  List.map
+    (fun row -> String.concat "-" (List.map V.to_string (Tuple.to_list row)))
+    (Engine.execute classes (Parser.parse sql)).Engine.rows
+
+(* A cell with its constructor: [Int 1] and [Float 1.] print alike. *)
+let shown = function
+  | V.Int i -> Printf.sprintf "int %d" i
+  | V.Float f -> Printf.sprintf "float %h" f
+  | v -> V.to_string v
+
+let test_join_equality_classes () =
+  Alcotest.(check (list string))
+    "int keys match equal float keys, 0 matches -0."
+    [ "1-1."; "2-2."; "3-3."; "4-4."; "5-5."; "6-6."; "0--0." ]
+    (tags "select ki.tag, kf.tag from ki, kf where ki.k = kf.k");
+  Alcotest.(check (list string))
+    "0. matches -0." [ "0.--0." ]
+    (tags "select kz.tag, kf.tag from kz, kf where kz.k = kf.k")
+
+(* [probe] is smaller, so the join starts from it in FROM order and
+   nothing re-sorts its rows: the index's chains give the order. *)
+let test_join_duplicate_keys_in_storage_order () =
+  Alcotest.(check (list string))
+    "matches in storage order"
+    [ "seven-y"; "five-a"; "five-b"; "five-c" ]
+    (tags "select probe.tag, dup.tag from probe, dup where probe.k = dup.k")
+
+let test_distinct_group_by_equality_classes () =
+  let cells sql =
+    List.map
+      (fun row -> String.concat ", " (List.map shown (Tuple.to_list row)))
+      (Engine.execute classes (Parser.parse sql)).Engine.rows
+  in
+  Alcotest.(check (list string))
+    "distinct keeps first occurrences"
+    [ "int 1"; "float 0x1p+1"; "float 0x0p+0"; "int 3" ]
+    (cells "select distinct k from mixed");
+  Alcotest.(check (list string))
+    "groups in first-seen order, first member's key"
+    [ "int 1, int 2"; "float 0x1p+1, int 2"; "float 0x0p+0, int 3"; "int 3, int 1" ]
+    (cells "select k, count(*) from mixed group by k")
+
+(* A pushed-down [column op literal] runs as the literal loop; the
+   rows it keeps must be those [Eval.predicate] keeps, whatever the
+   cells, the operator, the literal and its side.  A second conjunct
+   runs on the rows the first narrowed. *)
+let literal_cell =
+  QCheck.Gen.(
+    oneof
+      [
+        return V.Null;
+        map (fun i -> V.Int i) (int_range (-2) 2);
+        oneofl [ V.Float 1.; V.Float (-0.); V.Float 0.5; V.Float Float.nan ];
+        map (fun s -> V.String s) (oneofl [ "a"; "b"; "1" ]);
+        map (fun b -> V.Bool b) bool;
+      ])
+
+let prop_literal_filter_matches_eval =
+  let conjunct =
+    QCheck.Gen.(
+      triple (oneofl Cqp_sql.Ast.[ Eq; Neq; Lt; Le; Gt; Ge ]) literal_cell bool)
+  in
+  QCheck.Test.make ~name:"literal filter = Eval.predicate" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair (list_size (int_range 0 12) literal_cell)
+           (list_size (int_range 1 2) conjunct)))
+    (fun (cells, conjuncts) ->
+      let module Ast = Cqp_sql.Ast in
+      let c = Catalog.create () in
+      Catalog.add c
+        (Relation.of_tuples
+           (Schema.make "t" [ ("v", V.Tfloat, 8); ("i", V.Tint, 8) ])
+           (List.mapi (fun i v -> Tuple.make [ v; V.Int i ]) cells));
+      let where =
+        Ast.conj
+          (List.map
+             (fun (op, lit, lit_left) ->
+               if lit_left then Ast.Cmp (op, Ast.Lit lit, Ast.Col (None, "v"))
+               else Ast.Cmp (op, Ast.Col (None, "v"), Ast.Lit lit))
+             conjuncts)
+      in
+      let q =
+        Ast.simple_select ~where
+          [ Ast.Item (Ast.Col (None, "i"), None) ]
+          [ Ast.Table ("t", None) ]
+      in
+      let keep =
+        Eval.predicate
+          (Eval.scalar
+             (Eval.tuple_scope
+                Cqp_exec.Rowset.[ col ~qualifier:"t" "v"; col ~qualifier:"t" "i" ]))
+          where
+      in
+      let expected =
+        List.concat
+          (List.mapi
+             (fun i v -> if keep (Tuple.make [ v; V.Int i ]) then [ i ] else [])
+             cells)
+      and got =
+        List.map
+          (fun row -> match Tuple.get row 0 with V.Int i -> i | _ -> -1)
+          (Engine.execute c q).Engine.rows
+      in
+      got = expected)
+
 (* --- LIKE matcher properties ----------------------------------------- *)
 
 let prop_like_percent_matches_all =
@@ -391,6 +532,15 @@ let () =
           Alcotest.test_case "having in-list with null" `Quick
             test_having_in_list_with_null;
           Alcotest.test_case "lazy column errors" `Quick test_lazy_column_errors;
+        ] );
+      ( "equality classes",
+        [
+          Alcotest.test_case "join keys" `Quick test_join_equality_classes;
+          Alcotest.test_case "duplicate join keys" `Quick
+            test_join_duplicate_keys_in_storage_order;
+          Alcotest.test_case "distinct and group by" `Quick
+            test_distinct_group_by_equality_classes;
+          qc prop_literal_filter_matches_eval;
         ] );
       ( "like",
         [ qc prop_like_percent_matches_all; qc prop_like_self_match; qc prop_like_prefix ]

@@ -281,16 +281,10 @@ let test_shed_counts_every_lane () =
 
 (* --- store-backed serving --------------------------------------------- *)
 
-let store_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cqp-netdiff-%d-%d" (Unix.getpid ()) !n)
+let with_store_dir f = Testlib.with_temp_dir "cqp-netdiff" f
 
 let test_store_survives_restart () =
-  let dir = store_dir () in
+  with_store_dir @@ fun dir ->
   (* No mid-stream updates: the restarted server serves the store's
      last-wins profiles, so the oracle must have used stable ones. *)
   let entries =
@@ -320,7 +314,7 @@ let test_store_survives_restart () =
     (compare replayed oracle = 0)
 
 let test_bounded_working_set_under_load () =
-  let dir = store_dir () in
+  with_store_dir @@ fun dir ->
   let users = 64 in
   let resident = 8 in
   Loadgen.populate_store ~dir ~users ~seed:100 (Lazy.force catalog);

@@ -13,16 +13,7 @@ module Rng = Cqp_util.Rng
 
 let catalog = lazy (Testlib.small_imdb ~seed:3 ())
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "cqp-store-%d-%d" (Unix.getpid ()) !n)
-    in
-    dir
+let with_dir f = Testlib.with_temp_dir "cqp-store" f
 
 let profile seed =
   Profile_gen.generate ~rng:(Rng.create seed) (Lazy.force catalog)
@@ -32,7 +23,7 @@ let user i = "user" ^ string_of_int i
 (* --- durability across reopen ----------------------------------------- *)
 
 let test_reopen_byte_identical () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let n = 200 in
   let s = Store.open_ ~shards:4 ~resident_capacity:32 dir in
   for i = 0 to n - 1 do
@@ -56,7 +47,7 @@ let test_reopen_byte_identical () =
   Store.close s
 
 let test_last_write_wins_across_reopen () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = Store.open_ dir in
   Store.put s ~user:"alice" (profile 1);
   Store.put s ~user:"alice" (profile 2);
@@ -73,7 +64,7 @@ let test_last_write_wins_across_reopen () =
   Store.close s
 
 let test_content_dedup () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = Store.open_ dir in
   let p = profile 42 in
   for i = 0 to 9 do
@@ -92,7 +83,7 @@ let test_content_dedup () =
 (* --- torn tail -------------------------------------------------------- *)
 
 let test_torn_tail_ignored () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = Store.open_ ~shards:1 dir in
   for i = 0 to 9 do
     Store.put s ~user:(user i) (profile i)
@@ -123,7 +114,7 @@ let test_torn_tail_ignored () =
   Store.close s
 
 let test_torn_users_log_ignored () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = Store.open_ dir in
   Store.put s ~user:"alice" (profile 1);
   Store.put s ~user:"bob" (profile 2);
@@ -154,7 +145,7 @@ let test_torn_users_log_ignored () =
    both survive whole (a prefix, since both files are in put order),
    and a put made after that reopen survives the next one. *)
 let sweep_tears file () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let n = 5 in
   let s = Store.open_ ~shards:1 dir in
   for i = 0 to n - 1 do
@@ -218,7 +209,7 @@ let sweep_tears file () =
 (* --- residency bound -------------------------------------------------- *)
 
 let test_eviction_bounds_resident () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let capacity = 16 in
   let evicted = ref 0 in
   let s =
@@ -254,7 +245,7 @@ let test_eviction_bounds_resident () =
   Store.close s
 
 let test_capacity_zero_stores_nothing_resident () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = Store.open_ ~resident_capacity:0 dir in
   for i = 0 to 9 do
     Store.put s ~user:(user i) (profile i)

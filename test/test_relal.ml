@@ -24,6 +24,66 @@ let test_value_compare () =
 let test_value_hash_consistent () =
   checki "hash int=float" (V.hash (V.Int 7)) (V.hash (V.Float 7.0))
 
+(* Values drawn to land in [Value.equal]'s non-obvious classes: an int
+   and the float it equals (past 2^53 too, where several ints round to
+   one float), -0. and 0., NaNs of different bit patterns, and copies
+   of strings; plus bools and NULL. *)
+let nans =
+  [|
+    Float.nan;
+    -.Float.nan;
+    Int64.float_of_bits 0x7FF0000000000001L;
+    Int64.float_of_bits 0xFFF8000000000001L;
+  |]
+
+let value_gen =
+  QCheck.Gen.(
+    let big = map (fun k -> (1 lsl 53) + k) (int_range (-4) 4) in
+    oneof
+      [
+        map (fun i -> V.Int i) (int_range (-3) 3);
+        map (fun i -> V.Int i) big;
+        map (fun i -> V.Int (-i)) big;
+        map (fun i -> V.Float (float_of_int i)) (int_range (-3) 3);
+        map (fun i -> V.Float (float_of_int i)) big;
+        oneofl [ V.Float 0.; V.Float (-0.); V.Float 0.5; V.Float infinity ];
+        map (fun i -> V.Float nans.(i)) (int_range 0 3);
+        map (fun s -> V.String s) (oneofl [ ""; "a"; "ab"; "b" ]);
+        map (fun b -> V.Bool b) bool;
+        return V.Null;
+      ])
+
+(* A value [Value.equal] should find equal to [v], of another
+   representation where there is one. *)
+let twin = function
+  | V.Int i -> V.Float (float_of_int i)
+  | V.Float f when Float.is_integer f && Float.abs f < 4e18 ->
+      V.Int (int_of_float f)
+  | V.Float f when f = 0. || Float.is_nan f -> V.Float (-.f)
+  | V.String s -> V.String (String.init (String.length s) (String.get s))
+  | v -> v
+
+let prop_value_hash_respects_equal =
+  QCheck.Test.make ~name:"Value.equal a b implies equal hashes" ~count:2000
+    (QCheck.make
+       QCheck.Gen.(
+         pair value_gen value_gen >>= fun (a, b) ->
+         map (fun twin_b -> if twin_b then (a, twin a) else (a, b)) bool))
+    (fun (a, b) -> (not (V.equal a b)) || V.hash a = V.hash b)
+
+(* The engine indexes rows by a hash's low bits, so consecutive ints
+   and floats must not collapse into a few buckets. *)
+let test_value_hash_spreads () =
+  let spread vs =
+    let buckets = Hashtbl.create 1024 in
+    List.iter (fun v -> Hashtbl.replace buckets (V.hash v land 1023) ()) vs;
+    Hashtbl.length buckets
+  in
+  let ints = List.init 1000 (fun i -> V.Int i) in
+  let floats = List.init 1000 (fun i -> V.Float (float_of_int i /. 4.)) in
+  checkb "ints over 1024 buckets" true (spread ints >= 500);
+  checkb "floats over 1024 buckets" true (spread floats >= 500)
+
 let test_value_sql_roundtrip () =
   let roundtrip v = V.of_sql_literal (V.to_sql v) in
   List.iter
@@ -117,13 +177,20 @@ let test_relation_blocks () =
   checki "card" 10 (Relation.cardinality r);
   checki "empty blocks" 0 (Relation.blocks (Relation.create movie))
 
-let test_relation_get_block () =
+(* [storage] is the relation's own array: the tuples in storage order
+   below the cardinality, with no copy made. *)
+let test_relation_storage () =
   let r = mk_rel 10 in
-  checki "block 0 size" 3 (Array.length (Relation.get_block r 0));
-  checki "last block size" 1 (Array.length (Relation.get_block r 3));
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Relation.get_block: out of range") (fun () ->
-      ignore (Relation.get_block r 4))
+  let s = Relation.storage r in
+  checkb "no copy" true (s == Relation.storage r);
+  checkb "holds every tuple" true (Array.length s >= Relation.cardinality r);
+  List.iteri
+    (fun i t -> checkb (Printf.sprintf "tuple %d in place" i) true (s.(i) == t))
+    (Relation.to_list r);
+  (* the last of 4 blocks of 3 holds one tuple, position 9 *)
+  checkb "last block's tuple" true
+    (V.equal (V.Int 9)
+       (Tuple.get s.((Relation.blocks r - 1) * Relation.tuples_per_block r) 0))
 
 let test_relation_arity_check () =
   let r = Relation.create movie in
@@ -219,6 +286,9 @@ let () =
         [
           Alcotest.test_case "compare" `Quick test_value_compare;
           Alcotest.test_case "hash" `Quick test_value_hash_consistent;
+          qc prop_value_hash_respects_equal;
+          Alcotest.test_case "hash spreads numbers" `Quick
+            test_value_hash_spreads;
           Alcotest.test_case "sql roundtrip" `Quick test_value_sql_roundtrip;
           Alcotest.test_case "to_float" `Quick test_value_to_float;
           Alcotest.test_case "compatible" `Quick test_value_compatible;
@@ -238,7 +308,7 @@ let () =
       ( "relation",
         [
           Alcotest.test_case "blocks" `Quick test_relation_blocks;
-          Alcotest.test_case "get_block" `Quick test_relation_get_block;
+          Alcotest.test_case "storage" `Quick test_relation_storage;
           Alcotest.test_case "arity check" `Quick test_relation_arity_check;
           Alcotest.test_case "iteration" `Quick test_relation_iteration;
           qc prop_blocks_formula;

@@ -150,6 +150,31 @@ let rtu_catalog () =
     15;
   c
 
+(* --- temporary directories ------------------------------------------ *)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let temp_dirs = ref 0
+
+(* [f dir], with [dir] a fresh path under the temp directory named
+   [prefix-<pid>-<n>] (left for [f] to create), removed with all it
+   holds when [f] returns or raises. *)
+let with_temp_dir prefix f =
+  incr temp_dirs;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !temp_dirs)
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then remove_tree dir)
+    (fun () -> f dir)
+
 (* A small IMDB-shaped catalog for the serve-layer suites; [seed]
    varies the data, the shape stays [small_config]. *)
 let small_imdb ~seed () =

@@ -332,41 +332,33 @@ let hash_join acc s (r : load) keys =
    its own scan. *)
 type shared = ((string * string * predicate list) * load) list ref
 
-let rec exec_plan io (shared : shared) : Explain.t -> Rowset.t = function
-  | Plan_select b -> exec_block io shared b
-  | Plan_union [] -> fail "empty UNION"
-  | Plan_union plans -> Rowset.concat (List.map (exec_plan io shared) plans)
+(* Source [s]'s rows [rows] ([len] of them) with its pushed-down
+   conjuncts applied. *)
+let filtered (s : Explain.source_plan) rows len =
+  let one = { srcs = [| 0 |]; rows = [| rows |]; ids = [| All |]; len } in
+  {
+    batch = List.fold_left (filter (layout [ s.header ])) one s.pushed_down;
+    indexes = [];
+  }
 
-(* A source's rows with its pushed-down conjuncts applied. *)
-and load io shared (s : Explain.source_plan) =
-  let filtered rows len =
-    let one = { srcs = [| 0 |]; rows = [| rows |]; ids = [| All |]; len } in
-    {
-      batch = List.fold_left (filter (layout [ s.header ])) one s.pushed_down;
-      indexes = [];
-    }
-  in
-  match s.input with
-  | Derived sub ->
-      let rs = exec_plan io shared sub in
-      filtered rs.Rowset.rows (Rowset.cardinality rs)
-  | Base (name, rel) -> (
-      scan io name rel;
-      let key = (name, s.label, s.pushed_down) in
-      match List.assoc_opt key !shared with
-      | Some l -> l
-      | None ->
-          (* the relation's own array, read in place *)
-          let l = filtered (Relation.storage rel) (Relation.cardinality rel) in
-          shared := (key, l) :: !shared;
-          l)
+(* Every scan of a plan that does not run: its base sources, derived
+   tables' included, are charged as if it did. *)
+let rec charge io = function
+  | Explain.Plan_union plans -> List.iter (charge io) plans
+  | Plan_select b ->
+      List.iter
+        (fun (s : Explain.source_plan) ->
+          match s.input with
+          | Base (name, rel) -> scan io name rel
+          | Derived sub -> charge io sub)
+        b.sources
 
-and exec_block io shared (b : Explain.block_plan) : Rowset.t =
+(* Steps 2 to 7 of a block, on its sources' loads (step 1, in
+   [exec_block]), in FROM order. *)
+let run_block (b : Explain.block_plan) loads : Rowset.t =
   let l =
     layout (List.map (fun (s : Explain.source_plan) -> s.header) b.sources)
   in
-  (* 1. Sources, each filtered by its pushed-down conjuncts. *)
-  let loads = Array.of_list (List.map (load io shared) b.sources) in
   (* 2. Joins in the plan's order, each followed by its post-join
      filters; then the rows in FROM order. *)
   let joined =
@@ -507,6 +499,82 @@ and exec_block io shared (b : Explain.block_plan) : Rowset.t =
     | Some k -> Array.sub order 0 (max 0 (min k (Array.length order)))
   in
   Rowset.make b.cols (Array.map (fun i -> rows.(i)) order)
+
+let rec exec_plan io (shared : shared) : Explain.t -> Rowset.t = function
+  | Plan_select b -> exec_block io shared b
+  | Plan_union [] -> fail "empty UNION"
+  | Plan_union plans -> Rowset.concat (List.map (exec_plan io shared) plans)
+
+(* A source's rows with its pushed-down conjuncts applied. *)
+and load io shared (s : Explain.source_plan) =
+  match s.input with
+  | Derived sub ->
+      let rs = exec_plan io shared sub in
+      filtered s rs.Rowset.rows (Rowset.cardinality rs)
+  | Base (name, rel) -> (
+      scan io name rel;
+      let key = (name, s.label, s.pushed_down) in
+      match List.assoc_opt key !shared with
+      | Some l -> l
+      | None ->
+          (* the relation's own array, read in place *)
+          let l = filtered s (Relation.storage rel) (Relation.cardinality rel) in
+          shared := (key, l) :: !shared;
+          l)
+
+(* 1. Sources, each filtered by its pushed-down conjuncts.  An
+   intersection's union runs through [intersect]; when its branches
+   hold no row in common, the block keeps none. *)
+and exec_block io shared (b : Explain.block_plan) : Rowset.t =
+  match b.intersect, b.sources with
+  | true, [ ({ input = Derived (Plan_union (first :: rest)); _ } as s) ] -> (
+      match intersect io shared first rest with
+      | None -> Rowset.make b.cols [||]
+      | Some rs ->
+          run_block b [| filtered s rs.Rowset.rows (Rowset.cardinality rs) |])
+  | _ -> run_block b (Array.of_list (List.map (load io shared) b.sources))
+
+(* The rows of the branches [first :: rest] concatenated in SQL order,
+   for the block's GROUP BY to count, or [None] once no row is held by
+   every branch run so far.  The running intersection is a hash index over the first
+   branch's rows, keyed on all their cells as GROUP BY keys them; the
+   [j]th later branch stamps [j] on each row still in it that the
+   branch holds, so a row without the latest stamp has dropped out.
+   The branches left when the intersection empties do not run, and
+   still charge their scans. *)
+and intersect io shared first rest =
+  let cells (rs : Rowset.t) =
+    Array.init (Rowset.arity rs) (fun c i -> rs.rows.(i).(c))
+  in
+  let r = exec_plan io shared first in
+  let keys = cells r and n = Rowset.cardinality r in
+  let t = index n and stamp = Array.make n 0 in
+  for i = 0 to n - 1 do
+    add t (hash_key keys i) i
+  done;
+  let rec next j alive ran = function
+    | skipped when alive = 0 ->
+        List.iter (charge io) skipped;
+        if Cqp_obs.Metrics.is_enabled () then
+          Cqp_obs.Metrics.add "engine.branches_skipped" (List.length skipped);
+        None
+    | [] -> Some (Rowset.concat (List.rev ran))
+    | plan :: rest ->
+        let rs = exec_plan io shared plan in
+        let probe = cells rs and alive = ref 0 in
+        for i = 0 to Rowset.cardinality rs - 1 do
+          let x = ref t.head.(bucket t (hash_key probe i)) in
+          while !x >= 0 do
+            if stamp.(!x) = j - 1 && agree keys probe !x i 0 then begin
+              stamp.(!x) <- j;
+              incr alive
+            end;
+            x := t.next.(!x)
+          done
+        done;
+        next (j + 1) !alive (rs :: ran) rest
+  in
+  next 1 n [ r ] rest
 
 (* --- public API ------------------------------------------------------ *)
 

@@ -30,7 +30,18 @@
     (sub-)query is still charged one full scan, matching the paper's
     cost assumptions, so [Io.block_reads] after execution is the
     "real" execution cost that Figure 15 compares against the
-    estimator. *)
+    estimator.
+
+    A block {!Explain} marks as an intersection runs its union's
+    branches in SQL order and keeps the rows of the first that every
+    branch so far also holds, in a hash index over that branch's rows
+    keyed by {!Cqp_relal.Value.equal} on every cell, as GROUP BY groups
+    them.  When none is left, the block answers no rows, and the
+    branches not yet run are not run: their base sources are still
+    charged one scan each (counted in [engine.branches_skipped] while
+    metrics are on).  Otherwise the branches' rows are concatenated and
+    the block's GROUP BY, HAVING, ORDER BY and LIMIT run as for any
+    block on them. *)
 
 exception Runtime_error of string
 

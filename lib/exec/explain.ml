@@ -35,6 +35,7 @@ and block_plan = {
   distinct : bool;
   order_by : (expr * order_dir) list;
   limit : int option;
+  intersect : bool;
 }
 
 and t = Plan_select of block_plan | Plan_union of t list
@@ -65,14 +66,16 @@ let rec expr_cols = function
   | Lit _ | Count_star -> []
   | Count e | Min e | Max e | Sum e | Avg e -> expr_cols e
 
-let rec pred_cols = function
+let rec pred_exprs = function
   | True -> []
-  | Cmp (_, l, r) -> expr_cols l @ expr_cols r
-  | And (a, b) | Or (a, b) -> pred_cols a @ pred_cols b
-  | Not p -> pred_cols p
-  | In_list (e, _) | Like (e, _) | Is_null e | Is_not_null e -> expr_cols e
+  | Cmp (_, l, r) -> [ l; r ]
+  | And (a, b) | Or (a, b) -> pred_exprs a @ pred_exprs b
+  | Not p -> pred_exprs p
+  | In_list (e, _) | Like (e, _) | Is_null e | Is_not_null e -> [ e ]
 
-let resolves_in cols p = List.for_all (fun c -> find cols c <> None) (pred_cols p)
+let pred_cols p = List.concat_map expr_cols (pred_exprs p)
+let resolves cols e = List.for_all (fun c -> find cols c <> None) (expr_cols e)
+let resolves_in cols p = List.for_all (resolves cols) (pred_exprs p)
 
 (* A post-scan conjunct, resolved once against its block's header: the
    sources it reads ([None] when a reference does not resolve) and, for
@@ -124,6 +127,66 @@ let conjunct_selectivity catalog rel = function
   | Cmp (op, Col (_, attr), Lit v) -> selectivity catalog rel attr op v
   | Cmp (op, Lit v, Col (_, attr)) -> selectivity catalog rel attr (mirror op) v
   | _ -> 0.5
+
+(* --- intersections ----------------------------------------------------- *)
+
+(* Running [plan] raises no [Eval.Eval_error] and no union arity error,
+   whatever its rows: every reference [Engine] compiles resolves, no
+   aggregate sits where a row is evaluated, and each union's branches
+   agree in arity.  ORDER BY keys never raise. *)
+let rec evaluable = function
+  | Plan_union plans ->
+      let n = List.length (output_cols (Plan_union plans)) in
+      List.for_all
+        (fun p -> List.length (output_cols p) = n && evaluable p)
+        plans
+  | Plan_select b ->
+      let header = List.concat_map (fun s -> s.header) b.sources in
+      let row cols e = resolves cols e && not (Cqp_sql.Analyzer.has_aggregate e) in
+      let filters cols =
+        List.for_all (fun p -> List.for_all (row cols) (pred_exprs p))
+      in
+      List.for_all
+        (fun s ->
+          filters s.header s.pushed_down
+          && match s.input with Derived sub -> evaluable sub | Base _ -> true)
+        b.sources
+      && List.for_all (fun j -> filters header j.post_filters) b.joins
+      && filters header b.residual
+      &&
+      match b.aggregate with
+      | None -> List.for_all (row header) b.outputs
+      | Some (keys, having) ->
+          List.for_all (row header) keys
+          && List.for_all (resolves header)
+               (b.outputs @ Option.fold ~none:[] ~some:pred_exprs having)
+
+(* A block that only intersects its one source's union: the source is
+   the union of K DISTINCT branches, read with no WHERE, and the block
+   groups by every one of its columns and keeps the groups of count K.
+   No branch holds a row twice, so a group counts the branches holding
+   its row, and the block keeps a row exactly when every branch holds
+   it: when some prefix of the branches has no row in common, nothing
+   survives, and as no branch can raise ([evaluable]), the rest need
+   not run. *)
+let intersects sources where aggregate =
+  match sources, where, aggregate with
+  | ( [ { input = Derived (Plan_union branches as union); header; _ } ],
+      None,
+      Some (keys, Some (Cmp (Eq, Count_star, Lit (Cqp_relal.Value.Int k)))) ) ->
+      let grouped =
+        List.map (function Col (q, n) -> find header (q, n) | _ -> None) keys
+      in
+      k = List.length branches
+      && List.for_all
+           (function Plan_select p -> p.distinct | Plan_union _ -> false)
+           branches
+      && List.for_all Option.is_some grouped
+      && List.for_all
+           (fun i -> List.mem (Some i) grouped)
+           (List.init (List.length header) Fun.id)
+      && evaluable union
+  | _ -> false
 
 (* --- the planner ------------------------------------------------------- *)
 
@@ -307,6 +370,7 @@ and plan_block catalog b =
     distinct = b.distinct;
     order_by = b.order_by;
     limit = b.limit;
+    intersect = intersects sources b.where aggregate;
   }
 
 (* --- rendering --------------------------------------------------------- *)
@@ -363,6 +427,12 @@ and pp_block ppf p =
       (String.concat ", " (List.map (fun s -> s.label) p.sources));
   if p.residual <> [] then
     Format.fprintf ppf "residual filter: %s@ " (conj p.residual);
+  (match p.intersect, p.sources with
+  | true, [ { input = Derived (Plan_union branches); _ } ] ->
+      Format.fprintf ppf
+        "intersect %d branches, stop at the first empty intersection@ "
+        (List.length branches)
+  | _ -> ());
   (match p.aggregate with
   | Some (group_by, having) ->
       Format.fprintf ppf "hash aggregate%s%s@ "

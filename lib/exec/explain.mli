@@ -20,7 +20,18 @@
     and output resolves against the block's header, its sources'
     headers in FROM order, so the order decides where a conjunct runs,
     never what it means, and {!Engine} restores the FROM order's rows.
-    Predicates stay AST values; only {!pp} prints them. *)
+    Predicates stay AST values; only {!pp} prints them.
+
+    A block is marked as an intersection (Section 4.2's personalized
+    query under [Rewrite.personalize ~dedup:true]) when its one source
+    is a derived UNION ALL of K branches that are all DISTINCT, it has
+    no WHERE, it groups by every column of the union and its HAVING is
+    [count( * ) = K], and no branch holds a reference that does not
+    resolve, an aggregate where a row is evaluated, or a union whose
+    branches differ in arity (so running a branch cannot raise).  The
+    block then keeps exactly the rows every branch holds, and {!pp}
+    prints [intersect K branches, stop at the first empty
+    intersection]. *)
 
 exception Runtime_error of string
 (** Unknown relation, empty FROM or empty UNION; {!Engine.Runtime_error}
@@ -65,6 +76,10 @@ and block_plan = {
   distinct : bool;
   order_by : (Cqp_sql.Ast.expr * Cqp_sql.Ast.order_dir) list;
   limit : int option;
+  intersect : bool;
+      (** the block only intersects its one source's UNION ALL (see
+          above); [Engine] may then stop at the first empty
+          intersection *)
 }
 
 and t = Plan_select of block_plan | Plan_union of t list

@@ -1,0 +1,88 @@
+(* Checks what one cqp command wrote, for the cram tests beside it.
+
+   usage:
+     cli_check trace FILE               the trace holds a span, not only
+                                        metadata events
+     cli_check present FILE NAME        the metrics hold counter NAME
+     cli_check counter FILE NAME [N]    prints counter NAME; with N, it
+                                        must equal N
+     cli_check timed FILE NAME          histogram NAME has an observation
+                                        and a positive sum
+     cli_check sizes FILE LO HI         the text holds size=S values, all
+                                        in [LO, HI]
+
+   JSON is read through [Cqp_obs.Jsonx].  Prints one line per check;
+   exits 1 at the first that fails. *)
+
+module J = Cqp_obs.Jsonx
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 1)
+    fmt
+
+let read path = In_channel.with_open_bin path In_channel.input_all
+let field k j = Option.value (J.member k j) ~default:J.Null
+let json path = J.of_string (read path)
+
+let counter path name =
+  match J.member name (field "counters" (json path)) with
+  | Some (J.Num x) -> x
+  | _ -> fail "%s: no counter %s" path name
+
+(* The numbers printed as [size=S] in [text]. *)
+let sizes text =
+  let n = String.length text in
+  let rec scan i acc =
+    match String.index_from_opt text i '=' with
+    | Some j when j >= 4 && String.sub text (j - 4) 4 = "size" ->
+        let k = ref (j + 1) in
+        while !k < n && String.contains "0123456789." text.[!k] do
+          incr k
+        done;
+        scan !k (float_of_string (String.sub text (j + 1) (!k - j - 1)) :: acc)
+    | Some j -> scan (j + 1) acc
+    | None -> List.rev acc
+  in
+  scan 0 []
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "trace"; path ] -> (
+      match field "traceEvents" (json path) with
+      | J.Arr events
+        when List.exists (fun e -> field "ph" e = J.Str "X") events ->
+          Printf.printf "%s: spans recorded\n" path
+      | _ -> fail "%s: no span in the trace" path)
+  | [ "present"; path; name ] ->
+      ignore (counter path name);
+      Printf.printf "%s: counter %s recorded\n" path name
+  | "counter" :: path :: name :: expected ->
+      let v = counter path name in
+      List.iter
+        (fun e ->
+          if float_of_string e <> v then fail "%s is %g, expected %s" name v e)
+        expected;
+      Printf.printf "%s = %g\n" name v
+  | [ "timed"; path; name ] ->
+      let h = field name (field "histograms" (json path)) in
+      let num k = match field k h with J.Num x -> x | _ -> 0. in
+      if not (num "count" >= 1. && num "sum" > 0.) then
+        fail "%s: %s has count %g, sum %g" path name (num "count") (num "sum");
+      Printf.printf "%s: %s observed, with a positive sum\n" path name
+  | [ "sizes"; path; lo; hi ] ->
+      let lo = float_of_string lo and hi = float_of_string hi in
+      (match sizes (read path) with
+      | [] -> fail "%s: no size printed" path
+      | ss ->
+          List.iter
+            (fun s -> if not (lo <= s && s <= hi) then fail "size %g outside" s)
+            ss);
+      Printf.printf "%s: every printed size in [%g, %g]\n" path lo hi
+  | _ ->
+      prerr_endline
+        "usage: cli_check (trace FILE | present FILE NAME | counter FILE NAME \
+         [N] | timed FILE NAME | sizes FILE LO HI)";
+      exit 2

@@ -516,7 +516,8 @@ let prop_personalized_plan_matches_execution =
    second covers the plans [Explain] renders.  The rows constant was
    recorded from the row-at-a-time executor the slot-resolved one
    replaced, before joins were ordered by estimated size; the plans
-   constant was recorded once plans showed that order. *)
+   constant was recorded once plans showed that order, and again once
+   each per-branch DISTINCT wrapper showed its intersect line. *)
 let golden_queries () =
   let catalog = Lazy.force imdb in
   let with_union q =
@@ -571,7 +572,7 @@ let golden_queries () =
   personalized @ templates @ operators
 
 let golden_rows_md5 = "f8ce6fdf6df4e843e412e79b73c7f593"
-let golden_plans_md5 = "71806fc55cbbbcb4f0412ff706dae9bf"
+let golden_plans_md5 = "3b6afededf3fb22405a155baea67573b"
 
 let test_golden_row_order () =
   let catalog = Lazy.force imdb in
@@ -644,6 +645,296 @@ let test_exec_minor_words () =
     Alcotest.failf "executing allocated %.0f minor words, bound %.0f" words
       exec_minor_words_bound
 
+(* --- intersections ------------------------------------------------------ *)
+
+(* The r/t/u catalog and [f], whose [x] holds [Int 1] beside [Float 1.],
+   [0.] beside [-0.] and NULLs, so one branch's cell can equal another's
+   under [Value.equal] and not under [=]. *)
+let mixed =
+  let c = Testlib.rtu_catalog () in
+  Cqp_relal.Catalog.add c
+    (Cqp_relal.Relation.of_tuples ~block_size:64
+       (Cqp_relal.Schema.make "f" [ ("x", V.Tfloat, 8); ("y", V.Tstring, 8) ])
+       (List.map
+          (fun (x, y) -> Tuple.make [ x; V.String y ])
+          [
+            (V.Int 1, "a"); (V.Float 1., "a"); (V.Float 0., "b");
+            (V.Float (-0.), "b"); (V.Int 0, "a"); (V.Null, "a");
+            (V.Float 2., "c"); (V.Int 2, "c"); (V.Null, "b"); (V.Int 3, "d");
+            (V.Float 1., "b"); (V.Int 1, "b");
+          ]));
+  c
+
+(* A cell with its constructor: [Int 1] and [Float 1.] print apart. *)
+let typed_rows rows =
+  List.map
+    (fun r ->
+      String.concat ","
+        (List.map (fun v -> V.ty_name (V.type_of v) ^ " " ^ V.to_string v)
+           (Tuple.to_list r)))
+    rows
+
+(* One DISTINCT branch, [v] a number and [w] a string: a source whose
+   cells compare across the catalog's Int/Float representations, the
+   duplicate rows DISTINCT collapses, an optional filter on [v], or a
+   filter that keeps nothing ([empty]). *)
+let random_branch rng ~empty =
+  let from, v, w =
+    Rng.choice rng
+      [|
+        ("r r1", "r1.a", "r1.s");
+        ("r r1", "r1.b", "r1.s");
+        ("u u1", "u1.c", "u1.s");
+        ("f f1", "f1.x", "f1.y");
+        ("f f1", "f1.x", "f1.y");
+        ("r r1, t t1", "t1.c", "r1.s");
+        ("f f1, u u1", "f1.x", "u1.s");
+      |]
+  in
+  let joins =
+    match from with
+    | "r r1, t t1" -> [ "r1.a = t1.a" ]
+    | "f f1, u u1" -> [ "f1.x = u1.c" ]
+    | _ -> []
+  in
+  let filter =
+    if empty then [ v ^ " < -1" ]
+    else if Rng.bool rng then []
+    else
+      [
+        Printf.sprintf "%s %s %s" v
+          (Rng.choice rng [| "<"; ">="; "<>" |])
+          (Rng.choice rng [| "1"; "2"; "3"; "1.0"; "0.0" |]);
+      ]
+  in
+  Printf.sprintf "select distinct %s as v, %s as w from %s%s" v w from
+    (match joins @ filter with
+    | [] -> ""
+    | cs -> " where " ^ String.concat " and " cs)
+
+(* A Section 4.2 wrapper over 2–6 DISTINCT branches, with an empty
+   branch first, in the middle, last or nowhere, and sometimes ORDER BY
+   and LIMIT. *)
+let random_intersection rng =
+  let k = 2 + Rng.int rng 5 in
+  let empty = match Rng.int rng 4 with 0 -> 0 | 1 -> k / 2 | 2 -> k - 1 | _ -> -1 in
+  let branches = List.init k (fun i -> random_branch rng ~empty:(i = empty)) in
+  let dir () = if Rng.bool rng then "" else " desc" in
+  let order =
+    match Rng.int rng 3 with
+    | 0 -> ""
+    | 1 -> " order by v" ^ dir ()
+    | _ -> Printf.sprintf " order by w%s, v%s" (dir ()) (dir ())
+  in
+  let limit =
+    if order <> "" && Rng.bool rng then Printf.sprintf " limit %d" (Rng.int rng 5)
+    else ""
+  in
+  let wrapper =
+    Printf.sprintf
+      "select v, w from (%s) qp group by %s having count(*) = %d%s%s"
+      (String.concat " union all " branches)
+      (if Rng.bool rng then "v, w" else "w, v")
+      k order limit
+  in
+  match Cqp_sql.Parser.parse wrapper with
+  | Ast.Select { Ast.from = [ Ast.Subquery (union, _) ]; order_by; limit; _ } as q
+    ->
+      (q, union, k, order_by, limit)
+  | _ -> assert false
+
+(* The wrapper's answer computed from its UNION ALL's rows: grouped by
+   [eq] over all columns, groups of count [k] kept in first-seen order
+   (each one's first row), then sorted stably and cut. *)
+let reference_intersection ?(eq = Tuple.equal) ~k ~order_by ~limit rows =
+  let groups =
+    List.fold_left
+      (fun groups row ->
+        match List.find_opt (fun (rep, _) -> eq rep row) groups with
+        | Some (_, n) ->
+            incr n;
+            groups
+        | None -> groups @ [ (row, ref 1) ])
+      [] rows
+  in
+  let kept = List.filter_map (fun (rep, n) -> if !n = k then Some rep else None) groups in
+  let col = function
+    | Ast.Col (_, "v") -> 0
+    | Ast.Col (_, "w") -> 1
+    | _ -> assert false
+  in
+  let cmp r1 r2 =
+    List.fold_left
+      (fun c (e, dir) ->
+        if c <> 0 then c
+        else
+          let c = V.compare r1.(col e) r2.(col e) in
+          if dir = Ast.Desc then -c else c)
+      0 order_by
+  in
+  let sorted = List.stable_sort cmp kept in
+  match limit with None -> sorted | Some n -> take n sorted
+
+let prop_intersection_matches_group_by =
+  QCheck.Test.make ~name:"intersection = GROUP BY reference" ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let q, union, k, order_by, limit =
+        random_intersection (Rng.create seed)
+      in
+      Cqp_sql.Analyzer.check mixed q;
+      let got = execute ~catalog:mixed q
+      and all = execute ~catalog:mixed union in
+      let expected =
+        reference_intersection ~k ~order_by ~limit all.Engine.rows
+      in
+      (match Explain.explain mixed q with
+      | Explain.Plan_select p when p.Explain.intersect -> ()
+      | _ -> QCheck.Test.fail_reportf "not planned as an intersection");
+      if typed_rows got.Engine.rows <> typed_rows expected then
+        QCheck.Test.fail_reportf "%s@.rows %s@.expected %s"
+          (Cqp_sql.Printer.to_string q)
+          (String.concat "; " (typed_rows got.Engine.rows))
+          (String.concat "; " (typed_rows expected));
+      got.Engine.schema = all.Engine.schema
+      && got.Engine.block_reads = all.Engine.block_reads)
+
+(* The generated wrappers reach every case the early exit must get
+   right: answers with rows; empty answers whose running intersection
+   empties before the last branch, so branches are skipped; empty
+   branches first, in the middle and last; and answers that exist only
+   because [Int 1] equals [Float 1.]. *)
+let test_intersection_cases_covered () =
+  let rows = ref 0 and early = ref 0 and numeric = ref 0 in
+  let empty_at = Array.make 3 0 in
+  for seed = 0 to 399 do
+    let _, union, k, _, _ = random_intersection (Rng.create seed) in
+    let branches =
+      match union with
+      | Ast.Union_all bs ->
+          List.map (fun b -> (execute ~catalog:mixed b).Engine.rows) bs
+      | _ -> assert false
+    in
+    let answer eq =
+      reference_intersection ~eq ~k ~order_by:[] ~limit:None (List.concat branches)
+    in
+    if answer Tuple.equal <> [] then incr rows;
+    if answer ( = ) = [] && answer Tuple.equal <> [] then incr numeric;
+    List.iteri
+      (fun i b ->
+        if b = [] then begin
+          let at = if i = 0 then 0 else if i = k - 1 then 2 else 1 in
+          empty_at.(at) <- empty_at.(at) + 1
+        end)
+      branches;
+    (* the rows every branch so far holds run out before the last *)
+    let rec prefix common = function
+      | [] -> ()
+      | b :: rest ->
+          if common = [] then incr early
+          else
+            prefix
+              (List.filter (fun r -> List.exists (Tuple.equal r) b) common)
+              rest
+    in
+    match branches with first :: rest -> prefix first rest | [] -> ()
+  done;
+  Printf.printf "400 wrappers: %d with rows, %d skip a branch, %d need Int = Float; \
+                 empty branch first %d, middle %d, last %d\n"
+    !rows !early !numeric empty_at.(0) empty_at.(1) empty_at.(2);
+  List.iter
+    (fun (what, n) ->
+      if n < 10 then Alcotest.failf "only %d wrappers %s" n what)
+    [
+      ("with rows", !rows);
+      ("skipping a branch", !early);
+      ("needing Int = Float", !numeric);
+      ("with an empty first branch", empty_at.(0));
+      ("with an empty middle branch", empty_at.(1));
+      ("with an empty last branch", empty_at.(2));
+    ]
+
+(* Shapes the early exit would get wrong, or that it leaves alone: each
+   plans without the intersect line and runs the GROUP BY path. *)
+let test_shapes_keep_group_by () =
+  let intersects ?(catalog = mixed) q =
+    match Explain.explain catalog q with
+    | Explain.Plan_select p -> p.Explain.intersect
+    | Explain.Plan_union _ -> false
+  in
+  let shown sql = Explain.to_string mixed (Cqp_sql.Parser.parse sql) in
+  let a = "select distinct x as v, y as w from f where y = 'a'"
+  and b = "select distinct x as v, y as w from f where y = 'b'"
+  and d = "select distinct x as v, y as w from f where y = 'd'" in
+  let wrapper ?(where = "") ?(keys = "v, w") ?(having = "= 2") branches =
+    Printf.sprintf "select %s from (%s) qp%s group by %s having count(*) %s"
+      keys
+      (String.concat " union all " branches)
+      where keys having
+  in
+  let check what sql expected =
+    let q = Cqp_sql.Parser.parse sql in
+    Alcotest.(check bool) (what ^ ": not an intersection") false (intersects q);
+    Alcotest.(check bool)
+      (what ^ ": no intersect line") false
+      (occurrences "intersect" (shown sql) > 0);
+    Alcotest.(check (list string))
+      what expected
+      (typed_rows (execute ~catalog:mixed q).Engine.rows)
+  in
+  let all_distinct = wrapper [ a; d ] in
+  Alcotest.(check bool) "DISTINCT branches intersect" true
+    (intersects (Cqp_sql.Parser.parse all_distinct));
+  Alcotest.(check int) "one intersect line" 1
+    (occurrences "intersect 2 branches, stop at the first empty intersection"
+       (shown all_distinct));
+  (* bag semantics: (1, a) twice in the first branch, never in the
+     second, and counted twice *)
+  check "dedup:false"
+    (wrapper [ "select x as v, y as w from f where y = 'a'"; d ])
+    [ "int 1,string a" ];
+  Alcotest.(check bool) "Rewrite.personalize ~dedup:false" false
+    (intersects ~catalog:(Lazy.force imdb) (twelve_branch_wrapper ()));
+  (* in two of three branches *)
+  check "count = K-1" (wrapper [ a; d; a ])
+    [ "int 1,string a"; "int 0,string a"; "null NULL,string a" ];
+  check "count >= K"
+    (wrapper ~having:">= 3" [ a; a; a ])
+    [ "int 1,string a"; "int 0,string a"; "null NULL,string a" ];
+  (* v alone: 1 = 1., 0 = 0. and NULL = NULL across [w] *)
+  check "group by a subset"
+    (wrapper ~keys:"v" [ a; b ])
+    [ "int 1"; "int 0"; "null NULL" ];
+  check "where on the wrapper"
+    (wrapper ~where:" where v >= 0" [ a; a ])
+    [ "int 1,string a"; "int 0,string a" ];
+  (* Errors stay lazy: a branch whose rows reach an unresolvable column
+     or an aggregate in a WHERE raises as it did, though the first
+     branch is empty, and so does a branch of another arity; a branch
+     whose rows never reach the column does not. *)
+  let nothing = "select distinct x as v, y as w from f where x < -1" in
+  check "unreached unresolvable column"
+    (wrapper [ nothing; "select distinct nope as v, y as w from f where x < -1" ])
+    [];
+  let raises what branch expected =
+    let q = Cqp_sql.Parser.parse (wrapper [ nothing; branch ]) in
+    Alcotest.(check bool) (what ^ ": not an intersection") false (intersects q);
+    let raised =
+      match Engine.execute mixed q with
+      | _ -> "nothing"
+      | exception Eval.Eval_error m -> m
+      | exception Rowset.Column_error m -> m
+    in
+    Alcotest.(check string) what expected raised
+  in
+  raises "unresolvable column" "select distinct nope as v, y as w from f"
+    "unknown column nope";
+  raises "aggregate in a WHERE"
+    "select distinct x as v, y as w from f where count(*) > 0"
+    "aggregate in row context";
+  raises "arity" "select distinct x as v, y as w, x as z from f"
+    "append: arity mismatch between union branches"
+
 let qc = Testlib.qc
 
 let () =
@@ -666,5 +957,13 @@ let () =
             `Quick test_derived_join_order;
           Alcotest.test_case "exec minor words within bound" `Quick
             test_exec_minor_words;
+        ] );
+      ( "intersection",
+        [
+          qc prop_intersection_matches_group_by;
+          Alcotest.test_case "generated wrappers cover the early exit" `Quick
+            test_intersection_cases_covered;
+          Alcotest.test_case "other shapes keep the GROUP BY path" `Quick
+            test_shapes_keep_group_by;
         ] );
     ]

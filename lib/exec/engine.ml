@@ -98,11 +98,12 @@ let pick b positions =
    the column on its left, and the literal. *)
 let literal_test l b p =
   let on q name op v =
-    match l.at.(Rowset.find_col l.header q name) with
-    | s, c -> (
+    match Rowset.lookup l.header q name with
+    | Found p -> (
+        let s, c = l.at.(p) in
         let k = slot b s in
         match b.ids.(k) with All -> Some (b.rows.(k), c, op, v) | Ids _ -> None)
-    | exception Rowset.Column_error _ -> None
+    | Missing | Ambiguous -> None
   in
   match p with
   | Cmp (op, Col (q, name), Lit v) -> on q name op v
@@ -354,8 +355,9 @@ let rec charge io = function
         b.sources
 
 (* Steps 2 to 7 of a block, on its sources' loads (step 1, in
-   [exec_block]), in FROM order. *)
-let run_block (b : Explain.block_plan) loads : Rowset.t =
+   [exec_block]), in FROM order.  With [cut], only the rows whose output
+   cells [cut] accepts reach projection. *)
+let run_block ?cut (b : Explain.block_plan) loads : Rowset.t =
   let l =
     layout (List.map (fun (s : Explain.source_plan) -> s.header) b.sources)
   in
@@ -395,8 +397,21 @@ let run_block (b : Explain.block_plan) loads : Rowset.t =
       b.joins
     |> in_from_order
   in
-  (* 3. Residual filters. *)
+  (* 3. Residual filters; then [cut], on each row's output cells. *)
   let filtered = List.fold_left (filter l) joined b.residual in
+  let filtered =
+    match cut with
+    | None -> filtered
+    | Some keep ->
+        let cells =
+          Array.of_list (List.map (Eval.scalar (scope l filtered)) b.outputs)
+        and kept = Positions.create () in
+        for i = 0 to filtered.len - 1 do
+          if keep cells i then Positions.add kept i
+        done;
+        if kept.len = filtered.len then filtered
+        else pick filtered (Positions.contents kept)
+  in
   let ctx = scope l filtered and n = filtered.len in
   (* 4. Projection / aggregation: the output rows, and a function
      giving each one's ORDER BY key values.  A key reads the output
@@ -525,56 +540,79 @@ and load io shared (s : Explain.source_plan) =
 (* 1. Sources, each filtered by its pushed-down conjuncts.  An
    intersection's union runs through [intersect]; when its branches
    hold no row in common, the block keeps none. *)
-and exec_block io shared (b : Explain.block_plan) : Rowset.t =
+and exec_block ?cut io shared (b : Explain.block_plan) : Rowset.t =
   match b.intersect, b.sources with
-  | true, [ ({ input = Derived (Plan_union (first :: rest)); _ } as s) ] -> (
-      match intersect io shared first rest with
+  | Some order, [ ({ input = Derived (Plan_union branches); _ } as s) ] -> (
+      match intersect io shared (Array.of_list branches) order with
       | None -> Rowset.make b.cols [||]
       | Some rs ->
-          run_block b [| filtered s rs.Rowset.rows (Rowset.cardinality rs) |])
-  | _ -> run_block b (Array.of_list (List.map (load io shared) b.sources))
+          run_block ?cut b
+            [| filtered s rs.Rowset.rows (Rowset.cardinality rs) |])
+  | _ -> run_block ?cut b (Array.of_list (List.map (load io shared) b.sources))
 
-(* The rows of the branches [first :: rest] concatenated in SQL order,
-   for the block's GROUP BY to count, or [None] once no row is held by
-   every branch run so far.  The running intersection is a hash index over the first
-   branch's rows, keyed on all their cells as GROUP BY keys them; the
-   [j]th later branch stamps [j] on each row still in it that the
-   branch holds, so a row without the latest stamp has dropped out.
+(* The rows of [branches] concatenated in SQL order, for the block's
+   GROUP BY to count, or [None] once no row is held by every branch run
+   so far.  The branches run in [order], cheapest first.  The running
+   intersection is a hash index over the first one's rows, keyed on all
+   their cells as GROUP BY keys them; the [j]th later branch stamps [j]
+   on each row still in it that the branch holds, so a row without the
+   latest stamp has dropped out.  A later branch that neither
+   aggregates nor has a LIMIT projects only the rows whose output cells
+   are still in it: the rows it drops could only form groups that
+   HAVING drops, and DISTINCT and ORDER BY keep the rest as they were.
    The branches left when the intersection empties do not run, and
    still charge their scans. *)
-and intersect io shared first rest =
+and intersect io shared branches order =
   let cells (rs : Rowset.t) =
     Array.init (Rowset.arity rs) (fun c i -> rs.rows.(i).(c))
   in
-  let r = exec_plan io shared first in
+  let ran = Array.make (Array.length branches) None in
+  let first = List.hd order in
+  let r = exec_plan io shared branches.(first) in
+  ran.(first) <- Some r;
   let keys = cells r and n = Rowset.cardinality r in
   let t = index n and stamp = Array.make n 0 in
   for i = 0 to n - 1 do
     add t (hash_key keys i) i
   done;
-  let rec next j alive ran = function
-    | skipped when alive = 0 ->
-        List.iter (charge io) skipped;
+  (* The row still in the intersection after [j] branches whose key
+     cells equal row [i]'s, read by [probe]; -1 when there is none. *)
+  let alive j probe i =
+    let x = ref t.head.(bucket t (hash_key probe i)) in
+    while !x >= 0 && not (stamp.(!x) = j && agree keys probe !x i 0) do
+      x := t.next.(!x)
+    done;
+    !x
+  in
+  let rec next j held = function
+    | skipped when held = 0 ->
+        List.iter (fun p -> charge io branches.(p)) skipped;
         if Cqp_obs.Metrics.is_enabled () then
           Cqp_obs.Metrics.add "engine.branches_skipped" (List.length skipped);
         None
-    | [] -> Some (Rowset.concat (List.rev ran))
-    | plan :: rest ->
-        let rs = exec_plan io shared plan in
-        let probe = cells rs and alive = ref 0 in
+    | [] -> Some (Rowset.concat (List.filter_map Fun.id (Array.to_list ran)))
+    | p :: rest ->
+        let rs =
+          match branches.(p) with
+          | Explain.Plan_select b
+            when Option.is_none b.aggregate && Option.is_none b.limit ->
+              exec_block
+                ~cut:(fun probe i -> alive (j - 1) probe i >= 0)
+                io shared b
+          | plan -> exec_plan io shared plan
+        in
+        ran.(p) <- Some rs;
+        let probe = cells rs and still = ref 0 in
         for i = 0 to Rowset.cardinality rs - 1 do
-          let x = ref t.head.(bucket t (hash_key probe i)) in
-          while !x >= 0 do
-            if stamp.(!x) = j - 1 && agree keys probe !x i 0 then begin
-              stamp.(!x) <- j;
-              incr alive
-            end;
-            x := t.next.(!x)
-          done
+          let x = alive (j - 1) probe i in
+          if x >= 0 then begin
+            stamp.(x) <- j;
+            incr still
+          end
         done;
-        next (j + 1) !alive (rs :: ran) rest
+        next (j + 1) !still rest
   in
-  next 1 n [ r ] rest
+  next 1 n (List.tl order)
 
 (* --- public API ------------------------------------------------------ *)
 

@@ -33,15 +33,20 @@
     estimator.
 
     A block {!Explain} marks as an intersection runs its union's
-    branches in SQL order and keeps the rows of the first that every
-    branch so far also holds, in a hash index over that branch's rows
-    keyed by {!Cqp_relal.Value.equal} on every cell, as GROUP BY groups
-    them.  When none is left, the block answers no rows, and the
+    branches in the plan's order, cheapest scan first, and keeps the
+    rows of the first that every branch so far also holds, in a hash
+    index over that branch's rows keyed by {!Cqp_relal.Value.equal} on
+    every cell, as GROUP BY groups them.  A later branch that neither
+    aggregates nor has a LIMIT keeps, after its joins and filters and
+    before projection, only the rows whose output cells the index still
+    holds.  When none is left, the block answers no rows, and the
     branches not yet run are not run: their base sources are still
     charged one scan each (counted in [engine.branches_skipped] while
-    metrics are on).  Otherwise the branches' rows are concatenated and
-    the block's GROUP BY, HAVING, ORDER BY and LIMIT run as for any
-    block on them. *)
+    metrics are on).  Otherwise the branches' rows are concatenated in
+    SQL order and the block's GROUP BY, HAVING, ORDER BY and LIMIT run
+    as for any block on them: a row the cut drops is in a group HAVING
+    drops, and every group kept has the members, representative and
+    order it had. *)
 
 exception Runtime_error of string
 

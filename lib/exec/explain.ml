@@ -35,7 +35,7 @@ and block_plan = {
   distinct : bool;
   order_by : (expr * order_dir) list;
   limit : int option;
-  intersect : bool;
+  intersect : int list option;
 }
 
 and t = Plan_select of block_plan | Plan_union of t list
@@ -57,9 +57,9 @@ let rec output_cols = function
 (* Headers resolve columns by exactly the rules [Engine] compiles
    them with. *)
 let find cols (q, n) =
-  match Rowset.find_col cols q n with
-  | i -> Some i
-  | exception Rowset.Column_error _ -> None
+  match Rowset.lookup cols q n with
+  | Found i -> Some i
+  | Missing | Ambiguous -> None
 
 let rec expr_cols = function
   | Col (q, n) -> [ (q, n) ]
@@ -161,14 +161,22 @@ let rec evaluable = function
           && List.for_all (resolves header)
                (b.outputs @ Option.fold ~none:[] ~some:pred_exprs having)
 
+(* An intersection's branches in the order [Engine] runs them, as
+   positions: ascending scan cost (Formula 6, in blocks), SQL order on
+   a tie. *)
+let run_order branches =
+  List.mapi (fun i p -> (scan_blocks p, i)) branches
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
 (* A block that only intersects its one source's union: the source is
    the union of K DISTINCT branches, read with no WHERE, and the block
    groups by every one of its columns and keeps the groups of count K.
    No branch holds a row twice, so a group counts the branches holding
    its row, and the block keeps a row exactly when every branch holds
-   it: when some prefix of the branches has no row in common, nothing
-   survives, and as no branch can raise ([evaluable]), the rest need
-   not run. *)
+   it: when the branches run so far, in any order, have no row in
+   common, nothing survives, and as no branch can raise ([evaluable]),
+   the rest need not run.  Its branches' run order, or [None]. *)
 let intersects sources where aggregate =
   match sources, where, aggregate with
   | ( [ { input = Derived (Plan_union branches as union); header; _ } ],
@@ -177,16 +185,19 @@ let intersects sources where aggregate =
       let grouped =
         List.map (function Col (q, n) -> find header (q, n) | _ -> None) keys
       in
-      k = List.length branches
-      && List.for_all
-           (function Plan_select p -> p.distinct | Plan_union _ -> false)
-           branches
-      && List.for_all Option.is_some grouped
-      && List.for_all
-           (fun i -> List.mem (Some i) grouped)
-           (List.init (List.length header) Fun.id)
-      && evaluable union
-  | _ -> false
+      if
+        k = List.length branches
+        && List.for_all
+             (function Plan_select p -> p.distinct | Plan_union _ -> false)
+             branches
+        && List.for_all Option.is_some grouped
+        && List.for_all
+             (fun i -> List.mem (Some i) grouped)
+             (List.init (List.length header) Fun.id)
+        && evaluable union
+      then Some (run_order branches)
+      else None
+  | _ -> None
 
 (* --- the planner ------------------------------------------------------- *)
 
@@ -427,12 +438,14 @@ and pp_block ppf p =
       (String.concat ", " (List.map (fun s -> s.label) p.sources));
   if p.residual <> [] then
     Format.fprintf ppf "residual filter: %s@ " (conj p.residual);
-  (match p.intersect, p.sources with
-  | true, [ { input = Derived (Plan_union branches); _ } ] ->
+  Option.iter
+    (fun order ->
       Format.fprintf ppf
-        "intersect %d branches, stop at the first empty intersection@ "
-        (List.length branches)
-  | _ -> ());
+        "intersect %d branches, cheapest first: %s; stop at the first empty \
+         intersection@ "
+        (List.length order)
+        (String.concat ", " (List.map (fun i -> string_of_int (i + 1)) order)))
+    p.intersect;
   (match p.aggregate with
   | Some (group_by, having) ->
       Format.fprintf ppf "hash aggregate%s%s@ "

@@ -29,9 +29,14 @@
     [count( * ) = K], and no branch holds a reference that does not
     resolve, an aggregate where a row is evaluated, or a union whose
     branches differ in arity (so running a branch cannot raise).  The
-    block then keeps exactly the rows every branch holds, and {!pp}
-    prints [intersect K branches, stop at the first empty
-    intersection]. *)
+    block then keeps exactly the rows every branch holds, in whatever
+    order they run: the plan orders them by ascending {!scan_blocks}
+    (Formula 6, in blocks), SQL order on a tie, and {!pp} prints, say,
+    [intersect 3 branches, cheapest first: 2, 1, 3; stop at the first
+    empty intersection].
+
+    Columns resolve through {!Rowset.lookup}, which reports a missing or
+    ambiguous reference without raising. *)
 
 exception Runtime_error of string
 (** Unknown relation, empty FROM or empty UNION; {!Engine.Runtime_error}
@@ -76,10 +81,10 @@ and block_plan = {
   distinct : bool;
   order_by : (Cqp_sql.Ast.expr * Cqp_sql.Ast.order_dir) list;
   limit : int option;
-  intersect : bool;
-      (** the block only intersects its one source's UNION ALL (see
-          above); [Engine] may then stop at the first empty
-          intersection *)
+  intersect : int list option;
+      (** when the block only intersects its one source's UNION ALL
+          (see above): the order [Engine] runs its branches in, as
+          positions in the union, cheapest first *)
 }
 
 and t = Plan_select of block_plan | Plan_union of t list

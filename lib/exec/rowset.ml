@@ -15,28 +15,49 @@ let to_list t = Array.to_list t.rows
 let arity t = List.length t.cols
 let cardinality t = Array.length t.rows
 
-let find_col cols qualifier name =
-  let name = String.lowercase_ascii name in
-  let qualifier = Option.map String.lowercase_ascii qualifier in
+type lookup = Found of int | Missing | Ambiguous
+
+(* [s] spells [lower], a lowercase name, up to ASCII case. *)
+let rec spells_from lower s i =
+  i = String.length s
+  || (lower.[i] = Char.lowercase_ascii s.[i] && spells_from lower s (i + 1))
+
+let spells lower s =
+  String.length lower = String.length s && spells_from lower s 0
+
+let lookup cols qualifier name =
   let matches c =
-    c.name = name
+    spells c.name name
     &&
-    match qualifier with None -> true | Some q -> c.qualifier = Some q
+    match qualifier, c.qualifier with
+    | None, _ -> true
+    | Some q, Some cq -> spells cq q
+    | Some _, None -> false
   in
-  let hits =
-    List.concat (List.mapi (fun i c -> if matches c then [ i ] else []) cols)
+  let rec scan i hit = function
+    | [] -> hit
+    | c :: rest when matches c -> (
+        match hit with Missing -> scan (i + 1) (Found i) rest | _ -> Ambiguous)
+    | _ :: rest -> scan (i + 1) hit rest
   in
-  match hits with
-  | [ i ] -> i
-  | [] ->
+  scan 0 Missing cols
+
+let find_col cols qualifier name =
+  match lookup cols qualifier name with
+  | Found i -> i
+  | Missing ->
       raise
         (Column_error
            (Printf.sprintf "unknown column %s%s"
-              (match qualifier with Some q -> q ^ "." | None -> "")
-              name))
-  | _ ->
+              (match qualifier with
+              | Some q -> String.lowercase_ascii q ^ "."
+              | None -> "")
+              (String.lowercase_ascii name)))
+  | Ambiguous ->
       raise
-        (Column_error (Printf.sprintf "ambiguous column reference %s" name))
+        (Column_error
+           (Printf.sprintf "ambiguous column reference %s"
+              (String.lowercase_ascii name)))
 
 let concat = function
   | [] -> invalid_arg "Rowset.concat: no rowsets"

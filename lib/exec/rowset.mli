@@ -5,8 +5,11 @@
     any) and its name.  Rows live in a flat array.  A rowset is what a
     query block returns; inside a block {!Engine} moves row ids into its
     sources' arrays instead.
-    Column lookup mirrors SQL scoping: a qualified reference matches
-    alias + name; an unqualified one must match a unique name. *)
+    Column lookup mirrors SQL scoping, up to ASCII case: a qualified
+    reference matches alias + name; an unqualified one must match a
+    unique name.  {!lookup} reports a missing or ambiguous reference as
+    a value, so the planner resolves columns without exceptions;
+    {!find_col} raises. *)
 
 type col = { qualifier : string option; name : string }
 type t = { cols : col list; rows : Cqp_relal.Tuple.t array }
@@ -24,8 +27,15 @@ val to_list : t -> Cqp_relal.Tuple.t list
 val arity : t -> int
 val cardinality : t -> int
 
+type lookup = Found of int | Missing | Ambiguous
+
+val lookup : col list -> string option -> string -> lookup
+(** The referenced column's index in a header, or why there is none,
+    without raising or allocating a message: planning probes every
+    conjunct against every source this way. *)
+
 val find_col : col list -> string option -> string -> int
-(** Index of the referenced column in a header.
+(** {!lookup}'s index.
     @raise Column_error when missing or ambiguous. *)
 
 val concat : t list -> t

@@ -35,13 +35,26 @@ let rank = function
   | Float _ -> 2
   | String _ -> 3
 
+(* [Int x] against [Float y], exactly: [float_of_int x] rounds past
+   2^53, and equality through it would not be transitive.  NaN sorts
+   below every number, as [Stdlib.compare] puts it among floats. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    (* [y] in [min_int, max_int + 1): its integral part is an int *)
+    let t = Float.trunc y in
+    let i = int_of_float t in
+    if x <> i then Int.compare x i else Float.compare t y
+
 let compare a b =
   match a, b with
   | Null, Null -> 0
   | Int x, Int y -> Stdlib.compare x y
   | Float x, Float y -> Stdlib.compare x y
-  | Int x, Float y -> Stdlib.compare (float_of_int x) y
-  | Float x, Int y -> Stdlib.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | String x, String y -> Stdlib.compare x y
   | Bool x, Bool y -> Stdlib.compare x y
   | a, b -> Stdlib.compare (rank a) (rank b)
@@ -54,17 +67,23 @@ let equal a b =
   | String x, String y -> String.equal x y
   | _ -> compare a b = 0
 
+(* An int's 63 bits mixed into every bit, the low ones the engine's
+   index buckets by included: two xor-shift-multiply rounds after
+   MurmurHash3's finalizer, inline, allocating nothing. *)
+let[@inline] mix h =
+  let h = (h lxor (h lsr 32)) * 0x1f51afd7ed558ccd in
+  let h = (h lxor (h lsr 29)) * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 32)
+
 (* A float's hash under [compare]'s equality, where -0. equals 0. and
-   every NaN equals every other.  The bits stay unboxed, so hashing
-   allocates nothing. *)
+   every NaN equals every other.  The bits stay unboxed. *)
 let[@inline] hash_float f =
   if f = 0. then 0
   else if Float.is_nan f then 1
-  else
-    Hashtbl.hash
-      (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float f) 1))
+  else mix (Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float f) 1))
 
-(* [Int x] hashes as the float it equals, ints past 2^53 included. *)
+(* [Int x] hashes as the float it rounds to: when some float equals it,
+   that is the float. *)
 let hash = function
   | Null -> 0
   | Int x -> hash_float (float_of_int x)

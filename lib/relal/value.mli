@@ -27,17 +27,22 @@ val compatible : ty -> ty -> bool
 
 val compare : t -> t -> int
 (** SQL-flavoured total order: [Null] sorts first, numeric values compare
-    numerically across [Int]/[Float], and values of unrelated types fall
-    back to an arbitrary but consistent constructor order. *)
+    by their exact value across [Int]/[Float] (so [Int (2^53 + 1)] is
+    above [Float 2^53], though [float_of_int] rounds it there), [-0.]
+    equals [0.], NaN sorts below every other number and equals every
+    NaN, and values of unrelated types fall back to an arbitrary but
+    consistent constructor order.  It is transitive. *)
 
 val equal : t -> t -> bool
-(** Structural equality under the same numeric coercion as {!compare}.
+(** [compare a b = 0]: an [Int] equals a [Float] of exactly its value.
     Note: unlike three-valued SQL logic, [equal Null Null = true]; the
     executor handles SQL null semantics separately. *)
 
 val hash : t -> int
 (** Hash consistent with {!equal}: an [Int] hashes as the [Float] it
-    equals, [-0.] as [0.], and every NaN alike.  Allocates nothing. *)
+    rounds to, [-0.] as [0.], and every NaN alike.  A number's bits go
+    through an inline integer mix; strings use [Hashtbl.hash].
+    Allocates nothing. *)
 
 val is_null : t -> bool
 

@@ -6,6 +6,11 @@
      cli_check present FILE NAME        the metrics hold counter NAME
      cli_check counter FILE NAME [N]    prints counter NAME; with N, it
                                         must equal N
+     cli_check positive FILE NAME       counter NAME is above 0
+     cli_check sum FILE NAME A B        counter NAME equals A + B
+
+   [positive] and [sum] read a counter the file does not hold as 0: the
+   registry writes no counter that was never incremented.
      cli_check timed FILE NAME          histogram NAME has an observation
                                         and a positive sum
      cli_check sizes FILE LO HI         the text holds size=S values, all
@@ -31,6 +36,11 @@ let counter path name =
   match J.member name (field "counters" (json path)) with
   | Some (J.Num x) -> x
   | _ -> fail "%s: no counter %s" path name
+
+let count path name =
+  match J.member name (field "counters" (json path)) with
+  | Some (J.Num x) -> x
+  | _ -> 0.
 
 (* The numbers printed as [size=S] in [text]. *)
 let sizes text =
@@ -66,6 +76,14 @@ let () =
           if float_of_string e <> v then fail "%s is %g, expected %s" name v e)
         expected;
       Printf.printf "%s = %g\n" name v
+  | [ "positive"; path; name ] ->
+      let v = count path name in
+      if not (v > 0.) then fail "%s is %g, expected more than 0" name v;
+      Printf.printf "%s > 0\n" name
+  | [ "sum"; path; name; a; b ] ->
+      let v = count path name and x = count path a and y = count path b in
+      if v <> x +. y then fail "%s is %g, %s + %s is %g" name v a b (x +. y);
+      Printf.printf "%s = %s + %s\n" name a b
   | [ "timed"; path; name ] ->
       let h = field name (field "histograms" (json path)) in
       let num k = match field k h with J.Num x -> x | _ -> 0. in
@@ -84,5 +102,6 @@ let () =
   | _ ->
       prerr_endline
         "usage: cli_check (trace FILE | present FILE NAME | counter FILE NAME \
-         [N] | timed FILE NAME | sizes FILE LO HI)";
+         [N] | positive FILE NAME | sum FILE NAME A B | timed FILE NAME | \
+         sizes FILE LO HI)";
       exit 2

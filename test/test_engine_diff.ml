@@ -516,8 +516,9 @@ let prop_personalized_plan_matches_execution =
    second covers the plans [Explain] renders.  The rows constant was
    recorded from the row-at-a-time executor the slot-resolved one
    replaced, before joins were ordered by estimated size; the plans
-   constant was recorded once plans showed that order, and again once
-   each per-branch DISTINCT wrapper showed its intersect line. *)
+   constant was recorded once plans showed that order, again once each
+   per-branch DISTINCT wrapper showed its intersect line, and again once
+   that line showed the branches' run order. *)
 let golden_queries () =
   let catalog = Lazy.force imdb in
   let with_union q =
@@ -572,7 +573,7 @@ let golden_queries () =
   personalized @ templates @ operators
 
 let golden_rows_md5 = "f8ce6fdf6df4e843e412e79b73c7f593"
-let golden_plans_md5 = "3b6afededf3fb22405a155baea67573b"
+let golden_plans_md5 = "779f68579e638b5ee783b784a8862a3f"
 
 let test_golden_row_order () =
   let catalog = Lazy.force imdb in
@@ -607,8 +608,8 @@ let test_golden_row_order () =
 
 (* The first 12 preferences extracted for a serve template, as the
    Section 4.2 wrapper: 12 union branches intersected by GROUP BY /
-   HAVING count( * ) = 12. *)
-let twelve_branch_wrapper () =
+   HAVING count( * ) = 12, each branch DISTINCT with [~dedup:true]. *)
+let twelve_branch_wrapper ?(dedup = false) () =
   let module C = Cqp_core in
   let catalog = Lazy.force imdb in
   let q = Cqp_workload.Query_gen.generate_serve ~rng:(Rng.create 12) catalog in
@@ -621,7 +622,7 @@ let twelve_branch_wrapper () =
   in
   if List.length paths <> 12 then
     Alcotest.failf "expected 12 preferences, got %d" (List.length paths);
-  C.Rewrite.personalize catalog q paths
+  C.Rewrite.personalize ~dedup catalog q paths
 
 (* Minor words one pass over the golden queries and the 12-branch
    wrapper allocates, measured after a first pass has filled every
@@ -631,38 +632,71 @@ let twelve_branch_wrapper () =
    plus 20%; the executor before allocated 19,935,153. *)
 let exec_minor_words_bound = 3_800_000.
 
-let test_exec_minor_words () =
+let check_minor_words what queries bound =
   let catalog = Lazy.force imdb in
-  let queries = twelve_branch_wrapper () :: golden_queries () in
   let pass () = List.iter (fun q -> ignore (Engine.execute catalog q)) queries in
   pass ();
   let before = Gc.minor_words () in
   pass ();
   let words = Gc.minor_words () -. before in
-  Printf.printf "exec minor words over %d queries: %.0f (bound %.0f)\n"
-    (List.length queries) words exec_minor_words_bound;
-  if words > exec_minor_words_bound then
-    Alcotest.failf "executing allocated %.0f minor words, bound %.0f" words
-      exec_minor_words_bound
+  Printf.printf "%s minor words over %d queries: %.0f (bound %.0f)\n" what
+    (List.length queries) words bound;
+  if words > bound then
+    Alcotest.failf "executing allocated %.0f minor words, bound %.0f" words bound
+
+let test_exec_minor_words () =
+  check_minor_words "exec"
+    (twelve_branch_wrapper () :: golden_queries ())
+    exec_minor_words_bound
+
+(* The same signature for the intersection path alone: the golden set's
+   40 [~dedup:true] wrappers and the 12-branch wrapper with
+   [~dedup:true].  The bound is the 372,551 words measured (OCaml
+   5.1.1) once intersections ran their cheapest branch first and cut
+   each later branch before projection, plus 20%; running the branches
+   in SQL order and projecting every row took 472,686. *)
+let intersect_minor_words_bound = 447_000.
+
+let test_intersect_minor_words () =
+  let catalog = Lazy.force imdb in
+  let intersects q =
+    match Explain.explain catalog q with
+    | Explain.Plan_select p -> Option.is_some p.Explain.intersect
+    | Explain.Plan_union _ -> false
+  in
+  let wrappers = List.filter intersects (golden_queries ()) in
+  Alcotest.(check int) "golden intersections" 40 (List.length wrappers);
+  let twelve = twelve_branch_wrapper ~dedup:true () in
+  Alcotest.(check bool) "12 branches intersect" true (intersects twelve);
+  check_minor_words "intersection" (twelve :: wrappers)
+    intersect_minor_words_bound
 
 (* --- intersections ------------------------------------------------------ *)
 
-(* The r/t/u catalog and [f], whose [x] holds [Int 1] beside [Float 1.],
+(* The r/t/u catalog, [f], whose [x] holds [Int 1] beside [Float 1.],
    [0.] beside [-0.] and NULLs, so one branch's cell can equal another's
-   under [Value.equal] and not under [=]. *)
+   under [Value.equal] and not under [=], and [g], which holds some of
+   [f]'s rows in the other representation first, so the branch that
+   reads it represents such a row differently. *)
 let mixed =
   let c = Testlib.rtu_catalog () in
-  Cqp_relal.Catalog.add c
-    (Cqp_relal.Relation.of_tuples ~block_size:64
-       (Cqp_relal.Schema.make "f" [ ("x", V.Tfloat, 8); ("y", V.Tstring, 8) ])
-       (List.map
-          (fun (x, y) -> Tuple.make [ x; V.String y ])
-          [
-            (V.Int 1, "a"); (V.Float 1., "a"); (V.Float 0., "b");
-            (V.Float (-0.), "b"); (V.Int 0, "a"); (V.Null, "a");
-            (V.Float 2., "c"); (V.Int 2, "c"); (V.Null, "b"); (V.Int 3, "d");
-            (V.Float 1., "b"); (V.Int 1, "b");
-          ]));
+  let add name rows =
+    Cqp_relal.Catalog.add c
+      (Cqp_relal.Relation.of_tuples ~block_size:64
+         (Cqp_relal.Schema.make name [ ("x", V.Tfloat, 8); ("y", V.Tstring, 8) ])
+         (List.map (fun (x, y) -> Tuple.make [ x; V.String y ]) rows))
+  in
+  add "f"
+    [
+      (V.Int 1, "a"); (V.Float 1., "a"); (V.Float 0., "b"); (V.Float (-0.), "b");
+      (V.Int 0, "a"); (V.Null, "a"); (V.Float 2., "c"); (V.Int 2, "c");
+      (V.Null, "b"); (V.Int 3, "d"); (V.Float 1., "b"); (V.Int 1, "b");
+    ];
+  add "g"
+    [
+      (V.Float 1., "a"); (V.Int 1, "b"); (V.Float 0., "a"); (V.Int 2, "c");
+      (V.Float 3., "d"); (V.Null, "a"); (V.Int 0, "b");
+    ];
   c
 
 (* A cell with its constructor: [Int 1] and [Float 1.] print apart. *)
@@ -676,26 +710,27 @@ let typed_rows rows =
 
 (* One DISTINCT branch, [v] a number and [w] a string: a source whose
    cells compare across the catalog's Int/Float representations, the
-   duplicate rows DISTINCT collapses, an optional filter on [v], or a
-   filter that keeps nothing ([empty]). *)
+   duplicate rows DISTINCT collapses, a join whose output source holds
+   equal cells in different rows, outputs from two sources or a
+   literal; an optional filter on [v], or a filter that keeps nothing
+   ([empty]); sometimes an ORDER BY, and sometimes a LIMIT.  The
+   sources' scans cost 1 to 5 blocks, so the branches often run in
+   another order than SQL's. *)
 let random_branch rng ~empty =
-  let from, v, w =
+  let from, v, w, joins =
     Rng.choice rng
       [|
-        ("r r1", "r1.a", "r1.s");
-        ("r r1", "r1.b", "r1.s");
-        ("u u1", "u1.c", "u1.s");
-        ("f f1", "f1.x", "f1.y");
-        ("f f1", "f1.x", "f1.y");
-        ("r r1, t t1", "t1.c", "r1.s");
-        ("f f1, u u1", "f1.x", "u1.s");
+        ("r r1", "r1.a", "r1.s", []);
+        ("r r1", "r1.b", "r1.s", []);
+        ("u u1", "u1.c", "u1.s", []);
+        ("f f1", "f1.x", "f1.y", []);
+        ("f f1", "f1.x", "f1.y", []);
+        ("g g1", "g1.x", "g1.y", []);
+        ("r r1, t t1", "t1.c", "r1.s", [ "r1.a = t1.a" ]);
+        ("f f1, u u1", "f1.x", "u1.s", [ "f1.x = u1.c" ]);
+        ("f f1, u u1", "f1.x", "f1.y", [ "f1.x = u1.c" ]);
+        ("g g1, u u1", "1", "u1.s", [ "g1.x = u1.c" ]);
       |]
-  in
-  let joins =
-    match from with
-    | "r r1, t t1" -> [ "r1.a = t1.a" ]
-    | "f f1, u u1" -> [ "f1.x = u1.c" ]
-    | _ -> []
   in
   let filter =
     if empty then [ v ^ " < -1" ]
@@ -707,17 +742,23 @@ let random_branch rng ~empty =
           (Rng.choice rng [| "1"; "2"; "3"; "1.0"; "0.0" |]);
       ]
   in
-  Printf.sprintf "select distinct %s as v, %s as w from %s%s" v w from
+  Printf.sprintf "select distinct %s as v, %s as w from %s%s%s" v w from
     (match joins @ filter with
     | [] -> ""
     | cs -> " where " ^ String.concat " and " cs)
+    (match Rng.int rng 8 with
+    | 0 -> Printf.sprintf " order by %s desc" v
+    | 1 -> Printf.sprintf " order by %s desc, %s" w v
+    | 2 -> Printf.sprintf " order by %s limit %d" v (1 + Rng.int rng 3)
+    | 3 -> Printf.sprintf " limit %d" (1 + Rng.int rng 3)
+    | _ -> "")
 
 (* A Section 4.2 wrapper over 2–6 DISTINCT branches, with an empty
    branch first, in the middle, last or nowhere, and sometimes ORDER BY
    and LIMIT. *)
 let random_intersection rng =
   let k = 2 + Rng.int rng 5 in
-  let empty = match Rng.int rng 4 with 0 -> 0 | 1 -> k / 2 | 2 -> k - 1 | _ -> -1 in
+  let empty = match Rng.int rng 8 with 0 -> 0 | 1 -> k / 2 | 2 -> k - 1 | _ -> -1 in
   let branches = List.init k (fun i -> random_branch rng ~empty:(i = empty)) in
   let dir () = if Rng.bool rng then "" else " desc" in
   let order =
@@ -789,7 +830,7 @@ let prop_intersection_matches_group_by =
         reference_intersection ~k ~order_by ~limit all.Engine.rows
       in
       (match Explain.explain mixed q with
-      | Explain.Plan_select p when p.Explain.intersect -> ()
+      | Explain.Plan_select { Explain.intersect = Some _; _ } -> ()
       | _ -> QCheck.Test.fail_reportf "not planned as an intersection");
       if typed_rows got.Engine.rows <> typed_rows expected then
         QCheck.Test.fail_reportf "%s@.rows %s@.expected %s"
@@ -799,49 +840,86 @@ let prop_intersection_matches_group_by =
       got.Engine.schema = all.Engine.schema
       && got.Engine.block_reads = all.Engine.block_reads)
 
-(* The generated wrappers reach every case the early exit must get
-   right: answers with rows; empty answers whose running intersection
-   empties before the last branch, so branches are skipped; empty
-   branches first, in the middle and last; and answers that exist only
-   because [Int 1] equals [Float 1.]. *)
+(* The generated wrappers reach every case the early exit and the cut
+   must get right: answers with rows; empty answers whose running
+   intersection empties before the last branch, so branches are
+   skipped; empty branches first, in the middle and last; answers that
+   exist only because [Int 1] equals [Float 1.]; branches run in
+   another order than SQL's; a later branch holding rows that have left
+   the running intersection, which the cut drops; a LIMIT branch run
+   while the intersection still holds rows, which must not be cut; and
+   an answer row whose SQL-first branch holds it in another
+   representation than the branch run first. *)
 let test_intersection_cases_covered () =
   let rows = ref 0 and early = ref 0 and numeric = ref 0 in
+  let reordered = ref 0 and cut = ref 0 and limited = ref 0 and rep = ref 0 in
   let empty_at = Array.make 3 0 in
   for seed = 0 to 399 do
-    let _, union, k, _, _ = random_intersection (Rng.create seed) in
-    let branches =
+    let q, union, k, _, _ = random_intersection (Rng.create seed) in
+    let plans, branches =
       match union with
       | Ast.Union_all bs ->
-          List.map (fun b -> (execute ~catalog:mixed b).Engine.rows) bs
+          ( Array.of_list bs,
+            Array.of_list
+              (List.map (fun b -> (execute ~catalog:mixed b).Engine.rows) bs) )
+      | _ -> assert false
+    in
+    let order =
+      match Explain.explain mixed q with
+      | Explain.Plan_select { Explain.intersect = Some order; _ } -> order
       | _ -> assert false
     in
     let answer eq =
-      reference_intersection ~eq ~k ~order_by:[] ~limit:None (List.concat branches)
+      reference_intersection ~eq ~k ~order_by:[] ~limit:None
+        (List.concat (Array.to_list branches))
     in
-    if answer Tuple.equal <> [] then incr rows;
-    if answer ( = ) = [] && answer Tuple.equal <> [] then incr numeric;
-    List.iteri
+    let answer_rows = answer Tuple.equal in
+    if answer_rows <> [] then incr rows;
+    if answer ( = ) = [] && answer_rows <> [] then incr numeric;
+    Array.iteri
       (fun i b ->
         if b = [] then begin
           let at = if i = 0 then 0 else if i = k - 1 then 2 else 1 in
           empty_at.(at) <- empty_at.(at) + 1
         end)
       branches;
-    (* the rows every branch so far holds run out before the last *)
-    let rec prefix common = function
+    if order <> List.init k Fun.id then incr reordered;
+    (* the branches in run order, against the rows all before hold *)
+    let mem r b = List.exists (Tuple.equal r) b in
+    let cuts = ref false and limits = ref false in
+    let rec run common = function
       | [] -> ()
-      | b :: rest ->
+      | p :: rest ->
           if common = [] then incr early
-          else
-            prefix
-              (List.filter (fun r -> List.exists (Tuple.equal r) b) common)
-              rest
+          else begin
+            if List.exists (fun r -> not (mem r common)) branches.(p) then
+              cuts := true;
+            (match plans.(p) with
+            | Ast.Select { Ast.limit = Some _; _ } -> limits := true
+            | _ -> ());
+            run (List.filter (fun r -> mem r branches.(p)) common) rest
+          end
     in
-    match branches with first :: rest -> prefix first rest | [] -> ()
+    let first = List.hd order in
+    run branches.(first) (List.tl order);
+    if !cuts then incr cut;
+    if !limits then incr limited;
+    let held_by b r = List.find (Tuple.equal r) b in
+    if
+      List.exists
+        (fun r ->
+          typed_rows [ held_by branches.(0) r ]
+          <> typed_rows [ held_by branches.(first) r ])
+        answer_rows
+    then incr rep
   done;
-  Printf.printf "400 wrappers: %d with rows, %d skip a branch, %d need Int = Float; \
-                 empty branch first %d, middle %d, last %d\n"
-    !rows !early !numeric empty_at.(0) empty_at.(1) empty_at.(2);
+  Printf.printf
+    "400 wrappers: %d with rows, %d skip a branch, %d need Int = Float; empty \
+     branch first %d, middle %d, last %d; %d run out of SQL order, %d cut a \
+     branch, %d run a LIMIT branch on a live intersection, %d hold an answer \
+     row apart in the SQL-first and the first-run branch\n"
+    !rows !early !numeric empty_at.(0) empty_at.(1) empty_at.(2) !reordered !cut
+    !limited !rep;
   List.iter
     (fun (what, n) ->
       if n < 10 then Alcotest.failf "only %d wrappers %s" n what)
@@ -852,14 +930,55 @@ let test_intersection_cases_covered () =
       ("with an empty first branch", empty_at.(0));
       ("with an empty middle branch", empty_at.(1));
       ("with an empty last branch", empty_at.(2));
+      ("running out of SQL order", !reordered);
+      ("cutting a branch", !cut);
+      ("running a LIMIT branch on a live intersection", !limited);
+      ("representing an answer row apart", !rep);
     ]
+
+(* Past 2^53 an int and the float [float_of_int] rounds it to differ:
+   [n] holds [Float 2^53] for k = 1, nothing for k = 2, and [Int 2^53]
+   and [Int (2^53 + 1)] for k = 3.  No row is in all three branches, so
+   the wrapper answers none, as an intersection and through the GROUP
+   BY path.  When [Value.equal] rounded, the three cells were one group
+   of three and the GROUP BY path returned [Float 2^53]. *)
+let test_rounded_ints_not_equal () =
+  let c = Cqp_relal.Catalog.create () in
+  let p53 = 1 lsl 53 in
+  Cqp_relal.Catalog.add c
+    (Cqp_relal.Relation.of_tuples ~block_size:64
+       (Cqp_relal.Schema.make "n" [ ("k", V.Tint, 8); ("x", V.Tfloat, 8) ])
+       (List.map
+          (fun (k, x) -> Tuple.make [ V.Int k; x ])
+          [ (1, V.Float 0x1p53); (3, V.Int p53); (3, V.Int (p53 + 1)) ]));
+  let wrapper having =
+    Cqp_sql.Parser.parse
+      (Printf.sprintf
+         "select x from (select distinct x from n where k = 1 union all select \
+          distinct x from n where k = 2 union all select distinct x from n \
+          where k = 3) qp group by x having count(*) %s"
+         having)
+  in
+  List.iter
+    (fun (having, intersects) ->
+      let q = wrapper having in
+      Alcotest.(check bool)
+        (having ^ ": planned as an intersection")
+        intersects
+        (match Explain.explain c q with
+        | Explain.Plan_select p -> Option.is_some p.Explain.intersect
+        | Explain.Plan_union _ -> false);
+      Alcotest.(check (list string))
+        (having ^ ": no rows") []
+        (typed_rows (execute ~catalog:c q).Engine.rows))
+    [ ("= 3", true); (">= 3", false) ]
 
 (* Shapes the early exit would get wrong, or that it leaves alone: each
    plans without the intersect line and runs the GROUP BY path. *)
 let test_shapes_keep_group_by () =
   let intersects ?(catalog = mixed) q =
     match Explain.explain catalog q with
-    | Explain.Plan_select p -> p.Explain.intersect
+    | Explain.Plan_select p -> Option.is_some p.Explain.intersect
     | Explain.Plan_union _ -> false
   in
   let shown sql = Explain.to_string mixed (Cqp_sql.Parser.parse sql) in
@@ -886,7 +1005,9 @@ let test_shapes_keep_group_by () =
   Alcotest.(check bool) "DISTINCT branches intersect" true
     (intersects (Cqp_sql.Parser.parse all_distinct));
   Alcotest.(check int) "one intersect line" 1
-    (occurrences "intersect 2 branches, stop at the first empty intersection"
+    (occurrences
+       "intersect 2 branches, cheapest first: 1, 2; stop at the first empty \
+        intersection"
        (shown all_distinct));
   (* bag semantics: (1, a) twice in the first branch, never in the
      second, and counted twice *)
@@ -957,6 +1078,8 @@ let () =
             `Quick test_derived_join_order;
           Alcotest.test_case "exec minor words within bound" `Quick
             test_exec_minor_words;
+          Alcotest.test_case "intersection minor words within bound" `Quick
+            test_intersect_minor_words;
         ] );
       ( "intersection",
         [
@@ -965,5 +1088,7 @@ let () =
             test_intersection_cases_covered;
           Alcotest.test_case "other shapes keep the GROUP BY path" `Quick
             test_shapes_keep_group_by;
+          Alcotest.test_case "ints past 2^53 are not the float they round to"
+            `Quick test_rounded_ints_not_equal;
         ] );
     ]

@@ -84,6 +84,61 @@ let test_value_hash_spreads () =
   checkb "ints over 1024 buckets" true (spread ints >= 500);
   checkb "floats over 1024 buckets" true (spread floats >= 500)
 
+(* Three numbers near one point where [float_of_int] rounds: ints
+   within 4 of ±2^53 and of ±2^62 (the ends of the int range), the
+   point as a float and its neighbours, NaN, ±infinity, 0. and -0. *)
+let near_edge =
+  QCheck.Gen.(
+    oneofl [ 0x1p53; -0x1p53; 0x1p62; -0x1p62 ] >>= fun p ->
+    let ints =
+      if p = 0x1p62 then List.init 4 (fun k -> max_int - k)
+      else if p = -0x1p62 then List.init 5 (fun k -> min_int + k)
+      else List.init 9 (fun k -> int_of_float p + k - 4)
+    in
+    let value =
+      oneof
+        [
+          map (fun i -> V.Int i) (oneofl ints);
+          map (fun f -> V.Float f) (oneofl [ p; Float.succ p; Float.pred p ]);
+          map (fun f -> V.Float f)
+            (oneofl [ Float.nan; infinity; neg_infinity; 0.; -0. ]);
+        ]
+    in
+    triple value value value)
+
+let prop_value_compare_order =
+  QCheck.Test.make
+    ~name:"compare is antisymmetric and transitive past 2^53" ~count:5000
+    (QCheck.make
+       ~print:(fun (a, b, c) ->
+         String.concat " " (List.map V.to_sql [ a; b; c ]))
+       near_edge)
+    (fun (a, b, c) ->
+      let le x y = V.compare x y <= 0 in
+      Int.compare (V.compare a b) 0 = -Int.compare (V.compare b a) 0
+      && ((not (le a b && le b c)) || le a c)
+      && ((not (V.equal a b && V.equal b c)) || V.equal a c))
+
+(* Today's order at the ends: NaN below every number, infinities
+   outside every int, and an int past 2^53 apart from the float
+   [float_of_int] rounds it to. *)
+let test_value_compare_exact () =
+  let p53 = 1 lsl 53 in
+  checkb "nan below min_int" true (V.compare (V.Float Float.nan) (V.Int min_int) < 0);
+  checkb "int above nan" true (V.compare (V.Int 0) (V.Float Float.nan) > 0);
+  checkb "max_int below infinity" true (V.compare (V.Int max_int) (V.Float infinity) < 0);
+  checkb "min_int above -infinity" true
+    (V.compare (V.Int min_int) (V.Float neg_infinity) > 0);
+  checkb "2^53 + 1 above 2^53" true
+    (V.compare (V.Int (p53 + 1)) (V.Float (float_of_int (p53 + 1))) > 0);
+  checkb "max_int below 2^62" true
+    (V.compare (V.Int max_int) (V.Float (float_of_int max_int)) < 0);
+  checkb "min_int = -2^62" true (V.equal (V.Int min_int) (V.Float (-0x1p62)));
+  checkb "2^53 = 2^53" true (V.equal (V.Int p53) (V.Float 0x1p53));
+  checkb "0 = -0." true (V.equal (V.Int 0) (V.Float (-0.)));
+  checkb "-3 below -2.5" true (V.compare (V.Int (-3)) (V.Float (-2.5)) < 0);
+  checkb "-2 above -2.5" true (V.compare (V.Int (-2)) (V.Float (-2.5)) > 0)
+
 let test_value_sql_roundtrip () =
   let roundtrip v = V.of_sql_literal (V.to_sql v) in
   List.iter
@@ -285,6 +340,9 @@ let () =
       ( "value",
         [
           Alcotest.test_case "compare" `Quick test_value_compare;
+          Alcotest.test_case "compare exactly across Int/Float" `Quick
+            test_value_compare_exact;
+          qc prop_value_compare_order;
           Alcotest.test_case "hash" `Quick test_value_hash_consistent;
           qc prop_value_hash_respects_equal;
           Alcotest.test_case "hash spreads numbers" `Quick

@@ -346,18 +346,17 @@ let fig6_fig8 () =
   let base_size = C.Estimate.base_size estimate in
   let costs = [| 120.; 80.; 60.; 40.; 30. |] in
   let dois = [| 0.9; 0.8; 0.7; 0.6; 0.5 |] in
-  let items =
-    Array.init 5 (fun i ->
-        {
-          C.Pref_space.path =
-            Cqp_prefs.Path.atomic (Cqp_prefs.Profile.selection "t" "a" (V.Int i) dois.(i));
-          doi = dois.(i);
-          cost = costs.(i);
-          size = base_size *. 0.5;
-        })
+  let ps =
+    C.Pref_space.of_items estimate
+      (List.init 5 (fun i ->
+           {
+             C.Pref_space.path =
+               Cqp_prefs.Path.atomic (Cqp_prefs.Profile.selection "t" "a" (V.Int i) dois.(i));
+             doi = dois.(i);
+             cost = costs.(i);
+             size = base_size *. 0.5;
+           }))
   in
-  let iota = Array.init 5 (fun i -> i) in
-  let ps = { C.Pref_space.estimate; items; d = iota; c = Array.copy iota; s = Array.copy iota } in
   let space = C.Space.create ~order:C.Space.By_cost ps in
   let bounds = C.C_boundaries.find_boundaries ~budget:Cqp_resilience.Budget.unlimited space ~cmax:185. in
   Printf.printf "FINDBOUNDARY output: %s\n"
@@ -863,16 +862,12 @@ let serve_bench () =
   in
   let run_domains domains =
     let server = Cqp_serve.Serve.create ~caching:true catalog in
-    let pool =
-      if domains > 1 then Some (Cqp_par.Pool.create ~domains ()) else None
-    in
-    Fun.protect ~finally:(fun () -> Option.iter Cqp_par.Pool.shutdown pool)
-    @@ fun () ->
+    Cqp_par.Pool.with_pool ~domains @@ fun pool ->
     let warm = ref 0. in
     let last = ref [] in
     for pass = 1 to passes do
       let t0 = now_s () in
-      let responses = Cqp_serve.Workload.replay ?pool server entries in
+      let responses = Cqp_serve.Workload.replay ~pool server entries in
       let elapsed = (now_s () -. t0) *. 1000. in
       if pass > 1 then warm := !warm +. elapsed;
       last := List.map observable responses
@@ -1161,42 +1156,16 @@ let largek_pref_space =
       let costs = Array.init k (fun _ -> 5. +. Cqp_util.Rng.float rng 100.) in
       let dois = Array.init k (fun _ -> 0.05 +. Cqp_util.Rng.float rng 0.9) in
       let fracs = Array.init k (fun _ -> 0.05 +. Cqp_util.Rng.float rng 0.9) in
-      let items =
-        Array.init k (fun i ->
-            {
-              C.Pref_space.path =
-                Cqp_prefs.Path.atomic
-                  (Cqp_prefs.Profile.selection "t" "a" (V.Int i) dois.(i));
-              doi = dois.(i);
-              cost = costs.(i);
-              size = base_size *. fracs.(i);
-            })
-      in
-      Array.sort
-        (fun a b -> Stdlib.compare b.C.Pref_space.doi a.C.Pref_space.doi)
-        items;
-      let d = Array.init k (fun i -> i) in
-      let c = Array.init k (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          match
-            Stdlib.compare items.(j).C.Pref_space.cost
-              items.(i).C.Pref_space.cost
-          with
-          | 0 -> Stdlib.compare i j
-          | cmp -> cmp)
-        c;
-      let s = Array.init k (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          match
-            Stdlib.compare items.(i).C.Pref_space.size
-              items.(j).C.Pref_space.size
-          with
-          | 0 -> Stdlib.compare i j
-          | cmp -> cmp)
-        s;
-      { C.Pref_space.estimate; items; d; c; s }
+      C.Pref_space.of_items estimate
+        (List.init k (fun i ->
+             {
+               C.Pref_space.path =
+                 Cqp_prefs.Path.atomic
+                   (Cqp_prefs.Profile.selection "t" "a" (V.Int i) dois.(i));
+               doi = dois.(i);
+               cost = costs.(i);
+               size = base_size *. fracs.(i);
+             }))
     end
 
 (* The K = 100 sweep: per-search latencies in µs (spaces here are
@@ -1243,22 +1212,16 @@ let warm_pass ?pool server entries
    then the measured warm pass replays the same entries; the parallel
    variant fans the identical workload over a 4-domain pool with
    domain-local shard caches. *)
-let trend_serve ?domains () =
+let trend_serve ?(domains = 1) () =
   let catalog = catalog () in
   let entries =
     Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
       ~rng:(Cqp_util.Rng.create !mode.seed) catalog
   in
   let server = Cqp_serve.Serve.create ~caching:true catalog in
-  let pool =
-    match domains with
-    | Some d when d > 1 -> Some (Cqp_par.Pool.create ~domains:d ())
-    | _ -> None
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Cqp_par.Pool.shutdown pool)
-  @@ fun () ->
-  ignore (Cqp_serve.Workload.replay ?pool server entries);
-  warm_pass ?pool server entries (fun c ->
+  Cqp_par.Pool.with_pool ~domains @@ fun pool ->
+  ignore (Cqp_serve.Workload.replay ~pool server entries);
+  warm_pass ~pool server entries (fun c ->
       (c.extraction_hits, c.extraction_lookups))
 
 (* Workload 5: pareto-front serving — the serve replay with the

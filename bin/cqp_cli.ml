@@ -367,14 +367,10 @@ let serve_action verbose seed movies workload_file save_file users requests
       Cqp_serve.Serve.create ~caching:(not no_cache)
         ?pref_space_capacity:capacity ~resilience catalog
     in
-    let pool =
-      if domains > 1 then Some (Cqp_par.Pool.create ~domains ()) else None
-    in
-    Fun.protect ~finally:(fun () -> Option.iter Cqp_par.Pool.shutdown pool)
-    @@ fun () ->
+    Cqp_par.Pool.with_pool ~domains @@ fun pool ->
     for rep = 1 to repeat do
       let t0 = Cqp_obs.Clock.raw_us () in
-      let responses = Cqp_serve.Workload.replay ?pool server entries in
+      let responses = Cqp_serve.Workload.replay ~pool server entries in
       let elapsed = (Cqp_obs.Clock.raw_us () -. t0) /. 1e6 in
       let l = Cqp_serve.Serve.latency responses in
       let n = l.requests in
@@ -724,13 +720,9 @@ let curriculum_action verbose seed generations population mutation_rate
       else Cur_scenario.Movies { movies; seed = catalog_seed }
     in
     let catalog = Cur_scenario.build_catalog spec in
-    let pool =
-      if domains > 1 then Some (Cqp_par.Pool.create ~domains ()) else None
-    in
-    Fun.protect ~finally:(fun () -> Option.iter Cqp_par.Pool.shutdown pool)
-    @@ fun () ->
+    Cqp_par.Pool.with_pool ~domains @@ fun pool ->
     let result =
-      Curriculum.evolve ?pool ~population ~mutation_rate
+      Curriculum.evolve ~pool ~population ~mutation_rate
         ~log:(Format.printf "%s@.") ~generations ~seed catalog
     in
     Format.printf

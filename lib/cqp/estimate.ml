@@ -4,7 +4,6 @@ module Catalog = Cqp_relal.Catalog
 module Stats = Cqp_relal.Stats
 module Path = Cqp_prefs.Path
 module Profile = Cqp_prefs.Profile
-module Doi = Cqp_prefs.Doi
 
 module Memo = struct
   (* Cross-request memo for the pure per-predicate catalog lookups.
@@ -48,8 +47,6 @@ end
 type t = {
   catalog : Catalog.t;
   query : Ast.query;
-  f : Doi.compose;
-  r : Doi.combine;
   query_rels : (string * string) list;  (** alias, relation name *)
   base_cost : float;
   base_size : float;
@@ -152,7 +149,7 @@ let estimate_block_size ?memo catalog (b : Ast.select_block) =
   in
   List.fold_left (fun acc c -> acc *. sel_of_conjunct c) card conjuncts
 
-let create ?memo ?(f = Doi.Product) ?(r = Doi.Noisy_or) catalog query =
+let create ?memo catalog query =
   let tables = Ast.tables_of query in
   List.iter
     (fun (name, _) ->
@@ -181,7 +178,7 @@ let create ?memo ?(f = Doi.Product) ?(r = Doi.Noisy_or) catalog query =
             | Ast.Union_all _ -> acc)
           0. qs
   in
-  { catalog; query; f; r; query_rels; base_cost; base_size; memo }
+  { catalog; query; query_rels; base_cost; base_size; memo }
 
 let base_cost t = t.base_cost
 let base_size t = t.base_size
@@ -240,13 +237,6 @@ let item_frac t path =
 
 let item_size t path = t.base_size *. item_frac t path
 
-let item_doi t path =
-  count_call ();
-  Path.doi ~f:t.f path
-let combine_doi t dois = Doi.combine ~r:t.r dois
-let combine_doi_incr t acc d = Doi.combine_incr ~r:t.r acc d
-let combine_doi_retract t acc d = Doi.combine_retract ~r:t.r acc d
-
 let merged_cost t paths =
   List.fold_left
     (fun acc path -> acc +. (item_cost t path -. t.base_cost))
@@ -256,7 +246,7 @@ let params_of t paths =
   match paths with
   | [] -> { Params.doi = 0.; cost = t.base_cost; size = t.base_size }
   | _ ->
-      let doi = combine_doi t (List.map (item_doi t) paths) in
+      let doi = Cqp_prefs.Doi.combine (List.map Path.doi paths) in
       let cost =
         List.fold_left (fun acc p -> acc +. item_cost t p) 0. paths
       in

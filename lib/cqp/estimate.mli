@@ -15,15 +15,16 @@
       the [HAVING count( * ) = L] intersection multiplies fractions
       under independence.  This construction guarantees the paper's
       partial order (Formula 8: more preferences, no larger size).
-    - {b doi}: Formulas 9/10 via {!Cqp_prefs.Doi}.
 
-    All three parameters admit O(1) incremental updates along state
-    transitions — cost is additive, size multiplicative, doi extends
-    via {!combine_doi_incr} and retracts via {!combine_doi_retract} —
-    and the state-space algorithms exploit this through
-    [Space.valued], which threads a [(state, Params.t)] pair along
-    Horizontal/Vertical transitions instead of re-folding the whole
-    preference set per visited node. *)
+    A preference's doi needs no estimator: it is {!Cqp_prefs.Path.doi}
+    (Formula 9), and a set's is {!Cqp_prefs.Doi.combine} (Formula 10).
+
+    Both priced parameters admit O(1) incremental updates along state
+    transitions — cost is additive, size multiplicative — and the
+    state-space algorithms exploit this through [Space.valued], which
+    threads a [(state, Params.t)] pair along Horizontal/Vertical
+    transitions instead of re-folding the whole preference set per
+    visited node. *)
 
 type t
 
@@ -47,13 +48,7 @@ module Memo : sig
   val entries : t -> int
 end
 
-val create :
-  ?memo:Memo.t ->
-  ?f:Cqp_prefs.Doi.compose ->
-  ?r:Cqp_prefs.Doi.combine ->
-  Cqp_relal.Catalog.t ->
-  Cqp_sql.Ast.query ->
-  t
+val create : ?memo:Memo.t -> Cqp_relal.Catalog.t -> Cqp_sql.Ast.query -> t
 (** Costs are priced at the paper's [b] = {!Cqp_exec.Io.default_block_ms}
     per block read.  [memo], when given, memoizes this estimator's
     per-predicate catalog lookups across requests; it must have been
@@ -84,22 +79,9 @@ val item_frac : t -> Cqp_prefs.Path.t -> float
 val item_size : t -> Cqp_prefs.Path.t -> float
 (** [size(Q ∧ p) = base_size · item_frac]. *)
 
-val item_doi : t -> Cqp_prefs.Path.t -> float
-(** Composed doi of the path (Formula 9 under the configured [f⊗]). *)
-
-val combine_doi : t -> float list -> float
-(** Conjunction doi (Formula 10 under the configured [r]). *)
-
-val combine_doi_incr : t -> float -> float -> float
-
-val combine_doi_retract : t -> float -> float -> float option
-(** Undo one {!combine_doi_incr} step under the configured [r]; [None]
-    when not invertible from the accumulator (see
-    {!Cqp_prefs.Doi.combine_retract}). *)
-
 val params_of : t -> Cqp_prefs.Path.t list -> Params.t
-(** Full estimate for [Q ∧ Px].  With an empty list this is [Q] itself
-    (doi 0, base cost, base size). *)
+(** Full estimate for [Q ∧ Px], its doi by Formulas 9 and 10.  With an
+    empty list this is [Q] itself (doi 0, base cost, base size). *)
 
 val merged_cost : t -> Cqp_prefs.Path.t list -> float
 (** Cost of the footnote-1 merged construction

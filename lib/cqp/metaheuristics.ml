@@ -22,8 +22,8 @@ let fitness space ~cmax bits =
 
 (* The flip neighborhoods of SA and tabu change one preference at a
    time, so probes are priced with one O(1) extension or retraction of
-   the current parameters; a retraction that is not invertible (e.g.
-   Max_combine dropping the maximum) falls back to a from-scratch
+   the current parameters; a retraction that is not invertible (an
+   item at doi 1 or size fraction 0) falls back to a from-scratch
    fold.  [bits] must already reflect the flipped set. *)
 let probe_params space ~n current_params bits flip =
   if bits.(flip) then Space.params_with_id space ~n current_params flip

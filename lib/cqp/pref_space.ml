@@ -1,3 +1,4 @@
+module Doi = Cqp_prefs.Doi
 module Path = Cqp_prefs.Path
 module Profile = Cqp_prefs.Profile
 module Ast = Cqp_sql.Ast
@@ -135,40 +136,21 @@ let cost_order items =
     c;
   c
 
-let assemble ?(constraints = Params.unconstrained) ?max_k
-    ?(orders = All_orders) estimate paths =
-  (* Price every candidate with THIS request's estimator (cost and size
-     depend on Q's full WHERE clause through base_cost/base_size, so
-     they must not be cached with the walk), filter, sort, truncate. *)
-  let priced =
-    List.filter_map
-      (fun path ->
-        let doi = Estimate.item_doi estimate path in
-        let cost = Estimate.item_cost estimate path in
-        let size = Estimate.item_size estimate path in
-        if item_viable constraints ~cost ~size then
-          Some { path; doi; cost; size }
-        else None)
-      paths
-  in
-  let all =
+let of_items ?max_k ?(orders = All_orders) estimate items =
+  let sorted =
     List.sort
       (fun a b ->
         match Stdlib.compare b.doi a.doi with
         | 0 -> Path.compare a.path b.path
         | c -> c)
-      priced
+      items
   in
-  let all = match max_k with
-    | None -> all
-    | Some k ->
-        let rec take n = function
-          | x :: rest when n > 0 -> x :: take (n - 1) rest
-          | _ -> []
-        in
-        take k all
+  let kept =
+    match max_k with
+    | None -> sorted
+    | Some k -> List.filteri (fun i _ -> i < k) sorted
   in
-  let items = Array.of_list all in
+  let items = Array.of_list kept in
   let k = Array.length items in
   let d = Array.init k (fun i -> i) in
   let c, s =
@@ -189,6 +171,23 @@ let assemble ?(constraints = Params.unconstrained) ?max_k
     Cqp_obs.Metrics.add "pref_space.prefs_extracted" k;
   Cqp_obs.Trace.add_attr (Cqp_obs.Attr.int "k" k);
   { estimate; items; d; c; s }
+
+let assemble ?(constraints = Params.unconstrained) ?max_k ?orders estimate
+    paths =
+  (* Price every candidate with THIS request's estimator (cost and size
+     depend on Q's full WHERE clause through base_cost/base_size, so
+     they must not be cached with the walk), filter, then sort and
+     truncate in [of_items]. *)
+  of_items ?max_k ?orders estimate
+    (List.filter_map
+       (fun path ->
+         let doi = Path.doi path in
+         let cost = Estimate.item_cost estimate path in
+         let size = Estimate.item_size estimate path in
+         if item_viable constraints ~cost ~size then
+           Some { path; doi; cost; size }
+         else None)
+       paths)
 
 let build ?constraints ?max_k ?max_path_length ?orders estimate profile =
   Cqp_obs.Trace.with_span ~name:"pref_space.build" @@ fun () ->
@@ -213,21 +212,20 @@ let log_size t =
   { t with items; c = cost_order items }
 
 let supreme_doi t =
-  Estimate.combine_doi t.estimate
-    (Array.to_list (Array.map (fun it -> it.doi) t.items))
+  Doi.combine (Array.to_list (Array.map (fun it -> it.doi) t.items))
 
 let prefix_doi t g =
   let g = min g (Array.length t.items) in
   let acc = ref 0. in
   for i = 0 to g - 1 do
-    acc := Estimate.combine_doi_incr t.estimate !acc t.items.(i).doi
+    acc := Doi.combine_incr !acc t.items.(i).doi
   done;
   !acc
 
 let suffix_doi t from =
   let acc = ref 0. in
   for i = from to Array.length t.items - 1 do
-    acc := Estimate.combine_doi_incr t.estimate !acc t.items.(i).doi
+    acc := Doi.combine_incr !acc t.items.(i).doi
   done;
   !acc
 

@@ -7,12 +7,16 @@
     that can never satisfy the CQP constraints.
 
     The output carries the paper's three pointer vectors over [P]:
-    - [D]: positions in decreasing doi (the identity, since the
-      traversal emits preferences in that order);
+    - [D]: positions in decreasing doi (the identity, since [items] are
+      kept in that order);
     - [C]: positions ordering [cost(Q ∧ p)] decreasing;
     - [S]: positions ordering [size(Q ∧ p)] increasing.
 
-    Vector entries are 0-based indices into [items]. *)
+    Vector entries are 0-based indices into [items].  {!of_items} is
+    the one place that orders items and builds the vectors; a space
+    with prescribed item parameters (tests, the bench's fabricated
+    spaces) is built through it too.  Doi arithmetic is
+    {!Cqp_prefs.Doi}'s (Formulas 9 and 10). *)
 
 type item = {
   path : Cqp_prefs.Path.t;
@@ -71,11 +75,15 @@ val assemble :
   t
 (** Price the candidate paths with this request's estimator (cost/size
     depend on Q's full WHERE clause, hence are never cached with the
-    walk), drop items violating [constraints], sort by decreasing doi
-    (ties by {!Cqp_prefs.Path.compare} — a total order, so the result
-    is independent of the input list's order), truncate to [max_k], and
-    build the pointer vectors.  [build e p = assemble e (extract e p)]
-    bit-for-bit. *)
+    walk), drop items violating [constraints], and hand the rest to
+    {!of_items}.  [build e p = assemble e (extract e p)] bit-for-bit. *)
+
+val of_items : ?max_k:int -> ?orders:orders -> Estimate.t -> item list -> t
+(** Sort [items] by decreasing doi (ties by {!Cqp_prefs.Path.compare} —
+    a total order, so the result is independent of the list's order),
+    truncate to [max_k], and build the pointer vectors ([C] and [S]
+    only under [All_orders], the default).  [estimate] prices the empty
+    set and scales item sizes into fractions. *)
 
 val k : t -> int
 (** Cardinality of [P]. *)

@@ -1,4 +1,5 @@
 module Budget = Cqp_resilience.Budget
+module Doi = Cqp_prefs.Doi
 
 (* Preference ids in increasing item cost, ties by id. *)
 let by_cost space =
@@ -63,12 +64,10 @@ let min_cost_bnb ?(budget = Budget.unlimited) space
   let item id = Space.item space id in
   (* suffix_doi_bound.(i): noisy-or doi of items by_cost.(i..) — an upper
      bound on what the remaining choices can still contribute. *)
-  let ps = Space.pref_space space in
   let suffix_doi_bound = Array.make (k + 1) 0. in
   for i = k - 1 downto 0 do
     suffix_doi_bound.(i) <-
-      Estimate.combine_doi_incr ps.Pref_space.estimate
-        suffix_doi_bound.(i + 1)
+      Doi.combine_incr suffix_doi_bound.(i + 1)
         (item by_cost.(i)).Pref_space.doi
   done;
   let best = ref None in
@@ -104,9 +103,7 @@ let min_cost_bnb ?(budget = Budget.unlimited) space
           (* Could the constraints still be met further down? *)
           (match constraints.Params.dmin with
           | Some dmin ->
-              Estimate.combine_doi_incr ps.Pref_space.estimate
-                params.Params.doi suffix_doi_bound.(i)
-              >= dmin
+              Doi.combine_incr params.Params.doi suffix_doi_bound.(i) >= dmin
           | None -> true)
           &&
           match constraints.Params.smin with
@@ -156,13 +153,11 @@ let max_doi_bnb ?(budget = Budget.unlimited) space
   let start = Cqp_obs.Clock.raw_us () in
   let k = Space.k space in
   let stats = Space.stats space in
-  let ps = Space.pref_space space in
   let item id = Space.item space id in
   let suffix_doi = Array.make (k + 1) 0. in
   for i = k - 1 downto 0 do
     suffix_doi.(i) <-
-      Estimate.combine_doi_incr ps.Pref_space.estimate suffix_doi.(i + 1)
-        (item i).Pref_space.doi
+      Doi.combine_incr suffix_doi.(i + 1) (item i).Pref_space.doi
   done;
   let best = ref None in
   let best_doi = ref neg_infinity in
@@ -186,10 +181,7 @@ let max_doi_bnb ?(budget = Budget.unlimited) space
     decr nodes;
     if feasible params then record (List.rev chosen) params;
     if i < k && !nodes > 0 && not (Budget.poll budget) then begin
-      let optimistic =
-        Estimate.combine_doi_incr ps.Pref_space.estimate params.Params.doi
-          suffix_doi.(i)
-      in
+      let optimistic = Doi.combine_incr params.Params.doi suffix_doi.(i) in
       let still_viable =
         optimistic > !best_doi +. 1e-15
         || (!best = None && optimistic >= !best_doi)

@@ -1,4 +1,5 @@
 module Bitset = Cqp_util.Bitset
+module Doi = Cqp_prefs.Doi
 
 type order = By_cost | By_doi | By_size
 type keying = [ `Auto | `Bits ]
@@ -9,7 +10,7 @@ type t = {
   ps : Pref_space.t;
   positions : int array;  (** position -> preference id *)
   item_cost : float array;  (** by preference id *)
-  item_doi : float array;
+  dois : float array;
   item_frac : float array;
   base_cost : float;
   base_size : float;
@@ -42,7 +43,7 @@ let create ?(order = By_cost) ?(keys = `Auto) ps =
     ps;
     positions;
     item_cost = Array.map (fun it -> it.cost) ps.items;
-    item_doi = Array.map (fun it -> it.doi) ps.items;
+    dois = Array.map (fun it -> it.doi) ps.items;
     item_frac =
       Array.map
         (fun it ->
@@ -70,10 +71,7 @@ let cost_of_ids t ids =
   List.fold_left (fun acc id -> acc +. t.item_cost.(id)) 0. ids
 
 let doi_of_ids t ids =
-  List.fold_left
-    (fun acc id ->
-      Estimate.combine_doi_incr t.ps.Pref_space.estimate acc t.item_doi.(id))
-    0. ids
+  List.fold_left (fun acc id -> Doi.combine_incr acc t.dois.(id)) 0. ids
 
 let size_of_ids t ids =
   List.fold_left (fun acc id -> acc *. t.item_frac.(id)) t.base_size ids
@@ -174,9 +172,7 @@ let value_singleton t pos =
     key = singleton_key t pos;
     params =
       {
-        Params.doi =
-          Estimate.combine_doi_incr t.ps.Pref_space.estimate 0.
-            t.item_doi.(id);
+        Params.doi = Doi.combine_incr 0. t.dois.(id);
         cost = t.item_cost.(id);
         size = t.base_size *. t.item_frac.(id);
       };
@@ -194,9 +190,7 @@ let with_pos t v pos =
     key = key_add v.key pos;
     params =
       {
-        Params.doi =
-          Estimate.combine_doi_incr t.ps.Pref_space.estimate
-            v.params.Params.doi t.item_doi.(id);
+        Params.doi = Doi.combine_incr v.params.Params.doi t.dois.(id);
         cost = v.params.Params.cost +. t.item_cost.(id);
         size = v.params.Params.size *. t.item_frac.(id);
       };
@@ -204,8 +198,8 @@ let with_pos t v pos =
 
 (* Removal: cost subtracts, size divides, doi retracts by division
    (noisy-or) — each falling back to an O(group) recompute when the
-   inverse is undefined (frac 0, doi 1, or Max_combine retracting the
-   maximum), which keeps results exact in every case. *)
+   inverse is undefined (frac 0 or doi 1), which keeps results exact in
+   every case. *)
 let remove_params t v pos ~(removed : State.t) =
   Instrument.incr_update t.stats;
   let id = t.positions.(pos) in
@@ -220,10 +214,7 @@ let remove_params t v pos ~(removed : State.t) =
     end
   in
   let doi =
-    match
-      Estimate.combine_doi_retract t.ps.Pref_space.estimate
-        v.params.Params.doi t.item_doi.(id)
-    with
+    match Doi.combine_retract v.params.Params.doi t.dois.(id) with
     | Some d -> d
     | None ->
         Instrument.eval t.stats;
@@ -268,10 +259,7 @@ let replace_pos_keyed t v p q nkey =
     end
   in
   let mid_doi =
-    match
-      Estimate.combine_doi_retract t.ps.Pref_space.estimate
-        v.params.Params.doi t.item_doi.(idp)
-    with
+    match Doi.combine_retract v.params.Params.doi t.dois.(idp) with
     | Some d -> d
     | None ->
         Instrument.eval t.stats;
@@ -283,9 +271,7 @@ let replace_pos_keyed t v p q nkey =
     key = nkey;
     params =
       {
-        Params.doi =
-          Estimate.combine_doi_incr t.ps.Pref_space.estimate mid_doi
-            t.item_doi.(idq);
+        Params.doi = Doi.combine_incr mid_doi t.dois.(idq);
         cost = mid_cost +. t.item_cost.(idq);
         size = mid_size *. t.item_frac.(idq);
       };
@@ -365,9 +351,7 @@ let horizontal2_v t v =
 let params_with_id t ~n (p : Params.t) id =
   Instrument.incr_update t.stats;
   {
-    Params.doi =
-      Estimate.combine_doi_incr t.ps.Pref_space.estimate p.Params.doi
-        t.item_doi.(id);
+    Params.doi = Doi.combine_incr p.Params.doi t.dois.(id);
     cost =
       (if n = 0 then t.item_cost.(id) else p.Params.cost +. t.item_cost.(id));
     size = p.Params.size *. t.item_frac.(id);
@@ -377,10 +361,7 @@ let params_without_id t ~n (p : Params.t) id =
   if n <= 1 then Some (empty_params t)
   else
     let f = t.item_frac.(id) in
-    match
-      Estimate.combine_doi_retract t.ps.Pref_space.estimate p.Params.doi
-        t.item_doi.(id)
-    with
+    match Doi.combine_retract p.Params.doi t.dois.(id) with
     | Some doi when f > 0. ->
         Instrument.incr_update t.stats;
         Some

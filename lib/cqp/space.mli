@@ -68,11 +68,10 @@ val estimate : t -> Estimate.t
     A [valued] couples a state with its membership key and its three
     query parameters.  Transition functions update the parameters in
     O(1) — cost additively, size multiplicatively, doi via
-    {!Estimate.combine_doi_incr}/[combine_doi_retract] — instead of
+    {!Cqp_prefs.Doi.combine_incr}/[combine_retract] — instead of
     re-folding the whole id list per visited node.  Removals fall back
     to an O(group) recompute when the inverse is undefined (zero size
-    fraction, doi 1 under noisy-or, or retracting the maximum under
-    [Max_combine]), so results stay exact.
+    fraction or doi 1), so results stay exact.
 
     The key is a variant, never a sentinel: a wide state carries a
     {!Cqp_util.Bitset} (fixed width [k], content-hashed), not a zero

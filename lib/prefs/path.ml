@@ -25,8 +25,8 @@ let relations t =
       j.Profile.j_from_rel
       :: List.map (fun jn -> jn.Profile.j_to_rel) t.joins
 
-let doi ?f t =
-  Doi.compose ?f
+let doi t =
+  Doi.compose
     (List.map (fun j -> j.Profile.j_doi) t.joins @ [ t.sel.Profile.s_doi ])
 
 let is_acyclic t =

@@ -24,8 +24,8 @@ val length : t -> int
 val relations : t -> string list
 (** Relations traversed, anchor first, without duplicates removed. *)
 
-val doi : ?f:Doi.compose -> t -> float
-(** Composed degree of interest (Formula 9 by default). *)
+val doi : t -> float
+(** Composed degree of interest (Formula 9). *)
 
 val is_acyclic : t -> bool
 (** True when no relation repeats along the path. *)

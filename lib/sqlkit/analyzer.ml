@@ -208,11 +208,18 @@ and check_block catalog b =
   end
   else if List.exists has_aggregate exprs && List.exists is_aggregate_free exprs
   then fail "mix of aggregated and plain expressions without GROUP BY";
-  List.iter (fun (e, _) -> ignore (expr_ty env e)) b.order_by;
+  let names = item_names env b.items in
+  (* An unqualified ORDER BY column may name an output column (an alias
+     or a synthesized name): the executor reads a key off the output
+     row before it looks in FROM. *)
+  List.iter
+    (function
+      | Col (None, c), _ when List.mem (String.lowercase_ascii c) names -> ()
+      | e, _ -> ignore (expr_ty env e))
+    b.order_by;
   (match b.limit with
   | Some k when k < 0 -> fail "negative LIMIT"
   | _ -> ());
-  let names = item_names env b.items in
   let tys = List.map (expr_ty env) exprs in
   List.combine names tys
 

@@ -224,6 +224,101 @@ let test_heuristic_quality_close () =
         (gap /. float_of_int runs < 0.02))
     total_gap
 
+(* --- Knapsack oracle on experiment spaces ------------------------------ *)
+
+(* Under noisy-or (Formula 10) a set's evidence -ln(1 - doi) is the sum
+   of its items', and a non-empty set's cost is the sum of its items'
+   (Formula 6), so Problem 2 is a 0/1 knapsack: maximize evidence under
+   cmax.  The oracle searches it depth first, items in decreasing
+   evidence per unit cost, and prunes a branch when Dantzig's LP bound
+   (fill greedily, then a fraction of the first item that does not fit)
+   cannot beat the best set found.  Its ids are re-valued through
+   [Space.params_of_ids], so a tie is judged in the Space's own
+   arithmetic. *)
+let evidence doi = -.Float.log1p (-.doi)
+
+let knapsack_optimum ps ~cmax =
+  let space = C.Space.create ~order:C.Space.By_doi ps in
+  let k = C.Space.k space in
+  let w_of id = evidence (C.Space.item space id).C.Pref_space.doi in
+  let c_of id = (C.Space.item space id).C.Pref_space.cost in
+  let order = Array.init k Fun.id in
+  Array.stable_sort (fun a b -> compare (w_of b /. c_of b) (w_of a /. c_of a)) order;
+  let w = Array.map w_of order and c = Array.map c_of order in
+  let rec lp i spent acc =
+    if i >= k then acc
+    else if spent +. c.(i) <= cmax then lp (i + 1) (spent +. c.(i)) (acc +. w.(i))
+    else acc +. (w.(i) *. (cmax -. spent) /. c.(i))
+  in
+  let best = ref 0. and best_ids = ref [] in
+  let rec go i spent value ids =
+    if value > !best then begin
+      best := value;
+      best_ids := ids
+    end;
+    if i < k && value +. lp i spent 0. > !best then begin
+      if spent +. c.(i) <= cmax then
+        go (i + 1) (spent +. c.(i)) (value +. w.(i)) (order.(i) :: ids);
+      go (i + 1) spent value ids
+    end
+  in
+  go 0 0. 0. [];
+  C.Space.params_of_ids space !best_ids
+
+let experiment_pairs =
+  lazy
+    (let b = Cqp_workload.Experiment.build Cqp_workload.Experiment.quick in
+     List.concat_map
+       (fun profile ->
+         List.map
+           (fun q -> (b.Cqp_workload.Experiment.catalog, profile, q))
+           b.Cqp_workload.Experiment.queries)
+       b.Cqp_workload.Experiment.profiles)
+
+(* On the quick bundle's 20 profile-query pairs at K preferences and
+   cmax a fraction of the supreme cost: C_Boundaries and D_MaxDoi reach
+   the oracle's evidence within 1e-9 relative, and no heuristic
+   exceeds it. *)
+let test_knapsack_oracle ~k ~frac () =
+  List.iteri
+    (fun pair (catalog, profile, query) ->
+      let ps =
+        C.Pref_space.build ~max_k:k (C.Estimate.create catalog query) profile
+      in
+      let cmax = frac *. C.Pref_space.supreme_cost ps in
+      let opt = evidence (knapsack_optimum ps ~cmax).C.Params.doi in
+      List.iter
+        (fun algo ->
+          let got =
+            evidence
+              (C.Algorithm.run algo ps ~cmax).C.Solution.params.C.Params.doi
+          in
+          let label = Printf.sprintf "pair %d: %s" pair (C.Algorithm.name algo) in
+          if List.mem algo [ C.Algorithm.C_boundaries; C.Algorithm.D_maxdoi ]
+          then
+            Alcotest.(check (float (1e-9 *. Float.max 1. opt)))
+              (label ^ ": evidence = optimum") opt got
+          else
+            checkb
+              (Printf.sprintf "%s: evidence %.17g <= optimum %.17g" label got opt)
+              true
+              (got <= opt *. (1. +. 1e-9)))
+        C.Algorithm.all)
+    (Lazy.force experiment_pairs)
+
+let knapsack_cases =
+  List.concat_map
+    (fun k ->
+      List.map
+        (fun pct ->
+          let speed = if k > 16 && pct = 30 then `Slow else `Quick in
+          Alcotest.test_case
+            (Printf.sprintf "optimum at K %d, cmax %d%%" k pct)
+            speed
+            (test_knapsack_oracle ~k ~frac:(float_of_int pct /. 100.)))
+        [ 10; 20; 30 ])
+    [ 16; 18; 20 ]
+
 (* Degenerate inputs. *)
 let test_empty_space () =
   let ps = Testlib.fabricate ~costs:[||] ~dois:[||] ~fracs:[||] () in
@@ -298,6 +393,7 @@ let () =
           qc prop_d_heur_quality;
           Alcotest.test_case "heuristic quality" `Slow test_heuristic_quality_close;
         ] );
+      ("knapsack oracle", knapsack_cases);
       ( "edge cases",
         [
           Alcotest.test_case "empty space" `Quick test_empty_space;

@@ -713,7 +713,8 @@ let typed_rows rows =
    duplicate rows DISTINCT collapses, a join whose output source holds
    equal cells in different rows, outputs from two sources or a
    literal; an optional filter on [v], or a filter that keeps nothing
-   ([empty]); sometimes an ORDER BY, and sometimes a LIMIT.  The
+   ([empty]); sometimes an ORDER BY, on the expressions or on the
+   aliases they project, and sometimes a LIMIT.  The
    sources' scans cost 1 to 5 blocks, so the branches often run in
    another order than SQL's. *)
 let random_branch rng ~empty =
@@ -751,6 +752,7 @@ let random_branch rng ~empty =
     | 1 -> Printf.sprintf " order by %s desc, %s" w v
     | 2 -> Printf.sprintf " order by %s limit %d" v (1 + Rng.int rng 3)
     | 3 -> Printf.sprintf " limit %d" (1 + Rng.int rng 3)
+    | 4 -> " order by w, v desc"
     | _ -> "")
 
 (* A Section 4.2 wrapper over 2–6 DISTINCT branches, with an empty

@@ -82,7 +82,7 @@ let test_item_frac_bounds () =
 
 let test_doi_formulas () =
   (* Formula 9 on the path, Formula 10 across paths. *)
-  checkf "path doi" (0.9 *. 0.6) (C.Estimate.item_doi est path_genre);
+  checkf "path doi" (0.9 *. 0.6) (Cqp_prefs.Path.doi path_genre);
   let p = C.Estimate.params_of est [ path_genre; path_dir ] in
   checkf "conjunction doi"
     (1. -. ((1. -. (0.9 *. 0.6)) *. (1. -. (1.0 *. 0.8))))

@@ -142,6 +142,27 @@ let test_order_limit () =
   let r2 = run "select title from movie order by year asc limit 1" in
   Alcotest.(check (list string)) "oldest" [ "Annie Hall" ] (titles r2)
 
+(* ORDER BY may name an output column: an alias, an aggregate's alias,
+   or an alias that shadows a FROM column (the output wins). *)
+let test_order_by_alias () =
+  let cells r =
+    List.map (fun row -> List.map V.to_string (Tuple.to_list row)) r.Engine.rows
+  in
+  Alcotest.(check (list (list string)))
+    "by alias, descending"
+    [ [ "Orphan" ]; [ "Manhattan" ]; [ "Chicago" ]; [ "Annie Hall" ] ]
+    (cells (run "select title as t from movie order by t desc"));
+  Alcotest.(check (list (list string)))
+    "by count(*) as n"
+    [ [ "drama"; "1" ]; [ "musical"; "1" ]; [ "comedy"; "2" ] ]
+    (cells
+       (run
+          "select genre, count(*) as n from genre group by genre order by n, \
+           genre"));
+  Alcotest.(check (list (list string)))
+    "alias shadows a FROM column" [ [ "1977" ] ]
+    (cells (run "select year as title from movie order by title limit 1"))
+
 let test_union_all () =
   let r =
     run "select title from movie where year = 1977 union all select title from movie where did = 1"
@@ -512,6 +533,7 @@ let () =
           Alcotest.test_case "in/like" `Quick test_in_and_like;
           Alcotest.test_case "is null" `Quick test_is_null;
           Alcotest.test_case "null semantics" `Quick test_null_semantics;
+          Alcotest.test_case "order by alias" `Quick test_order_by_alias;
         ] );
       ( "io",
         [

@@ -7,7 +7,7 @@
    the O(n log n) non-dominated filter against a brute-force O(n^2)
    one.  The differentials anchor the serving path: [Nsga2.build]
    equals an enumeration of every subset, kept here as the oracle, at
-   every K up to 20 on random, [Max_combine], tie-heavy and
+   every K up to 20 on random, doi-saturated, tie-heavy and
    size-constrained spaces; the 2D front read off it as a skyline is
    the exhaustive 2D skyline, bit for bit; and past its point budget
    the builder covers the exact front within the factor it reports. *)
@@ -270,8 +270,9 @@ let check_builder ?constraints msg space =
 (* Space families: [k] preferences drawn from [rng]. *)
 let noisy_or rng ~k = (Testlib.random_space rng ~k, None)
 
-let max_combine rng ~k =
-  (Testlib.random_space ~r:Cqp_prefs.Doi.Max_combine rng ~k, None)
+(* A third of the items at doi 1: every set holding one ties at doi 1,
+   and the front separates those sets by cost and size alone. *)
+let saturated rng ~k = (Testlib.saturated_space rng ~k, None)
 
 (* Costs, dois and fractions on a 0.25 grid, zero fractions and doi 1
    included: sums and products are exact, so subsets tie on whole
@@ -296,7 +297,7 @@ let constrained rng ~k =
 let families =
   [
     ("noisy-or", noisy_or, 1);
-    ("max-combine", max_combine, 2);
+    ("doi-saturated", saturated, 2);
     ("tie grid", tie_grid, 3);
     ("constrained", constrained, 4);
   ]

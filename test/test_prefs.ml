@@ -16,7 +16,6 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 let test_doi_compose () =
   checkf "product" 0.72 (Doi.compose [ 0.8; 0.9 ]);
   checkf "empty neutral" 1.0 (Doi.compose []);
-  checkf "min variant" 0.8 (Doi.compose ~f:Doi.Min_compose [ 0.8; 0.9 ]);
   checkb "invalid doi" true
     (match Doi.compose [ 1.5 ] with
     | exception Doi.Invalid_doi _ -> true
@@ -26,7 +25,6 @@ let test_doi_combine () =
   (* Formula 10: 1 - (1-0.5)(1-0.8) = 0.9 *)
   checkf "noisy or" 0.9 (Doi.combine [ 0.5; 0.8 ]);
   checkf "empty" 0.0 (Doi.combine []);
-  checkf "max variant" 0.8 (Doi.combine ~r:Doi.Max_combine [ 0.5; 0.8 ]);
   checkf "incremental agrees"
     (Doi.combine [ 0.3; 0.4; 0.5 ])
     (Doi.combine_incr (Doi.combine [ 0.3; 0.4 ]) 0.5)
@@ -178,10 +176,12 @@ let test_path_would_cycle () =
   checkb "revisit cycles" true
     (Path.would_cycle (Profile.join "director" "did" "movie" "did" 1.0) p)
 
+(* Formula 9 composes by product, which Formula 2 bounds by the
+   minimum constituent. *)
 let test_path_min_compose () =
   let p = Path.extend join_mg (Path.atomic sel_musical) in
   checkf "product" 0.45 (Path.doi p);
-  checkf "min" 0.5 (Path.doi ~f:Doi.Min_compose p)
+  checkb "at most the min constituent" true (Path.doi p <= 0.5)
 
 (* --- Pgraph ------------------------------------------------------------ *)
 

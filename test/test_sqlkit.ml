@@ -164,6 +164,8 @@ let test_analyzer_accepts () =
       "select year, count(*) from movie group by year having count(*) >= 1";
       "select name from (select name from director) u";
       "select title from movie union all select name from director";
+      "select title as t from movie order by t desc";
+      "select year, count(*) as n from movie group by year order by n, year";
     ]
 
 let test_analyzer_rejects () =
@@ -182,6 +184,8 @@ let test_analyzer_rejects () =
       "select mid from movie union all select name from director";
       "select mid, title from movie union all select did from director";
       "select did from movie m, director d";
+      "select title as t from movie order by nope";
+      "select title as t from movie m order by m.t";
     ]
 
 let test_analyzer_output_schema () =

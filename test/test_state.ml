@@ -128,12 +128,12 @@ let prop_transitions_closed =
            (C.State.horizontal2 ~k st))
 
 (* Incremental valuation: walking the space with O(1) parameter updates
-   must agree with the from-scratch [params_of_ids] fold, whatever the
-   doi operators, and the carried bitmask must stay in sync with the
-   position list.  Random walks mix Horizontal, Vertical, Horizontal2
-   and explicit removals so extension, replacement and retraction
-   (including the non-invertible Max_combine fallback) are all
-   exercised. *)
+   must agree with the from-scratch [params_of_ids] fold, and the
+   carried bitmask must stay in sync with the position list.  Random
+   walks mix Horizontal, Vertical, Horizontal2 and explicit removals so
+   extension, replacement and retraction are all exercised, on random
+   spaces and on spaces where some items have doi 1 or size fraction 0,
+   whose retraction is not invertible and falls back to a recompute. *)
 let close a b = abs_float (a -. b) < 1e-9
 
 let params_agree (a : C.Params.t) (b : C.Params.t) =
@@ -141,15 +141,17 @@ let params_agree (a : C.Params.t) (b : C.Params.t) =
   && close a.C.Params.cost b.C.Params.cost
   && close a.C.Params.size b.C.Params.size
 
+let spaces =
+  [ Testlib.random_space; Testlib.saturated_space ~zero_fracs:true ]
+
 let prop_incremental_matches_scratch =
-  let module Doi = Cqp_prefs.Doi in
   QCheck.Test.make ~name:"incremental params = from-scratch fold" ~count:150
     QCheck.(pair (int_range 1 10) (int_range 0 1_000_000))
     (fun (k, seed) ->
       List.for_all
-        (fun (r, f) ->
+        (fun space_of ->
           let rng = Cqp_util.Rng.create seed in
-          let ps = Testlib.random_space ~f ~r rng ~k in
+          let ps = space_of rng ~k in
           let space = C.Space.create ~order:C.Space.By_doi ps in
           let ok = ref true in
           let check (v : C.Space.valued) =
@@ -188,26 +190,20 @@ let prop_incremental_matches_scratch =
             check !v
           done;
           !ok)
-        [
-          (Doi.Noisy_or, Doi.Product);
-          (Doi.Noisy_or, Doi.Min_compose);
-          (Doi.Max_combine, Doi.Product);
-          (Doi.Max_combine, Doi.Min_compose);
-        ])
+        spaces)
 
 (* Same agreement for the id-set form used by the solver BnBs and the
    metaheuristic probes: a random add/remove chain over preference ids
    tracks [params_of_ids] (removal falls back to a from-scratch fold
    when the retraction is not invertible, signalled by [None]). *)
 let prop_id_chain_matches_scratch =
-  let module Doi = Cqp_prefs.Doi in
   QCheck.Test.make ~name:"id add/remove chain = from-scratch fold" ~count:150
     QCheck.(pair (int_range 1 10) (int_range 0 1_000_000))
     (fun (k, seed) ->
       List.for_all
-        (fun r ->
+        (fun space_of ->
           let rng = Cqp_util.Rng.create seed in
-          let ps = Testlib.random_space ~r rng ~k in
+          let ps = space_of rng ~k in
           let space = C.Space.create ~order:C.Space.By_doi ps in
           let members = Array.make k false in
           let ids () =
@@ -234,7 +230,7 @@ let prop_id_chain_matches_scratch =
             ok := !ok && params_agree !p (C.Space.params_of_ids space (ids ()))
           done;
           !ok)
-        [ Doi.Noisy_or; Doi.Max_combine ])
+        spaces)
 
 let qc = Testlib.qc
 

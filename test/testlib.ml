@@ -36,47 +36,25 @@ let tiny_catalog () =
        (List.init 100 (fun i -> Cqp_relal.Tuple.make [ V.Int i ])));
   c
 
-(* Build a Pref_space with prescribed per-item parameters.  Items are
-   sorted into decreasing-doi order (the D invariant); the C and S
-   vectors are derived exactly as Pref_space.build does.  Paths are
-   dummy selections on t.a, distinct per item. *)
-let fabricate ?(catalog = tiny_catalog ()) ?f ?r ~costs ~dois ~fracs () =
+(* Build a Pref_space with prescribed per-item parameters through
+   [Pref_space.of_items], which orders them by decreasing doi and
+   derives the D, C and S vectors.  Paths are dummy selections on t.a,
+   distinct per item. *)
+let fabricate ?(catalog = tiny_catalog ()) ~costs ~dois ~fracs () =
   let k = Array.length costs in
   assert (Array.length dois = k && Array.length fracs = k);
   let query = Cqp_sql.Parser.parse "select a from t" in
-  let estimate = C.Estimate.create ?f ?r catalog query in
+  let estimate = C.Estimate.create catalog query in
   let base_size = C.Estimate.base_size estimate in
-  let items =
-    Array.init k (fun i ->
-        let sel =
-          Cqp_prefs.Profile.selection "t" "a" (V.Int i) dois.(i)
-        in
-        {
-          C.Pref_space.path = Cqp_prefs.Path.atomic sel;
-          doi = dois.(i);
-          cost = costs.(i);
-          size = base_size *. fracs.(i);
-        })
-  in
-  Array.sort
-    (fun a b -> Stdlib.compare b.C.Pref_space.doi a.C.Pref_space.doi)
-    items;
-  let d = Array.init k (fun i -> i) in
-  let c = Array.init k (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      match Stdlib.compare items.(j).C.Pref_space.cost items.(i).C.Pref_space.cost with
-      | 0 -> Stdlib.compare i j
-      | cmp -> cmp)
-    c;
-  let s = Array.init k (fun i -> i) in
-  Array.sort
-    (fun i j ->
-      match Stdlib.compare items.(i).C.Pref_space.size items.(j).C.Pref_space.size with
-      | 0 -> Stdlib.compare i j
-      | cmp -> cmp)
-    s;
-  { C.Pref_space.estimate; items; d; c; s }
+  C.Pref_space.of_items estimate
+    (List.init k (fun i ->
+         let sel = Cqp_prefs.Profile.selection "t" "a" (V.Int i) dois.(i) in
+         {
+           C.Pref_space.path = Cqp_prefs.Path.atomic sel;
+           doi = dois.(i);
+           cost = costs.(i);
+           size = base_size *. fracs.(i);
+         }))
 
 (* The Figure 6/8 cost configuration: five preferences whose sub-query
    costs are 120, 80, 60, 40, 30 (C order = identity because the dois
@@ -90,12 +68,28 @@ let figure6_space () =
     ()
 
 (* Random space generator for qcheck-style equivalence tests. *)
-let random_space ?f ?r rng ~k =
+let random_draws rng ~k =
   let module Rng = Cqp_util.Rng in
   let costs = Array.init k (fun _ -> 5. +. Rng.float rng 100.) in
   let dois = Array.init k (fun _ -> 0.05 +. Rng.float rng 0.9) in
   let fracs = Array.init k (fun _ -> 0.05 +. Rng.float rng 0.9) in
-  fabricate ?f ?r ~costs ~dois ~fracs ()
+  (costs, dois, fracs)
+
+let random_space rng ~k =
+  let costs, dois, fracs = random_draws rng ~k in
+  fabricate ~costs ~dois ~fracs ()
+
+(* [random_space]'s draws with every third item (ids 0, 3, 6, ...) at
+   doi 1 and, with [zero_fracs], every third from id 1 keeping no rows:
+   removing such an item is not invertible from a set's doi or size,
+   and sets holding one tie at doi 1. *)
+let saturated_space ?(zero_fracs = false) rng ~k =
+  let costs, dois, fracs = random_draws rng ~k in
+  for i = 0 to k - 1 do
+    if i mod 3 = 0 then dois.(i) <- 1.;
+    if zero_fracs && i mod 3 = 1 then fracs.(i) <- 0.
+  done;
+  fabricate ~costs ~dois ~fracs ()
 
 let sorted_ids (sol : C.Solution.t) = List.sort compare sol.C.Solution.pref_ids
 

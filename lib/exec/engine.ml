@@ -38,13 +38,16 @@ end
    each slot [k], row [ids.(k).(i)] of [rows.(k)] ([All]: row [i]
    itself, a source no filter or join has narrowed).  Slot [k] holds
    the block's source [srcs.(k)], by its position in the FROM list;
-   slots follow the join order.  Filters and joins only move ids;
+   slots follow the join order.  [vectors.(k)] holds a base source's
+   typed columns ({!Relation.vector}), indexed like its rows, and is
+   empty for a derived table.  Filters and joins only move ids;
    projection builds the output tuples. *)
 type ids = All | Ids of int array
 
 type batch = {
   srcs : int array;
   rows : Tuple.t array array;
+  vectors : Relation.vector array array;
   ids : ids array;
   len : int;
 }
@@ -93,16 +96,59 @@ let pick b positions =
     len = Array.length positions;
   }
 
-(* When [p] compares a column with a literal and [b] holds the column's
-   source unnarrowed: the source's rows, the column, the operator with
-   the column on its left, and the literal. *)
+(* Column [c] of slot [k]'s source as a typed vector, [Boxed] when it
+   has none. *)
+let vector b k c =
+  let vs = b.vectors.(k) in
+  if c < Array.length vs then vs.(c) else Relation.Boxed
+
+(* Slot [k]'s row ids, and whether they are all of its rows in order
+   (then the array is empty and row [i] is the source's row [i]). *)
+let row_ids b k =
+  match b.ids.(k) with All -> (true, [||]) | Ids ids -> (false, ids)
+
+(* The rows [i] of [n] whose cell [a.(at i)] compares with [v] by [op],
+   into [kept]; [at i] is [i] when [all], else [ids.(i)].  One loop per
+   operator. *)
+let keep_ints kept (all, ids) n (a : int array) op (v : int) =
+  let[@inline] x i = if all then a.(i) else a.(ids.(i)) in
+  let add = Positions.add kept in
+  match op with
+  | Eq -> for i = 0 to n - 1 do if x i = v then add i done
+  | Neq -> for i = 0 to n - 1 do if x i <> v then add i done
+  | Lt -> for i = 0 to n - 1 do if x i < v then add i done
+  | Le -> for i = 0 to n - 1 do if x i <= v then add i done
+  | Gt -> for i = 0 to n - 1 do if x i > v then add i done
+  | Ge -> for i = 0 to n - 1 do if x i >= v then add i done
+
+(* The same over a [String] column's codes: an equality is one
+   dictionary lookup, then an int compare per row; an order compares
+   each row's string. *)
+let keep_strings kept ((all, ids) as at) n codes d op v =
+  match op, Relation.find_code d v with
+  | Eq, -1 -> ()
+  | Neq, -1 -> for i = 0 to n - 1 do Positions.add kept i done
+  | (Eq | Neq), code -> keep_ints kept at n codes op code
+  | (Lt | Le | Gt | Ge), _ ->
+      for i = 0 to n - 1 do
+        let x = Relation.decode d codes.(if all then i else ids.(i)) in
+        let c = String.compare x v in
+        if match op with Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0
+        then Positions.add kept i
+      done
+
+let count name =
+  if Cqp_obs.Metrics.is_enabled () then Cqp_obs.Metrics.incr name
+
+(* When [p] compares a column with a literal: the column's slot and
+   position, the operator with the column on its left, and the
+   literal. *)
 let literal_test l b p =
   let on q name op v =
     match Rowset.lookup l.header q name with
-    | Found p -> (
+    | Found p ->
         let s, c = l.at.(p) in
-        let k = slot b s in
-        match b.ids.(k) with All -> Some (b.rows.(k), c, op, v) | Ids _ -> None)
+        Some (slot b s, c, op, v)
     | Missing | Ambiguous -> None
   in
   match p with
@@ -110,21 +156,32 @@ let literal_test l b p =
   | Cmp (op, Lit v, Col (q, name)) -> on q name (mirror op) v
   | _ -> None
 
-(* The rows of [b] that [p] keeps.  A column compared with a literal
-   is one loop over the column's cells when no filter has narrowed its
-   source yet; NULL and cross-type values follow [Value.compare] as
+(* The rows of [b] that [p] keeps.  A column compared with a literal is
+   one loop over the column, through the slot's row ids: over its
+   vector when the literal has the vector's type, else over the boxed
+   cells, where NULL and cross-type values follow [Value.compare] as
    [Eval] does, so a NULL cell or literal keeps nothing.  [Eval]
    compiles every other predicate. *)
 let filter l b p =
   let kept = Positions.create () in
   (match literal_test l b p with
-  | Some (rows, c, op, v) ->
-      if not (Value.is_null v) then
-        for i = 0 to b.len - 1 do
-          let x = rows.(i).(c) in
-          if (not (Value.is_null x)) && Eval.holds op x v then
-            Positions.add kept i
-        done
+  | Some (k, c, op, v) -> (
+      let ((all, ids) as at) = row_ids b k in
+      match vector b k c, v with
+      | Ints a, Int v ->
+          count "engine.filters.typed";
+          keep_ints kept at b.len a op v
+      | Strings (codes, d), String v ->
+          count "engine.filters.typed";
+          keep_strings kept at b.len codes d op v
+      | _, v ->
+          let rows = b.rows.(k) in
+          if not (Value.is_null v) then
+            for i = 0 to b.len - 1 do
+              let x = rows.(if all then i else ids.(i)).(c) in
+              if (not (Value.is_null x)) && Eval.holds op x v then
+                Positions.add kept i
+            done)
   | None ->
       let keep = Eval.predicate (Eval.scalar (scope l b)) p in
       for i = 0 to b.len - 1 do
@@ -138,6 +195,7 @@ let extend acc s r left right =
   {
     srcs = Array.append acc.srcs [| s |];
     rows = Array.append acc.rows r.rows;
+    vectors = Array.append acc.vectors r.vectors;
     ids = Array.append (pick acc left).ids (pick r right).ids;
     len = Array.length left;
   }
@@ -291,38 +349,74 @@ let rec no_null keys i c =
    each probe's matches in [r]'s order, so rows come out as a nested
    loop would produce them.  The index, on [r]'s first key column, is
    built once per load, in reverse so that each chain runs in [r]'s
-   order; a match must agree on every key.  NULL keys never match. *)
+   order; a match must agree on every key.  NULL keys never match.
+
+   On one key whose columns both have [Int] vectors, the ints are
+   hashed by [Value.hash_int] and compared in place; an index is the
+   same whichever path built it, since [hash_int x = hash (Int x)] and
+   an [Int] vector holds no NULL. *)
 let hash_join acc s (r : load) keys =
+  count "engine.joins.hash";
+  let c = snd (List.hd keys) in
+  let typed =
+    match keys with
+    | [ ((s', c'), _) ] -> (
+        let k = slot acc s' in
+        match vector acc k c', vector r.batch 0 c with
+        | Ints a, Ints b -> Some (row_ids acc k, a, row_ids r.batch 0, b)
+        | _ -> None)
+    | _ -> None
+  in
   let left = Array.of_list (List.map (fun (p, _) -> column acc p) keys)
   and right =
     Array.of_list (List.map (fun (_, c) -> column r.batch (0, c)) keys)
   in
-  let c = snd (List.hd keys) in
   let t =
     match List.assoc_opt c r.indexes with
     | Some t -> t
     | None ->
         let t = index r.batch.len in
-        for j = r.batch.len - 1 downto 0 do
-          let k = right.(0) j in
-          if not (Value.is_null k) then add t (Value.hash k) j
-        done;
+        (match typed with
+        | Some (_, _, (all, ids), b) ->
+            for j = r.batch.len - 1 downto 0 do
+              add t (Value.hash_int b.(if all then j else ids.(j))) j
+            done
+        | None ->
+            for j = r.batch.len - 1 downto 0 do
+              let k = right.(0) j in
+              if not (Value.is_null k) then add t (Value.hash k) j
+            done);
         r.indexes <- (c, t) :: r.indexes;
         t
   in
   let lpos = Positions.create () and rpos = Positions.create () in
-  for i = 0 to acc.len - 1 do
-    if no_null left i 0 then begin
-      let j = ref t.head.(bucket t (Value.hash (left.(0) i))) in
-      while !j >= 0 do
-        if agree left right i !j 0 then begin
-          Positions.add lpos i;
-          Positions.add rpos !j
-        end;
-        j := t.next.(!j)
+  (match typed with
+  | Some ((lall, lids), a, (rall, rids), b) ->
+      count "engine.joins.typed";
+      for i = 0 to acc.len - 1 do
+        let x = a.(if lall then i else lids.(i)) in
+        let j = ref t.head.(bucket t (Value.hash_int x)) in
+        while !j >= 0 do
+          if b.(if rall then !j else rids.(!j)) = x then begin
+            Positions.add lpos i;
+            Positions.add rpos !j
+          end;
+          j := t.next.(!j)
+        done
       done
-    end
-  done;
+  | None ->
+      for i = 0 to acc.len - 1 do
+        if no_null left i 0 then begin
+          let j = ref t.head.(bucket t (Value.hash (left.(0) i))) in
+          while !j >= 0 do
+            if agree left right i !j 0 then begin
+              Positions.add lpos i;
+              Positions.add rpos !j
+            end;
+            j := t.next.(!j)
+          done
+        end
+      done);
   extend acc s r.batch (Positions.contents lpos) (Positions.contents rpos)
 
 (* --- plan interpretation --------------------------------------------- *)
@@ -333,10 +427,18 @@ let hash_join acc s (r : load) keys =
    its own scan. *)
 type shared = ((string * string * predicate list) * load) list ref
 
-(* Source [s]'s rows [rows] ([len] of them) with its pushed-down
-   conjuncts applied. *)
-let filtered (s : Explain.source_plan) rows len =
-  let one = { srcs = [| 0 |]; rows = [| rows |]; ids = [| All |]; len } in
+(* Source [s]'s rows [rows] ([len] of them), with its typed columns
+   [vectors], after its pushed-down conjuncts. *)
+let filtered (s : Explain.source_plan) ?(vectors = [||]) rows len =
+  let one =
+    {
+      srcs = [| 0 |];
+      rows = [| rows |];
+      vectors = [| vectors |];
+      ids = [| All |];
+      len;
+    }
+  in
   {
     batch = List.fold_left (filter (layout [ s.header ])) one s.pushed_down;
     indexes = [];
@@ -532,8 +634,15 @@ and load io shared (s : Explain.source_plan) =
       match List.assoc_opt key !shared with
       | Some l -> l
       | None ->
-          (* the relation's own array, read in place *)
-          let l = filtered s (Relation.storage rel) (Relation.cardinality rel) in
+          (* the relation's own arrays, read in place *)
+          if Cqp_obs.Metrics.is_enabled () then
+            Cqp_obs.Metrics.add "engine.filters.pushed"
+              (List.length s.pushed_down);
+          let l =
+            filtered s
+              ~vectors:(Array.init (List.length s.header) (Relation.vector rel))
+              (Relation.storage rel) (Relation.cardinality rel)
+          in
           shared := (key, l) :: !shared;
           l)
 

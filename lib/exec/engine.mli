@@ -21,7 +21,18 @@
     and compared by {!Cqp_relal.Value.equal}.  Building or probing it
     allocates nothing per row.  A base source's rows are read from the
     relation's storage in place, and a pushed-down comparison of one of
-    its columns with a literal runs as one loop over that column.
+    its columns with a literal runs as one loop over that column: over
+    the column's typed vector ({!Cqp_relal.Relation.vector}) when the
+    literal is an [Int] and the column's cells all are, or a [String]
+    and they all are, through the source's row ids once an earlier
+    conjunct has narrowed it; over the boxed cells otherwise.  A hash
+    join on one key column per side whose two columns have [Int]
+    vectors hashes ({!Cqp_relal.Value.hash_int}) and compares the ints
+    in place, building and probing the same index as the boxed join.
+    While metrics are on, [engine.filters.pushed] counts the pushed-down
+    conjuncts run on base sources and [engine.filters.typed] those that
+    ran on a vector; [engine.joins.hash] and [engine.joins.typed] count
+    hash joins the same way.
 
     Within one {!execute}, a base source's filtered rows are built once
     per relation, alias and pushed-down conjuncts, and a hash index on

@@ -84,9 +84,11 @@ let[@inline] hash_float f =
 
 (* [Int x] hashes as the float it rounds to: when some float equals it,
    that is the float. *)
+let[@inline] hash_int x = hash_float (float_of_int x)
+
 let hash = function
   | Null -> 0
-  | Int x -> hash_float (float_of_int x)
+  | Int x -> hash_int x
   | Float x -> hash_float x
   | String s -> Hashtbl.hash s
   | Bool b -> Hashtbl.hash b

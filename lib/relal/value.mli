@@ -44,6 +44,11 @@ val hash : t -> int
     through an inline integer mix; strings use [Hashtbl.hash].
     Allocates nothing. *)
 
+val hash_int : int -> int
+(** [hash_int x = hash (Int x)], for a caller that holds the int
+    unboxed: an index built from either finds keys hashed by the
+    other. *)
+
 val is_null : t -> bool
 
 val to_float : t -> float option

@@ -95,21 +95,21 @@ let build ?(config = default_config) ~seed () =
       (List.init config.n_actors (fun i ->
            [| V.Int (i + 1); V.String (person_name "Actor" (i + 1)) |]))
   in
-  let movies = Relation.create ~block_size movie_schema in
-  let genres = Relation.create ~block_size genre_schema in
-  let casts = Relation.create ~block_size casts_schema in
+  (* rows in reverse, each relation built at its size at the end *)
+  let movies = ref [] and genres = ref [] and casts = ref [] in
   let lo_year, hi_year = config.year_range in
   let n_genres = min config.n_genres (Array.length genre_vocabulary) in
   for mid = 1 to config.n_movies do
     let did = Rng.zipf rng ~n:config.n_directors ~s:config.director_skew in
-    Relation.insert movies
+    movies :=
       [|
         V.Int mid;
         V.String (Printf.sprintf "Movie %05d" mid);
         V.Int (Rng.int_in rng lo_year hi_year);
         V.Int (Rng.int_in rng 60 210);
         V.Int did;
-      |];
+      |]
+      :: !movies;
     (* Genres: 1 .. 2*avg-1 per movie, distinct, Zipf-popular. *)
     let n_g = Rng.int_in rng 1 (max 1 ((2 * config.genres_per_movie) - 1)) in
     let chosen = Hashtbl.create 4 in
@@ -117,8 +117,7 @@ let build ?(config = default_config) ~seed () =
       let g = Rng.zipf rng ~n:n_genres ~s:config.genre_skew - 1 in
       if not (Hashtbl.mem chosen g) then begin
         Hashtbl.add chosen g ();
-        Relation.insert genres
-          [| V.Int mid; V.String genre_vocabulary.(g) |]
+        genres := [| V.Int mid; V.String genre_vocabulary.(g) |] :: !genres
       end
     done;
     let n_c = Rng.int_in rng 1 (max 1 ((2 * config.cast_per_movie) - 1)) in
@@ -127,14 +126,15 @@ let build ?(config = default_config) ~seed () =
       let aid = Rng.int_in rng 1 config.n_actors in
       if not (Hashtbl.mem cast_chosen aid) then begin
         Hashtbl.add cast_chosen aid ();
-        Relation.insert casts
-          [| V.Int mid; V.Int aid; V.String (Rng.choice rng roles) |]
+        casts := [| V.Int mid; V.Int aid; V.String (Rng.choice rng roles) |]
+                 :: !casts
       end
     done
   done;
-  Catalog.add catalog movies;
+  let built schema rows = Relation.of_tuples ~block_size schema (List.rev !rows) in
+  Catalog.add catalog (built movie_schema movies);
   Catalog.add catalog directors;
-  Catalog.add catalog genres;
+  Catalog.add catalog (built genre_schema genres);
   Catalog.add catalog actors;
-  Catalog.add catalog casts;
+  Catalog.add catalog (built casts_schema casts);
   catalog

@@ -7,10 +7,14 @@
      cli_check counter FILE NAME [N]    prints counter NAME; with N, it
                                         must equal N
      cli_check positive FILE NAME       counter NAME is above 0
-     cli_check sum FILE NAME A B        counter NAME equals A + B
+     cli_check sum FILE NAME A B        counter NAME equals A + B; NAME
+                                        may be a number instead
+     cli_check prefix FILE P positive   the counters named P... sum above 0
+     cli_check prefix FILE P N          the counters named P... sum to N
 
-   [counter], [positive] and [sum] read a counter the file does not hold
-   as 0: the registry writes no counter that was never incremented.
+   [counter], [positive], [sum] and [prefix] read a counter the file
+   does not hold as 0: the registry writes no counter that was never
+   incremented.
      cli_check timed FILE NAME          histogram NAME has an observation
                                         and a positive sum
      cli_check sizes FILE LO HI         the text holds size=S values, all
@@ -35,6 +39,18 @@ let json path = J.of_string (read path)
 let count path name =
   match J.member name (field "counters" (json path)) with
   | Some (J.Num x) -> x
+  | _ -> 0.
+
+(* The sum of the counters whose names start with [prefix]. *)
+let prefix_sum path prefix =
+  match field "counters" (json path) with
+  | J.Obj kvs ->
+      List.fold_left
+        (fun acc (k, v) ->
+          match v with
+          | J.Num x when String.starts_with ~prefix k -> acc +. x
+          | _ -> acc)
+        0. kvs
   | _ -> 0.
 
 (* The numbers printed as [size=S] in [text]. *)
@@ -78,9 +94,24 @@ let () =
       if not (v > 0.) then fail "%s is %g, expected more than 0" name v;
       Printf.printf "%s > 0\n" name
   | [ "sum"; path; name; a; b ] ->
-      let v = count path name and x = count path a and y = count path b in
-      if v <> x +. y then fail "%s is %g, %s + %s is %g" name v a b (x +. y);
+      let v =
+        match float_of_string_opt name with Some v -> v | None -> count path name
+      and x = count path a
+      and y = count path b in
+      if v <> x +. y then
+        if float_of_string_opt name <> None then
+          fail "%s + %s is %g, expected %s" a b (x +. y) name
+        else fail "%s is %g, %s + %s is %g" name v a b (x +. y);
       Printf.printf "%s = %s + %s\n" name a b
+  | [ "prefix"; path; prefix; "positive" ] ->
+      let v = prefix_sum path prefix in
+      if not (v > 0.) then fail "%s* is %g, expected more than 0" prefix v;
+      Printf.printf "%s* > 0\n" prefix
+  | [ "prefix"; path; prefix; expected ] ->
+      let v = prefix_sum path prefix in
+      if float_of_string expected <> v then
+        fail "%s* is %g, expected %s" prefix v expected;
+      Printf.printf "%s* = %g\n" prefix v
   | [ "timed"; path; name ] ->
       let h = field name (field "histograms" (json path)) in
       let num k = match field k h with J.Num x -> x | _ -> 0. in
@@ -99,6 +130,6 @@ let () =
   | _ ->
       prerr_endline
         "usage: cli_check (trace FILE | present FILE NAME | counter FILE NAME \
-         [N] | positive FILE NAME | sum FILE NAME A B | timed FILE NAME | \
-         sizes FILE LO HI)";
+         [N] | positive FILE NAME | sum FILE NAME A B | prefix FILE P \
+         (positive | N) | timed FILE NAME | sizes FILE LO HI)";
       exit 2

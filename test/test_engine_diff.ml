@@ -107,7 +107,7 @@ let random_query ?(ordered = false) rng =
 
 (* --- reference evaluator ----------------------------------------------- *)
 
-let reference_execute q =
+let reference_execute ?(catalog = catalog) q =
   match q with
   | Ast.Union_all _ -> assert false
   | Ast.Select b ->
@@ -225,6 +225,174 @@ let prop_engine_matches_reference_ordered =
       Cqp_sql.Analyzer.check catalog q;
       let engine_rows = (execute q).Engine.rows in
       rendered engine_rows = rendered (reference_full q))
+
+(* --- typed columns ------------------------------------------------------ *)
+
+(* Join keys only an exact comparison tells apart: [Int 3] equals
+   [Float 3.], and [Int (2^53 + 1)] equals no float, though
+   [float_of_int] rounds it to [2^53]. *)
+let int_key rng =
+  V.Int (Rng.choice rng [| 0; 1; 3; (1 lsl 53) - 1; 1 lsl 53; (1 lsl 53) + 1 |])
+
+let any_key rng =
+  match Rng.int rng 4 with
+  | 0 -> V.Null
+  | 1 -> V.Float (Rng.choice rng [| 3.; 1.; 0x1p53; 0x1p53 +. 2. |])
+  | _ -> int_key rng
+
+(* [a] and [c] hold Int keys only, so their [k] has an Int vector; in
+   half the catalogs [b]'s keys mix Int, Float and NULL, so [b.k] has
+   none. *)
+let typed_join_catalog rng =
+  let c = Cqp_relal.Catalog.create () in
+  let add name key =
+    Cqp_relal.Catalog.add c
+      (Cqp_relal.Relation.of_tuples ~block_size:64
+         (Cqp_relal.Schema.make name [ ("k", V.Tint, 8); ("tag", V.Tstring, 8) ])
+         (List.init (1 + Rng.int rng 8) (fun i ->
+              Tuple.make [ key rng; V.String (Printf.sprintf "%s%d" name i) ])))
+  in
+  add "a" int_key;
+  add "b" (if Rng.bool rng then any_key else int_key);
+  add "c" int_key;
+  c
+
+(* Two or three of [a], [b], [c] in a random FROM order, each joined
+   to an earlier one on [k], sometimes with a literal filter on a key;
+   the outputs are a tag and a key. *)
+let typed_join_query rng =
+  let from = [| "a"; "b"; "c" |] in
+  Rng.shuffle rng from;
+  let from = Array.to_list (Array.sub from 0 (2 + Rng.int rng 2)) in
+  let k t = Ast.Col (Some t, "k") in
+  let joins =
+    List.mapi
+      (fun i t ->
+        if i = 0 then []
+        else [ Ast.Cmp (Ast.Eq, k (List.nth from (Rng.int rng i)), k t) ])
+      from
+    |> List.concat
+  in
+  let filter =
+    if Rng.int rng 3 = 0 then
+      [
+        Ast.Cmp
+          ( Rng.choice rng [| Ast.Eq; Ast.Ge; Ast.Lt |],
+            k (Rng.choice rng (Array.of_list from)),
+            Ast.Lit (any_key rng) );
+      ]
+    else []
+  in
+  Ast.simple_select ~where:(Ast.conj (joins @ filter))
+    [
+      Ast.Item (Ast.Col (Some (List.hd from), "tag"), None);
+      Ast.Item (k (List.nth from (List.length from - 1)), None);
+    ]
+    (List.map (fun t -> Ast.Table (t, None)) from)
+
+(* Rows in order, with their constructors, and block reads: a join on
+   two Int vectors hashes and compares the ints in place, and must
+   match what the boxed join and the nested-loop reference match. *)
+let prop_typed_joins_match_reference =
+  QCheck.Test.make ~name:"int-key joins = naive reference" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let catalog = typed_join_catalog rng in
+      let q = typed_join_query rng in
+      let shown rows =
+        List.map
+          (fun r ->
+            String.concat ","
+              (List.map
+                 (fun v -> V.ty_name (V.type_of v) ^ " " ^ V.to_string v)
+                 (Tuple.to_list r)))
+          rows
+      in
+      let got = shown (execute ~catalog q).Engine.rows
+      and want = shown (reference_execute ~catalog q) in
+      if got <> want then
+        QCheck.Test.fail_reportf "%s\ngot  [%s]\nwant [%s]"
+          (Cqp_sql.Printer.to_string q) (String.concat "; " got)
+          (String.concat "; " want);
+      true)
+
+(* The property above runs joins on both paths. *)
+let test_typed_joins_covered () =
+  Cqp_obs.Metrics.reset ();
+  Cqp_obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () ->
+      Cqp_obs.Metrics.disable ();
+      Cqp_obs.Metrics.reset ())
+  @@ fun () ->
+  for seed = 0 to 299 do
+    let rng = Rng.create seed in
+    let catalog = typed_join_catalog rng in
+    ignore (Engine.execute catalog (typed_join_query rng))
+  done;
+  let typed = Cqp_obs.Metrics.counter_value "engine.joins.typed"
+  and all = Cqp_obs.Metrics.counter_value "engine.joins.hash" in
+  Printf.printf "%d of %d hash joins on Int vectors\n" typed all;
+  Alcotest.(check bool) "some joins typed" true (typed > 100);
+  Alcotest.(check bool) "some joins boxed" true (all - typed > 100)
+
+(* An insert made after an execution is seen by the next one, on the
+   typed path while the column keeps one type and on the boxed path
+   once it holds a Float or a NULL; each answer equals the naive
+   reference's. *)
+let test_insert_after_execution () =
+  let module R = Cqp_relal.Relation in
+  let catalog = Cqp_relal.Catalog.create () in
+  let relation name =
+    let r =
+      R.create ~block_size:64
+        (Cqp_relal.Schema.make name [ ("k", V.Tint, 8); ("s", V.Tstring, 8) ])
+    in
+    Cqp_relal.Catalog.add catalog r;
+    r
+  in
+  let m = relation "m" and n = relation "n" in
+  let row k s = Tuple.make [ k; V.String s ] in
+  for i = 0 to 19 do
+    R.insert m (row (V.Int (i mod 7)) (string_of_int i))
+  done;
+  List.iter (fun i -> R.insert n (row (V.Int i) ("n" ^ string_of_int i))) [ 5; 6; 9 ];
+  let queries =
+    List.map Cqp_sql.Parser.parse
+      [
+        "select s from m where k = 5";
+        "select s from m where k >= 5 and s <> '12'";
+        "select s from m where s = 'fresh'";
+        "select m.s, n.s from m, n where m.k = n.k";
+      ]
+  in
+  let check what =
+    List.iter
+      (fun q ->
+        Alcotest.(check (list string))
+          (what ^ ": " ^ Cqp_sql.Printer.to_string q)
+          (rendered (reference_execute ~catalog q))
+          (rendered (execute ~catalog q).Engine.rows))
+      queries
+  in
+  let is_ints r c = match R.vector r c with R.Ints _ -> true | _ -> false in
+  check "initial";
+  Alcotest.(check bool) "m.k typed" true (is_ints m 0);
+  (* past the arrays' capacity, and a string the dictionary lacks *)
+  for i = 0 to 39 do
+    R.insert m (row (V.Int 5) ("more" ^ string_of_int i))
+  done;
+  R.insert m (row (V.Int 9) "fresh");
+  check "after Int inserts";
+  Alcotest.(check bool) "m.k still typed" true (is_ints m 0);
+  R.insert m (row (V.Float 5.) "float");
+  check "after a Float";
+  Alcotest.(check bool) "m.k boxed" false (is_ints m 0);
+  R.insert n (row V.Null "null");
+  check "after a NULL";
+  Alcotest.(check bool) "n.k boxed" false (is_ints n 0);
+  Alcotest.(check bool) "n.s typed" true
+    (match R.vector n 1 with R.Strings _ -> true | _ -> false)
 
 (* --- directed duplicate-row cases -------------------------------------- *)
 
@@ -1058,6 +1226,28 @@ let test_shapes_keep_group_by () =
   raises "arity" "select distinct x as v, y as w, x as z from f"
     "append: arity mismatch between union branches"
 
+(* Lanes on several domains share one catalog and its vectors: the
+   golden queries executed from pools of 1, 2 and 4 domains give the
+   rows a sequential run gives. *)
+let test_domains_share_vectors () =
+  let catalog = Lazy.force imdb in
+  let queries = Array.of_list (golden_queries ()) in
+  let rows q = typed_rows (Engine.execute catalog q).Engine.rows in
+  let expected = Array.map rows queries in
+  List.iter
+    (fun domains ->
+      let got =
+        Cqp_par.Pool.with_pool ~domains (fun pool ->
+            Cqp_par.Pool.map pool rows queries)
+      in
+      Array.iteri
+        (fun i want ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d domains, query %d" domains i)
+            want got.(i))
+        expected)
+    [ 1; 2; 4 ]
+
 let qc = Testlib.qc
 
 let () =
@@ -1082,6 +1272,16 @@ let () =
             test_exec_minor_words;
           Alcotest.test_case "intersection minor words within bound" `Quick
             test_intersect_minor_words;
+        ] );
+      ( "vectors",
+        [
+          qc prop_typed_joins_match_reference;
+          Alcotest.test_case "generated joins cover both paths" `Quick
+            test_typed_joins_covered;
+          Alcotest.test_case "inserts after an execution" `Quick
+            test_insert_after_execution;
+          Alcotest.test_case "domains share one catalog" `Quick
+            test_domains_share_vectors;
         ] );
       ( "intersection",
         [

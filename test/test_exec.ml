@@ -417,19 +417,56 @@ let test_distinct_group_by_equality_classes () =
     [ "int 1, int 2"; "float 0x1p+1, int 2"; "float 0x0p+0, int 3"; "int 3, int 1" ]
     (cells "select k, count(*) from mixed group by k")
 
-(* A pushed-down [column op literal] runs as the literal loop; the
-   rows it keeps must be those [Eval.predicate] keeps, whatever the
-   cells, the operator, the literal and its side.  A second conjunct
-   runs on the rows the first narrowed. *)
+(* A pushed-down [column op literal] runs as one loop over the column:
+   over its typed vector when every cell and the literal are [Int], or
+   every cell and the literal are [String]; over the boxed cells
+   otherwise.  The rows it keeps must be those [Eval.predicate] keeps,
+   whatever the cells, the operator, the literal and its side.  About
+   half the columns hold one type, so the typed loops run: ints near
+   the edges of float precision and of the int range, where a loop
+   that compares through [float_of_int] keeps the wrong rows, and
+   strings, some of the literals absent from the column.  A second or
+   third conjunct runs on the rows the first narrowed, read through
+   their row ids. *)
+let edge_int =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-2) 2;
+        oneofl
+          [
+            1 lsl 53; (1 lsl 53) + 1; (1 lsl 53) - 1; -(1 lsl 53);
+            -(1 lsl 53) - 1; -(1 lsl 53) + 1; max_int; max_int - 1; min_int;
+            min_int + 1;
+          ];
+      ])
+
+let short_string = QCheck.Gen.oneofl [ "a"; "b"; "1"; "ab" ]
+
 let literal_cell =
   QCheck.Gen.(
     oneof
       [
         return V.Null;
-        map (fun i -> V.Int i) (int_range (-2) 2);
-        oneofl [ V.Float 1.; V.Float (-0.); V.Float 0.5; V.Float Float.nan ];
-        map (fun s -> V.String s) (oneofl [ "a"; "b"; "1" ]);
+        map (fun i -> V.Int i) edge_int;
+        oneofl
+          [
+            V.Float 1.; V.Float (-0.); V.Float 0.5; V.Float Float.nan;
+            V.Float 0x1p53; V.Float 0x1p62; V.Float (-0x1p62);
+            V.Float Float.infinity; V.Float Float.neg_infinity;
+          ];
+        map (fun s -> V.String s) (oneofl [ "a"; "b"; "1"; "ab"; "zz"; "" ]);
         map (fun b -> V.Bool b) bool;
+      ])
+
+(* The column's cells: mixed types, all [Int] or all [String]. *)
+let column_cells =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, list_size (int_range 0 12) literal_cell);
+        (1, list_size (int_range 0 12) (map (fun i -> V.Int i) edge_int));
+        (1, list_size (int_range 0 12) (map (fun s -> V.String s) short_string));
       ])
 
 let prop_literal_filter_matches_eval =
@@ -437,11 +474,26 @@ let prop_literal_filter_matches_eval =
     QCheck.Gen.(
       triple (oneofl Cqp_sql.Ast.[ Eq; Neq; Lt; Le; Gt; Ge ]) literal_cell bool)
   in
-  QCheck.Test.make ~name:"literal filter = Eval.predicate" ~count:500
+  QCheck.Test.make ~name:"literal filter = Eval.predicate" ~count:1000
     (QCheck.make
-       QCheck.Gen.(
-         pair (list_size (int_range 0 12) literal_cell)
-           (list_size (int_range 1 2) conjunct)))
+       ~print:(fun (cells, conjuncts) ->
+         let cell = function
+           | (V.Int _ | V.Float _) as v -> shown v
+           | v -> V.ty_name (V.type_of v) ^ " " ^ V.to_string v
+         and op =
+           Cqp_sql.Ast.(
+             function
+             | Eq -> "=" | Neq -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=")
+         in
+         Printf.sprintf "cells [%s], where %s"
+           (String.concat "; " (List.map cell cells))
+           (String.concat " and "
+              (List.map
+                 (fun (o, lit, left) ->
+                   if left then Printf.sprintf "(%s) %s v" (cell lit) (op o)
+                   else Printf.sprintf "v %s (%s)" (op o) (cell lit))
+                 conjuncts)))
+       QCheck.Gen.(pair column_cells (list_size (int_range 1 3) conjunct)))
     (fun (cells, conjuncts) ->
       let module Ast = Cqp_sql.Ast in
       let c = Catalog.create () in

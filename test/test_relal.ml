@@ -71,6 +71,20 @@ let prop_value_hash_respects_equal =
          map (fun twin_b -> if twin_b then (a, twin a) else (a, b)) bool))
     (fun (a, b) -> (not (V.equal a b)) || V.hash a = V.hash b)
 
+(* The engine's typed joins hash unboxed ints into indexes the boxed
+   path also builds and probes. *)
+let prop_hash_int_is_hash =
+  QCheck.Test.make ~name:"hash_int x = hash (Int x)" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(
+         oneof
+           [
+             int;
+             int_range (-5) 5;
+             oneofl [ max_int; min_int; (1 lsl 53) + 1; 1 lsl 53 ];
+           ]))
+    (fun x -> V.hash_int x = V.hash (V.Int x))
+
 (* The engine indexes rows by a hash's low bits, so consecutive ints
    and floats must not collapse into a few buckets. *)
 let test_value_hash_spreads () =
@@ -259,6 +273,67 @@ let test_relation_iteration () =
   checki "to_list" 5 (List.length (Relation.to_list r));
   checki "column length" 5 (List.length (Relation.column r 0))
 
+(* After any run of inserts, a column has an [Int] vector exactly when
+   every cell is an [Int], a [String] vector exactly when every cell is
+   a [String] (each coded through the dictionary), and no vector
+   otherwise or when empty.  Runs long enough to move the arrays; cells
+   are mostly of one type, so both vectors are common. *)
+let prop_vectors_follow_inserts =
+  let cell =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map (fun i -> V.Int i) (int_range (-3) 3));
+          (8, map (fun s -> V.String s) (oneofl [ "a"; "b"; "" ]));
+          (1, oneofl [ V.Null; V.Float 1.; V.Bool true ]);
+        ])
+  in
+  let column =
+    QCheck.Gen.(
+      oneof
+        [
+          list_size (int_range 0 40) cell;
+          map (fun (c, n) -> List.init n (fun _ -> c)) (pair cell (int_range 0 40));
+        ])
+  in
+  QCheck.Test.make ~name:"typed vectors = cells" ~count:300
+    (QCheck.make QCheck.Gen.(pair column (int_range 0 40)))
+    (fun (cells, k) ->
+      let schema = Schema.make "v" [ ("x", V.Tint, 8); ("y", V.Tint, 8) ] in
+      let r = Relation.create schema in
+      List.iteri
+        (fun i c -> Relation.insert r (Tuple.make [ c; V.Int (i mod (k + 1)) ]))
+        cells;
+      let n = Relation.cardinality r in
+      let cells_of c = Array.init n (fun i -> (Relation.storage r).(i).(c)) in
+      let holds c =
+        let cells = cells_of c in
+        match Relation.vector r c with
+        | Relation.Ints a ->
+            n > 0
+            && Array.for_all2
+                 (fun v x -> V.type_of v = V.Tint && V.equal v (V.Int x))
+                 cells (Array.sub a 0 n)
+        | Relation.Strings (codes, d) ->
+            n > 0
+            && Array.for_all2
+                 (fun v code ->
+                   match v with
+                   | V.String s ->
+                       Relation.decode d code = s && Relation.find_code d s = code
+                   | _ -> false)
+                 cells (Array.sub codes 0 n)
+        | Relation.Boxed ->
+            n = 0
+            || not
+                 (Array.for_all (fun v -> V.type_of v = V.Tint) cells
+                 || Array.for_all (fun v -> V.type_of v = V.Tstring) cells)
+      in
+      holds 0 && holds 1
+      && (match Relation.vector r 0 with
+         | Relation.Strings (_, d) -> Relation.find_code d "absent" = -1
+         | _ -> true))
+
 let prop_blocks_formula =
   QCheck.Test.make ~name:"blocks = ceil(card/per_block)" ~count:100
     QCheck.(int_range 0 200)
@@ -345,6 +420,7 @@ let () =
           qc prop_value_compare_order;
           Alcotest.test_case "hash" `Quick test_value_hash_consistent;
           qc prop_value_hash_respects_equal;
+          qc prop_hash_int_is_hash;
           Alcotest.test_case "hash spreads numbers" `Quick
             test_value_hash_spreads;
           Alcotest.test_case "sql roundtrip" `Quick test_value_sql_roundtrip;
@@ -369,6 +445,7 @@ let () =
           Alcotest.test_case "storage" `Quick test_relation_storage;
           Alcotest.test_case "arity check" `Quick test_relation_arity_check;
           Alcotest.test_case "iteration" `Quick test_relation_iteration;
+          qc prop_vectors_follow_inserts;
           qc prop_blocks_formula;
         ] );
       ( "stats",

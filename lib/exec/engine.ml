@@ -121,21 +121,13 @@ let keep_ints kept (all, ids) n (a : int array) op (v : int) =
   | Gt -> for i = 0 to n - 1 do if x i > v then add i done
   | Ge -> for i = 0 to n - 1 do if x i >= v then add i done
 
-(* The same over a [String] column's codes: an equality is one
-   dictionary lookup, then an int compare per row; an order compares
-   each row's string. *)
-let keep_strings kept ((all, ids) as at) n codes d op v =
+(* The same for [op] = [Eq] or [Neq] over a [String] column's codes:
+   one dictionary lookup, then an int compare per row. *)
+let keep_strings kept at n codes d op v =
   match op, Relation.find_code d v with
   | Eq, -1 -> ()
   | Neq, -1 -> for i = 0 to n - 1 do Positions.add kept i done
-  | (Eq | Neq), code -> keep_ints kept at n codes op code
-  | (Lt | Le | Gt | Ge), _ ->
-      for i = 0 to n - 1 do
-        let x = Relation.decode d codes.(if all then i else ids.(i)) in
-        let c = String.compare x v in
-        if match op with Lt -> c < 0 | Le -> c <= 0 | Gt -> c > 0 | _ -> c >= 0
-        then Positions.add kept i
-      done
+  | _, code -> keep_ints kept at n codes op code
 
 let count name =
   if Cqp_obs.Metrics.is_enabled () then Cqp_obs.Metrics.incr name
@@ -158,23 +150,23 @@ let literal_test l b p =
 
 (* The rows of [b] that [p] keeps.  A column compared with a literal is
    one loop over the column, through the slot's row ids: over its
-   vector when the literal has the vector's type, else over the boxed
-   cells, where NULL and cross-type values follow [Value.compare] as
-   [Eval] does, so a NULL cell or literal keeps nothing.  [Eval]
-   compiles every other predicate. *)
+   vector when the literal has the vector's type (a [String] only for
+   [=] and [<>]), else over the boxed cells, where NULL and cross-type
+   values follow [Value.compare] as [Eval] does, so a NULL cell or
+   literal keeps nothing.  [Eval] compiles every other predicate. *)
 let filter l b p =
   let kept = Positions.create () in
   (match literal_test l b p with
   | Some (k, c, op, v) -> (
       let ((all, ids) as at) = row_ids b k in
-      match vector b k c, v with
-      | Ints a, Int v ->
+      match vector b k c, op, v with
+      | Ints a, _, Int v ->
           count "engine.filters.typed";
           keep_ints kept at b.len a op v
-      | Strings (codes, d), String v ->
+      | Strings (codes, d), (Eq | Neq), String v ->
           count "engine.filters.typed";
           keep_strings kept at b.len codes d op v
-      | _, v ->
+      | _, _, v ->
           let rows = b.rows.(k) in
           if not (Value.is_null v) then
             for i = 0 to b.len - 1 do

@@ -24,8 +24,9 @@
     its columns with a literal runs as one loop over that column: over
     the column's typed vector ({!Cqp_relal.Relation.vector}) when the
     literal is an [Int] and the column's cells all are, or a [String]
-    and they all are, through the source's row ids once an earlier
-    conjunct has narrowed it; over the boxed cells otherwise.  A hash
+    under [=] or [<>] and they all are, through the source's row ids
+    once an earlier conjunct has narrowed it; over the boxed cells
+    otherwise.  A hash
     join on one key column per side whose two columns have [Int]
     vectors hashes ({!Cqp_relal.Value.hash_int}) and compares the ints
     in place, building and probing the same index as the boxed join.

@@ -1,8 +1,5 @@
-type dictionary = {
-  mutable strings : string array;  (* by code; the first [size] are used *)
-  mutable size : int;
-  codes : (string, int) Hashtbl.t;
-}
+(* Each distinct string's code: the number of strings coded before it. *)
+type dictionary = (string, int) Hashtbl.t
 
 type vector =
   | Ints of int array
@@ -50,22 +47,17 @@ let grow a len fill =
   bigger
 
 let code d s =
-  match Hashtbl.find_opt d.codes s with
+  match Hashtbl.find_opt d s with
   | Some c -> c
   | None ->
-      let c = d.size in
-      if c = Array.length d.strings then d.strings <- grow d.strings c "";
-      d.strings.(c) <- s;
-      d.size <- c + 1;
-      Hashtbl.add d.codes s c;
+      let c = Hashtbl.length d in
+      Hashtbl.add d s c;
       c
 
 (* The vector of a column whose first cell is [v]. *)
 let fresh capacity = function
   | Value.Int _ -> Ints (Array.make capacity 0)
-  | Value.String _ ->
-      let d = { strings = [||]; size = 0; codes = Hashtbl.create 16 } in
-      Strings (Array.make capacity 0, d)
+  | Value.String _ -> Strings (Array.make capacity 0, Hashtbl.create 16)
   | _ -> Boxed
 
 (* Column [c]'s vector once row [r.len] holds [v]: the first row picks
@@ -121,8 +113,7 @@ let fold f init r =
 let to_list r = List.rev (fold (fun acc t -> t :: acc) [] r)
 let storage r = r.data
 let vector r c = r.vectors.(c)
-let find_code d s = Option.value (Hashtbl.find_opt d.codes s) ~default:(-1)
-let decode d c = d.strings.(c)
+let find_code d s = Option.value (Hashtbl.find_opt d s) ~default:(-1)
 
 let column r i = List.rev (fold (fun acc t -> Tuple.get t i :: acc) [] r)
 

@@ -54,7 +54,8 @@ type dictionary
 type vector =
   | Ints of int array  (** row [i]'s cell is [Int ints.(i)] *)
   | Strings of int array * dictionary
-      (** row [i]'s cell is [String (decode dict codes.(i))] *)
+      (** row [i]'s cell is the [String s] with
+          [find_code dict s = codes.(i)] *)
   | Boxed
       (** no vector: the relation is empty, or the column has held a
           NULL, [Float] or [Bool] cell, or cells of two types *)
@@ -67,8 +68,6 @@ val vector : t -> int -> vector
 
 val find_code : dictionary -> string -> int
 (** The string's code, or [-1] when no row holds it. *)
-
-val decode : dictionary -> int -> string
 
 val column : t -> int -> Value.t list
 (** All values of the column at the given position, in storage order. *)

@@ -187,6 +187,51 @@ let print_row label cells = Printf.printf "%-16s %s\n%!" label (String.concat " 
 
 let fmt_opt f = function Some m -> f m | None -> Printf.sprintf "%10s" "-"
 
+(* A campaign as a table sweeps it: the values it runs at, their column
+   labels, and the (algorithm, value) pairs it skips. *)
+type sweep = {
+  params : int list;
+  label : int -> string;
+  skip : C.Algorithm.t -> int -> bool;
+  run : C.Algorithm.t -> int -> measurement option;
+}
+
+let sweep_a () =
+  {
+    params = k_values ();
+    label = (fun k -> "K=" ^ string_of_int k);
+    skip = (fun algo k -> is_slow algo && not (List.mem k (k_values_slow ())));
+    run = run_campaign_a;
+  }
+
+let sweep_b () =
+  {
+    params = List.map (fun f -> int_of_float (100. *. f)) (cmax_fracs ());
+    label = Printf.sprintf "%d%%";
+    skip = (fun _ _ -> false);
+    run = run_campaign_b;
+  }
+
+(* One algorithm-sweep table: a row per algorithm, [cell] of each
+   measurement per swept value. *)
+let sweep_table id title sweep cell =
+  section_header id title;
+  Printf.printf "%-16s %s\n" "algorithm"
+    (String.concat " "
+       (List.map (fun p -> Printf.sprintf "%10s" (sweep.label p)) sweep.params));
+  List.iter
+    (fun algo ->
+      print_row (C.Algorithm.name algo)
+        (List.map
+           (fun p ->
+             if sweep.skip algo p then Printf.sprintf "%10s" "(skip)"
+             else
+               fmt_opt
+                 (fun m -> Printf.sprintf "%10.2f" (cell m))
+                 (sweep.run algo p))
+           sweep.params))
+    C.Algorithm.all
+
 (* ---------------------------------------------------------------- *)
 (* Definitional tables                                               *)
 (* ---------------------------------------------------------------- *)
@@ -375,25 +420,9 @@ let fig6_fig8 () =
 (* ---------------------------------------------------------------- *)
 
 let fig12a () =
-  section_header "Figure 12(a)"
-    (Printf.sprintf "CQP optimization time (ms) vs K, cmax = %.0f ms" default_cmax);
-  Printf.printf "%-16s %s\n" "algorithm"
-    (String.concat " " (List.map (Printf.sprintf "%10s") (List.map (fun k -> "K=" ^ string_of_int k) (k_values ()))));
-  List.iter
-    (fun algo ->
-      let cells =
-        List.map
-          (fun k ->
-            if is_slow algo && not (List.mem k (k_values_slow ())) then
-              Printf.sprintf "%10s" "(skip)"
-            else
-              fmt_opt
-                (fun m -> Printf.sprintf "%10.2f" m.time_ms)
-                (run_campaign_a algo k))
-          (k_values ())
-      in
-      print_row (C.Algorithm.name algo) cells)
-    C.Algorithm.all;
+  sweep_table "Figure 12(a)"
+    (Printf.sprintf "CQP optimization time (ms) vs K, cmax = %.0f ms" default_cmax)
+    (sweep_a ()) (fun m -> m.time_ms);
   Printf.printf
     "(paper shape: D_MaxDoi and D_SingleMaxDoi slowest and growing fastest;\n";
   Printf.printf
@@ -429,23 +458,9 @@ let fig12b () =
     "(paper shape: both negligible vs the CQP algorithms of Fig 12(a))\n%!"
 
 let fig12cd () =
-  section_header "Figure 12(c,d)"
-    "CQP optimization time (ms) vs cmax (%% of Supreme Cost), K = 20";
-  Printf.printf "%-16s %s\n" "algorithm"
-    (String.concat " "
-       (List.map (fun f -> Printf.sprintf "%10s" (Printf.sprintf "%d%%" (int_of_float (100. *. f)))) (cmax_fracs ())));
-  List.iter
-    (fun algo ->
-      let cells =
-        List.map
-          (fun frac ->
-            fmt_opt
-              (fun m -> Printf.sprintf "%10.2f" m.time_ms)
-              (run_campaign_b algo (int_of_float (100. *. frac))))
-          (cmax_fracs ())
-      in
-      print_row (C.Algorithm.name algo) cells)
-    C.Algorithm.all;
+  sweep_table "Figure 12(c,d)"
+    "CQP optimization time (ms) vs cmax (% of Supreme Cost), K = 20"
+    (sweep_b ()) (fun m -> m.time_ms);
   Printf.printf
     "(paper shape: times peak around cmax = 50%% of Supreme Cost;\n";
   Printf.printf " D_HeurDoi nearly unaffected by cmax)\n%!"
@@ -455,39 +470,12 @@ let fig12cd () =
 (* ---------------------------------------------------------------- *)
 
 let fig13ab () =
-  section_header "Figure 13(a)"
-    (Printf.sprintf "memory high-water mark (KB) vs K, cmax = %.0f ms" default_cmax);
-  Printf.printf "%-16s %s\n" "algorithm"
-    (String.concat " " (List.map (fun k -> Printf.sprintf "%10s" ("K=" ^ string_of_int k)) (k_values ())));
-  List.iter
-    (fun algo ->
-      let cells =
-        List.map
-          (fun k ->
-            if is_slow algo && not (List.mem k (k_values_slow ())) then
-              Printf.sprintf "%10s" "(skip)"
-            else
-              fmt_opt (fun m -> Printf.sprintf "%10.2f" m.peak_kb) (run_campaign_a algo k))
-          (k_values ())
-      in
-      print_row (C.Algorithm.name algo) cells)
-    C.Algorithm.all;
-  section_header "Figure 13(b)" "memory high-water mark (KB) vs cmax (% Supreme Cost), K = 20";
-  Printf.printf "%-16s %s\n" "algorithm"
-    (String.concat " "
-       (List.map (fun f -> Printf.sprintf "%10s" (Printf.sprintf "%d%%" (int_of_float (100. *. f)))) (cmax_fracs ())));
-  List.iter
-    (fun algo ->
-      let cells =
-        List.map
-          (fun frac ->
-            fmt_opt
-              (fun m -> Printf.sprintf "%10.2f" m.peak_kb)
-              (run_campaign_b algo (int_of_float (100. *. frac))))
-          (cmax_fracs ())
-      in
-      print_row (C.Algorithm.name algo) cells)
-    C.Algorithm.all;
+  sweep_table "Figure 13(a)"
+    (Printf.sprintf "memory high-water mark (KB) vs K, cmax = %.0f ms" default_cmax)
+    (sweep_a ()) (fun m -> m.peak_kb);
+  sweep_table "Figure 13(b)"
+    "memory high-water mark (KB) vs cmax (% Supreme Cost), K = 20"
+    (sweep_b ()) (fun m -> m.peak_kb);
   Printf.printf
     "(paper shape: D_MaxDoi/D_SingleMaxDoi memory-hungry, C_Boundaries\n";
   Printf.printf
@@ -503,36 +491,30 @@ let fig14ab () =
   let heuristics =
     [ C.Algorithm.D_heurdoi; C.Algorithm.C_maxbounds; C.Algorithm.D_singlemaxdoi ]
   in
-  let quality_vs campaign param_list param_name run =
+  let quality_vs sweep =
     Printf.printf "%-16s %s\n" "algorithm"
       (String.concat " "
-         (List.map (fun p -> Printf.sprintf "%12s" (param_name p)) param_list));
+         (List.map (fun p -> Printf.sprintf "%12s" (sweep.label p)) sweep.params));
     List.iter
       (fun algo ->
         let cells =
           List.map
             (fun p ->
-              let oracle = run C.Algorithm.D_maxdoi p in
-              let found = run algo p in
+              let oracle = sweep.run C.Algorithm.D_maxdoi p in
+              let found = sweep.run algo p in
               match oracle, found with
               | Some o, Some f ->
                   Printf.sprintf "%12.4f" (1e7 *. (o.doi -. f.doi))
               | _ -> Printf.sprintf "%12s" "-")
-            param_list
+            sweep.params
         in
         print_row (C.Algorithm.name algo) cells)
-      heuristics;
-    ignore campaign
+      heuristics
   in
-  quality_vs `A (k_values_slow ())
-    (fun k -> "K=" ^ string_of_int k)
-    (fun algo k -> run_campaign_a algo k);
+  quality_vs { (sweep_a ()) with params = k_values_slow () };
   section_header "Figure 14(b)"
     "Quality = doi_optimal - doi_found (x 1e7) vs cmax (% Supreme Cost), K = 20";
-  quality_vs `B
-    (List.map (fun f -> int_of_float (100. *. f)) (cmax_fracs ()))
-    (fun pct -> Printf.sprintf "%d%%" pct)
-    (fun algo pct -> run_campaign_b algo pct);
+  quality_vs (sweep_b ());
   Printf.printf
     "(paper shape: differences are minuscule — order 1e-7 — because the\n";
   Printf.printf
@@ -798,14 +780,17 @@ let scaling () =
 (* Serve: multi-user batch driver, caches on vs off                   *)
 (* ---------------------------------------------------------------- *)
 
+(* The workload the serve section and the serve trend workloads
+   replay. *)
+let serve_workload () =
+  Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
+    ~rng:(Cqp_util.Rng.create !mode.seed) (catalog ())
+
 let serve_bench () =
   section_header "Serve"
     "multi-user workload through cqp_serve: cross-request caches on vs off";
   let catalog = catalog () in
-  let entries =
-    Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
-      ~rng:(Cqp_util.Rng.create !mode.seed) catalog
-  in
+  let entries = serve_workload () in
   let passes = 3 in
   Printf.printf "%-10s %6s %12s %12s %14s %10s %10s %10s\n" "caches" "pass"
     "total(ms)" "req/s" "mean±sd(ms)" "p50(ms)" "p90(ms)" "p99(ms)";
@@ -1194,54 +1179,29 @@ let trend_solver_largek () =
   done;
   (!lats, 0.)
 
-(* The measured warm pass of a serve workload: replay [entries] again
-   and return its latencies (µs) and the hit rate, over the pass, of
-   the (hits, lookups) that [pick] reads off the server's cache
-   totals. *)
-let warm_pass ?pool server entries
-    (pick : Cqp_serve.Serve.cache_totals -> int * int) =
+(* Workloads 3 to 5: serve replay.  A cold pass warms the caches, then
+   the measured warm pass replays the same entries and reports its
+   latencies (µs) and the hit rate, over the pass, of the (hits,
+   lookups) that [pick] reads off the server's cache totals.  The
+   parallel variant fans the workload over a 4-domain pool with
+   domain-local shard caches.  The pareto variant arms the
+   tri-objective front cache ([Config.pareto]) and reports the
+   {e front} cache hit rate, so a regression in front-key stability or
+   builder determinism (a fresh front per request) shows up as a
+   hit-rate collapse long before it shows up as latency. *)
+let trend_serve ?(domains = 1) ?resilience
+    (pick : Cqp_serve.Serve.cache_totals -> int * int) () =
+  let entries = serve_workload () in
+  let server = Cqp_serve.Serve.create ~caching:true ?resilience (catalog ()) in
+  Cqp_par.Pool.with_pool ~domains @@ fun pool ->
+  ignore (Cqp_serve.Workload.replay ~pool server entries);
   let hits0, lookups0 = pick (Cqp_serve.Serve.cache_totals server) in
-  let responses = Cqp_serve.Workload.replay ?pool server entries in
+  let responses = Cqp_serve.Workload.replay ~pool server entries in
   let hits1, lookups1 = pick (Cqp_serve.Serve.cache_totals server) in
   ( List.map (fun r -> r.Cqp_serve.Serve.latency_ms *. 1000.) responses,
     if lookups1 > lookups0 then
       float_of_int (hits1 - hits0) /. float_of_int (lookups1 - lookups0)
     else 0. )
-
-(* Workloads 3 and 4: serve replay — a cold pass warms the caches,
-   then the measured warm pass replays the same entries; the parallel
-   variant fans the identical workload over a 4-domain pool with
-   domain-local shard caches. *)
-let trend_serve ?(domains = 1) () =
-  let catalog = catalog () in
-  let entries =
-    Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
-      ~rng:(Cqp_util.Rng.create !mode.seed) catalog
-  in
-  let server = Cqp_serve.Serve.create ~caching:true catalog in
-  Cqp_par.Pool.with_pool ~domains @@ fun pool ->
-  ignore (Cqp_serve.Workload.replay ~pool server entries);
-  warm_pass ~pool server entries (fun c ->
-      (c.extraction_hits, c.extraction_lookups))
-
-(* Workload 5: pareto-front serving — the serve replay with the
-   tri-objective front cache armed ([Config.pareto]).  The cold pass
-   populates one front per (query, profile); the measured warm pass
-   reports the {e front} cache hit rate, so a regression in front-key
-   stability or builder determinism (a fresh front per request) shows
-   up as a hit-rate collapse long before it shows up as latency. *)
-let trend_pareto_front () =
-  let catalog = catalog () in
-  let entries =
-    Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
-      ~rng:(Cqp_util.Rng.create !mode.seed) catalog
-  in
-  let resilience =
-    { Cqp_resilience.Config.default with Cqp_resilience.Config.pareto = true }
-  in
-  let server = Cqp_serve.Serve.create ~caching:true ~resilience catalog in
-  ignore (Cqp_serve.Workload.replay server entries);
-  warm_pass server entries (fun c -> (c.front_hits, c.front_lookups))
 
 (* Workload 6: replay the frozen adversarial corpus (skipped when
    test/corpus is absent — e.g. when trend runs outside the repo
@@ -1274,10 +1234,15 @@ let run_trend ~label ~out =
   (* bound in sequence: a list literal would evaluate right-to-left *)
   let solver = trend_measure "solver_sweep" trend_solver_sweep in
   let largek = trend_measure "solver_largek" trend_solver_largek in
-  let warm = trend_measure "serve_warm" (fun () -> trend_serve ()) in
-  let par = trend_measure "par_replay" (fun () -> trend_serve ~domains:4 ()) in
+  let extraction c = (c.Cqp_serve.Serve.extraction_hits, c.extraction_lookups)
+  and front c = (c.Cqp_serve.Serve.front_hits, c.front_lookups) in
+  let warm = trend_measure "serve_warm" (trend_serve extraction) in
+  let par = trend_measure "par_replay" (trend_serve ~domains:4 extraction) in
   let pareto =
-    trend_measure "pareto_front" (fun () -> trend_pareto_front ())
+    trend_measure "pareto_front"
+      (trend_serve front
+         ~resilience:
+           { Cqp_resilience.Config.default with Cqp_resilience.Config.pareto = true })
   in
   let workloads =
     if Sys.file_exists corpus_dir && Sys.is_directory corpus_dir then

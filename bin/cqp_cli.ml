@@ -316,15 +316,99 @@ let profile_cmd =
   query_cmd "profile" ~doc:"Print the (generated or loaded) user profile."
     profile_action
 
+(* --- the server flags of serve and netserve ----------------------- *)
+
+type server_flags = {
+  no_cache : bool;
+  capacity : int option;
+  deadline_ms : float option;
+  retries : int;
+  shed_depth : int option;
+  prometheus : string option;
+}
+
+let server_flags =
+  let no_cache =
+    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable both caches.")
+  in
+  let capacity =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "cache-capacity" ]
+          ~doc:"Pref_space extraction LRU capacity (default 128).")
+  in
+  let deadline_ms =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "deadline-ms" ] ~docv:"MS"
+          ~doc:
+            "Per-request deadline in milliseconds (a network query's own \
+             deadline_ms field overrides it).  Searches become anytime \
+             (best-so-far on expiry) and requests that cannot reach \
+             feasibility in time degrade down the ladder: heuristic, \
+             greedy, unpersonalized.")
+  in
+  let retries =
+    Arg.(
+      value
+      & opt int Cqp_resilience.Config.default.Cqp_resilience.Config.max_retries
+      & info [ "retries" ]
+          ~doc:
+            "Bounded-backoff retries for injected transient faults \
+             before answering unpersonalized.")
+  in
+  let shed_depth =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "shed-depth" ] ~docv:"N"
+          ~doc:
+            "Load shedding: a request at queue position >= $(docv) in \
+             arrival order (in a replay, its index among the workload's \
+             requests; over the network, the queries in flight when it \
+             arrives) is shed with an explicit outcome instead of \
+             served, at every $(b,--domains) width.")
+  in
+  let prometheus =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "prometheus" ] ~docv:"FILE"
+          ~doc:
+            "Write the final metrics registry to $(docv) in Prometheus \
+             text exposition format (0.0.4) on exit.  Implies metrics \
+             recording.")
+  in
+  Term.(
+    const (fun no_cache capacity deadline_ms retries shed_depth prometheus ->
+        { no_cache; capacity; deadline_ms; retries; shed_depth; prometheus })
+    $ no_cache $ capacity $ deadline_ms $ retries $ shed_depth $ prometheus)
+
+let make_server f ?(portfolio = false) ?(pareto = false) ?fault catalog =
+  Cqp_serve.Serve.create ~caching:(not f.no_cache)
+    ?pref_space_capacity:f.capacity
+    ~resilience:
+      {
+        Cqp_resilience.Config.default with
+        deadline_ms = f.deadline_ms;
+        portfolio;
+        pareto;
+        max_retries = f.retries;
+        shed_queue_depth = f.shed_depth;
+        fault;
+      }
+    catalog
+
 (* --- serve: batch multi-user workload replay --------------------- *)
 
 let serve_action verbose seed movies workload_file save_file users requests
-    updates repeat domains no_cache capacity execute deadline_ms retries
-    shed_depth inject spike_ms portfolio pareto profiling events_file
-    prometheus_file trace metrics =
+    updates repeat domains flags execute inject spike_ms portfolio pareto
+    profiling events_file trace metrics =
   setup_logs verbose;
   try
-    Cqp_obs.Obs.with_sinks ?trace ?metrics ?prometheus:prometheus_file
+    Cqp_obs.Obs.with_sinks ?trace ?metrics ?prometheus:flags.prometheus
       ?events:events_file ~profile:profiling
     @@ fun () ->
     let catalog = catalog_of ~movies ~seed in
@@ -340,33 +424,16 @@ let serve_action verbose seed movies workload_file save_file users requests
         Cqp_serve.Workload.save f entries;
         Format.eprintf "workload (%d entries) -> %s@." (List.length entries) f
     | None -> ());
-    let resilience =
-      let fault =
-        Option.map
-          (fun fseed ->
-            Cqp_resilience.Fault.plan
-              ~spec:
-                {
-                  Cqp_resilience.Fault.default_spec with
-                  io_spike_ms = spike_ms;
-                }
-              ~rng:(Cqp_util.Rng.create fseed) ())
-          inject
-      in
-      {
-        Cqp_resilience.Config.default with
-        deadline_ms;
-        portfolio;
-        pareto;
-        max_retries = retries;
-        shed_queue_depth = shed_depth;
-        fault;
-      }
+    let fault =
+      Option.map
+        (fun fseed ->
+          Cqp_resilience.Fault.plan
+            ~spec:
+              { Cqp_resilience.Fault.default_spec with io_spike_ms = spike_ms }
+            ~rng:(Cqp_util.Rng.create fseed) ())
+        inject
     in
-    let server =
-      Cqp_serve.Serve.create ~caching:(not no_cache)
-        ?pref_space_capacity:capacity ~resilience catalog
-    in
+    let server = make_server flags ~portfolio ~pareto ?fault catalog in
     Cqp_par.Pool.with_pool ~domains @@ fun pool ->
     for rep = 1 to repeat do
       let t0 = Cqp_obs.Clock.raw_us () in
@@ -384,39 +451,18 @@ let serve_action verbose seed movies workload_file save_file users requests
         l.mean_ms l.sd_ms l.p50_ms l.p90_ms l.p99_ms;
       (* Outcome tally — only interesting (and only printed) when a
          resilience feature is on. *)
-      if not (Cqp_resilience.Config.is_inert resilience) || pareto then begin
-        let count pred = List.length (List.filter pred responses) in
-        let shed =
-          count (fun r ->
-              match r.Cqp_serve.Serve.verdict with
-              | Cqp_serve.Serve.Shed _ -> true
-              | Cqp_serve.Serve.Served _ -> false)
-        in
-        let on_served f r =
-          match r.Cqp_serve.Serve.verdict with
-          | Cqp_serve.Serve.Served s -> f s
-          | Cqp_serve.Serve.Shed _ -> false
-        in
-        let rung_count rung =
-          count (on_served (fun s -> s.Cqp_serve.Serve.rung = rung))
-        in
-        let expired =
-          count (on_served (fun s -> s.Cqp_serve.Serve.deadline_expired))
-        in
-        let retried =
-          count (on_served (fun s -> s.Cqp_serve.Serve.retries > 0))
-        in
+      let resilience = Cqp_serve.Serve.resilience server in
+      if pareto || not (Cqp_resilience.Config.is_inert resilience) then begin
+        let t = Cqp_serve.Serve.tally responses in
         Format.printf
-          "  outcomes: served=%d shed=%d deadline_expired=%d retried=%d  \
+          "  outcomes: served=%d shed=%d deadline_expired=%d retries=%d  \
            rungs:%s@."
-          (n - shed) shed expired retried
+          t.served t.shed t.expired t.total_retries
           (String.concat ""
              (List.map
-                (fun rung ->
-                  Printf.sprintf " %s=%d"
-                    (Cqp_resilience.Rung.name rung)
-                    (rung_count rung))
-                Cqp_resilience.Rung.all))
+                (fun (rung, n) ->
+                  Printf.sprintf " %s=%d" (Cqp_resilience.Rung.name rung) n)
+                t.rungs))
       end
     done;
     (* Fleet-wide cache summary: the parent cache plus every shard's
@@ -515,52 +561,12 @@ let serve_cmd =
              domain-local caches.  Responses are bit-identical to \
              $(b,--domains 1).")
   in
-  let no_cache_arg =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable both caches.")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-capacity" ]
-          ~doc:"Pref_space extraction LRU capacity (default 128).")
-  in
   let execute_arg =
     Arg.(
       value
       & flag
       & info [ "execute" ]
           ~doc:"Mark generated requests for engine execution.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Per-request deadline in milliseconds.  Searches become \
-             anytime (best-so-far on expiry) and requests that cannot \
-             reach feasibility in time degrade down the ladder: \
-             heuristic, greedy, unpersonalized.")
-  in
-  let retries_arg =
-    Arg.(
-      value
-      & opt int Cqp_resilience.Config.default.Cqp_resilience.Config.max_retries
-      & info [ "retries" ]
-          ~doc:
-            "Bounded-backoff retries for injected transient faults \
-             before answering unpersonalized.")
-  in
-  let shed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shed-depth" ] ~docv:"N"
-          ~doc:
-            "Load shedding: a request at queue position >= $(docv) in \
-             arrival order is shed with an explicit outcome instead of \
-             served, at every $(b,--domains) width.")
   in
   let inject_arg =
     Arg.(
@@ -625,23 +631,13 @@ let serve_cmd =
              outcome, per-phase microseconds, cache hits, GC words) to \
              $(docv).  Implies $(b,--profile).")
   in
-  let prometheus_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prometheus" ] ~docv:"FILE"
-          ~doc:
-            "Write the final metrics registry to $(docv) in Prometheus \
-             text exposition format (0.0.4).  Implies metrics recording.")
-  in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve_action
       $ verbose $ seed $ movies $ workload_arg $ save_arg $ users_arg
-      $ requests_arg $ updates_arg $ repeat_arg $ domains_arg $ no_cache_arg
-      $ capacity_arg $ execute_arg $ deadline_arg $ retries_arg $ shed_arg
-      $ inject_arg $ spike_ms_arg $ portfolio_arg $ pareto_serve_arg
-      $ profile_flag_arg $ events_arg $ prometheus_arg $ trace_arg
+      $ requests_arg $ updates_arg $ repeat_arg $ domains_arg $ server_flags
+      $ execute_arg $ inject_arg $ spike_ms_arg $ portfolio_arg
+      $ pareto_serve_arg $ profile_flag_arg $ events_arg $ trace_arg
       $ metrics_arg)
 
 (* --- curriculum: adversarial workload evolution ------------------ *)
@@ -851,35 +847,19 @@ let sockaddr_of ~unix_path ~host ~port =
       in
       Unix.ADDR_INET (inet, port)
 
-let netserve_action verbose seed movies domains max_connections store_dir
-    store_resident deadline_ms retries shed_depth no_cache capacity host port
-    unix_path metrics prometheus_file =
+let netserve_action verbose seed movies lanes max_connections store_dir
+    store_resident flags host port unix_path metrics =
   setup_logs verbose;
   try
-    Cqp_obs.Obs.with_sinks ?metrics ?prometheus:prometheus_file @@ fun () ->
-    let catalog = catalog_of ~movies ~seed in
-    let resilience =
-      {
-        Cqp_resilience.Config.default with
-        deadline_ms;
-        max_retries = retries;
-        shed_queue_depth = shed_depth;
-      }
-    in
-    let serve =
-      Cqp_serve.Serve.create ~caching:(not no_cache)
-        ?pref_space_capacity:capacity ~resilience catalog
-    in
-    let pool = Cqp_par.Pool.create ~domains () in
-    Fun.protect ~finally:(fun () -> Cqp_par.Pool.shutdown pool)
-    @@ fun () ->
+    Cqp_obs.Obs.with_sinks ?metrics ?prometheus:flags.prometheus @@ fun () ->
+    let serve = make_server flags (catalog_of ~movies ~seed) in
     let addr =
       match unix_path with
       | Some path -> Net_server.Unix_path path
       | None -> Net_server.Tcp (host, port)
     in
     let srv =
-      Net_server.create ~max_connections ?store_dir ?store_resident ~pool
+      Net_server.create ~max_connections ?store_dir ?store_resident ~lanes
         ~addr serve
     in
     Net_server.start srv;
@@ -890,10 +870,10 @@ let netserve_action verbose seed movies domains max_connections store_dir
         Printf.printf "listening on %s:%d\n%!" (Unix.string_of_inet_addr a) p
     | Unix.ADDR_UNIX p -> Printf.printf "listening on unix:%s\n%!" p);
     Format.eprintf
-      "%d domain%s (one lane each), %d movies (seed %d)%s; stop with a \
-       Shutdown frame (cqp loadgen --shutdown)@."
-      domains
-      (if domains = 1 then "" else "s")
+      "%d lane%s, %d movies (seed %d)%s; stop with a Shutdown frame (cqp \
+       loadgen --shutdown)@."
+      lanes
+      (if lanes = 1 then "" else "s")
       movies seed
       (match store_dir with
       | Some d -> Printf.sprintf ", store %s" d
@@ -915,8 +895,9 @@ let netserve_cmd =
       & opt int 2
       & info [ "domains" ]
           ~doc:
-            "Worker pool domains, one serving lane each (users are \
-             hashed onto lanes).")
+            "Serving lanes, each a shard of the server with its own \
+             caches; users are hashed onto lanes, and a lane runs one \
+             query at a time.")
   in
   let max_conns_arg =
     Arg.(
@@ -950,56 +931,12 @@ let netserve_cmd =
       & opt int 7464
       & info [ "port" ] ~doc:"TCP port; 0 binds an ephemeral port.")
   in
-  let no_cache_arg =
-    Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable both caches.")
-  in
-  let capacity_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-capacity" ]
-          ~doc:"Pref_space extraction LRU capacity (default 128).")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Default per-request deadline (a query's own deadline_ms \
-             field overrides it).")
-  in
-  let retries_arg =
-    Arg.(
-      value
-      & opt int Cqp_resilience.Config.default.Cqp_resilience.Config.max_retries
-      & info [ "retries" ] ~doc:"Transient-fault retries.")
-  in
-  let shed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shed-depth" ] ~docv:"N"
-          ~doc:
-            "Shed a query that arrives while $(docv) or more queries \
-             are in flight, with an explicit Shed frame.")
-  in
-  let prometheus_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prometheus" ] ~docv:"FILE"
-          ~doc:
-            "Write the final metrics registry to $(docv) in Prometheus \
-             text exposition format on exit.  Implies metrics recording.")
-  in
   Cmd.v (Cmd.info "netserve" ~doc)
     Term.(
       const netserve_action
       $ verbose $ seed $ movies $ domains_arg $ max_conns_arg
-      $ store_arg $ store_resident_arg $ deadline_arg $ retries_arg
-      $ shed_arg $ no_cache_arg $ capacity_arg $ host_arg $ port_arg
-      $ unix_sock_arg $ metrics_arg $ prometheus_arg)
+      $ store_arg $ store_resident_arg $ server_flags $ host_arg $ port_arg
+      $ unix_sock_arg $ metrics_arg)
 
 let loadgen_action verbose seed movies users zipf rate requests connections
     load_seed deadline_ms execute no_populate populate_store_dir store_shards

@@ -19,49 +19,38 @@ type t = {
 }
 
 let of_responses server responses =
-  let requests = List.length responses in
-  let served = ref 0
-  and shed = ref 0
-  and blown = ref 0
-  and degraded = ref 0
-  and retries = ref 0
-  and total_work = ref 0 in
-  let work = ref [] and est_cost = ref [] in
-  List.iter
-    (fun (r : Serve.response) ->
-      match r.Serve.verdict with
-      | Serve.Shed _ -> incr shed
-      | Serve.Served s ->
-          incr served;
-          if s.Serve.deadline_expired then incr blown;
-          if Rung.is_degraded s.Serve.rung then incr degraded;
-          retries := !retries + s.Serve.retries;
-          let sol = s.Serve.outcome.C.Personalizer.solution in
-          let st = sol.C.Solution.stats in
-          let w =
-            st.C.Instrument.states_visited + st.C.Instrument.param_evals
-          in
-          total_work := !total_work + w;
-          work := float_of_int w :: !work;
-          est_cost := sol.C.Solution.params.C.Params.cost :: !est_cost)
-    responses;
-  let sorted l =
-    let a = Array.of_list l in
+  let t = Serve.tally responses in
+  let solutions =
+    List.filter_map
+      (fun r ->
+        Option.map (fun o -> o.C.Personalizer.solution) (Serve.outcome r))
+      responses
+  in
+  let work sol =
+    let st = sol.C.Solution.stats in
+    st.C.Instrument.states_visited + st.C.Instrument.param_evals
+  in
+  let sorted f =
+    let a = Array.of_list (List.map f solutions) in
     Array.sort compare a;
     a
   in
-  let work_arr = sorted !work and cost_arr = sorted !est_cost in
+  let work_arr = sorted (fun sol -> float_of_int (work sol))
+  and cost_arr = sorted (fun sol -> sol.C.Solution.params.C.Params.cost) in
   let { Serve.extraction_lookups = lookups; extraction_hits = hits; _ } =
     Serve.cache_totals server
   in
   {
-    requests;
-    served = !served;
-    shed = !shed;
-    blown = !blown;
-    degraded = !degraded;
-    retries = !retries;
-    total_work = !total_work;
+    requests = t.Serve.requests;
+    served = t.Serve.served;
+    shed = t.Serve.shed;
+    blown = t.Serve.expired;
+    degraded =
+      List.fold_left
+        (fun n (r, c) -> if Rung.is_degraded r then n + c else n)
+        0 t.Serve.rungs;
+    retries = t.Serve.total_retries;
+    total_work = List.fold_left (fun n sol -> n + work sol) 0 solutions;
     mean_work = Stats.mean work_arr;
     stddev_work = Stats.stddev work_arr;
     p99_work = Stats.percentile work_arr 0.99;

@@ -75,34 +75,14 @@ let digest responses =
     (Digest.string (String.concat "\n" (List.map observable_line responses)))
 
 let expect_of_responses responses =
-  let count pred = List.length (List.filter pred responses) in
-  let on_served f (r : Serve.response) =
-    match r.Serve.verdict with
-    | Serve.Served s -> f s
-    | Serve.Shed _ -> false
-  in
+  let t = Serve.tally responses in
   {
-    requests = List.length responses;
-    served = count (on_served (fun _ -> true));
-    shed =
-      count (fun r ->
-          match r.Serve.verdict with
-          | Serve.Shed _ -> true
-          | Serve.Served _ -> false);
-    blown = count (on_served (fun s -> s.Serve.deadline_expired));
-    retries =
-      List.fold_left
-        (fun acc (r : Serve.response) ->
-          match r.Serve.verdict with
-          | Serve.Served s -> acc + s.Serve.retries
-          | Serve.Shed _ -> acc)
-        0 responses;
-    rungs =
-      List.map
-        (fun rung ->
-          ( Rung.name rung,
-            count (on_served (fun s -> s.Serve.rung = rung)) ))
-        Rung.all;
+    requests = t.Serve.requests;
+    served = t.Serve.served;
+    shed = t.Serve.shed;
+    blown = t.Serve.expired;
+    retries = t.Serve.total_retries;
+    rungs = List.map (fun (r, n) -> (Rung.name r, n)) t.Serve.rungs;
     digest = digest responses;
   }
 

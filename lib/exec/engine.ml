@@ -5,11 +5,7 @@ module Relation = Cqp_relal.Relation
 
 exception Runtime_error = Explain.Runtime_error
 
-type result = {
-  schema : (string * Value.ty) list;
-  rows : Tuple.t list;
-  block_reads : int;
-}
+type result = { rows : Tuple.t list; block_reads : int }
 
 let fail msg = raise (Runtime_error msg)
 
@@ -734,9 +730,4 @@ let execute ?io catalog q =
   Option.iter
     (fun outer -> Io.charge_blocks outer (Io.block_reads counter))
     io;
-  let schema =
-    try Cqp_sql.Analyzer.output_schema catalog q
-    with Cqp_sql.Analyzer.Semantic_error _ ->
-      List.map (fun c -> (c.Rowset.name, Value.Tnull)) rs.Rowset.cols
-  in
-  { schema; rows = Rowset.to_list rs; block_reads = Io.block_reads counter }
+  { rows = Rowset.to_list rs; block_reads = Io.block_reads counter }

@@ -63,7 +63,6 @@
 exception Runtime_error of string
 
 type result = {
-  schema : (string * Cqp_relal.Value.ty) list;
   rows : Cqp_relal.Tuple.t list;
   block_reads : int;  (** blocks charged while executing this query *)
 }

@@ -3,7 +3,6 @@ module Clock = Cqp_obs.Clock
 module Jsonx = Cqp_obs.Jsonx
 module Workload = Cqp_serve.Workload
 module Serve = Cqp_serve.Serve
-module Profile_gen = Cqp_workload.Profile_gen
 
 type config = {
   users : int;
@@ -95,11 +94,8 @@ let populate_store ?shape ?shards ~dir ~users ~seed catalog =
     ~finally:(fun () -> Store.close store)
     (fun () ->
       for i = 0 to users - 1 do
-        let profile =
-          Profile_gen.generate ?config:shape ~rng:(Rng.create (seed + i))
-            catalog
-        in
-        Store.put store ~user:(user_name i) profile
+        Store.put store ~user:(user_name i)
+          (Workload.seeded_profile ?shape catalog (seed + i))
       done;
       Store.sync store)
 

@@ -75,7 +75,7 @@ val populate_store :
     directory (no server involved), for the 100k–1M profile
     experiments where per-request installs would dominate.  Profiles
     are generated exactly as {!populate}'s [Install] frames generate
-    them ([Cqp_workload.Profile_gen.generate], user [u<i>] seeded by
+    them ({!Cqp_serve.Workload.seeded_profile}, user [u<i>] seeded by
     [seed + i]), so a server opening [dir] serves the same
     population. *)
 

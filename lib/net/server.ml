@@ -1,9 +1,6 @@
 module Serve = Cqp_serve.Serve
-module Pool = Cqp_par.Pool
 module Metrics = Cqp_obs.Metrics
 module Clock = Cqp_obs.Clock
-module Profile_gen = Cqp_workload.Profile_gen
-module Rng = Cqp_util.Rng
 
 type addr = Unix_path of string | Tcp of string * int
 
@@ -11,7 +8,6 @@ type lane = { serve : Serve.t; mu : Mutex.t }
 
 type t = {
   serve : Serve.t;
-  pool : Pool.t;
   addr : addr;
   lanes : lane array;
   inflight : int Atomic.t;
@@ -32,7 +28,7 @@ type t = {
   mutable stopped : bool;
 }
 
-let lane_of t user = t.lanes.(Hashtbl.hash user mod Array.length t.lanes)
+let lane_of t user = t.lanes.(Serve.shard_of user (Array.length t.lanes))
 
 let publish_store t =
   match t.store with
@@ -43,18 +39,17 @@ let publish_store t =
       Metrics.gauge "net.store.users" (float_of_int s.Store.users);
       Metrics.gauge "net.store.blobs" (float_of_int s.Store.blobs)
 
-let create ?(max_connections = 32) ?store_dir ?(store_resident = 4096) ~pool
+let create ?(max_connections = 32) ?store_dir ?(store_resident = 4096) ~lanes
     ~addr serve =
   if max_connections < 1 then invalid_arg "Server.create: max_connections < 1";
   let lanes =
     Array.map
       (fun s -> { serve = s; mu = Mutex.create () })
-      (Serve.shards serve (Pool.domains pool))
+      (Serve.shards serve lanes)
   in
   let t =
     {
       serve;
-      pool;
       addr;
       lanes;
       inflight = Atomic.make 0;
@@ -123,7 +118,9 @@ let install_profile t ~user profile =
   publish_store t
 
 (* Run one admitted query on its lane, faulting the profile from the
-   store if the lane does not hold it.  The fault check releases the
+   store if the lane does not hold it.  It runs on the connection's
+   own domain under the lane mutex, which is what caps the queries
+   running at once at the lane count.  The fault check releases the
    lane mutex before touching the store (lock order), then re-takes it
    for install + serve in one critical section, so an eviction of this
    user cannot interleave between install and serve. *)
@@ -174,20 +171,12 @@ let handle_query t fd (q : Wire.query) =
     }
   in
   let reply =
-    match
-      let result = ref None in
-      Pool.run_all t.pool
-        [| (fun _ -> result := Some (ensure_and_handle t lane q serve_req pos enq)) |];
-      !result
-    with
-    | Some resp ->
+    match ensure_and_handle t lane q serve_req pos enq with
+    | resp ->
         (match resp.Serve.verdict with
         | Serve.Served _ -> Metrics.incr "net.replies.served"
         | Serve.Shed _ -> Metrics.incr "net.replies.shed");
         Wire.response_of_serve resp
-    | None ->
-        Metrics.incr "net.errors.server_error";
-        Wire.Error { code = Wire.Server_error; message = "request dropped" }
     | exception Serve.Unknown_user u ->
         Metrics.incr "net.errors.unknown_user";
         Wire.Error
@@ -236,14 +225,8 @@ let handle_request t fd req alive =
       alive := false
   | Wire.Install { user; seed; shape } ->
       Metrics.incr "net.installs";
-      (* Exactly what a workload [Set_profile] entry does during
-         replay, so network installs are bit-compatible with
-         [Workload.install]. *)
-      let profile =
-        Profile_gen.generate ?config:shape ~rng:(Rng.create seed)
-          (Serve.catalog t.serve)
-      in
-      install_profile t ~user profile;
+      install_profile t ~user
+        (Cqp_serve.Workload.seeded_profile ?shape (Serve.catalog t.serve) seed);
       send fd Wire.Ok_ack
   | Wire.Put_profile { user; profile } ->
       Metrics.incr "net.puts";

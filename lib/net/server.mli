@@ -6,13 +6,12 @@
     One accept domain plus one domain per live connection (bounded by
     [max_connections]; excess connections are answered [Error Busy]
     and closed).  Requests are served by a fleet of {e lanes} — the
-    {!Cqp_serve.Serve.shards} fleet of the wrapped server, one lane
-    per pool domain, each guarded by a mutex — with users assigned to
-    lanes by hash, so all of a user's requests land on one lane and
-    its domain-local caches.  Each query runs as a one-job
-    {!Cqp_par.Pool} batch, so CPU-bound personalization work is
-    accounted (and bounded) by the shared pool whatever the connection
-    count.
+    {!Cqp_serve.Serve.shards} fleet of the wrapped server, each lane
+    guarded by a mutex — with users assigned to lanes by
+    {!Cqp_serve.Serve.shard_of}, so all of a user's requests land on
+    one lane and its domain-local caches.  A query runs on its
+    connection's domain under its lane's mutex, so at most one query
+    per lane runs at a time, whatever the connection count.
 
     {2 Admission and backpressure}
 
@@ -77,17 +76,19 @@ val create :
   ?max_connections:int ->
   ?store_dir:string ->
   ?store_resident:int ->
-  pool:Cqp_par.Pool.t ->
+  lanes:int ->
   addr:addr ->
   Cqp_serve.Serve.t ->
   t
-(** One lane per pool domain; [max_connections] (default 32) bounds
-    live connection domains.  [store_dir] opens (or reopens — a
-    directory prepopulated offline works) a {!Store} owned by the
-    server, with [store_resident] (default 4096) bounding
-    the decoded working set; the server wires the store's eviction
-    hook to lane uninstalls itself, which is why it opens the store
-    rather than accepting one.  {!stop} closes it. *)
+(** A server with [lanes] serving lanes; [max_connections] (default
+    32) bounds live connection domains.  [store_dir] opens (or reopens
+    — a directory prepopulated offline works) a {!Store} owned by the
+    server, with [store_resident] (default 4096) bounding the decoded
+    working set; the server wires the store's eviction hook to lane
+    uninstalls itself, which is why it opens the store rather than
+    accepting one.  {!stop} closes it.
+    @raise Invalid_argument when [lanes < 1] or
+    [max_connections < 1]. *)
 
 val start : t -> unit
 (** Bind, listen, spawn the accept domain, return.

@@ -392,6 +392,8 @@ let shards t n =
     t.shards;
   t.shards
 
+let shard_of user n = Hashtbl.hash user mod n
+
 let caches t = List.filter_map (fun s -> s.cache) (t :: Array.to_list t.shards)
 
 let drain_shards t ~served =
@@ -403,6 +405,32 @@ let drain_shards t ~served =
   if Metrics.is_enabled () then Cache.publish_gauge_totals (caches t)
 
 (* --- replay summaries -------------------------------------------------- *)
+
+type tally = {
+  requests : int;
+  served : int;
+  shed : int;
+  expired : int;
+  total_retries : int;
+  rungs : (Rung.t * int) list;
+}
+
+let tally responses =
+  let served =
+    List.filter_map
+      (fun r -> match r.verdict with Served s -> Some s | Shed _ -> None)
+      responses
+  in
+  let count p = List.length (List.filter p served) in
+  let requests = List.length responses in
+  {
+    requests;
+    served = List.length served;
+    shed = requests - List.length served;
+    expired = count (fun s -> s.deadline_expired);
+    total_retries = List.fold_left (fun n s -> n + s.retries) 0 served;
+    rungs = List.map (fun r -> (r, count (fun s -> s.rung = r))) Rung.all;
+  }
 
 type latency = {
   requests : int;

@@ -189,6 +189,12 @@ val shards : t -> int -> t array
     profiles down; unchanged profiles do not disturb warm shard caches.
     @raise Invalid_argument when [n < 1]. *)
 
+val shard_of : string -> int -> int
+(** [shard_of user n] is the shard (0 to [n - 1]) that serves [user]:
+    the same at every call, so a user's entries always meet the same
+    domain-local caches.  {!Workload.replay} and the network server
+    assign users to their lanes through it. *)
+
 val drain_shards : t -> served:int -> unit
 (** Merge shard state back after a parallel replay: re-install every
     shard profile on the parent (so subsequent sequential serves see
@@ -198,8 +204,22 @@ val drain_shards : t -> served:int -> unit
 
 (** {1 Replay summaries}
 
-    What [cqp serve] and the bench report about a replay, computed one
-    way. *)
+    What [cqp serve], the curriculum and the bench report about a
+    replay, computed one way. *)
+
+type tally = {
+  requests : int;  (** responses, shed ones included *)
+  served : int;
+  shed : int;
+  expired : int;  (** served with [deadline_expired] *)
+  total_retries : int;  (** [retries] summed over the served responses *)
+  rungs : (Cqp_resilience.Rung.t * int) list;
+      (** served responses per rung, in {!Cqp_resilience.Rung.all}
+          order *)
+}
+
+val tally : response list -> tally
+(** The responses' verdicts counted. *)
 
 type latency = {
   requests : int;

@@ -86,12 +86,12 @@ let generate ?(users = 3) ?(requests = 20) ?(updates = 0) ?(execute = false)
   in
   installs @ interleaved
 
+let seeded_profile ?shape catalog seed =
+  Profile_gen.generate ?config:shape ~rng:(Rng.create seed) catalog
+
 let install server ~user ?shape seed =
-  let profile =
-    Profile_gen.generate ?config:shape ~rng:(Rng.create seed)
-      (Serve.catalog server)
-  in
-  Serve.set_profile server ~user profile
+  Serve.set_profile server ~user
+    (seeded_profile ?shape (Serve.catalog server) seed)
 
 (* Admission is by arrival order: a request's queue position is its
    0-based index among the workload's requests, whatever the lane
@@ -112,8 +112,8 @@ let enqueue_stamp () =
    is written into the slot of its original position, so the response
    list is the same at every width bit for bit — only latencies and
    cache hit/miss splits (domain-local caches) may differ, and caches
-   cannot change results.  The user→lane map hashes the user name, so
-   it is stable for a given domain count. *)
+   cannot change results.  Users go to lanes by {!Serve.shard_of}, as
+   in the network server. *)
 let replay ?pool server entries =
   let pool =
     match pool with
@@ -139,7 +139,7 @@ let replay ?pool server entries =
             incr slots;
             (req.Serve.user, `Serve (slot, req))
       in
-      let l = Hashtbl.hash user mod nlanes in
+      let l = Serve.shard_of user nlanes in
       per_lane.(l) <- tagged :: per_lane.(l))
     entries;
   let responses = Array.make !slots None in
@@ -161,16 +161,11 @@ let replay ?pool server entries =
          the replay after the batch drains, like a sequential replay
          aborts its remainder — the pool re-raises the lowest-lane
          failure. *)
-      Cqp_par.Pool.run_all pool (Array.init nlanes (fun l _index -> job l));
-      let served =
-        Array.fold_left
-          (fun n -> function
-            | Some { Serve.verdict = Serve.Served _; _ } -> n + 1
-            | Some { Serve.verdict = Serve.Shed _; _ } | None -> n)
-          0 responses
-      in
-      Serve.drain_shards server ~served);
-  Array.to_list responses |> List.filter_map Fun.id
+      Cqp_par.Pool.run_all pool (Array.init nlanes (fun l _index -> job l)));
+  let responses = List.filter_map Fun.id (Array.to_list responses) in
+  if Option.is_some pool then
+    Serve.drain_shards server ~served:(Serve.tally responses).Serve.served;
+  responses
 
 (* --- on-disk format --- *)
 

@@ -52,11 +52,21 @@ val random_request :
     draws Zipf-skewed users and feeds each request's own
     {!Cqp_util.Rng.split} stream here. *)
 
+val seeded_profile :
+  ?shape:Cqp_workload.Profile_gen.config ->
+  Cqp_relal.Catalog.t ->
+  int ->
+  Cqp_prefs.Profile.t
+(** The profile a seed installs: {!Cqp_workload.Profile_gen.generate}
+    (with the [shape], if any) on a fresh generator seeded by the
+    seed.  A [Set_profile] entry, the network [Install] frame and an
+    offline store load all build their profiles here. *)
+
 val install :
   Serve.t -> user:string -> ?shape:Cqp_workload.Profile_gen.config -> int -> unit
-(** What a [Set_profile] entry does during replay: generate the seeded
-    (optionally shaped) profile and install it.  Exposed for callers
-    that install profiles outside a replay. *)
+(** What a [Set_profile] entry does during replay: install the
+    {!seeded_profile}.  Exposed for callers that install profiles
+    outside a replay. *)
 
 val replay : ?pool:Cqp_par.Pool.t -> Serve.t -> entry list -> Serve.response list
 (** Apply entries in order; [Set_profile] installs (returning

@@ -19,6 +19,12 @@
                                         and a positive sum
      cli_check sizes FILE LO HI         the text holds size=S values, all
                                         in [LO, HI]
+     cli_check send SOCK HEX...         on one connection to the Unix
+                                        socket SOCK, writes each HEX raw
+                                        (dots ignored) and reads one reply
+                                        frame within 1 s; prints each
+                                        reply's first two bytes (tag, then
+                                        an error's code) in hex
 
    JSON is read through [Cqp_obs.Jsonx].  Prints one line per check;
    exits 1 at the first that fails. *)
@@ -68,6 +74,46 @@ let sizes text =
     | None -> List.rev acc
   in
   scan 0 []
+
+let bytes_of_hex hex =
+  let hex = String.concat "" (String.split_on_char '.' hex) in
+  String.init
+    (String.length hex / 2)
+    (fun i -> Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+
+let send path frames =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_UNIX path)
+   with Unix.Unix_error (e, _, _) ->
+     fail "%s: cannot connect: %s" path (Unix.error_message e));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
+  let exactly n =
+    let b = Bytes.create n in
+    let rec go off =
+      if off < n then
+        match Unix.read fd b off (n - off) with
+        | 0 -> fail "%s: closed before a whole frame" path
+        | k -> go (off + k)
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            fail "%s: no whole frame within 1 s" path
+    in
+    go 0;
+    Bytes.to_string b
+  in
+  List.iter
+    (fun hex ->
+      let raw = bytes_of_hex hex in
+      ignore (Unix.write_substring fd raw 0 (String.length raw));
+      let body = exactly (Int32.to_int (String.get_int32_be (exactly 4) 0)) in
+      print_endline
+        (String.concat " "
+           ("reply"
+           :: List.init
+                (min 2 (String.length body))
+                (fun i -> Printf.sprintf "%02x" (Char.code body.[i])))))
+    frames;
+  Unix.close fd
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
@@ -127,9 +173,11 @@ let () =
             (fun s -> if not (lo <= s && s <= hi) then fail "size %g outside" s)
             ss);
       Printf.printf "%s: every printed size in [%g, %g]\n" path lo hi
+  | "send" :: path :: (_ :: _ as frames) -> send path frames
   | _ ->
       prerr_endline
         "usage: cli_check (trace FILE | present FILE NAME | counter FILE NAME \
          [N] | positive FILE NAME | sum FILE NAME A B | prefix FILE P \
-         (positive | N) | timed FILE NAME | sizes FILE LO HI)";
+         (positive | N) | timed FILE NAME | sizes FILE LO HI | send SOCK \
+         HEX...)";
       exit 2

@@ -4,7 +4,7 @@
    replayed through [Workload.replay] and the same workload driven
    through a loopback TCP server must produce bit-identical results —
    solutions, params, personalized SQL, rung labels, retries, row
-   digests — at 1, 2 and 4 domains.  Both sides are projected onto
+   digests — at 1, 2 and 4 lanes.  Both sides are projected onto
    [Wire.response] (the wire's own observable) and compared
    structurally.
 
@@ -16,7 +16,6 @@
 
 module C = Cqp_core
 module S = Cqp_serve
-module Pool = Cqp_par.Pool
 module Rng = Cqp_util.Rng
 module Wire = Cqp_net.Wire
 module Server = Cqp_net.Server
@@ -50,20 +49,17 @@ let inprocess_observables entries =
   List.map Wire.response_of_serve (S.Workload.replay server entries)
 
 let with_loopback ?store_dir ?store_resident ?max_connections ?resilience
-    ~domains f =
-  Pool.with_pool ~domains (fun pool ->
-      let serve =
-        S.Serve.create ~caching:true ?resilience (Lazy.force catalog)
-      in
-      let srv =
-        Server.create ?store_dir ?store_resident ?max_connections ~pool
-          ~addr:(Server.Tcp ("127.0.0.1", 0))
-          serve
-      in
-      Server.start srv;
-      Fun.protect
-        ~finally:(fun () -> Server.stop srv)
-        (fun () -> f (Server.bound_addr srv)))
+    ~lanes f =
+  let serve = S.Serve.create ~caching:true ?resilience (Lazy.force catalog) in
+  let srv =
+    Server.create ?store_dir ?store_resident ?max_connections ~lanes
+      ~addr:(Server.Tcp ("127.0.0.1", 0))
+      serve
+  in
+  Server.start srv;
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () -> f (Server.bound_addr srv))
 
 (* Replay a workload through one client connection, returning the
    query replies in entry order. *)
@@ -81,8 +77,8 @@ let replay_over_wire addr entries =
               Some (Client.call c (Wire.Query (query_of_request req))))
         entries)
 
-let loopback_observables ~domains entries =
-  with_loopback ~domains (fun addr -> replay_over_wire addr entries)
+let loopback_observables ~lanes entries =
+  with_loopback ~lanes (fun addr -> replay_over_wire addr entries)
 
 let prop_net_identical_to_inprocess =
   QCheck.Test.make
@@ -93,8 +89,7 @@ let prop_net_identical_to_inprocess =
       let entries = workload seed in
       let oracle = inprocess_observables entries in
       List.for_all
-        (fun domains ->
-          compare (loopback_observables ~domains entries) oracle = 0)
+        (fun lanes -> compare (loopback_observables ~lanes entries) oracle = 0)
         [ 1; 2; 4 ])
 
 (* Two clients replaying the same workload against one server must
@@ -104,7 +99,7 @@ let prop_net_identical_to_inprocess =
 let test_two_clients_isolated () =
   let entries = workload 11 in
   let oracle = inprocess_observables entries in
-  with_loopback ~domains:4 (fun addr ->
+  with_loopback ~lanes:4 (fun addr ->
       let a = replay_over_wire addr entries in
       let b = replay_over_wire addr entries in
       Alcotest.(check bool)
@@ -117,7 +112,7 @@ let test_two_clients_isolated () =
 (* --- protocol edges --------------------------------------------------- *)
 
 let test_ping_and_unknown_user () =
-  with_loopback ~domains:1 (fun addr ->
+  with_loopback ~lanes:1 (fun addr ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -140,7 +135,7 @@ let test_ping_and_unknown_user () =
           | _ -> Alcotest.fail "expected Unknown_user"))
 
 let test_bad_sql_is_bad_request () =
-  with_loopback ~domains:1 (fun addr ->
+  with_loopback ~lanes:1 (fun addr ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -162,8 +157,60 @@ let test_bad_sql_is_bad_request () =
           | Wire.Error { code = Wire.Bad_request; _ } -> ()
           | _ -> Alcotest.fail "expected Bad_request"))
 
+(* A client error is the client's: with two lanes, an unknown user and
+   bad SQL are answered with their error codes and counted under
+   [net.errors.*], and no pool job is counted as failed. *)
+let test_client_errors_are_not_pool_errors () =
+  let module Metrics = Cqp_obs.Metrics in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+  @@ fun () ->
+  with_loopback ~lanes:2 (fun addr ->
+      let c = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.install c ~user:"alice" 1;
+          let code user sql =
+            match
+              Client.call c
+                (Wire.Query
+                   (query_of_request
+                      {
+                        S.Serve.user;
+                        sql;
+                        problem = C.Problem.problem2 ~cmax:500.0;
+                        max_k = None;
+                        algorithm = C.Algorithm.C_boundaries;
+                        execute = false;
+                      }))
+            with
+            | Wire.Error { code; _ } -> Some code
+            | _ -> None
+          in
+          Alcotest.(check bool)
+            "unknown user" true
+            (code "nobody" "select title from movie" = Some Wire.Unknown_user);
+          Alcotest.(check bool)
+            "bad sql" true
+            (code "alice" "select select select" = Some Wire.Bad_request)));
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int) name n (Metrics.counter_value name))
+    [
+      ("net.requests", 2);
+      ("net.errors.unknown_user", 1);
+      ("net.errors.bad_request", 1);
+      ("net.errors.server_error", 0);
+      ("par.pool.errors", 0);
+    ]
+
 let test_garbage_frame_closes_connection () =
-  with_loopback ~domains:1 (fun addr ->
+  with_loopback ~lanes:1 (fun addr ->
       let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
       Unix.connect fd addr;
       (* A syntactically complete frame with an unknown tag. *)
@@ -179,7 +226,7 @@ let test_garbage_frame_closes_connection () =
       Unix.close fd)
 
 let test_busy_rejection () =
-  with_loopback ~domains:1 ~max_connections:1 (fun addr ->
+  with_loopback ~lanes:1 ~max_connections:1 (fun addr ->
       let c1 = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c1)
@@ -198,20 +245,17 @@ let test_busy_rejection () =
               | exception Client.Closed -> ())))
 
 let test_shutdown_frame_drains () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      let serve = S.Serve.create ~caching:true (Lazy.force catalog) in
-      let srv =
-        Server.create ~pool ~addr:(Server.Tcp ("127.0.0.1", 0)) serve
-      in
-      Server.start srv;
-      let c = Client.connect (Server.bound_addr srv) in
-      Client.ping c;
-      Client.shutdown c;
-      Client.close c;
-      (* The Bye reply precedes the drain; wait observes completion. *)
-      Server.wait srv;
-      Server.stop srv;
-      Alcotest.(check bool) "not serving" false (Server.serving srv))
+  let serve = S.Serve.create ~caching:true (Lazy.force catalog) in
+  let srv = Server.create ~lanes:2 ~addr:(Server.Tcp ("127.0.0.1", 0)) serve in
+  Server.start srv;
+  let c = Client.connect (Server.bound_addr srv) in
+  Client.ping c;
+  Client.shutdown c;
+  Client.close c;
+  (* The Bye reply precedes the drain; wait observes completion. *)
+  Server.wait srv;
+  Server.stop srv;
+  Alcotest.(check bool) "not serving" false (Server.serving srv)
 
 (* Admission is by arrival order across the whole server, not per lane:
    with two lanes and a shed depth of 1, a query that arrives while
@@ -239,7 +283,7 @@ let test_shed_counts_every_lane () =
     }
   in
   (* Users are hashed onto lanes; pick two that land on different ones. *)
-  let lane u = Hashtbl.hash u mod 2 in
+  let lane u = S.Serve.shard_of u 2 in
   let user_a = "alice" in
   let user_b =
     List.find
@@ -258,7 +302,7 @@ let test_shed_counts_every_lane () =
            execute = false;
          })
   in
-  with_loopback ~resilience ~domains:2 (fun addr ->
+  with_loopback ~resilience ~lanes:2 (fun addr ->
       let a = Client.connect addr and b = Client.connect addr in
       Fun.protect
         ~finally:(fun () ->
@@ -294,7 +338,7 @@ let test_store_survives_restart () =
   let oracle = inprocess_observables entries in
   (* First server: installs write through to the store. *)
   let first =
-    with_loopback ~store_dir:dir ~domains:2 (fun addr ->
+    with_loopback ~store_dir:dir ~lanes:2 (fun addr ->
         replay_over_wire addr entries)
   in
   Alcotest.(check bool)
@@ -306,7 +350,7 @@ let test_store_survives_restart () =
     List.filter (function S.Workload.Request _ -> true | _ -> false) entries
   in
   let replayed =
-    with_loopback ~store_dir:dir ~domains:2 (fun addr ->
+    with_loopback ~store_dir:dir ~lanes:2 (fun addr ->
         replay_over_wire addr queries_only)
   in
   Alcotest.(check bool)
@@ -318,7 +362,7 @@ let test_bounded_working_set_under_load () =
   let users = 64 in
   let resident = 8 in
   Loadgen.populate_store ~dir ~users ~seed:100 (Lazy.force catalog);
-  with_loopback ~store_dir:dir ~store_resident:resident ~domains:2 (fun addr ->
+  with_loopback ~store_dir:dir ~store_resident:resident ~lanes:2 (fun addr ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -357,6 +401,8 @@ let () =
             test_ping_and_unknown_user;
           Alcotest.test_case "bad sql is bad request" `Quick
             test_bad_sql_is_bad_request;
+          Alcotest.test_case "client errors are not pool errors" `Quick
+            test_client_errors_are_not_pool_errors;
           Alcotest.test_case "garbage frame closes connection" `Quick
             test_garbage_frame_closes_connection;
           Alcotest.test_case "busy rejection" `Quick test_busy_rejection;

@@ -11,25 +11,6 @@ let fail msg = raise (Runtime_error msg)
 
 (* --- row-id batches ---------------------------------------------------- *)
 
-(* Growable int array, for batch positions whose count is not known up
-   front. *)
-module Positions = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 16 0; len = 0 }
-
-  let add b x =
-    if b.len = Array.length b.data then begin
-      let bigger = Array.make (2 * b.len) 0 in
-      Array.blit b.data 0 bigger 0 b.len;
-      b.data <- bigger
-    end;
-    b.data.(b.len) <- x;
-    b.len <- b.len + 1
-
-  let contents b = Array.sub b.data 0 b.len
-end
-
 (* The rows of a join prefix as row ids: row [i] of [len] combines, for
    each slot [k], row [ids.(k).(i)] of [rows.(k)] ([All]: row [i]
    itself, a source no filter or join has narrowed).  Slot [k] holds
@@ -47,6 +28,65 @@ type batch = {
   ids : ids array;
   len : int;
 }
+
+(* Row [i] of a slot's source, through the slot's ids. *)
+let[@inline] row ids i = match ids with All -> i | Ids ids -> ids.(i)
+
+(* The kernels that select row ids (filters, the hash-join probe, the
+   cut, DISTINCT) write the positions they keep into this domain's
+   buffers, from 0, and copy out exactly those before they return; no
+   kernel runs another while it holds them.  [kept] holds the
+   positions, and [paired] a probe's matching rows of the joined
+   source.  The buffers grow by doubling and are kept across
+   executions; each domain has its own, since lanes on several domains
+   execute at once. *)
+type scratch = { mutable kept : int array; mutable paired : int array }
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      { kept = Array.make 256 0; paired = Array.make 256 0 })
+
+(* This domain's buffers, [kept] and [paired] with room for [n] ids. *)
+let buffers n =
+  let s = Domain.DLS.get scratch in
+  if Array.length s.kept < n then begin
+    let rec size x = if x >= n then x else size (2 * x) in
+    s.kept <- Array.make (size (Array.length s.kept)) 0;
+    s.paired <- Array.make (Array.length s.kept) 0
+  end;
+  s
+
+(* Room for one more pair after the first [m]. *)
+let grow s m =
+  if m = Array.length s.kept then begin
+    let more a =
+      let bigger = Array.make (2 * m) 0 in
+      Array.blit a 0 bigger 0 m;
+      bigger
+    in
+    s.kept <- more s.kept;
+    s.paired <- more s.paired
+  end
+
+(* A slot's ids once only the rows at [pos.(0)], ..., [pos.(n - 1)]
+   are kept, in that order: one array, copied out of [pos]. *)
+let compose ids pos n =
+  let out = Array.sub pos 0 n in
+  (match ids with
+  | All -> ()
+  | Ids ids ->
+      for x = 0 to n - 1 do
+        out.(x) <- ids.(out.(x))
+      done);
+  Ids out
+
+(* The rows at [pos.(0)], ..., [pos.(n - 1)], in that order. *)
+let pick b pos n =
+  let ids = Array.make (Array.length b.ids) All in
+  for k = 0 to Array.length ids - 1 do
+    ids.(k) <- compose b.ids.(k) pos n
+  done;
+  { b with ids; len = n }
 
 (* The concatenated headers of a block's sources: position [p] is
    column [at.(p)] as a (source, column) pair. *)
@@ -79,19 +119,6 @@ let column b (s, c) =
 let scope l b : int Eval.scope =
  fun q name -> column b l.at.(Rowset.find_col l.header q name)
 
-(* The rows at [positions], in that order. *)
-let pick b positions =
-  {
-    b with
-    ids =
-      Array.map
-        (function
-          | All -> Ids positions
-          | Ids ids -> Ids (Array.map (fun i -> ids.(i)) positions))
-        b.ids;
-    len = Array.length positions;
-  }
-
 (* Column [c] of slot [k]'s source as a typed vector, [Boxed] when it
    has none. *)
 let vector b k c =
@@ -104,25 +131,26 @@ let row_ids b k =
   match b.ids.(k) with All -> (true, [||]) | Ids ids -> (false, ids)
 
 (* The rows [i] of [n] whose cell [a.(at i)] compares with [v] by [op],
-   into [kept]; [at i] is [i] when [all], else [ids.(i)].  One loop per
-   operator. *)
+   written to [kept] from 0; [at i] is [i] when [all], else [ids.(i)].
+   One loop per operator; the count kept. *)
 let keep_ints kept (all, ids) n (a : int array) op (v : int) =
+  let m = ref 0 in
   let[@inline] x i = if all then a.(i) else a.(ids.(i)) in
-  let add = Positions.add kept in
-  match op with
-  | Eq -> for i = 0 to n - 1 do if x i = v then add i done
-  | Neq -> for i = 0 to n - 1 do if x i <> v then add i done
-  | Lt -> for i = 0 to n - 1 do if x i < v then add i done
-  | Le -> for i = 0 to n - 1 do if x i <= v then add i done
-  | Gt -> for i = 0 to n - 1 do if x i > v then add i done
-  | Ge -> for i = 0 to n - 1 do if x i >= v then add i done
+  (match op with
+  | Eq -> for i = 0 to n - 1 do kept.(!m) <- i; if x i = v then incr m done
+  | Neq -> for i = 0 to n - 1 do kept.(!m) <- i; if x i <> v then incr m done
+  | Lt -> for i = 0 to n - 1 do kept.(!m) <- i; if x i < v then incr m done
+  | Le -> for i = 0 to n - 1 do kept.(!m) <- i; if x i <= v then incr m done
+  | Gt -> for i = 0 to n - 1 do kept.(!m) <- i; if x i > v then incr m done
+  | Ge -> for i = 0 to n - 1 do kept.(!m) <- i; if x i >= v then incr m done);
+  !m
 
 (* The same for [op] = [Eq] or [Neq] over a [String] column's codes:
-   one dictionary lookup, then an int compare per row. *)
+   one dictionary lookup, then an int compare per row.  A string no
+   row holds has code -1, which every code differs from. *)
 let keep_strings kept at n codes d op v =
   match op, Relation.find_code d v with
-  | Eq, -1 -> ()
-  | Neq, -1 -> for i = 0 to n - 1 do Positions.add kept i done
+  | Eq, -1 -> 0
   | _, code -> keep_ints kept at n codes op code
 
 let count name =
@@ -151,41 +179,52 @@ let literal_test l b p =
    values follow [Value.compare] as [Eval] does, so a NULL cell or
    literal keeps nothing.  [Eval] compiles every other predicate. *)
 let filter l b p =
-  let kept = Positions.create () in
-  (match literal_test l b p with
-  | Some (k, c, op, v) -> (
-      let ((all, ids) as at) = row_ids b k in
-      match vector b k c, op, v with
-      | Ints a, _, Int v ->
-          count "engine.filters.typed";
-          keep_ints kept at b.len a op v
-      | Strings (codes, d), (Eq | Neq), String v ->
-          count "engine.filters.typed";
-          keep_strings kept at b.len codes d op v
-      | _, _, v ->
-          let rows = b.rows.(k) in
-          if not (Value.is_null v) then
-            for i = 0 to b.len - 1 do
-              let x = rows.(if all then i else ids.(i)).(c) in
-              if (not (Value.is_null x)) && Eval.holds op x v then
-                Positions.add kept i
-            done)
-  | None ->
-      let keep = Eval.predicate (Eval.scalar (scope l b)) p in
-      for i = 0 to b.len - 1 do
-        if keep i then Positions.add kept i
-      done);
-  if kept.len = b.len then b else pick b (Positions.contents kept)
+  let kept = (buffers b.len).kept in
+  let m =
+    match literal_test l b p with
+    | Some (k, c, op, v) -> (
+        let ((all, ids) as at) = row_ids b k in
+        match vector b k c, op, v with
+        | Ints a, _, Int v ->
+            count "engine.filters.typed";
+            keep_ints kept at b.len a op v
+        | Strings (codes, d), (Eq | Neq), String v ->
+            count "engine.filters.typed";
+            keep_strings kept at b.len codes d op v
+        | _, _, v ->
+            let rows = b.rows.(k) and m = ref 0 in
+            if not (Value.is_null v) then
+              for i = 0 to b.len - 1 do
+                let x = rows.(if all then i else ids.(i)).(c) in
+                kept.(!m) <- i;
+                if (not (Value.is_null x)) && Eval.holds op x v then incr m
+              done;
+            !m)
+    | None ->
+        let keep = Eval.predicate (Eval.scalar (scope l b)) p and m = ref 0 in
+        for i = 0 to b.len - 1 do
+          kept.(!m) <- i;
+          if keep i then incr m
+        done;
+        !m
+  in
+  if m = b.len then b else pick b kept m
 
-(* [acc] joined with source [s], loaded as [r]: output row [x] pairs
-   [acc]'s row [left.(x)] with [r]'s row [right.(x)]. *)
-let extend acc s r left right =
+(* [acc] joined with source [s], loaded as [r]: output row [x] of [n]
+   pairs [acc]'s row [left.(x)] with [r]'s row [right.(x)]. *)
+let extend acc s r left right n =
+  let k = Array.length acc.ids in
+  let ids = Array.make (k + 1) All in
+  for x = 0 to k - 1 do
+    ids.(x) <- compose acc.ids.(x) left n
+  done;
+  ids.(k) <- compose r.ids.(0) right n;
   {
     srcs = Array.append acc.srcs [| s |];
     rows = Array.append acc.rows r.rows;
     vectors = Array.append acc.vectors r.vectors;
-    ids = Array.append (pick acc left).ids (pick r right).ids;
-    len = Array.length left;
+    ids;
+    len = n;
   }
 
 (* The rows in the order a nested loop over the sources in FROM order
@@ -196,19 +235,12 @@ let in_from_order b =
   let rec from_order k = k = n || (b.srcs.(k) = k && from_order (k + 1)) in
   if from_order 0 then b
   else begin
-    let id = Array.make n [||] in
-    Array.iteri
-      (fun k s ->
-        id.(s) <-
-          (match b.ids.(k) with
-          | Ids ids -> ids
-          | All -> Array.init b.len Fun.id))
-      b.srcs;
+    let id = Array.make n All in
+    Array.iteri (fun k s -> id.(s) <- b.ids.(k)) b.srcs;
     let rec cmp s x y =
       if s = n then 0
       else
-        let ids = id.(s) in
-        let c = Int.compare ids.(x) ids.(y) in
+        let c = Int.compare (row id.(s) x) (row id.(s) y) in
         if c <> 0 then c else cmp (s + 1) x y
     in
     let rec sorted i =
@@ -218,7 +250,7 @@ let in_from_order b =
     else begin
       let order = Array.init b.len Fun.id in
       Array.sort (cmp 0) order;
-      pick b order
+      pick b order b.len
     end
   end
 
@@ -258,22 +290,25 @@ let add t h i =
   t.next.(i) <- t.head.(b);
   t.head.(b) <- i
 
-(* For each row [i] of [n], the first row whose key equals [i]'s ([i]
-   itself when there is none before it).  Only first rows enter the
-   index. *)
+(* The first row in [t] whose key equals row [i]'s; when there is
+   none, [i] itself, which enters [t].  Only first rows enter it. *)
+let first_row t keys i =
+  let h = hash_key keys i in
+  let j = ref t.head.(bucket t h) in
+  while !j >= 0 && not (agree keys keys i !j 0) do
+    j := t.next.(!j)
+  done;
+  if !j >= 0 then !j
+  else begin
+    add t h i;
+    i
+  end
+
+(* For each row [i] of [n], the first row whose key equals [i]'s. *)
 let first_rows keys n =
   let t = index n and first = Array.make n 0 in
   for i = 0 to n - 1 do
-    let h = hash_key keys i in
-    let j = ref t.head.(bucket t h) in
-    while !j >= 0 && not (agree keys keys i !j 0) do
-      j := t.next.(!j)
-    done;
-    if !j >= 0 then first.(i) <- !j
-    else begin
-      add t h i;
-      first.(i) <- i
-    end
+    first.(i) <- first_row t keys i
   done;
   first
 
@@ -318,10 +353,13 @@ let scan io name rel =
   @@ fun () -> Io.charge_scan io rel
 
 let cartesian acc s r =
-  let na = acc.len and nb = r.len in
-  extend acc s r
-    (Array.init (na * nb) (fun x -> x / nb))
-    (Array.init (na * nb) (fun x -> x mod nb))
+  let nb = r.len and n = acc.len * r.len in
+  let pairs = buffers n in
+  for x = 0 to n - 1 do
+    pairs.kept.(x) <- x / nb;
+    pairs.paired.(x) <- x mod nb
+  done;
+  extend acc s r pairs.kept pairs.paired n
 
 (* A source's rows after its pushed-down conjuncts, as a one-slot
    batch of source 0, with the hash indexes built on its columns so
@@ -377,7 +415,14 @@ let hash_join acc s (r : load) keys =
         r.indexes <- (c, t) :: r.indexes;
         t
   in
-  let lpos = Positions.create () and rpos = Positions.create () in
+  (* each match: the probe row in [kept], the matched row in [paired] *)
+  let pairs = buffers acc.len and m = ref 0 in
+  let[@inline] matched i j =
+    grow pairs !m;
+    pairs.kept.(!m) <- i;
+    pairs.paired.(!m) <- j;
+    incr m
+  in
   (match typed with
   | Some ((lall, lids), a, (rall, rids), b) ->
       count "engine.joins.typed";
@@ -385,10 +430,7 @@ let hash_join acc s (r : load) keys =
         let x = a.(if lall then i else lids.(i)) in
         let j = ref t.head.(bucket t (Value.hash_int x)) in
         while !j >= 0 do
-          if b.(if rall then !j else rids.(!j)) = x then begin
-            Positions.add lpos i;
-            Positions.add rpos !j
-          end;
+          if b.(if rall then !j else rids.(!j)) = x then matched i !j;
           j := t.next.(!j)
         done
       done
@@ -397,15 +439,12 @@ let hash_join acc s (r : load) keys =
         if no_null left i 0 then begin
           let j = ref t.head.(bucket t (Value.hash (left.(0) i))) in
           while !j >= 0 do
-            if agree left right i !j 0 then begin
-              Positions.add lpos i;
-              Positions.add rpos !j
-            end;
+            if agree left right i !j 0 then matched i !j;
             j := t.next.(!j)
           done
         end
       done);
-  extend acc s r.batch (Positions.contents lpos) (Positions.contents rpos)
+  extend acc s r.batch pairs.kept pairs.paired !m
 
 (* --- plan interpretation --------------------------------------------- *)
 
@@ -493,14 +532,16 @@ let run_block ?cut (b : Explain.block_plan) loads : Rowset.t =
     match cut with
     | None -> filtered
     | Some keep ->
+        count "engine.cuts";
         let cells =
           Array.of_list (List.map (Eval.scalar (scope l filtered)) b.outputs)
-        and kept = Positions.create () in
+        and kept = (buffers filtered.len).kept
+        and m = ref 0 in
         for i = 0 to filtered.len - 1 do
-          if keep cells i then Positions.add kept i
+          kept.(!m) <- i;
+          if keep cells i then incr m
         done;
-        if kept.len = filtered.len then filtered
-        else pick filtered (Positions.contents kept)
+        if !m = filtered.len then filtered else pick filtered kept !m
   in
   let ctx = scope l filtered and n = filtered.len in
   (* 4. Projection / aggregation: the output rows, and a function
@@ -576,9 +617,13 @@ let run_block ?cut (b : Explain.block_plan) loads : Rowset.t =
   let order =
     if b.distinct then begin
       let cells = Array.of_list (List.mapi (fun c _ i -> rows.(i).(c)) b.cols) in
-      let first = first_rows cells (Array.length rows) and kept = Positions.create () in
-      Array.iteri (fun i f -> if f = i then Positions.add kept i) first;
-      Positions.contents kept
+      let len = Array.length rows in
+      let t = index len and kept = (buffers len).kept and m = ref 0 in
+      for i = 0 to len - 1 do
+        kept.(!m) <- i;
+        if first_row t cells i = i then incr m
+      done;
+      Array.sub kept 0 !m
     end
     else Array.init (Array.length rows) Fun.id
   in

@@ -19,7 +19,11 @@
     positions: two int arrays, bucket heads and a chain of rows, with
     keys read from the rows in place, hashed by {!Cqp_relal.Value.hash}
     and compared by {!Cqp_relal.Value.equal}.  Building or probing it
-    allocates nothing per row.  A base source's rows are read from the
+    allocates nothing per row.  Each operator that selects rows (a
+    filter, the join's probe, an intersection's cut, DISTINCT) writes
+    the positions it keeps into its domain's scratch buffer, kept
+    across executions, and copies out exactly those: one id array per
+    source of the result.  A base source's rows are read from the
     relation's storage in place, and a pushed-down comparison of one of
     its columns with a literal runs as one loop over that column: over
     the column's typed vector ({!Cqp_relal.Relation.vector}) when the
@@ -51,7 +55,8 @@
     every cell, as GROUP BY groups them.  A later branch that neither
     aggregates nor has a LIMIT keeps, after its joins and filters and
     before projection, only the rows whose output cells the index still
-    holds.  When none is left, the block answers no rows, and the
+    holds ([engine.cuts] counts these cuts while metrics are on).
+    When none is left, the block answers no rows, and the
     branches not yet run are not run: their base sources are still
     charged one scan each (counted in [engine.branches_skipped] while
     metrics are on).  Otherwise the branches' rows are concatenated in

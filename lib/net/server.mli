@@ -56,7 +56,7 @@
     [net.errors.{bad_request,unknown_user,server_error}], the
     [net.request_us] admission-to-reply histogram, and
     [net.store.{resident,users,blobs}] gauges.  The reconciliation
-    invariant — checked exactly by CI's net-smoke job —
+    invariant — checked exactly by the cram test [test/cli/net_loadgen.t] —
 
     {v net.requests = net.replies.served + net.replies.shed
                     + net.errors.bad_request + net.errors.unknown_user

@@ -25,6 +25,13 @@
                                         frame within 1 s; prints each
                                         reply's first two bytes (tag, then
                                         an error's code) in hex
+     cli_check get FILE KIND NAME       prints one number alone, for the
+                                        shell to compare: KIND counter
+                                        (0 when absent), prefix (the sum of
+                                        the counters named NAME...), gauge
+                                        (0 when absent) or field (a
+                                        top-level number, as a loadgen
+                                        report holds)
 
    JSON is read through [Cqp_obs.Jsonx].  Prints one line per check;
    exits 1 at the first that fails. *)
@@ -46,6 +53,16 @@ let count path name =
   match J.member name (field "counters" (json path)) with
   | Some (J.Num x) -> x
   | _ -> 0.
+
+let gauge path name =
+  match J.member name (field "gauges" (json path)) with
+  | Some (J.Num x) -> x
+  | _ -> 0.
+
+let top_level path name =
+  match J.member name (json path) with
+  | Some (J.Num x) -> x
+  | _ -> fail "%s: no number %s" path name
 
 (* The sum of the counters whose names start with [prefix]. *)
 let prefix_sum path prefix =
@@ -174,10 +191,20 @@ let () =
             ss);
       Printf.printf "%s: every printed size in [%g, %g]\n" path lo hi
   | "send" :: path :: (_ :: _ as frames) -> send path frames
+  | [ "get"; path; kind; name ] ->
+      let read =
+        match kind with
+        | "counter" -> count
+        | "prefix" -> prefix_sum
+        | "gauge" -> gauge
+        | "field" -> top_level
+        | _ -> fail "get: no kind %s" kind
+      in
+      Printf.printf "%.17g\n" (read path name)
   | _ ->
       prerr_endline
         "usage: cli_check (trace FILE | present FILE NAME | counter FILE NAME \
          [N] | positive FILE NAME | sum FILE NAME A B | prefix FILE P \
          (positive | N) | timed FILE NAME | sizes FILE LO HI | send SOCK \
-         HEX...)";
+         HEX... | get FILE (counter | prefix | gauge | field) NAME)";
       exit 2

@@ -782,8 +782,8 @@ let scaling () =
 
 (* The workload the serve section and the serve trend workloads
    replay. *)
-let serve_workload () =
-  Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2
+let serve_workload ?execute () =
+  Cqp_serve.Workload.generate ~users:6 ~requests:48 ~updates:2 ?execute
     ~rng:(Cqp_util.Rng.create !mode.seed) (catalog ())
 
 let serve_bench () =
@@ -830,10 +830,10 @@ let serve_bench () =
   Printf.printf
     "(identical responses either way — test/test_serve_diff.ml holds the\n";
   Printf.printf " caches to bit-identical solutions, params, and SQL)\n%!";
-  (* Domain scaling: the same workload fanned over a pool, requests
-     partitioned by user with domain-local caches.  Responses are
-     bit-identical at every width (checked below); wall clock depends
-     on the hardware this runs on. *)
+  (* Domain scaling: the same workload on a server with one lane per
+     pool domain, requests partitioned by user onto lanes with their
+     own caches.  Responses are bit-identical at every width (checked
+     below); wall clock depends on the hardware this runs on. *)
   Printf.printf "\ndomain scaling (caches on, warm passes):\n";
   Printf.printf "%-10s %6s %12s %12s %10s\n" "domains" "pass" "total(ms)"
     "req/s" "speedup";
@@ -846,7 +846,7 @@ let serve_bench () =
       o.C.Personalizer.rows )
   in
   let run_domains domains =
-    let server = Cqp_serve.Serve.create ~caching:true catalog in
+    let server = Cqp_serve.Serve.create ~caching:true ~lanes:domains catalog in
     Cqp_par.Pool.with_pool ~domains @@ fun pool ->
     let warm = ref 0. in
     let last = ref [] in
@@ -1179,20 +1179,24 @@ let trend_solver_largek () =
   done;
   (!lats, 0.)
 
-(* Workloads 3 to 5: serve replay.  A cold pass warms the caches, then
+(* Workloads 3 to 5 and 7: serve replay.  A cold pass warms the caches, then
    the measured warm pass replays the same entries and reports its
    latencies (µs) and the hit rate, over the pass, of the (hits,
    lookups) that [pick] reads off the server's cache totals.  The
-   parallel variant fans the workload over a 4-domain pool with
-   domain-local shard caches.  The pareto variant arms the
+   parallel variant replays on a 4-lane server over a 4-domain pool,
+   one cache per lane.  The pareto variant arms the
    tri-objective front cache ([Config.pareto]) and reports the
    {e front} cache hit rate, so a regression in front-key stability or
    builder determinism (a fresh front per request) shows up as a
-   hit-rate collapse long before it shows up as latency. *)
-let trend_serve ?(domains = 1) ?resilience
+   hit-rate collapse long before it shows up as latency.  The exec
+   variant marks every request for execution, so the warm pass runs
+   the engine on each personalized query. *)
+let trend_serve ?(domains = 1) ?resilience ?execute
     (pick : Cqp_serve.Serve.cache_totals -> int * int) () =
-  let entries = serve_workload () in
-  let server = Cqp_serve.Serve.create ~caching:true ?resilience (catalog ()) in
+  let entries = serve_workload ?execute () in
+  let server =
+    Cqp_serve.Serve.create ~caching:true ?resilience ~lanes:domains (catalog ())
+  in
   Cqp_par.Pool.with_pool ~domains @@ fun pool ->
   ignore (Cqp_serve.Workload.replay ~pool server entries);
   let hits0, lookups0 = pick (Cqp_serve.Serve.cache_totals server) in
@@ -1244,15 +1248,18 @@ let run_trend ~label ~out =
          ~resilience:
            { Cqp_resilience.Config.default with Cqp_resilience.Config.pareto = true })
   in
-  let workloads =
+  let corpus =
     if Sys.file_exists corpus_dir && Sys.is_directory corpus_dir then
-      [ solver; largek; warm; par; pareto;
-        trend_measure "corpus_replay" trend_corpus ]
+      [ trend_measure "corpus_replay" trend_corpus ]
     else begin
       Printf.printf "trend: %s absent, skipping corpus_replay\n%!" corpus_dir;
-      [ solver; largek; warm; par; pareto ]
+      []
     end
   in
+  let exec =
+    trend_measure "exec_warm" (trend_serve ~execute:true extraction)
+  in
+  let workloads = [ solver; largek; warm; par; pareto ] @ corpus @ [ exec ] in
   let t = { BF.label; workloads } in
   let file =
     match out with Some f -> f | None -> "BENCH_" ^ label ^ ".json"

@@ -386,9 +386,10 @@ let server_flags =
         { no_cache; capacity; deadline_ms; retries; shed_depth; prometheus })
     $ no_cache $ capacity $ deadline_ms $ retries $ shed_depth $ prometheus)
 
-let make_server f ?(portfolio = false) ?(pareto = false) ?fault catalog =
+let make_server f ?(portfolio = false) ?(pareto = false) ?fault ~lanes
+    catalog =
   Cqp_serve.Serve.create ~caching:(not f.no_cache)
-    ?pref_space_capacity:f.capacity
+    ?pref_space_capacity:f.capacity ~lanes
     ~resilience:
       {
         Cqp_resilience.Config.default with
@@ -433,7 +434,9 @@ let serve_action verbose seed movies workload_file save_file users requests
             ~rng:(Cqp_util.Rng.create fseed) ())
         inject
     in
-    let server = make_server flags ~portfolio ~pareto ?fault catalog in
+    let server =
+      make_server flags ~portfolio ~pareto ?fault ~lanes:domains catalog
+    in
     Cqp_par.Pool.with_pool ~domains @@ fun pool ->
     for rep = 1 to repeat do
       let t0 = Cqp_obs.Clock.raw_us () in
@@ -465,8 +468,7 @@ let serve_action verbose seed movies workload_file save_file users requests
                 t.rungs))
       end
     done;
-    (* Fleet-wide cache summary: the parent cache plus every shard's
-       domain-local cache (sequential runs have no shards). *)
+    (* Cache summary over every lane's caches. *)
     let c = Cqp_serve.Serve.cache_totals server in
     if c.caches = 0 then Format.printf "caches disabled@."
     else begin
@@ -556,10 +558,10 @@ let serve_cmd =
       & opt int 1
       & info [ "domains" ]
           ~doc:
-            "Total parallelism for replay: requests are partitioned by user \
-             across this many domains, each serving through its own \
-             domain-local caches.  Responses are bit-identical to \
-             $(b,--domains 1).")
+            "Serving lanes and replay domains: users are hashed onto this \
+             many lanes, each with its own profiles and caches, and the \
+             lanes replay in parallel on as many domains.  Responses are \
+             bit-identical to $(b,--domains 1).")
   in
   let execute_arg =
     Arg.(
@@ -852,15 +854,14 @@ let netserve_action verbose seed movies lanes max_connections store_dir
   setup_logs verbose;
   try
     Cqp_obs.Obs.with_sinks ?metrics ?prometheus:flags.prometheus @@ fun () ->
-    let serve = make_server flags (catalog_of ~movies ~seed) in
+    let serve = make_server flags ~lanes (catalog_of ~movies ~seed) in
     let addr =
       match unix_path with
       | Some path -> Net_server.Unix_path path
       | None -> Net_server.Tcp (host, port)
     in
     let srv =
-      Net_server.create ~max_connections ?store_dir ?store_resident ~lanes
-        ~addr serve
+      Net_server.create ~max_connections ?store_dir ?store_resident ~addr serve
     in
     Net_server.start srv;
     (* The bound address goes to stdout as a single parseable line:
@@ -895,9 +896,8 @@ let netserve_cmd =
       & opt int 2
       & info [ "domains" ]
           ~doc:
-            "Serving lanes, each a shard of the server with its own \
-             caches; users are hashed onto lanes, and a lane runs one \
-             query at a time.")
+            "Serving lanes, each with its own profiles and caches; users \
+             are hashed onto lanes, and a lane runs one query at a time.")
   in
   let max_conns_arg =
     Arg.(

@@ -161,11 +161,11 @@ let publish_metrics t =
   end
 
 let publish_gauge_totals caches =
-  if Metrics.is_enabled () then begin
+  if Metrics.is_enabled () && caches <> [] then begin
     (* The [serve.cache.*] counters are published as deltas, so several
-       caches (e.g. one per serve shard) sum exactly into the shared
-       registry on their own; the gauges are absolute values, so a
-       sharded server re-publishes them here as sums at drain time. *)
+       caches (one per serve lane) sum exactly into the shared registry
+       on their own; the gauges are absolute values, so they are
+       re-published here as sums. *)
     let sum f = List.fold_left (fun acc c -> acc + f c) 0 caches in
     Metrics.gauge "serve.cache.pref_space.entries"
       (float_of_int (sum extraction_entries));
@@ -177,7 +177,6 @@ let publish_gauge_totals caches =
       Metrics.gauge "serve.pareto.points_held"
         (float_of_int (sum front_points_held))
     end;
-    if caches <> [] then
-      Metrics.gauge "serve.cache.estimate.entries"
-        (float_of_int (sum (fun c -> Estimate.Memo.entries c.memo)))
+    Metrics.gauge "serve.cache.estimate.entries"
+      (float_of_int (sum (fun c -> Estimate.Memo.entries c.memo)))
   end

@@ -111,8 +111,8 @@ val publish_metrics : t -> unit
 
 val publish_gauge_totals : t list -> unit
 (** Re-publish the absolute [serve.cache.*.entries] / [bytes_held]
-    gauges as sums over several caches.  The counter metrics are delta
-    published and therefore already sum exactly across caches; a
-    sharded server (one domain-local cache per shard) calls this at
-    drain time so the gauges reflect the fleet rather than whichever
-    shard published last. *)
+    gauges as sums over several caches (nothing for none).  The counter
+    metrics are delta published and therefore already sum exactly
+    across caches; a replay over a server's lanes (one cache per lane)
+    calls this at its end so the gauges reflect every lane rather than
+    whichever lane published last. *)

@@ -421,6 +421,6 @@ let resilience t =
     fault;
   }
 
-let server t catalog =
+let server ?lanes t catalog =
   Serve.create ~caching:true ~pref_space_capacity:t.capacity
-    ~resilience:(resilience t) catalog
+    ~resilience:(resilience t) ?lanes catalog

@@ -114,6 +114,7 @@ val resilience : t -> Cqp_resilience.Config.t
     Backoffs are scaled down (0.05 ms base, 0.2 ms cap) so evolved
     fault storms cost microseconds, not test-suite seconds. *)
 
-val server : t -> Cqp_relal.Catalog.t -> Cqp_serve.Serve.t
+val server : ?lanes:int -> t -> Cqp_relal.Catalog.t -> Cqp_serve.Serve.t
 (** A fresh caching server configured for this genome ([capacity],
-    {!resilience}). *)
+    {!resilience}), with [lanes] (default 1) serving lanes, each with
+    caches of that capacity. *)

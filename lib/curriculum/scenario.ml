@@ -111,10 +111,13 @@ let freeze ~name spec genome =
       ];
   }
 
+(* One lane per pool domain, so a pool replays the lanes in parallel. *)
+let server ?pool t catalog =
+  Genome.server ?lanes:(Option.map Cqp_par.Pool.domains pool) t.genome catalog
+
 let replay ?pool t =
   let catalog = build_catalog t.catalog in
-  let server = Genome.server t.genome catalog in
-  Workload.replay ?pool server t.entries
+  Workload.replay ?pool (server ?pool t catalog) t.entries
 
 let check ?pool t =
   let catalog = build_catalog t.catalog in
@@ -129,8 +132,7 @@ let check ?pool t =
           lines, or content drift)"
          t.name (List.length decoded) (List.length frozen))
   else begin
-    let server = Genome.server t.genome catalog in
-    let responses = Workload.replay ?pool server t.entries in
+    let responses = Workload.replay ?pool (server ?pool t catalog) t.entries in
     let e = expect_of_responses responses in
     if e = t.expect then Ok ()
     else if e.digest <> t.expect.digest then

@@ -62,15 +62,17 @@ val freeze :
     happened as the expectation. *)
 
 val replay : ?pool:Cqp_par.Pool.t -> t -> Cqp_serve.Serve.response list
-(** Replay the frozen entries on a fresh server built from the
-    genome.  With a pool, admission still follows arrival order
+(** Replay the frozen entries on a fresh server built from the genome
+    ({!Genome.server}), with one lane per domain of the [pool] (one
+    lane without).  Admission still follows arrival order
     ({!Cqp_serve.Workload.replay}), so responses must be bit-identical
-    to the sequential pass. *)
+    to the one-lane pass. *)
 
 val check : ?pool:Cqp_par.Pool.t -> t -> (unit, string) result
 (** Decode-stability (genome still decodes to the frozen entries,
     byte for byte) plus replay reconciliation (labels and digest match
-    {!expect} exactly). *)
+    {!expect} exactly), replaying on a server built as {!replay}
+    builds it. *)
 
 val save : dir:string -> t -> string
 (** Write [<dir>/<name>.scenario]; returns the path. *)

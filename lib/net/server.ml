@@ -4,12 +4,10 @@ module Clock = Cqp_obs.Clock
 
 type addr = Unix_path of string | Tcp of string * int
 
-type lane = { serve : Serve.t; mu : Mutex.t }
-
 type t = {
   serve : Serve.t;
   addr : addr;
-  lanes : lane array;
+  lane_mutexes : Mutex.t array;  (* one per lane of [serve], in lane order *)
   inflight : int Atomic.t;
   store : Store.t option;
   store_mu : Mutex.t;
@@ -28,7 +26,7 @@ type t = {
   mutable stopped : bool;
 }
 
-let lane_of t user = t.lanes.(Serve.shard_of user (Array.length t.lanes))
+let lane_mutex t user = t.lane_mutexes.(Serve.lane_of t.serve user)
 
 let publish_store t =
   match t.store with
@@ -39,19 +37,14 @@ let publish_store t =
       Metrics.gauge "net.store.users" (float_of_int s.Store.users);
       Metrics.gauge "net.store.blobs" (float_of_int s.Store.blobs)
 
-let create ?(max_connections = 32) ?store_dir ?(store_resident = 4096) ~lanes
-    ~addr serve =
+let create ?(max_connections = 32) ?store_dir ?(store_resident = 4096) ~addr
+    serve =
   if max_connections < 1 then invalid_arg "Server.create: max_connections < 1";
-  let lanes =
-    Array.map
-      (fun s -> { serve = s; mu = Mutex.create () })
-      (Serve.shards serve lanes)
-  in
   let t =
     {
       serve;
       addr;
-      lanes;
+      lane_mutexes = Array.init (Serve.lanes serve) (fun _ -> Mutex.create ());
       inflight = Atomic.make 0;
       store = None;
       store_mu = Mutex.create ();
@@ -77,9 +70,8 @@ let create ?(max_connections = 32) ?store_dir ?(store_resident = 4096) ~lanes
          (Store calls sit under it) and takes a lane mutex — so no
          code path may take the store mutex while holding a lane's. *)
       let on_evict user _profile =
-        let lane = lane_of t user in
-        Mutex.protect lane.mu (fun () ->
-            Serve.remove_profile lane.serve ~user)
+        Mutex.protect (lane_mutex t user) (fun () ->
+            Serve.remove_profile t.serve ~user)
       in
       let store =
         Store.open_ ~resident_capacity:store_resident ~on_evict dir
@@ -113,8 +105,8 @@ let install_profile t ~user profile =
   | Some store ->
       Mutex.protect t.store_mu (fun () -> Store.put store ~user profile)
   | None -> ());
-  let lane = lane_of t user in
-  Mutex.protect lane.mu (fun () -> Serve.set_profile lane.serve ~user profile);
+  Mutex.protect (lane_mutex t user) (fun () ->
+      Serve.set_profile t.serve ~user profile);
   publish_store t
 
 (* Run one admitted query on its lane, faulting the profile from the
@@ -124,16 +116,15 @@ let install_profile t ~user profile =
    lane mutex before touching the store (lock order), then re-takes it
    for install + serve in one critical section, so an eviction of this
    user cannot interleave between install and serve. *)
-let ensure_and_handle t (lane : lane) (q : Wire.query) serve_req pos enq =
+let ensure_and_handle t mu (q : Wire.query) serve_req pos enq =
   let run () =
     Serve.handle ~queue_position:pos ?enqueued_us:enq ?deadline_ms:q.deadline_ms
-      lane.serve serve_req
+      t.serve serve_req
   in
   let installed =
-    Mutex.protect lane.mu (fun () ->
-        Serve.profile lane.serve q.user <> None)
+    Mutex.protect mu (fun () -> Serve.profile t.serve q.user <> None)
   in
-  if installed then Mutex.protect lane.mu run
+  if installed then Mutex.protect mu run
   else
     match t.store with
     | None -> raise (Serve.Unknown_user q.user)
@@ -142,8 +133,8 @@ let ensure_and_handle t (lane : lane) (q : Wire.query) serve_req pos enq =
         | None -> raise (Serve.Unknown_user q.user)
         | Some profile ->
             publish_store t;
-            Mutex.protect lane.mu (fun () ->
-                Serve.set_profile lane.serve ~user:q.user profile;
+            Mutex.protect mu (fun () ->
+                Serve.set_profile t.serve ~user:q.user profile;
                 run ()))
 
 (* Admission is by arrival order, as in [Workload.replay]: a query's
@@ -151,7 +142,7 @@ let ensure_and_handle t (lane : lane) (q : Wire.query) serve_req pos enq =
    it arrives, whichever lane it hashes to, so lanes only execute. *)
 let handle_query t fd (q : Wire.query) =
   Metrics.incr "net.requests";
-  let lane = lane_of t q.user in
+  let mu = lane_mutex t q.user in
   let pos = Atomic.fetch_and_add t.inflight 1 in
   (* Only [net.request_us] and profiling's [queue_wait] read the
      stamp, so the clock is left alone while both are off. *)
@@ -171,7 +162,7 @@ let handle_query t fd (q : Wire.query) =
     }
   in
   let reply =
-    match ensure_and_handle t lane q serve_req pos enq with
+    match ensure_and_handle t mu q serve_req pos enq with
     | resp ->
         (match resp.Serve.verdict with
         | Serve.Served _ -> Metrics.incr "net.replies.served"

@@ -5,13 +5,14 @@
 
     One accept domain plus one domain per live connection (bounded by
     [max_connections]; excess connections are answered [Error Busy]
-    and closed).  Requests are served by a fleet of {e lanes} — the
-    {!Cqp_serve.Serve.shards} fleet of the wrapped server, each lane
-    guarded by a mutex — with users assigned to lanes by
-    {!Cqp_serve.Serve.shard_of}, so all of a user's requests land on
-    one lane and its domain-local caches.  A query runs on its
-    connection's domain under its lane's mutex, so at most one query
-    per lane runs at a time, whatever the connection count.
+    and closed).  Requests are served by the {e lanes} of the wrapped
+    server ({!Cqp_serve.Serve.lanes}), each guarded by a mutex of its
+    own, and {!Cqp_serve.Serve.lane_of} sends all of a user's
+    installs and requests to one lane, its profile table and its
+    caches.  A query runs on its connection's domain under its lane's
+    mutex, so at most one call per lane runs at a time (the serve
+    layer's one-writer-per-lane contract), whatever the connection
+    count.
 
     {2 Admission and backpressure}
 
@@ -76,19 +77,18 @@ val create :
   ?max_connections:int ->
   ?store_dir:string ->
   ?store_resident:int ->
-  lanes:int ->
   addr:addr ->
   Cqp_serve.Serve.t ->
   t
-(** A server with [lanes] serving lanes; [max_connections] (default
-    32) bounds live connection domains.  [store_dir] opens (or reopens
+(** A server over [serve], with one mutex per lane of [serve] (build it
+    with {!Cqp_serve.Serve.create}[ ~lanes]); [max_connections]
+    (default 32) bounds live connection domains.  [store_dir] opens (or reopens
     — a directory prepopulated offline works) a {!Store} owned by the
     server, with [store_resident] (default 4096) bounding the decoded
     working set; the server wires the store's eviction hook to lane
     uninstalls itself, which is why it opens the store rather than
     accepting one.  {!stop} closes it.
-    @raise Invalid_argument when [lanes < 1] or
-    [max_connections < 1]. *)
+    @raise Invalid_argument when [max_connections < 1]. *)
 
 val start : t -> unit
 (** Bind, listen, spawn the accept domain, return.

@@ -24,7 +24,7 @@ val reset : unit -> unit
 
     All recording and reading entry points are serialized by one
     internal mutex, so counters and histograms published concurrently
-    from several domains (pool workers, sharded serve caches) lose no
+    from several domains (pool workers, serve lanes' caches) lose no
     updates.  The mutex is only ever taken {e behind} the enabled
     guard: while the registry is disabled, recording remains a single
     boolean test and acquires nothing — the zero-cost contract is

@@ -5,7 +5,8 @@
 
     The sink is optional and global — {!Request.finish} emits an event
     only while a file is open.  Lines are written under one mutex, so
-    domain-sharded serving interleaves whole lines, never fragments.
+    serving lanes on several domains interleave whole lines, never
+    fragments.
     An [at_exit] hook closes (flushes) a sink left open. *)
 
 type event = {

@@ -42,7 +42,7 @@ let benign =
   { spike_ms = None; drop_cache = false; evict_cache = false; fail_attempts = 0 }
 
 (* Decisions are a pure function of the plan seed and the request
-   content — never of arrival order, shard assignment, or pool width —
+   content — never of arrival order, lane assignment, or pool width —
    so a fault schedule replays identically at any domain count and a
    retry of the same request re-rolls nothing.  [Rng.split] needs a
    non-negative key; [Hashtbl.hash] already yields one. *)

@@ -46,61 +46,63 @@ let outcome_exn r =
   | Served s -> s.outcome
   | Shed _ -> invalid_arg "Serve.outcome_exn: request was shed"
 
-type t = {
-  catalog : Cqp_relal.Catalog.t;
+(* A lane owns its users' profiles and its caches; [lane_of] sends a
+   user to the same lane at every call, so each profile lives in exactly
+   one table and nothing is ever copied between lanes. *)
+type lane = {
   cache : Cache.t option;
   profiles : (string, Profile.t) Hashtbl.t;
-  mutable served : int;
-  caching : bool;
-  pref_space_capacity : int option;
+}
+
+type t = {
+  catalog : Cqp_relal.Catalog.t;
   resilience : Config.t;
-  mutable shards : t array;
-      (* domain-local sub-servers for parallel replay; [||] until
-         [shards] is first called, then persistent so a later replay
-         over the same pool finds its caches warm *)
+  lanes : lane array;
 }
 
 exception Unknown_user of string
 
 let create ?(caching = true) ?pref_space_capacity
-    ?(resilience = Config.default) catalog =
-  {
-    catalog;
-    cache =
-      (if caching then Some (Cache.create ?pref_space_capacity catalog)
-       else None);
-    profiles = Hashtbl.create 16;
-    served = 0;
-    caching;
-    pref_space_capacity;
-    resilience;
-    shards = [||];
-  }
+    ?(resilience = Config.default) ?(lanes = 1) catalog =
+  if lanes < 1 then invalid_arg "Serve.create: lanes < 1";
+  let lane _ =
+    {
+      cache =
+        (if caching then Some (Cache.create ?pref_space_capacity catalog)
+         else None);
+      profiles = Hashtbl.create 16;
+    }
+  in
+  { catalog; resilience; lanes = Array.init lanes lane }
 
 let catalog t = t.catalog
-let cache t = t.cache
 let resilience t = t.resilience
+let lanes t = Array.length t.lanes
+let lane_of t user = Hashtbl.hash user mod Array.length t.lanes
+let caches t = List.filter_map (fun l -> l.cache) (Array.to_list t.lanes)
+let lane t user = t.lanes.(lane_of t user)
 
 let set_profile t ~user profile =
+  let lane = lane t user in
   (* Invalidate only on a semantic change: cache keys embed the content
      fingerprint, so re-installing an identical profile (e.g. replaying
      a workload against warm caches) must not drop its entries, while a
      real update releases the superseded profile's memory. *)
-  (match (t.cache, Hashtbl.find_opt t.profiles user) with
+  (match (lane.cache, Hashtbl.find_opt lane.profiles user) with
   | Some c, Some old
     when Profile.fingerprint old <> Profile.fingerprint profile ->
       ignore (Cache.invalidate_profile c old)
   | _ -> ());
-  Hashtbl.replace t.profiles user profile
+  Hashtbl.replace lane.profiles user profile
 
-let profile t user = Hashtbl.find_opt t.profiles user
+let profile t user = Hashtbl.find_opt (lane t user).profiles user
 
 (* Removal does not invalidate cached extractions: the cache keys embed
    the content fingerprint, so a dangling entry can never produce a
    stale hit, and the extraction cache is independently LRU-bounded.
    The network front door cycles users through a bounded working set;
    dropping their warm extractions on every eviction would defeat it. *)
-let remove_profile t ~user = Hashtbl.remove t.profiles user
+let remove_profile t ~user = Hashtbl.remove (lane t user).profiles user
 
 (* Pareto serving (the tri-objective front as a resilience rung): with
    [config.pareto] on, every request computes — or looks up in the
@@ -108,14 +110,14 @@ let remove_profile t ~user = Hashtbl.remove t.profiles user
    the cache is warm by the time pressure hits.  [Nsga2.front] is a
    pure function of its inputs, so the cache can never change what a
    pick returns. *)
-let serving_front t (req : request) profile ps =
+let serving_front cache (req : request) profile ps =
   let problem = req.problem in
   let compute () =
     let space = Cqp_core.Space.create ~order:Cqp_core.Space.By_doi ps in
     Nsga2.serving_of_front
       (Nsga2.front ~constraints:problem.Cqp_core.Problem.constraints space)
   in
-  match t.cache with
+  match cache with
   | None -> compute ()
   | Some c ->
       let key =
@@ -134,7 +136,7 @@ let serving_front t (req : request) profile ps =
    at the Full rung, exactly like the undegraded path, so with no
    deadline configured the ladder is bit-identical to plain
    [Solver.solve]. *)
-let ladder t config budget profile (req : request) rung front_point ps =
+let ladder cache config budget profile (req : request) rung front_point ps =
   let problem = req.problem in
   front_point := None;
   (* The front lookup (and the one clock read for the budget snapshot)
@@ -143,7 +145,7 @@ let ladder t config budget profile (req : request) rung front_point ps =
      budget can still be positive — at pressure time the budget has by
      definition expired, so [remaining_ms] would always be [0.]. *)
   let serving =
-    if config.Config.pareto then Some (serving_front t req profile ps)
+    if config.Config.pareto then Some (serving_front cache req profile ps)
     else None
   in
   let entry_remaining_ms =
@@ -217,8 +219,9 @@ let ladder t config budget profile (req : request) rung front_point ps =
                   None)))
 
 let handle ?queue_position ?enqueued_us ?deadline_ms t req =
+  let { cache; profiles } = lane t req.user in
   let profile =
-    match Hashtbl.find_opt t.profiles req.user with
+    match Hashtbl.find_opt profiles req.user with
     | Some p -> p
     | None -> raise (Unknown_user req.user)
   in
@@ -249,9 +252,9 @@ let handle ?queue_position ?enqueued_us ?deadline_ms t req =
   | None ->
       (* Per-request cache-hit attribution: the shared counters are
          monotone, so a before/after snapshot is this request's delta
-         (shards are domain-local, so no concurrent writer skews it). *)
+         (one writer per lane, so no concurrent writer skews it). *)
       let cache_stats0 =
-        if Preq.active () then Option.map Cache.extraction_stats t.cache
+        if Preq.active () then Option.map Cache.extraction_stats cache
         else None
       in
       (* A request-scoped deadline (the wire protocol carries one)
@@ -278,7 +281,7 @@ let handle ?queue_position ?enqueued_us ?deadline_ms t req =
             Metrics.incr "resilience.fault.io_spike";
             Unix.sleepf (ms /. 1000.)
         | None -> ());
-        (match t.cache with
+        (match cache with
         | Some c ->
             if decision.Fault.evict_cache then begin
               Metrics.incr "resilience.fault.evictions";
@@ -290,8 +293,8 @@ let handle ?queue_position ?enqueued_us ?deadline_ms t req =
             end
         | None -> ());
         Personalizer.run ~algorithm:req.algorithm ?max_k:req.max_k
-          ?cache:t.cache ?orders
-          ~solve:(ladder t config budget profile req rung front_point)
+          ?cache ?orders
+          ~solve:(ladder cache config budget profile req rung front_point)
           ~execute:req.execute t.catalog profile ~sql:req.sql
           ~problem:req.problem ()
       in
@@ -299,7 +302,7 @@ let handle ?queue_position ?enqueued_us ?deadline_ms t req =
         rung := Rung.Unpersonalized;
         front_point := None;
         Personalizer.run ~algorithm:req.algorithm ?max_k:req.max_k
-          ?cache:t.cache
+          ?cache
           ~solve:(fun _ -> None)
           ~execute:req.execute t.catalog profile ~sql:req.sql
           ~problem:req.problem ()
@@ -339,18 +342,17 @@ let handle ?queue_position ?enqueued_us ?deadline_ms t req =
          the responses labeled expired. *)
       let deadline_expired = Budget.expired budget in
       let rung = !rung in
-      t.served <- t.served + 1;
       if Metrics.is_enabled () then begin
         Metrics.incr "serve.requests";
         Metrics.observe "serve.latency_us" (latency_ms () *. 1000.);
         if Rung.is_degraded rung then
           Metrics.incr ("resilience.degraded." ^ Rung.name rung)
       end;
-      (match t.cache with Some c -> Cache.publish_metrics c | None -> ());
+      (match cache with Some c -> Cache.publish_metrics c | None -> ());
       let latency_ms = latency_ms () in
       (if Preq.active () then
          let cache_hits, cache_lookups =
-           match (cache_stats0, t.cache) with
+           match (cache_stats0, cache) with
            | Some s0, Some c ->
                let s1 = Cache.extraction_stats c in
                ( s1.Cqp_util.Lru.hits - s0.Cqp_util.Lru.hits,
@@ -369,40 +371,6 @@ let handle ?queue_position ?enqueued_us ?deadline_ms t req =
               front_point = !front_point };
         latency_ms;
       }
-
-let requests_served t = t.served
-
-(* --- sharding (parallel replay support) ------------------------------ *)
-
-let shards t n =
-  if n < 1 then invalid_arg "Serve.shards: need at least one shard";
-  if Array.length t.shards <> n then
-    (* A size change rebuilds the fleet (cold caches); the usual case —
-       same pool across replay passes — reuses warm shards. *)
-    t.shards <-
-      Array.init n (fun _ ->
-          create ~caching:t.caching ?pref_space_capacity:t.pref_space_capacity
-            ~resilience:t.resilience t.catalog);
-  (* Sync the parent's current profiles down.  [set_profile] only
-     invalidates on a fingerprint change, so re-pushing unchanged
-     profiles before a warm pass costs nothing. *)
-  Array.iter
-    (fun shard ->
-      Hashtbl.iter (fun user p -> set_profile shard ~user p) t.profiles)
-    t.shards;
-  t.shards
-
-let shard_of user n = Hashtbl.hash user mod n
-
-let caches t = List.filter_map (fun s -> s.cache) (t :: Array.to_list t.shards)
-
-let drain_shards t ~served =
-  Array.iter
-    (fun shard ->
-      Hashtbl.iter (fun user p -> set_profile t ~user p) shard.profiles)
-    t.shards;
-  t.served <- t.served + served;
-  if Metrics.is_enabled () then Cache.publish_gauge_totals (caches t)
 
 (* --- replay summaries -------------------------------------------------- *)
 

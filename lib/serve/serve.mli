@@ -107,19 +107,18 @@ val create :
   ?caching:bool ->
   ?pref_space_capacity:int ->
   ?resilience:Cqp_resilience.Config.t ->
+  ?lanes:int ->
   Cqp_relal.Catalog.t ->
   t
-(** [caching:false] disables both caches (the differential baseline);
+(** [caching:false] disables the caches (the differential baseline);
     [pref_space_capacity] is forwarded to {!Cqp_core.Cache.create}.
     [resilience] (default {!Cqp_resilience.Config.default}, all off)
     configures deadlines, degradation, retries, shedding, and fault
-    injection. *)
+    injection.  [lanes] (default 1) is the number of serving lanes
+    (see {!section-lanes}); every lane gets its own caches.
+    @raise Invalid_argument when [lanes < 1]. *)
 
 val catalog : t -> Cqp_relal.Catalog.t
-
-val cache : t -> Cqp_core.Cache.t option
-(** [None] when created with [caching:false]. *)
-
 val resilience : t -> Cqp_resilience.Config.t
 
 val set_profile : t -> user:string -> Cqp_prefs.Profile.t -> unit
@@ -169,38 +168,31 @@ val handle :
     [Cqp_sql.Analyzer.Semantic_error] as {!Cqp_core.Personalizer.run}
     does. *)
 
-val requests_served : t -> int
-(** Requests actually served (shed requests are not counted). *)
+(** {1:lanes Lanes}
 
-(** {1 Sharding}
+    A server is a fixed array of {e lanes}, each with its own profile
+    table and its own caches.  {!lane_of} sends a user to the same lane
+    at every call, and {!handle}, {!set_profile}, {!profile} and
+    {!remove_profile} all act on that lane alone, so each profile
+    lives in exactly one place.
 
-    Parallel replay ({!Workload.replay} with a pool) partitions users
-    over a fleet of {e shard} servers — full [Serve.t]s sharing the
-    catalog but owning domain-local caches, so no cache is ever
-    touched by two domains.  Responses are bit-identical to a
-    sequential replay because caches cannot change results (the
-    [test_serve_diff] invariant) and each user's entry order is
-    preserved within its shard. *)
+    Contract: calls for one lane never overlap; calls for different
+    lanes may run at once.  {!Workload.replay} keeps it by running each
+    lane's entries as one pool job, the network server by holding one
+    mutex per lane.  Responses do not depend on the lane count: caches
+    cannot change results (the [test_serve_diff] invariant) and a
+    user's calls keep their order within the user's lane. *)
 
-val shards : t -> int -> t array
-(** The parent's persistent shard fleet, created on first use (and
-    recreated, cold, when [n] changes) with the parent's caching and
-    resilience configuration.  Every call syncs the parent's current
-    profiles down; unchanged profiles do not disturb warm shard caches.
-    @raise Invalid_argument when [n < 1]. *)
+val lanes : t -> int
+(** The lane count {!create} was given. *)
 
-val shard_of : string -> int -> int
-(** [shard_of user n] is the shard (0 to [n - 1]) that serves [user]:
-    the same at every call, so a user's entries always meet the same
-    domain-local caches.  {!Workload.replay} and the network server
-    assign users to their lanes through it. *)
+val lane_of : t -> string -> int
+(** [lane_of t user] is the lane (0 to [lanes t - 1]) that holds
+    [user]'s profile and serves its requests: a hash of the name, the
+    same at every call. *)
 
-val drain_shards : t -> served:int -> unit
-(** Merge shard state back after a parallel replay: re-install every
-    shard profile on the parent (so subsequent sequential serves see
-    mid-replay updates), add [served] to the parent's request count,
-    and re-publish the [serve.cache.*] gauges as fleet-wide totals
-    ({!Cqp_core.Cache.publish_gauge_totals}). *)
+val caches : t -> Cqp_core.Cache.t list
+(** The lanes' caches, in lane order; empty with [caching:false]. *)
 
 (** {1 Replay summaries}
 
@@ -237,8 +229,8 @@ val latency : response list -> latency
 
 type cache_totals = {
   caches : int;
-      (** how many caches were summed: the server's own, then its shard
-          fleet's (none before {!shards}); 0 with caching off *)
+      (** how many caches were summed: one per lane, 0 with caching
+          off *)
   extraction_hits : int;
   extraction_lookups : int;  (** pref-space extraction LRU *)
   extraction_entries : int;
@@ -252,4 +244,4 @@ type cache_totals = {
 }
 
 val cache_totals : t -> cache_totals
-(** Every cache statistic summed over the server's caches. *)
+(** Every cache statistic summed over {!caches}. *)

@@ -105,28 +105,15 @@ let enqueue_stamp () =
   if Cqp_obs.Request.is_enabled () then Some (Cqp_obs.Clock.now_us ())
   else None
 
-(* Replay partitions entries by user over one lane per pool domain: the
-   server itself without a pool (or with one domain), its persistent
-   {!Serve.shards} fleet otherwise.  Per-user entry order (profile
+(* Replay partitions entries by the lane that holds their user
+   ({!Serve.lane_of}), one job per lane: per-user entry order (profile
    installs vs. requests) is preserved inside a lane, and each response
    is written into the slot of its original position, so the response
-   list is the same at every width bit for bit — only latencies and
-   cache hit/miss splits (domain-local caches) may differ, and caches
-   cannot change results.  Users go to lanes by {!Serve.shard_of}, as
-   in the network server. *)
+   list is the same for every lane count and pool width bit for bit —
+   only latencies and cache hit/miss splits (lane-local caches) may
+   differ, and caches cannot change results. *)
 let replay ?pool server entries =
-  let pool =
-    match pool with
-    | Some p when Cqp_par.Pool.domains p > 1 -> Some p
-    | Some _ | None -> None
-  in
-  let lanes =
-    match pool with
-    | Some p -> Serve.shards server (Cqp_par.Pool.domains p)
-    | None -> [| server |]
-  in
-  let nlanes = Array.length lanes in
-  let per_lane = Array.make nlanes [] in
+  let per_lane = Array.make (Serve.lanes server) [] in
   let slots = ref 0 in
   List.iter
     (fun entry ->
@@ -139,33 +126,33 @@ let replay ?pool server entries =
             incr slots;
             (req.Serve.user, `Serve (slot, req))
       in
-      let l = Serve.shard_of user nlanes in
+      let l = Serve.lane_of server user in
       per_lane.(l) <- tagged :: per_lane.(l))
     entries;
   let responses = Array.make !slots None in
   let enqueued_us = enqueue_stamp () in
-  let job l =
+  let job tagged =
     List.iter
       (function
-        | `Install (user, seed, shape) -> install lanes.(l) ~user ?shape seed
+        | `Install (user, seed, shape) -> install server ~user ?shape seed
         | `Serve (slot, req) ->
             responses.(slot) <-
-              Some
-                (Serve.handle ~queue_position:slot ?enqueued_us lanes.(l) req))
-      (List.rev per_lane.(l))
+              Some (Serve.handle ~queue_position:slot ?enqueued_us server req))
+      (List.rev tagged)
   in
   (match pool with
-  | None -> job 0
+  | None -> Array.iter job per_lane
   | Some pool ->
       (* An exception in any lane (e.g. [Serve.Unknown_user]) aborts
          the replay after the batch drains, like a sequential replay
          aborts its remainder — the pool re-raises the lowest-lane
          failure. *)
-      Cqp_par.Pool.run_all pool (Array.init nlanes (fun l _index -> job l)));
-  let responses = List.filter_map Fun.id (Array.to_list responses) in
-  if Option.is_some pool then
-    Serve.drain_shards server ~served:(Serve.tally responses).Serve.served;
-  responses
+      Cqp_par.Pool.run_all pool
+        (Array.map (fun tagged _index -> job tagged) per_lane));
+  (* Each request publishes its own lane's cache gauges; once the lanes
+     are done, publish their sums. *)
+  Cqp_core.Cache.publish_gauge_totals (Serve.caches server);
+  List.filter_map Fun.id (Array.to_list responses)
 
 (* --- on-disk format --- *)
 

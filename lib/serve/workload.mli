@@ -78,17 +78,20 @@ val replay : ?pool:Cqp_par.Pool.t -> Serve.t -> entry list -> Serve.response lis
     pattern is therefore a pure function of the workload, the same at
     every domain count.
 
-    With a [pool] of more than one domain, entries are partitioned by
-    user over the server's persistent {!Serve.shards} fleet (one shard
-    per domain, each with domain-local caches) and replayed in
-    parallel.  Responses come back in entry order and are
-    bit-identical to the sequential replay, shed verdicts included —
+    Entries are partitioned by the lane that holds their user
+    ({!Serve.lane_of}), and each lane's entries run in entry order as
+    one job: on the [pool] when given, one lane after another
+    otherwise.  A server with as many lanes as the pool has domains
+    replays in parallel; the pool's width never changes the lane
+    count.  Responses come back in entry order and are bit-identical
+    at every lane count and pool width, shed verdicts included —
     caches cannot change results and per-user entry order is preserved
-    within a shard — while per-request latencies and the hit/miss
-    split across the domain-local caches naturally differ
-    ([test/test_par_diff.ml] checks both claims).  A shard exception
-    aborts the replay after the in-flight batch drains, re-raising the
-    lowest-shard failure. *)
+    within a lane — while per-request latencies and the hit/miss split
+    across the lanes' caches naturally differ ([test/test_par_diff.ml]
+    checks both claims).  With metrics on, the replay ends by
+    publishing the [serve.cache.*] gauges summed over {!Serve.caches}.
+    A lane's exception aborts the replay after the in-flight batch
+    drains, re-raising the lowest lane's failure. *)
 
 (** {1 On-disk format}
 

@@ -32,6 +32,12 @@
                                         (0 when absent) or field (a
                                         top-level number, as a loadgen
                                         report holds)
+     cli_check exports ROOT             every val in ROOT/lib/*/*.mli is
+                                        named, as a whole word, by some
+                                        .ml/.mli under ROOT's lib, bin,
+                                        bench, perfbench, test or examples
+                                        other than its own module's two
+                                        files; prints how many are not
 
    JSON is read through [Cqp_obs.Jsonx].  Prints one line per check;
    exits 1 at the first that fails. *)
@@ -132,6 +138,110 @@ let send path frames =
     frames;
   Unix.close fd
 
+(* The .ml and .mli files under [root]/[dir], as paths relative to
+   [root], skipping the directories dune skips ([_build], [.git]). *)
+let rec sources root dir =
+  Sys.readdir (Filename.concat root dir)
+  |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let rel = Filename.concat dir name in
+         if Sys.is_directory (Filename.concat root rel) then
+           if name.[0] = '.' || name.[0] = '_' then [] else sources root rel
+         else if
+           Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
+         then [ rel ]
+         else [])
+
+let word_char = function
+  | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+let space = function
+  | ' ' | '\t' | '\n' | '\r' | '\011' | '\012' -> true
+  | _ -> false
+
+(* The first position from [i] on whose character fails [ok]. *)
+let rec scan ok text i =
+  if i < String.length text && ok text.[i] then scan ok text (i + 1) else i
+
+(* The maximal runs of identifier characters in [text]: a name occurs
+   as a whole word exactly when it is one of them. *)
+let words text =
+  let ws = Hashtbl.create 1024 in
+  let rec go i =
+    if i < String.length text then
+      if word_char text.[i] then begin
+        let j = scan word_char text i in
+        Hashtbl.replace ws (String.sub text i (j - i)) ();
+        go j
+      end
+      else go (i + 1)
+  in
+  go 0;
+  ws
+
+(* The names an interface's [val]s declare: [val] first on its line,
+   whitespace, then a lowercase identifier. *)
+let vals text =
+  let n = String.length text in
+  let rec go line acc =
+    if line >= n then List.rev acc
+    else
+      let v = scan (fun c -> c <> '\n' && space c) text line in
+      let j = scan space text (v + 3) in
+      let acc =
+        if
+          v + 3 <= n
+          && String.sub text v 3 = "val"
+          && j > v + 3 && j < n
+          && (text.[j] = '_' || ('a' <= text.[j] && text.[j] <= 'z'))
+        then String.sub text j (scan word_char text j - j) :: acc
+        else acc
+      in
+      match String.index_from_opt text line '\n' with
+      | Some e -> go (e + 1) acc
+      | None -> List.rev acc
+  in
+  go 0 []
+
+let exports root =
+  let texts =
+    List.concat_map
+      (fun dir ->
+        if not (Sys.file_exists (Filename.concat root dir)) then
+          fail "exports: no directory %s under %s" dir root;
+        List.map
+          (fun f -> (f, read (Filename.concat root f)))
+          (sources root dir))
+      [ "lib"; "bin"; "bench"; "perfbench"; "test"; "examples" ]
+  in
+  let index = List.map (fun (f, text) -> (f, words text)) texts in
+  let named_outside own name =
+    List.exists
+      (fun (f, ws) -> (not (List.mem f own)) && Hashtbl.mem ws name)
+      index
+  in
+  let unused =
+    List.concat_map
+      (fun (f, text) ->
+        (* lib/<library>/<module>.mli *)
+        if
+          Filename.check_suffix f ".mli"
+          && List.length (String.split_on_char '/' f) = 3
+        then
+          let own = [ f; Filename.chop_suffix f "i" ] in
+          List.filter_map
+            (fun name ->
+              if named_outside own name then None else Some (f ^ ": " ^ name))
+            (vals text)
+        else [])
+      texts
+  in
+  List.iter print_endline unused;
+  Printf.printf "%d exported vals with no caller outside their module\n"
+    (List.length unused);
+  if unused <> [] then exit 1
+
 let () =
   match List.tl (Array.to_list Sys.argv) with
   | [ "trace"; path ] -> (
@@ -191,6 +301,7 @@ let () =
             ss);
       Printf.printf "%s: every printed size in [%g, %g]\n" path lo hi
   | "send" :: path :: (_ :: _ as frames) -> send path frames
+  | [ "exports"; root ] -> exports root
   | [ "get"; path; kind; name ] ->
       let read =
         match kind with
@@ -206,5 +317,6 @@ let () =
         "usage: cli_check (trace FILE | present FILE NAME | counter FILE NAME \
          [N] | positive FILE NAME | sum FILE NAME A B | prefix FILE P \
          (positive | N) | timed FILE NAME | sizes FILE LO HI | send SOCK \
-         HEX... | get FILE (counter | prefix | gauge | field) NAME)";
+         HEX... | get FILE (counter | prefix | gauge | field) NAME | \
+         exports ROOT)";
       exit 2

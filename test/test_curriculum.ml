@@ -159,8 +159,9 @@ let corpus_is_adversarial () =
 (* --- domain-count differential ------------------------------------- *)
 
 (* Every frozen scenario replays bit-identically at domains 1, 2, and
-   4 — responses, rungs, and shed positions — and the pool captures no
-   job exceptions doing it. *)
+   4 — responses, rungs, and shed positions — on one lane per domain
+   (one pool job per lane), and the pool captures no job exceptions
+   doing it. *)
 let corpus_domains_diff () =
   Cqp_obs.Metrics.enable ();
   let scenarios = corpus () in
@@ -174,9 +175,15 @@ let corpus_domains_diff () =
       Fun.protect ~finally:(fun () -> Cqp_par.Pool.shutdown pool) @@ fun () ->
       List.iter2
         (fun (s : Scenario.t) seq ->
+          let tasks = Cqp_obs.Metrics.counter_value "par.pool.tasks" in
           let par =
             List.map Testlib.serve_observable (Scenario.replay ~pool s)
           in
+          Alcotest.(check int)
+            (Printf.sprintf "%s @ %d domains: one job per lane" s.Scenario.name
+               domains)
+            domains
+            (Cqp_obs.Metrics.counter_value "par.pool.tasks" - tasks);
           Alcotest.(check bool)
             (Printf.sprintf "%s @ %d domains bit-identical" s.Scenario.name
                domains)

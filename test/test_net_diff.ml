@@ -50,9 +50,12 @@ let inprocess_observables entries =
 
 let with_loopback ?store_dir ?store_resident ?max_connections ?resilience
     ~lanes f =
-  let serve = S.Serve.create ~caching:true ?resilience (Lazy.force catalog) in
+  let serve =
+    S.Serve.create ~caching:true ?resilience ~lanes (Lazy.force catalog)
+  in
+  Alcotest.(check int) "server lanes" lanes (S.Serve.lanes serve);
   let srv =
-    Server.create ?store_dir ?store_resident ?max_connections ~lanes
+    Server.create ?store_dir ?store_resident ?max_connections
       ~addr:(Server.Tcp ("127.0.0.1", 0))
       serve
   in
@@ -245,8 +248,8 @@ let test_busy_rejection () =
               | exception Client.Closed -> ())))
 
 let test_shutdown_frame_drains () =
-  let serve = S.Serve.create ~caching:true (Lazy.force catalog) in
-  let srv = Server.create ~lanes:2 ~addr:(Server.Tcp ("127.0.0.1", 0)) serve in
+  let serve = S.Serve.create ~caching:true ~lanes:2 (Lazy.force catalog) in
+  let srv = Server.create ~addr:(Server.Tcp ("127.0.0.1", 0)) serve in
   Server.start srv;
   let c = Client.connect (Server.bound_addr srv) in
   Client.ping c;
@@ -283,7 +286,7 @@ let test_shed_counts_every_lane () =
     }
   in
   (* Users are hashed onto lanes; pick two that land on different ones. *)
-  let lane u = S.Serve.shard_of u 2 in
+  let lane = S.Serve.lane_of (S.Serve.create ~lanes:2 (Lazy.force catalog)) in
   let user_a = "alice" in
   let user_b =
     List.find

@@ -2,11 +2,11 @@
 
    The determinism contract: a pool of any width computes bit-identical
    results to the sequential run.  Two consumers are held to it —
-   [Workload.replay] with a pool (sharded serving, domain-local
-   caches) and [Solver.portfolio] (racing algorithm members), whose
-   objective [Exhaustive.solve_problem] checks — plus the
-   latency-independent metric counters, which must not depend on the
-   domain count either. *)
+   [Workload.replay] with a pool (a server with one lane per domain,
+   each lane with its own caches) and [Solver.portfolio] (racing
+   algorithm members), whose objective [Exhaustive.solve_problem]
+   checks — plus the latency-independent metric counters, which must
+   not depend on the domain count either. *)
 
 module C = Cqp_core
 module S = Cqp_serve
@@ -17,19 +17,25 @@ module Metrics = Cqp_obs.Metrics
 let catalog = lazy (Testlib.small_imdb ~seed:3 ())
 
 let workload seed =
-  (* Interleaved profile updates included: a shard must apply its
+  (* Interleaved profile updates included: a lane must apply its
      users' installs and requests in entry order. *)
   S.Workload.generate ~users:3 ~requests:6 ~updates:2
     ~rng:(Rng.create seed) (Lazy.force catalog)
 
+(* A server with one lane per domain, and the pool to replay it on
+   (none at one domain). *)
+let with_server ~domains f =
+  let server =
+    S.Serve.create ~caching:true ~lanes:domains (Lazy.force catalog)
+  in
+  Alcotest.(check int) "server lanes" domains (S.Serve.lanes server);
+  if domains = 1 then f server None
+  else Pool.with_pool ~domains (fun pool -> f server (Some pool))
+
 let replay_observables ~domains entries =
-  let server = S.Serve.create ~caching:true (Lazy.force catalog) in
-  if domains = 1 then
-    List.map Testlib.serve_observable (S.Workload.replay server entries)
-  else
-    Pool.with_pool ~domains (fun pool ->
-        List.map Testlib.serve_observable
-          (S.Workload.replay ~pool server entries))
+  with_server ~domains (fun server pool ->
+      List.map Testlib.serve_observable
+        (S.Workload.replay ?pool server entries))
 
 (* --- serve: domain counts change nothing ------------------------------ *)
 
@@ -44,33 +50,129 @@ let prop_replay_domains_identical =
       replay_observables ~domains:2 entries = sequential
       && replay_observables ~domains:4 entries = sequential)
 
-(* Two passes over the same (persistent, warm) shard fleet must also
-   match two sequential passes — the warm path is the one the bench
-   measures. *)
+(* Two passes over the same (warm) lanes must also match two
+   sequential passes — the warm path is the one the bench measures. *)
 let test_warm_pass_identical () =
   let entries = workload 7 in
   let two_passes ~domains =
-    let server = S.Serve.create ~caching:true (Lazy.force catalog) in
-    let go pool =
-      ( List.map Testlib.serve_observable
-          (S.Workload.replay ?pool server entries),
-        List.map Testlib.serve_observable
-          (S.Workload.replay ?pool server entries) )
-    in
-    if domains = 1 then go None
-    else Pool.with_pool ~domains (fun pool -> go (Some pool))
+    with_server ~domains (fun server pool ->
+        ( List.map Testlib.serve_observable
+            (S.Workload.replay ?pool server entries),
+          List.map Testlib.serve_observable
+            (S.Workload.replay ?pool server entries) ))
   in
   Alcotest.(check bool)
     "warm second pass identical across domain counts" true
     (two_passes ~domains:1 = two_passes ~domains:4)
 
+(* --- serve: profiles after successive replays --------------------------- *)
+
+(* Each profile lives on its user's lane alone, so replays whose profile
+   updates differ leave every user, at every width, with the profile a
+   one-lane server holds.  Workload A installs and serves; B serves,
+   then installs a new profile for every user; the request-only third
+   replay answers from B's profiles. *)
+let test_profiles_after_replays () =
+  let catalog = Lazy.force catalog in
+  let users = List.init 4 (Printf.sprintf "u%02d") in
+  let generate seed =
+    S.Workload.generate ~users:4 ~requests:12 ~rng:(Rng.create seed) catalog
+  in
+  let requests seed =
+    List.filter
+      (function
+        | S.Workload.Request _ -> true | S.Workload.Set_profile _ -> false)
+      (generate seed)
+  in
+  let a = generate 41 in
+  let b =
+    requests 42
+    @ List.mapi
+        (fun i user ->
+          S.Workload.Set_profile { user; seed = 17 + i; shape = None })
+        users
+  in
+  let run ~domains =
+    with_server ~domains (fun server pool ->
+        ignore (S.Workload.replay ?pool server a);
+        ignore (S.Workload.replay ?pool server b);
+        let third =
+          List.map Testlib.serve_observable
+            (S.Workload.replay ?pool server (requests 43))
+        in
+        ( List.map
+            (fun u ->
+              Option.map Cqp_prefs.Profile.fingerprint
+                (S.Serve.profile server u))
+            users,
+          third ))
+  in
+  let profiles, third = run ~domains:1 in
+  List.iter
+    (fun domains ->
+      let profiles', third' = run ~domains in
+      Alcotest.(check (list (option string)))
+        (Printf.sprintf "profile fingerprints (domains=%d)" domains)
+        profiles profiles';
+      Alcotest.(check bool)
+        (Printf.sprintf "third replay identical (domains=%d)" domains)
+        true (third' = third))
+    [ 2; 4 ]
+
+(* --- metrics: cache gauges sum the lanes ------------------------------- *)
+
+(* Every request publishes its own lane's cache gauges; the end of a
+   replay publishes their sums over the lanes' caches, so the gauges
+   describe the server rather than the lane that happened to finish
+   last. *)
+let test_gauges_sum_lanes () =
+  let entries =
+    S.Workload.generate ~users:6 ~requests:18 ~rng:(Rng.create 31)
+      (Lazy.force catalog)
+  in
+  List.iter
+    (fun domains ->
+      Metrics.enable ();
+      Metrics.reset ();
+      with_server ~domains (fun server pool ->
+          ignore (S.Workload.replay ?pool server entries);
+          let caches = S.Serve.caches server in
+          if domains > 1 then
+            Alcotest.(check bool)
+              "more than one lane holds extractions" true
+              (List.length
+                 (List.filter
+                    (fun c -> C.Cache.extraction_entries c > 0)
+                    caches)
+              > 1);
+          let sum f =
+            float_of_int (List.fold_left (fun n c -> n + f c) 0 caches)
+          in
+          let memo_entries c =
+            Option.fold ~none:0 ~some:C.Estimate.Memo.entries (C.Cache.memo c)
+          in
+          List.iter
+            (fun (name, expected) ->
+              Alcotest.(check (option (float 0.)))
+                (Printf.sprintf "%s (domains=%d)" name domains)
+                (Some expected) (Metrics.gauge_value name))
+            [
+              ( "serve.cache.pref_space.entries",
+                sum C.Cache.extraction_entries );
+              ("serve.cache.pref_space.bytes_held", sum C.Cache.bytes_held);
+              ("serve.cache.estimate.entries", sum memo_entries);
+            ]);
+      Metrics.disable ();
+      Metrics.reset ())
+    [ 1; 4 ]
+
 (* --- metrics: latency-independent counters match ---------------------- *)
 
 (* The per-request work counters cannot depend on the domain count:
    caches cannot change results (test_serve_diff), so the solver and
-   estimator do the same work per request no matter which shard's
+   estimator do the same work per request no matter which lane's
    cache served it.  The [serve.cache.*] hit/miss split legitimately
-   differs (domain-local caches see different key streams); it is held
+   differs (each lane's caches see different key streams); it is held
    to its reconciliation invariant instead. *)
 let latency_independent_counters =
   [
@@ -266,6 +368,12 @@ let () =
             test_warm_pass_identical;
           Alcotest.test_case "latency-independent counters match" `Quick
             test_counters_domain_independent;
+          Alcotest.test_case
+            "replays of different workloads leave the same profiles at \
+             every width"
+            `Quick test_profiles_after_replays;
+          Alcotest.test_case "cache gauges sum the lanes' caches" `Quick
+            test_gauges_sum_lanes;
         ] );
       ( "solver",
         [ qc prop_portfolio_matches_oracle; qc prop_solve_matches_oracle ] );

@@ -33,7 +33,11 @@ let replay ?deadline_ms ~domains ~resilience entries =
     | None -> resilience
     | Some d -> { resilience with Config.deadline_ms = Some d }
   in
-  let server = S.Serve.create ~caching:true ~resilience (Lazy.force catalog) in
+  let server =
+    S.Serve.create ~caching:true ~resilience ~lanes:domains
+      (Lazy.force catalog)
+  in
+  Alcotest.(check int) "server lanes" domains (S.Serve.lanes server);
   let responses =
     if domains = 1 then S.Workload.replay server entries
     else
@@ -76,9 +80,9 @@ let test_front_cache_warms () =
   let entries = workload ~requests:12 31 in
   let server, _ = replay ~domains:1 ~resilience:pareto_config entries in
   let cache =
-    match S.Serve.cache server with
-    | Some c -> c
-    | None -> Alcotest.fail "caching server has a cache"
+    match S.Serve.caches server with
+    | [ c ] -> c
+    | _ -> Alcotest.fail "a one-lane caching server has one cache"
   in
   let cold = C.Cache.front_stats cache in
   Alcotest.(check int) "one front lookup per served request"
@@ -171,7 +175,7 @@ let test_pressure_metrics_reconcile () =
 let test_fingerprint_invalidation_drops_fronts () =
   let entries = workload ~requests:10 59 in
   let server, _ = replay ~domains:1 ~resilience:pareto_config entries in
-  let cache = Option.get (S.Serve.cache server) in
+  let cache = List.hd (S.Serve.caches server) in
   Alcotest.(check bool) "fronts cached" true (C.Cache.front_entries cache > 0);
   (* Front keys lead with the profile fingerprint, so the prefix
      invalidation that already covers extractions covers fronts too:

@@ -264,18 +264,18 @@ let workload ~requests seed =
     (Lazy.force catalog)
 
 let replay ~domains ~resilience entries =
-  let server = S.Serve.create ~caching:true ~resilience (Lazy.force catalog) in
-  let responses =
-    if domains = 1 then S.Workload.replay server entries
-    else
-      Pool.with_pool ~domains (fun pool ->
-          S.Workload.replay ~pool server entries)
+  let server =
+    S.Serve.create ~caching:true ~resilience ~lanes:domains
+      (Lazy.force catalog)
   in
-  (server, responses)
+  Alcotest.(check int) "server lanes" domains (S.Serve.lanes server);
+  if domains = 1 then S.Workload.replay server entries
+  else
+    Pool.with_pool ~domains (fun pool -> S.Workload.replay ~pool server entries)
 
 let observables ~domains ~resilience entries =
   List.map Testlib.serve_observable
-    (snd (replay ~domains ~resilience entries))
+    (replay ~domains ~resilience entries)
 
 let test_default_config_is_inert () =
   Alcotest.(check bool) "default config is inert" true
@@ -341,7 +341,7 @@ let count_requests entries =
 let chaos_replay ~label ~domains ~resilience entries =
   Metrics.enable ();
   Metrics.reset ();
-  let server, responses = replay ~domains ~resilience entries in
+  let responses = replay ~domains ~resilience entries in
   let counter = Metrics.counter_value in
   let check msg = Alcotest.(check int) (Printf.sprintf "%s: %s" label msg) in
   check "every request answered" (count_requests entries)
@@ -360,8 +360,6 @@ let chaos_replay ~label ~domains ~resilience entries =
     (counter "resilience.shed");
   check "serve.requests counts served only" (List.length served)
     (counter "serve.requests");
-  check "server tally counts served only" (List.length served)
-    (S.Serve.requests_served server);
   check "resilience.retries reconciles"
     (List.fold_left (fun acc s -> acc + s.S.Serve.retries) 0 served)
     (counter "resilience.retries");
